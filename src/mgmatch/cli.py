@@ -5,22 +5,23 @@ trivial solution), full (construction + local search), sync (pairwise
 solves projected to cycle consistency), reduce (print padding statistics
 of the incomplete-to-complete reduction).
 
-With runs > 1 the pipeline restarts with shuffled object orders and keeps
-the best solution found; restarts are distributed over a thread pool. A
-time limit cuts searches short and the best solution so far is still
-written, flagged in the document metadata.
+With runs > 1 the pipeline restarts with shuffled object orders, one
+restart after the other, and keeps the best solution found. Algorithm
+variants are chosen by flags: --construction seq (chain), par (balanced
+construction tree) or inc:<s> (warm-started chain); --ls gm (sequential
+GM local search), gm-par (parallel-proposal GM local search), swap,
+alternate or none. A time limit cuts searches short and the best
+solution so far is still written, flagged in the document metadata.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import io as mgm_io
 from .construction import (
@@ -43,7 +44,7 @@ from .reduction import size_report
 from .synchronization import synchronize
 
 MODES = ("construct", "ls", "full", "sync", "reduce")
-LS_CHOICES = ("gm", "swap", "alternate", "none")
+LS_CHOICES = ("gm", "gm-par", "swap", "alternate", "none")
 
 
 @dataclass
@@ -54,10 +55,9 @@ class RunConfig:
     trace_path: str | None = None
     seed: int = 42
     runs: int = 1
-    threads: int = 1
     time_limit: float | None = None
     construction: str = "seq"  # seq | par | inc:<s>
-    ls: str = "alternate"  # gm | swap | alternate | none
+    ls: str = "alternate"  # gm | gm-par | swap | alternate | none
     gm_solver: str = "default"
     gm_effort: str = "default"
     sync_mode: str = "sparse"  # dense | sparse | soft:<alpha>
@@ -69,8 +69,6 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.ls not in LS_CHOICES:
             raise ValueError(f"unknown local search {self.ls!r}")
         self.sync_kind, self.sync_alpha = _parse_sync_mode(self.sync_mode)
@@ -116,7 +114,7 @@ def _construct(problem, config: RunConfig, gm, seed: int, trace) -> CliquePartit
     elif config.construction_kind == "par":
         tree = ConstructionTree.balanced(order)
         solution = construct_parallel(
-            problem, tree, gm=gm, seed=seed, workers=config.threads, effort=config.effort
+            problem, tree, gm=gm, seed=seed, effort=config.effort
         )
     else:
 
@@ -152,12 +150,12 @@ def _local_search(problem, solution, config: RunConfig, gm, seed, deadline, trac
     order = _shuffled_order(problem.d, seed)
     if config.ls == "none":
         return solution
+    if config.ls == "gm-par":
+        return gm_local_search_parallel(
+            problem, solution, gm=gm, seed=seed,
+            effort=config.effort, deadline=deadline, trace=trace,
+        )
     if config.ls == "gm":
-        if config.threads > 1:
-            return gm_local_search_parallel(
-                problem, solution, gm=gm, workers=config.threads, seed=seed,
-                effort=config.effort, deadline=deadline, trace=trace,
-            )
         return gm_local_search(
             problem, solution, order=order, gm=gm, seed=seed,
             effort=config.effort, deadline=deadline, trace=trace,
@@ -168,8 +166,7 @@ def _local_search(problem, solution, config: RunConfig, gm, seed, deadline, trac
         )
     return alternate(
         problem, solution, gm=gm, order=order, seed=seed, effort=config.effort,
-        deadline=deadline, workers=config.threads if config.ls == "alternate" else 1,
-        trace=trace,
+        deadline=deadline, trace=trace,
     )
 
 
@@ -202,8 +199,6 @@ def _best_restart(results):
 def run(config: RunConfig) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     started = time.monotonic()
-    threads = int(os.environ.get("MGM_THREADS", config.threads))
-    config = replace(config, threads=max(1, threads))
     try:
         with open(config.input_path, "rb") as handle:
             problem = mgm_io.parse_problem(handle)
@@ -247,7 +242,6 @@ def run(config: RunConfig) -> int:
                     gm=get_solver(config.gm_solver),
                     seed=derive_seed(config.seed, run_index),
                     effort=config.effort,
-                    workers=config.threads,
                     deadline=deadline,
                     trace=run_trace,
                 )
@@ -271,17 +265,11 @@ def run(config: RunConfig) -> int:
         metadata["sync_metrics"] = metrics.to_dict()
         value = objective(problem, solution)
     else:
-        tasks = range(config.runs)
-
-        def task(run_index):
-            return run_restart(problem, config, run_index, deadline, initial)
-
         try:
-            if config.threads > 1 and config.runs > 1:
-                with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                    results = list(pool.map(task, tasks))
-            else:
-                results = [task(run_index) for run_index in tasks]
+            results = [
+                run_restart(problem, config, run_index, deadline, initial)
+                for run_index in range(config.runs)
+            ]
         except (ValueError, KeyError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -321,8 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="problem file in dd format")
     parser.add_argument("--mode", choices=MODES, default="full")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--runs", type=int, default=1, help="parallel restarts, best kept")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--runs", type=int, default=1, help="randomized restarts, best kept")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility with older command lines; has no effect",
+    )
     parser.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     parser.add_argument(
         "--construction", default="seq", help="seq, par, or inc:<warm-start-size>"
@@ -353,7 +344,6 @@ def config_from_args(args) -> RunConfig:
         trace_path=args.trace,
         seed=args.seed,
         runs=args.runs,
-        threads=args.threads,
         time_limit=args.time_limit,
         construction=args.construction,
         ls=args.ls,

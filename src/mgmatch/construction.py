@@ -3,9 +3,9 @@
 Solutions are built by repeatedly matching two partial solutions (or one
 object against a partial solution) with a pairwise GM solver and merging
 matched cliques. The sequential variant walks a random object order; the
-parallel variant processes a binary construction tree level by level; the
-incremental variant warm-starts the chain with a stronger solver on a
-prefix of the objects.
+tree variant combines partial solutions along a binary construction tree,
+bottom-up; the incremental variant warm-starts the chain with a stronger
+solver on a prefix of the objects.
 
 Aggregated costs: matching clique I to clique S prices every cross pair of
 their members, so a single forbidden member pair forbids the whole entry.
@@ -17,10 +17,9 @@ the GM solver can never produce a forbidden match.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
-from .gm import Effort, GmMatching, GmSubproblem, solve_gm
+from .gm import Effort, GmMatching, GmSolver, GmSubproblem, solve_gm
 from .model import (
     Clique,
     CliquePartition,
@@ -33,11 +32,8 @@ class OverlapError(ValueError):
     """Two partial solutions to be merged cover a common object."""
 
 
-GmSolver = Callable[[GmSubproblem, int, Effort], GmMatching]
-
-
 def derive_seed(seed: int, k: int) -> int:
-    """Stable per-step seed so parallel and sequential runs agree."""
+    """Stable per-step seed so tree and sequential construction agree."""
     digest = hashlib.blake2b(f"{seed}:{k}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -148,7 +144,7 @@ def merge_object(
 
 
 class ConstructionTree:
-    """Leaf-labeled ordered binary tree steering parallel construction.
+    """Leaf-labeled ordered binary tree steering tree construction.
 
     Leaves are object indices and must form a permutation of range(d).
     Nodes are given as nested 2-tuples, e.g. ``((2, (1, 0)), 3)``.
@@ -158,17 +154,15 @@ class ConstructionTree:
         self.root = root
         self.d = d
         labels: list[int] = []
-
-        def walk(node):
+        stack = [root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, int):
                 labels.append(node)
-                return
-            if not (isinstance(node, tuple) and len(node) == 2):
+            elif isinstance(node, tuple) and len(node) == 2:
+                stack.extend(node)
+            else:
                 raise ValueError(f"malformed tree node {node!r}: need leaf int or 2-tuple")
-            walk(node[0])
-            walk(node[1])
-
-        walk(root)
         if sorted(labels) != list(range(d)):
             raise ValueError(f"tree leaves {sorted(labels)} are not a permutation of range({d})")
 
@@ -197,21 +191,30 @@ class ConstructionTree:
     def schedule(self) -> list[list[tuple[int, tuple]]]:
         """Internal nodes grouped by height, bottom-up.
 
-        Nodes within one level have disjoint subtrees and may be combined
-        in parallel. Each entry is (sequence index, node); the sequence
-        index seeds the node's GM solve. On a chain tree this numbering
-        matches the step numbering of sequential construction.
+        Nodes within one level have disjoint subtrees, so their combine
+        steps do not depend on each other. Each entry is (sequence index,
+        node); the sequence index seeds the node's GM solve. On a chain
+        tree this numbering matches the step numbering of sequential
+        construction.
         """
         by_height: dict[int, list] = {}
+        heights: dict[int, int] = {}  # id(internal node) -> height
 
-        def walk(node) -> int:
+        def height_of(node) -> int:
+            return 0 if isinstance(node, int) else heights[id(node)]
+
+        # Post-order (left subtree, right subtree, node) without recursion.
+        stack = [(self.root, False)]
+        while stack:
+            node, children_done = stack.pop()
             if isinstance(node, int):
-                return 0
-            height = 1 + max(walk(node[0]), walk(node[1]))
-            by_height.setdefault(height, []).append(node)
-            return height
-
-        walk(self.root)
+                continue
+            if children_done:
+                height = 1 + max(height_of(node[0]), height_of(node[1]))
+                heights[id(node)] = height
+                by_height.setdefault(height, []).append(node)
+            else:
+                stack += [(node, True), (node[1], False), (node[0], False)]
         levels = []
         counter = 1
         for height in sorted(by_height):
@@ -223,6 +226,31 @@ class ConstructionTree:
         return levels
 
 
+def _permutation(problem: MgmProblem, order: Sequence[int]) -> list[int]:
+    order = list(order)
+    if sorted(order) != list(range(problem.d)):
+        raise ValueError("order must be a permutation of the objects")
+    return order
+
+
+def _chain(
+    problem: MgmProblem,
+    acc: CliquePartition,
+    order: list[int],
+    start: int,
+    gm: GmSolver,
+    seed: int,
+    effort: Effort,
+) -> CliquePartition:
+    """Match order[start:] onto acc one object at a time; step k is seeded by k."""
+    for k in range(start, len(order)):
+        p = order[k]
+        sub = object_clique_costs(problem, p, acc)
+        matching = gm(sub, derive_seed(seed, k), effort)
+        acc = merge_object(problem, p, acc, matching)
+    return acc
+
+
 def construct_sequential(
     problem: MgmProblem,
     order: Sequence[int] | None = None,
@@ -231,16 +259,9 @@ def construct_sequential(
     effort: Effort = Effort.DEFAULT,
 ) -> CliquePartition:
     """Chain construction: start from one object, match the next one in each step."""
-    order = list(order) if order is not None else list(range(problem.d))
-    if sorted(order) != list(range(problem.d)):
-        raise ValueError("order must be a permutation of the objects")
+    order = _permutation(problem, range(problem.d) if order is None else order)
     acc = singleton_partition(problem.sizes[order[0]], order[0])
-    for k in range(1, problem.d):
-        p = order[k]
-        sub = object_clique_costs(problem, p, acc)
-        matching = gm(sub, derive_seed(seed, k), effort)
-        acc = merge_object(problem, p, acc, matching)
-    return acc
+    return _chain(problem, acc, order, 1, gm, seed, effort)
 
 
 def construct_parallel(
@@ -248,13 +269,13 @@ def construct_parallel(
     tree: ConstructionTree,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    workers: int = 1,
     effort: Effort = Effort.DEFAULT,
 ) -> CliquePartition:
-    """Tree construction; nodes on one level are solved concurrently.
+    """Tree construction: each internal node matches the partial solutions of
+    its two subtrees and merges them, lower levels first.
 
-    A chain tree with workers=1 reproduces construct_sequential exactly,
-    including per-step seeds.
+    A chain tree reproduces construct_sequential exactly, including
+    per-step seeds.
     """
     if tree.d != problem.d:
         raise ValueError("tree does not cover the problem's objects")
@@ -265,22 +286,13 @@ def construct_parallel(
             return singleton_partition(problem.sizes[node], node)
         return solutions[id(node)]
 
-    def combine(task) -> CliquePartition:
-        seq, node = task
-        a = solution_of(node[0])
-        b = solution_of(node[1])
-        sub = clique_clique_costs(problem, a, b)
-        matching = gm(sub, derive_seed(seed, seq), effort)
-        return merge(a, b, matching)
-
     for level in tree.schedule():
-        if workers > 1 and len(level) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(combine, level))
-        else:
-            results = [combine(task) for task in level]
-        for (_, node), result in zip(level, results):
-            solutions[id(node)] = result
+        for seq, node in level:
+            a = solution_of(node[0])
+            b = solution_of(node[1])
+            sub = clique_clique_costs(problem, a, b)
+            matching = gm(sub, derive_seed(seed, seq), effort)
+            solutions[id(node)] = merge(a, b, matching)
     return solution_of(tree.root)
 
 
@@ -299,9 +311,7 @@ def construct_incremental(
     handed to ``inner`` (any solver returning a feasible partition); the
     remaining objects are then chained on as in sequential construction.
     """
-    order = list(order)
-    if sorted(order) != list(range(problem.d)):
-        raise ValueError("order must be a permutation of the objects")
+    order = _permutation(problem, order)
     if not (2 <= s <= problem.d):
         raise ValueError(f"warm-start size {s} outside [2, {problem.d}]")
     head = order[:s]
@@ -311,9 +321,4 @@ def construct_incremental(
     acc = CliquePartition(
         Clique({head[p]: v for p, v in clique.pairs}) for clique in inner_solution
     )
-    for k in range(s, problem.d):
-        p = order[k]
-        sub = object_clique_costs(problem, p, acc)
-        matching = gm(sub, derive_seed(seed, k), effort)
-        acc = merge_object(problem, p, acc, matching)
-    return acc
+    return _chain(problem, acc, order, s, gm, seed, effort)

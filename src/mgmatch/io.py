@@ -8,7 +8,8 @@ Problems use the line-oriented dd multi-matching format:
     e <id1> <id2> <cost>  # quadratic cost between two declared assignments
 
 Lines starting with '$' or '#' and blank lines are comments. Absent
-assignments are forbidden; absent quadratic entries cost zero.
+assignments are forbidden; absent quadratic entries cost zero. All 'p'
+lines must agree on the size of each object.
 
 Solutions use a small JSON document (schema version 1) listing cliques in
 a deterministic order plus free-form metadata; see write_solution.
@@ -94,9 +95,11 @@ def parse_problem(source: TextSource) -> MgmProblem:
                 raise ParseError(lineno, "expected 'p <n1> <n2> <A> <E>'")
             n1, n2, _, _ = _ints(fields[1:5], lineno)
             current["n"] = (n1, n2)
-            p, q = current["pair"]
-            sizes[p] = max(sizes.get(p, 0), n1)
-            sizes[q] = max(sizes.get(q, 0), n2)
+            for obj, n in zip(current["pair"], (n1, n2)):
+                if sizes.setdefault(obj, n) != n:
+                    raise ParseError(
+                        lineno, f"object {obj} declared with size {n}, earlier {sizes[obj]}"
+                    )
         elif tag == "a":
             if current is None:
                 raise ParseError(lineno, "'a' line outside a gm block")

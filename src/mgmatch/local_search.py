@@ -5,9 +5,10 @@ only:
 
 * GM local search splits one object out of the solution, re-matches it
   against the remaining cliques with a pairwise GM solve, and keeps the
-  merge when the objective drops. A parallel variant proposes re-matchings
-  for all objects against a fixed snapshot and applies them in ascending
-  order of their proposed objective, re-checking profit after each.
+  merge when the objective drops. The parallel-proposal variant proposes
+  re-matchings for all objects against the same solution, then applies
+  them in ascending order of their proposed objective, re-checking profit
+  after each.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
@@ -18,7 +19,6 @@ only:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
@@ -299,7 +299,6 @@ def gm_local_search_parallel(
     problem: MgmProblem,
     solution: CliquePartition,
     gm: GmSolver = solve_gm,
-    workers: int = 1,
     seed: int = 0,
     effort: Effort = Effort.DEFAULT,
     max_passes: int | None = None,
@@ -323,22 +322,14 @@ def gm_local_search_parallel(
             break
         if deadline is not None and time.monotonic() >= deadline:
             break
-        snapshot = current
-
-        def propose(p: int):
-            split = CliquePartition(c.without_object(p) for c in snapshot)
+        proposals = []
+        for p in range(problem.d):
+            split = CliquePartition(c.without_object(p) for c in current)
             sub = object_clique_costs(problem, p, split)
             matching = gm(sub, derive_seed(seed, rounds * problem.d + p + 1), effort)
             candidate = merge_object(problem, p, split, matching)
-            value = objective(problem, candidate)
             targets = [(v, split.cliques[k]) for v, k in matching]
-            return value, p, targets
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                proposals = list(pool.map(propose, range(problem.d)))
-        else:
-            proposals = [propose(p) for p in range(problem.d)]
+            proposals.append((objective(problem, candidate), p, targets))
         proposals.sort(key=lambda item: (_sort_cost(item[0]), item[1]))
 
         accepted_any = False
@@ -434,7 +425,6 @@ def alternate(
     effort: Effort = Effort.DEFAULT,
     max_rounds: int | None = None,
     deadline: float | None = None,
-    workers: int = 1,
     trace: TraceRecorder | None = None,
 ) -> CliquePartition:
     """Alternate GM local search and swap local search until neither improves.
@@ -451,18 +441,11 @@ def alternate(
     while True:
         if deadline is not None and time.monotonic() >= deadline:
             break
-        if workers > 1:
-            current = gm_local_search_parallel(
-                problem, current, gm=gm, workers=workers,
-                seed=derive_seed(seed, 2 * rounds), effort=effort,
-                deadline=deadline, trace=trace,
-            )
-        else:
-            current = gm_local_search(
-                problem, current, order=order, gm=gm,
-                seed=derive_seed(seed, 2 * rounds), effort=effort,
-                deadline=deadline, trace=trace,
-            )
+        current = gm_local_search(
+            problem, current, order=order, gm=gm,
+            seed=derive_seed(seed, 2 * rounds), effort=effort,
+            deadline=deadline, trace=trace,
+        )
         current = swap_local_search(
             problem, current, seed=derive_seed(seed, 2 * rounds + 1),
             deadline=deadline, trace=trace,

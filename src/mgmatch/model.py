@@ -141,8 +141,7 @@ class MgmProblem:
     """An incomplete MGM instance: object sizes plus one table per object pair.
 
     Tables are stored once for p < q; lookups with swapped roles are
-    transparent. The instance is immutable after construction and safe to
-    share across threads.
+    transparent. The instance is immutable after construction.
     """
 
     __slots__ = ("sizes", "costs", "_total_abs")

@@ -22,7 +22,6 @@ Cost modes for the synchronization problem:
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any
@@ -72,24 +71,16 @@ def pair_subproblem(problem: MgmProblem, p: int, q: int) -> GmSubproblem:
 def solve_all_pairwise(
     problem: MgmProblem,
     gm: GmSolver = solve_gm,
-    workers: int = 1,
     seed: int = 0,
     effort: Effort = Effort.DEFAULT,
 ) -> PairwiseMatchingSet:
     """Independently solve all d(d-1)/2 pairwise GM problems."""
-    pairs = [(p, q) for p in range(problem.d) for q in range(p + 1, problem.d)]
-
-    def solve_one(pq):
-        p, q = pq
-        sub = pair_subproblem(problem, p, q)
-        return gm(sub, derive_seed(seed, p * problem.d + q), effort)
-
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            matchings = list(pool.map(solve_one, pairs))
-    else:
-        matchings = [solve_one(pq) for pq in pairs]
-    return PairwiseMatchingSet(problem.d, dict(zip(pairs, matchings)))
+    matchings = {}
+    for p in range(problem.d):
+        for q in range(p + 1, problem.d):
+            sub = pair_subproblem(problem, p, q)
+            matchings[(p, q)] = gm(sub, derive_seed(seed, p * problem.d + q), effort)
+    return PairwiseMatchingSet(problem.d, matchings)
 
 
 def build_sync_problem(
@@ -195,7 +186,6 @@ def synchronize(
     gm: GmSolver = solve_gm,
     seed: int = 0,
     effort: Effort = Effort.DEFAULT,
-    workers: int = 1,
     ls_rounds: int | None = None,
     deadline: float | None = None,
     trace: TraceRecorder | None = None,
@@ -206,9 +196,7 @@ def synchronize(
     solves every intermediate subproblem exactly as a LAP regardless of the
     solver configured for the pairwise stage.
     """
-    matchings = solve_all_pairwise(
-        problem, gm=gm, workers=workers, seed=seed, effort=effort
-    )
+    matchings = solve_all_pairwise(problem, gm=gm, seed=seed, effort=effort)
     sync_problem = build_sync_problem(problem, matchings, mode=mode, alpha=alpha)
     order = list(range(problem.d))
     random.Random(derive_seed(seed, 1)).shuffle(order)
@@ -228,7 +216,6 @@ def synchronize(
         effort=effort,
         max_rounds=ls_rounds,
         deadline=deadline,
-        workers=workers,
         trace=trace,
     )
     return solution, sync_metrics(problem, matchings, solution)

@@ -277,7 +277,7 @@ def test_criterion_8_chain_tree_equivalence():
             seed = rng.randrange(10**6)
             sequential = construct_sequential(problem, order, seed=seed)
             tree = ConstructionTree.chain(order)
-            parallel = construct_parallel(problem, tree, seed=seed, workers=1)
+            parallel = construct_parallel(problem, tree, seed=seed)
             assert sequential.cliques == parallel.cliques
 
 
@@ -298,7 +298,6 @@ def test_criterion_9_worms10_conditional(tmp_path):
             output_path=str(out),
             seed=42,
             runs=1,
-            threads=1,
             time_limit=420.0,
         )
         assert run(config) == 0
@@ -318,7 +317,6 @@ def test_criterion_9_worms10_conditional(tmp_path):
             output_path=str(sync_out),
             sync_mode="sparse",
             seed=42,
-            threads=1,
             time_limit=120.0,
         )
         assert run(config) == 0

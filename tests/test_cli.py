@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from mgmatch.io import parse_solution, write_problem
 from mgmatch.model import objective
 
 from conftest import part
+from oracles import random_problem
 
 
 @pytest.fixture
@@ -79,7 +81,7 @@ class TestConstructMode:
         out = tmp_path / "sol.json"
         code = main(
             [str(t3_file), "--mode", "construct", "--construction", "par",
-             "--threads", "2", "--output", str(out)]
+             "--output", str(out)]
         )
         assert code == 0
 
@@ -167,6 +169,12 @@ class TestErrors:
         bad.write_text("this is not a problem\n")
         assert main([str(bad)]) == 2
 
+    def test_inconsistent_object_size(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dd"
+        bad.write_text("gm 0 1\np 2 2 0 0\ngm 0 2\np 5 2 0 0\n")
+        assert main([str(bad)]) == 2
+        assert "line 4" in capsys.readouterr().err
+
     def test_bad_sync_mode(self, t3_file):
         assert main([str(t3_file), "--mode", "sync", "--sync-mode", "soft:-1"]) == 2
 
@@ -190,8 +198,65 @@ class TestTimeLimit:
         assert doc.objective is not None
 
 
-class TestEnvThreadOverride:
-    def test_env_var_wins(self, t3_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MGM_THREADS", "2")
+def solution_without_wall_time(path):
+    data = json.loads(path.read_text())
+    data["metadata"].pop("wall_time_ms")
+    return data
+
+
+@pytest.fixture
+def proposal_sensitive_file(tmp_path):
+    """An instance on which parallel-proposal GM local search ends at a
+    different objective than the sequential one."""
+    problem = random_problem(random.Random(21), 5, 3, forbidden_frac=0.2, quad_frac=0.3)
+    path = tmp_path / "r21.dd"
+    path.write_text(write_problem(problem))
+    return path
+
+
+class TestThreadsHaveNoEffect:
+    def test_thread_count_does_not_change_output(self, proposal_sensitive_file, tmp_path):
+        outs = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"sol{threads}.json"
+            code = main(
+                [str(proposal_sensitive_file), "--mode", "full", "--runs", "2", "--seed", "1",
+                 "--threads", threads, "--output", str(out)]
+            )
+            assert code == 0
+            outs.append(solution_without_wall_time(out))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("value", ["abc", "2"])
+    def test_env_var_is_ignored(self, proposal_sensitive_file, tmp_path, monkeypatch, value):
+        args = [str(proposal_sensitive_file), "--runs", "2", "--seed", "1"]
+        plain = tmp_path / "plain.json"
+        assert main(args + ["--output", str(plain)]) == 0
+        monkeypatch.setenv("MGM_THREADS", value)
+        with_env = tmp_path / "env.json"
+        assert main(args + ["--output", str(with_env)]) == 0
+        assert solution_without_wall_time(with_env) == solution_without_wall_time(plain)
+
+
+class TestParallelProposalLs:
+    def test_gm_par_runs_parallel_proposal_search(self, t3, t3_file, tmp_path, monkeypatch):
+        from mgmatch import cli
+
+        calls = []
+        original = cli.gm_local_search_parallel
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("--ls gm-par must not run sequential GM local search")
+
+        monkeypatch.setattr(cli, "gm_local_search_parallel", counting)
+        monkeypatch.setattr(cli, "gm_local_search", refuse)
         out = tmp_path / "sol.json"
-        assert main([str(t3_file), "--runs", "2", "--output", str(out)]) == 0
+        assert main([str(t3_file), "--ls", "gm-par", "--runs", "2", "--output", str(out)]) == 0
+        assert len(calls) == 2
+        doc = read_doc(out, t3)
+        assert not doc.warnings
+        assert "+gm-par/" in doc.metadata["solver"]

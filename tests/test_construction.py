@@ -165,7 +165,7 @@ class TestConstructParallel:
         order = [0, 1, 2]
         tree = ConstructionTree.chain(order)
         a = construct_sequential(t3, order, gm=exhaustive, seed=5)
-        b = construct_parallel(t3, tree, gm=exhaustive, seed=5, workers=1)
+        b = construct_parallel(t3, tree, gm=exhaustive, seed=5)
         assert a.cliques == b.cliques
 
     def test_chain_tree_equality_on_random_instances(self):
@@ -176,9 +176,7 @@ class TestConstructParallel:
             rng.shuffle(order)
             seed = rng.randrange(1000)
             a = construct_sequential(problem, order, seed=seed)
-            b = construct_parallel(
-                problem, ConstructionTree.chain(order), seed=seed, workers=1
-            )
+            b = construct_parallel(problem, ConstructionTree.chain(order), seed=seed)
             assert a.cliques == b.cliques
 
     def test_balanced_tree_has_two_levels_for_four_objects(self):
@@ -189,10 +187,10 @@ class TestConstructParallel:
 
     def test_balanced_tree_feasible(self):
         rng = random.Random(31)
-        for workers in (1, 3):
+        for _ in range(2):
             problem = random_problem(rng, 5, 3, forbidden_frac=0.3)
             tree = ConstructionTree.balanced(range(5))
-            solution = construct_parallel(problem, tree, seed=2, workers=workers)
+            solution = construct_parallel(problem, tree, seed=2)
             validate(problem, solution)
             assert objective(problem, solution) <= 0.0
 
@@ -208,13 +206,21 @@ class TestConstructParallel:
         with pytest.raises(ValueError):
             ConstructionTree((0, (1, 2, 3)), 4)
 
-    def test_workers_do_not_change_result(self):
-        rng = random.Random(37)
-        problem = random_problem(rng, 6, 3, forbidden_frac=0.2)
-        tree = ConstructionTree.balanced(range(6))
-        a = construct_parallel(problem, tree, seed=9, workers=1)
-        b = construct_parallel(problem, tree, seed=9, workers=4)
-        assert a.cliques == b.cliques
+    def test_deep_chain_builds_and_schedules(self):
+        # tree walks are iterative: no recursion limit on long chains
+        tree = ConstructionTree.chain(range(3000))
+        levels = tree.schedule()
+        assert len(levels) == 2999
+        assert [seq for level in levels for seq, _ in level] == list(range(1, 3000))
+
+    def test_schedule_numbers_each_level_left_to_right(self):
+        tree = ConstructionTree(((0, 1), ((2, 3), 4)), 5)
+        numbered = [[(seq, node) for seq, node in level] for level in tree.schedule()]
+        assert numbered == [
+            [(1, (0, 1)), (2, (2, 3))],
+            [(3, ((2, 3), 4))],
+            [(4, ((0, 1), ((2, 3), 4)))],
+        ]
 
 
 class TestConstructIncremental:

@@ -73,6 +73,13 @@ class TestParseProblem:
             with pytest.raises(ParseError):
                 parse_problem(f"gm 0 1\np 1 1 1 0\na 0 0 0 {bad}\n")
 
+    def test_inconsistent_object_size_rejected(self):
+        # object 0 is declared with 2 vertices, then with 5
+        text = "gm 0 1\np 2 2 0 0\ngm 0 2\np 5 2 0 0\n"
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert err.value.line == 4
+
     def test_missing_pairs_get_empty_tables(self):
         # objects 0..2 but only the (0,2) block present
         problem = parse_problem("gm 0 2\np 1 1 1 0\na 0 0 0 -1.0\n")

@@ -41,11 +41,6 @@ class TestSolveAllPairwise:
         result = solve_all_pairwise(problem)
         assert all(len(m) == 0 for m in result.matchings.values())
 
-    def test_workers_agree(self, t3):
-        a = solve_all_pairwise(t3, seed=3, workers=1)
-        b = solve_all_pairwise(t3, seed=3, workers=3)
-        assert a.matchings == b.matchings
-
     def test_union_pairs(self, t3):
         result = solve_all_pairwise(t3, gm=exhaustive, seed=0)
         assert ((0, 0), (1, 0)) in result.pairs()
