@@ -9,7 +9,8 @@ Problems use the line-oriented dd multi-matching format:
 
 Lines starting with '$' or '#' and blank lines are comments. Absent
 assignments are forbidden; absent quadratic entries cost zero. All 'p'
-lines must agree on the size of each object.
+lines must agree on the size of each object, and each block must hold as
+many 'a' and 'e' lines as its 'p' line declares.
 
 Solutions use a small JSON document (schema version 1) listing cliques in
 a deterministic order plus free-form metadata; see write_solution.
@@ -85,7 +86,11 @@ def parse_problem(source: TextSource) -> MgmProblem:
                 raise ParseError(lineno, f"need 0 <= p < q, got ({p},{q})")
             if (p, q) in blocks:
                 raise DuplicateEntryError(lineno, f"duplicate block for pair ({p},{q})")
-            current = {"pair": (p, q), "n": None, "linear": {}, "quad": {}, "ids": {}}
+            _check_counts(current)
+            current = {
+                "pair": (p, q), "n": None, "declared": None,
+                "linear": {}, "quad": {}, "ids": {},
+            }
             blocks[(p, q)] = current
             max_object = max(max_object, q)
         elif tag == "p":
@@ -93,8 +98,9 @@ def parse_problem(source: TextSource) -> MgmProblem:
                 raise ParseError(lineno, "'p' line outside a gm block")
             if len(fields) != 5:
                 raise ParseError(lineno, "expected 'p <n1> <n2> <A> <E>'")
-            n1, n2, _, _ = _ints(fields[1:5], lineno)
+            n1, n2, n_linear, n_quad = _ints(fields[1:5], lineno)
             current["n"] = (n1, n2)
+            current["declared"] = (lineno, n_linear, n_quad)
             for obj, n in zip(current["pair"], (n1, n2)):
                 if sizes.setdefault(obj, n) != n:
                     raise ParseError(
@@ -139,6 +145,7 @@ def parse_problem(source: TextSource) -> MgmProblem:
         else:
             raise ParseError(lineno, f"unknown line tag {tag!r}")
 
+    _check_counts(current)
     if max_object < 1:
         raise ParseError(1, "no 'gm' blocks found")
     d = max_object + 1
@@ -148,6 +155,22 @@ def parse_problem(source: TextSource) -> MgmProblem:
         for pair, block in blocks.items()
     }
     return MgmProblem(size_list, costs)
+
+
+def _check_counts(block: dict | None) -> None:
+    """A finished block must hold the 'a' and 'e' lines its 'p' line declares."""
+    if block is None or block["declared"] is None:
+        return
+    lineno, n_linear, n_quad = block["declared"]
+    for kind, declared, found in (
+        ("a", n_linear, len(block["linear"])),
+        ("e", n_quad, len(block["quad"])),
+    ):
+        if declared != found:
+            raise ParseError(
+                lineno,
+                f"block {block['pair']} declares {declared} '{kind}' lines, has {found}",
+            )
 
 
 def _ints(fields, lineno):

@@ -8,21 +8,38 @@ only:
   merge when the objective drops. The parallel-proposal variant proposes
   re-matchings for all objects against the same solution, then applies
   them in ascending order of their proposed objective, re-checking profit
-  after each.
+  after each. A re-match changes only the objective terms on object pairs
+  that contain the re-matched object, so both variants keep the terms
+  grouped by object pair (ObjectiveTerms) and price a candidate by
+  replacing one object's row: math.fsum over the same terms objective()
+  sums, hence the same float, bit for bit.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
   objects into per-object-pair deltas, which turns picking the best joint
-  swap into a pairwise binary energy handed to the qpbo module.
+  swap into a pairwise binary energy handed to the qpbo module. Two
+  shortcuts skip work whose outcome is already known:
+
+  - Pruning. When the graph on the involved objects whose edges are
+    forbidden single swaps (a linear-cost check) is connected, every
+    joint swap other than renaming the two cliques activates a forbidden
+    swap, so best_multiswap would return no-swap; the pair is skipped.
+  - Caching. A pair's delta matrix depends on the two cliques and on
+    which cliques own the vertices its quadratic terms read. It is kept,
+    across passes and alternate rounds, while all those owner cliques are
+    still in the solution; the qpbo outcome is kept with it when the
+    minimization did not depend on the seed.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from array import array
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import qpbo
 from .construction import derive_seed, merge_object, object_clique_costs
@@ -32,6 +49,7 @@ from .model import (
     Clique,
     CliquePartition,
     Cost,
+    Forbidden,
     MgmProblem,
     objective,
     validate,
@@ -105,23 +123,35 @@ def _replace(solution: CliquePartition, replacements: dict[int, Clique]) -> Cliq
 class SwapDeltaMatrix:
     """Per-object-pair objective changes of single swaps between two cliques.
 
-    entries[p][q] is the change restricted to objects p and q when the
-    swap fixing p is performed alone; Forbidden marks swaps that would
-    create a disallowed match. Row sums equal the exact objective change
-    of the corresponding single swap.
+    get(p, q) is the change restricted to objects p and q when the swap
+    fixing p is performed alone; Forbidden marks swaps that would create
+    a disallowed match. Row sums equal the exact objective change of the
+    corresponding single swap. ``entries`` holds the matrix row-major,
+    with +inf for Forbidden (costs are finite, so deltas are too); it is
+    compact because swap local search keeps many matrices alive.
+
+    ``owners`` holds the two cliques and every clique owning a vertex the
+    quadratic terms were looked up for; while all of them are still in
+    the solution, recomputing gives the same entries. It is None when a
+    looked-up vertex was in no clique, which a later solution could change
+    unnoticed. ``best`` memoizes best_multiswap's outcome when the
+    minimization did not depend on its seed.
     """
 
     d: int
-    entries: list[list[Cost]]
+    entries: array
+    owners: tuple[Clique, ...] | None = None
+    best: tuple[tuple[int, ...], float] | None = None
 
     def get(self, p: int, q: int) -> Cost:
-        return self.entries[p][q]
+        value = self.entries[p * self.d + q]
+        return FORBIDDEN if value == math.inf else value
 
     def row_sum(self, p: int) -> Cost:
         total: Cost = 0.0
         for q in range(self.d):
             if q != p:
-                total = total + self.entries[p][q]
+                total = total + self.get(p, q)
         return total
 
 
@@ -134,67 +164,114 @@ def swap_deltas(
         raise ValueError("swap deltas need two distinct cliques")
     vmap = solution.vertex_map()
     d = problem.d
-    entries: list[list[Cost]] = [[0.0] * d for _ in range(d)]
+    entries = array("d", bytes(8 * d * d))
+    read: set[int | None] = {idx_first, idx_second}
+    # A single swap on object p moves first's p-vertex to second and back.
+    exchanged = {idx_first: idx_second, idx_second: idx_first}
+
+    def assignment(table, p, q, vp, vq):
+        """(linear cost, [(quadratic value, clique of its p end, clique of
+        its q end)]) of matching vp to vq, or None without both vertices."""
+        if vp is None or vq is None:
+            return None
+        partners = []
+        for (i2, s2), value in table.quad_partners(vp, vq):
+            kp = vmap.get((p, i2))
+            kq = vmap.get((q, s2))
+            read.add(kp)
+            read.add(kq)
+            partners.append((value, kp, kq))
+        return table.linear.get((vp, vq), FORBIDDEN), partners
+
+    def contrib(x, y, flip_p, flip_q, interaction):
+        """Objective terms on the object pair that involve assignments x, y.
+
+        flip_p/flip_q apply a single swap on p/q to the looked-up cliques.
+        """
+        total = 0.0
+        for side in (x, y):
+            if side is not None:
+                if side[0] is FORBIDDEN:
+                    return FORBIDDEN
+                total += side[0]
+        for side in (x, y):
+            if side is not None:
+                for value, kp, kq in side[1]:
+                    if flip_p:
+                        kp = exchanged.get(kp, kp)
+                    if flip_q:
+                        kq = exchanged.get(kq, kq)
+                    if kp is not None and kp == kq:
+                        total += value
+        if interaction is not None:
+            # The x-y interaction was counted from both sides; it must count once.
+            total -= interaction
+        return total
+
+    # One evaluation per object pair p < q: before(q, p) would sum the same
+    # terms in the same order as before(p, q), and a swap of q alone gives
+    # the same assignments as one of p, in the other clique order. Objects
+    # neither clique covers contribute nothing; their entries stay 0.
     involved = sorted(set(first.objects()) | set(second.objects()))
-    for p in involved:
-        new_first, new_second = _swap_cliques(first, second, (p,))
-        overrides: dict[tuple[int, int], int] = {}
-        va = first.get(p)
-        vb = second.get(p)
-        if va is not None:
-            overrides[(p, va)] = idx_second
-        if vb is not None:
-            overrides[(p, vb)] = idx_first
-
-        def before_get(key):
-            return vmap.get(key)
-
-        def after_get(key):
-            hit = overrides.get(key)
-            return hit if hit is not None else vmap.get(key)
-
-        for q in range(d):
-            if q == p:
-                continue
-            before = _pair_contrib(
-                problem, before_get, first, second, idx_first, idx_second, p, q
-            )
-            after = _pair_contrib(
-                problem, after_get, new_first, new_second, idx_first, idx_second, p, q
-            )
+    for p, q in combinations(involved, 2):
+        table = problem.costs[(p, q)]
+        ap, aq, bp, bq = first.get(p), first.get(q), second.get(p), second.get(q)
+        kept_a = assignment(table, p, q, ap, aq)
+        kept_b = assignment(table, p, q, bp, bq)
+        moved_a = assignment(table, p, q, bp, aq)  # first after swapping p
+        moved_b = assignment(table, p, q, ap, bq)  # second after swapping p
+        full = None not in (ap, aq, bp, bq)
+        before = contrib(
+            kept_a, kept_b, False, False,
+            table.quad_get((ap, aq), (bp, bq)) if full else None,
+        )
+        cross = table.quad_get((bp, aq), (ap, bq)) if full else None
+        after_p = contrib(moved_a, moved_b, True, False, cross)
+        after_q = contrib(moved_b, moved_a, False, True, cross)
+        for row, col, after in ((p, q, after_p), (q, p, after_q)):
             if before is FORBIDDEN or after is FORBIDDEN:
-                entries[p][q] = FORBIDDEN
+                entries[row * d + col] = math.inf
             else:
-                entries[p][q] = after - before
-    return SwapDeltaMatrix(d, entries)
+                entries[row * d + col] = after - before
+    owners = None
+    if None not in read:
+        owners = tuple(solution.cliques[k] for k in read)
+    return SwapDeltaMatrix(d, entries, owners)
 
 
-def _pair_contrib(problem, clique_of, a, b, idx_a, idx_b, p, q):
-    """Objective terms on object pair {p, q} involving clique a or b."""
-    total = 0.0
-    for clique in (a, b):
-        vp = clique.get(p)
-        vq = clique.get(q)
-        if vp is None or vq is None:
-            continue
-        cost = problem.linear_cost(p, q, vp, vq)
-        if cost is FORBIDDEN:
-            return FORBIDDEN
-        total += cost
-    for clique in (a, b):
-        vp = clique.get(p)
-        vq = clique.get(q)
-        if vp is None or vq is None:
-            continue
-        for (i2, s2), value in problem.quad_partners_pair(p, q, vp, vq):
-            k = clique_of((p, i2))
-            if k is None or clique_of((q, s2)) != k:
-                continue
-            total += value
-    # The a-b interaction was counted from both sides; it must count once.
-    if a.covers(p) and a.covers(q) and b.covers(p) and b.covers(q):
-        total -= problem.quad_cost(p, q, (a.get(p), a.get(q)), (b.get(p), b.get(q)))
-    return total
+def swaps_all_forbidden(problem: MgmProblem, first: Clique, second: Clique) -> bool:
+    """True when no joint swap of the two cliques can be accepted.
+
+    Objects p and q are adjacent when swapping p alone puts a forbidden
+    linear entry on (p, q), or the two cliques hold one there already; the
+    relation is symmetric and equals ``swap_deltas(...).get(p, q) is
+    FORBIDDEN``. If the involved objects are connected, any labeling that
+    is not constant on them swaps one end of an adjacent pair without the
+    other, which best_multiswap rejects; swapping all of them only renames
+    the two cliques (energy 0, never strictly below no-swap). Reads linear
+    costs and the two cliques only.
+    """
+    involved = sorted(set(first.objects()) | set(second.objects()))
+
+    def adjacent(p, q):
+        if p > q:
+            p, q = q, p
+        linear = problem.costs[(p, q)].linear
+        ap, aq, bp, bq = first.get(p), first.get(q), second.get(p), second.get(q)
+        for vp, vq in ((ap, aq), (bp, bq), (bp, aq), (ap, bq)):
+            if vp is not None and vq is not None and (vp, vq) not in linear:
+                return True
+        return False
+
+    reached = {involved[0]}
+    frontier = [involved[0]]
+    while frontier:
+        p = frontier.pop()
+        for q in involved:
+            if q not in reached and adjacent(p, q):
+                reached.add(q)
+                frontier.append(q)
+    return len(reached) == len(involved)
 
 
 def apply_multiswap(
@@ -214,6 +291,7 @@ def best_multiswap(
     first: Clique,
     second: Clique,
     seed: int = 0,
+    deltas: SwapDeltaMatrix | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Best joint swap between two cliques via binary energy minimization.
 
@@ -223,8 +301,13 @@ def best_multiswap(
     from the no-swap labeling. Labelings that would activate a forbidden
     swap fall back to no-swap. Returns the bit vector over all objects and
     the predicted objective change (0 for no-swap).
+
+    ``deltas`` are this pair's swap deltas in ``solution`` when the caller
+    has them. When the minimization did not depend on the seed, the
+    outcome is stored as ``deltas.best``.
     """
-    deltas = swap_deltas(problem, solution, first, second)
+    if deltas is None:
+        deltas = swap_deltas(problem, solution, first, second)
     involved = sorted(set(first.objects()) | set(second.objects()))
     penalty = 1.0 + problem.total_abs_cost()
     index = {p: k for k, p in enumerate(involved)}
@@ -243,12 +326,82 @@ def best_multiswap(
     for p in involved:
         full[p] = labels[index[p]]
     for p, q in combinations(range(problem.d), 2):
-        if full[p] and not full[q] and deltas.get(p, q) is FORBIDDEN:
-            return (0,) * problem.d, 0.0
-        if full[q] and not full[p] and deltas.get(q, p) is FORBIDDEN:
-            return (0,) * problem.d, 0.0
-    predicted = qpbo.evaluate(energy, labels)
-    return tuple(full), predicted
+        if (full[p] and not full[q] and deltas.get(p, q) is FORBIDDEN) or (
+            full[q] and not full[p] and deltas.get(q, p) is FORBIDDEN
+        ):
+            outcome = (0,) * problem.d, 0.0
+            break
+    else:
+        outcome = tuple(full), qpbo.evaluate(energy, labels)
+    if not qpbo.depends_on_seed(energy):
+        deltas.best = outcome
+    return outcome
+
+
+class ObjectiveTerms:
+    """The objective's terms grouped by object pair, for one solution.
+
+    A pair's group holds the linear terms of the cliques covering both
+    objects and the realized quadratic entries of its table, or is
+    Forbidden when one of those linear entries is. Re-matching object p
+    (split, then merge) changes only the groups on pairs that contain p,
+    so the candidate's value is math.fsum over the unchanged groups plus
+    p's new row: the same terms objective() sums, and since fsum rounds
+    the exact sum correctly, the same float.
+    """
+
+    def __init__(self, problem: MgmProblem, solution: CliquePartition):
+        self.problem = problem
+        self.groups: dict[tuple[int, int], list[float] | Forbidden] = {}
+        for p in range(problem.d):
+            for q, terms in self.row(p, solution, range(p + 1, problem.d)).items():
+                self.groups[(p, q)] = terms
+
+    def row(
+        self, p: int, solution: CliquePartition, others: Iterable[int] | None = None
+    ) -> dict[int, list[float] | Forbidden]:
+        """Groups of the pairs (p, q), q in others (default: all q != p)."""
+        problem = self.problem
+        if others is None:
+            others = (q for q in range(problem.d) if q != p)
+        row: dict[int, list[float] | Forbidden] = {q: [] for q in others}
+        vmap = solution.vertex_map()
+        for clique in solution.cliques:
+            vp = clique.get(p)
+            if vp is None:
+                continue
+            for q, vq in clique.pairs:
+                terms = row.get(q)
+                if terms is None or terms is FORBIDDEN:
+                    continue
+                cost = problem.linear_cost(p, q, vp, vq)
+                if cost is FORBIDDEN:
+                    row[q] = FORBIDDEN
+                    continue
+                terms.append(cost)
+                for (j, t), value in problem.quad_partners_pair(p, q, vp, vq):
+                    # Each realized entry is seen from both of its
+                    # assignments; count it from the lower p vertex.
+                    if j > vp:
+                        k = vmap.get((p, j))
+                        if k is not None and vmap.get((q, t)) == k:
+                            terms.append(value)
+        return row
+
+    def value(self, p: int | None = None, row=None) -> Cost:
+        """The objective, or the candidate's with object p's row replaced."""
+        groups = [
+            terms for pair, terms in self.groups.items() if p is None or p not in pair
+        ]
+        if p is not None:
+            groups.extend(row.values())
+        if any(terms is FORBIDDEN for terms in groups):
+            return FORBIDDEN
+        return math.fsum(chain.from_iterable(groups))
+
+    def replace(self, p: int, row) -> None:
+        for q, terms in row.items():
+            self.groups[(p, q) if p < q else (q, p)] = terms
 
 
 def gm_local_search(
@@ -265,12 +418,14 @@ def gm_local_search(
     """Split-rematch-merge local search along a cyclic object sequence.
 
     Stops after a full cycle over the objects without an accepted
-    improvement, or when the pass or time budget runs out.
+    improvement, or when the pass or time budget runs out. Candidates
+    are priced by ObjectiveTerms, which equals objective() exactly.
     """
     validate(problem, solution)
     order = list(order) if order is not None else list(range(problem.d))
     current = solution.normalized(problem.sizes)
-    current_value = objective(problem, current)
+    terms = ObjectiveTerms(problem, current)
+    current_value = terms.value()
     stale = 0
     step = 0
     while stale < len(order):
@@ -284,9 +439,11 @@ def gm_local_search(
         sub = object_clique_costs(problem, p, split)
         matching = gm(sub, derive_seed(seed, step), effort)
         candidate = merge_object(problem, p, split, matching)
-        value = objective(problem, candidate)
+        row = terms.row(p, candidate)
+        value = terms.value(p, row)
         if value < current_value:
             current, current_value = candidate, value
+            terms.replace(p, row)
             stale = 0
             if trace is not None:
                 trace.record("gm-ls", value)
@@ -311,11 +468,13 @@ def gm_local_search_parallel(
 
     Stale proposals (their target cliques changed under earlier accepted
     merges) are re-targeted by clique content; vanished targets are
-    dropped, leaving those vertices unmatched in the re-merge.
+    dropped, leaving those vertices unmatched in the re-merge. Proposals
+    and re-verifications are priced by ObjectiveTerms.
     """
     validate(problem, solution)
     current = solution.normalized(problem.sizes)
-    current_value = objective(problem, current)
+    terms = ObjectiveTerms(problem, current)
+    current_value = terms.value()
     rounds = 0
     while True:
         if max_passes is not None and rounds >= max_passes:
@@ -329,7 +488,7 @@ def gm_local_search_parallel(
             matching = gm(sub, derive_seed(seed, rounds * problem.d + p + 1), effort)
             candidate = merge_object(problem, p, split, matching)
             targets = [(v, split.cliques[k]) for v, k in matching]
-            proposals.append((objective(problem, candidate), p, targets))
+            proposals.append((terms.value(p, terms.row(p, candidate)), p, targets))
         proposals.sort(key=lambda item: (_sort_cost(item[0]), item[1]))
 
         accepted_any = False
@@ -340,9 +499,11 @@ def gm_local_search_parallel(
                 (v, key_index[clique]) for v, clique in targets if clique in key_index
             ]
             candidate = merge_object(problem, p, split, GmMatching(pairs))
-            value = objective(problem, candidate)
+            row = terms.row(p, candidate)
+            value = terms.value(p, row)
             if value < current_value:
                 current, current_value = candidate, value
+                terms.replace(p, row)
                 accepted_any = True
                 if trace is not None:
                     trace.record("gm-ls-par", value)
@@ -363,14 +524,21 @@ def swap_local_search(
     max_passes: int | None = None,
     deadline: float | None = None,
     trace: TraceRecorder | None = None,
+    cache: dict[tuple[Clique, Clique], SwapDeltaMatrix | None] | None = None,
 ) -> CliquePartition:
     """Iterate joint multi-swaps over clique pairs, accepting strict profits.
 
     Clique pairs are visited in a per-pass seeded shuffle of their sorted
     order; a pass without any accepted swap terminates the search. Pairs
-    whose cliques were changed earlier in the same pass are skipped.
+    whose cliques were changed earlier in the same pass are skipped, and
+    so are pairs where swaps_all_forbidden holds.
+
+    ``cache`` maps a clique pair to its SwapDeltaMatrix, or to None when
+    the pair is pruned; pass the same dict to later calls (as alternate
+    does) to keep the entries whose owner cliques are all unchanged.
     """
     validate(problem, solution)
+    cache = {} if cache is None else cache
     current = solution
     current_value = objective(problem, current)
     passes = 0
@@ -383,15 +551,29 @@ def swap_local_search(
         pair_list = list(combinations(ordered, 2))
         Random(derive_seed(seed, passes)).shuffle(pair_list)
         live = set(current.cliques)
+        _evict(cache, live)
         accepted_any = False
         for first, second in pair_list:
             if first not in live or second not in live:
                 continue
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            bits, predicted = best_multiswap(
-                problem, current, first, second, seed=derive_seed(seed, passes)
-            )
+            key = (first, second)
+            if key not in cache:
+                pruned = swaps_all_forbidden(problem, first, second)
+                cache[key] = None if pruned else swap_deltas(problem, current, first, second)
+            elif not _reusable(key, cache[key], live):
+                cache[key] = swap_deltas(problem, current, first, second)
+            deltas = cache[key]
+            if deltas is None:
+                continue
+            if deltas.best is not None:
+                bits, predicted = deltas.best
+            else:
+                bits, predicted = best_multiswap(
+                    problem, current, first, second,
+                    seed=derive_seed(seed, passes), deltas=deltas,
+                )
             if not any(bits) or not predicted < 0.0:
                 continue
             candidate = apply_multiswap(current, first, second, bits)
@@ -416,6 +598,22 @@ def swap_local_search(
     return current
 
 
+def _reusable(key: tuple[Clique, Clique], deltas: SwapDeltaMatrix | None, live) -> bool:
+    """Whether a swap cache entry holds for a solution with the live cliques.
+
+    Pruning depends on the pair's two cliques alone; a matrix on all of
+    its owner cliques.
+    """
+    if deltas is None:
+        return key[0] in live and key[1] in live
+    return deltas.owners is not None and all(c in live for c in deltas.owners)
+
+
+def _evict(cache: dict, live: set[Clique]) -> None:
+    for key in [key for key, deltas in cache.items() if not _reusable(key, deltas, live)]:
+        del cache[key]
+
+
 def alternate(
     problem: MgmProblem,
     solution: CliquePartition,
@@ -431,12 +629,13 @@ def alternate(
 
     max_rounds bounds the number of alternation rounds (0 returns the
     input); deadline cuts the search off mid-round, keeping the best
-    solution found so far.
+    solution found so far. One swap cache serves every round.
     """
     if max_rounds is not None and max_rounds <= 0:
         return solution
     current = solution.normalized(problem.sizes)
     current_value = objective(problem, current)
+    cache: dict = {}
     rounds = 0
     while True:
         if deadline is not None and time.monotonic() >= deadline:
@@ -448,7 +647,7 @@ def alternate(
         )
         current = swap_local_search(
             problem, current, seed=derive_seed(seed, 2 * rounds + 1),
-            deadline=deadline, trace=trace,
+            deadline=deadline, trace=trace, cache=cache,
         )
         value = objective(problem, current)
         rounds += 1

@@ -107,20 +107,37 @@ class _FlowNetwork:
                     queue.append(v)
         return level if level[t] >= 0 else None
 
-    def _dfs(self, u: int, t: int, pushed: float, level, it) -> float:
-        if u == t:
-            return pushed
-        while it[u] < len(self.adj[u]):
-            edge = self.adj[u][it[u]]
-            v, cap, rev = edge
-            if cap > _EPS and level[v] == level[u] + 1:
-                flow = self._dfs(v, t, min(pushed, cap), level, it)
-                if flow > _EPS:
-                    edge[1] -= flow
-                    self.adj[v][rev][1] += flow
-                    return flow
-            it[u] += 1
-        return 0.0
+    def _dfs(self, s: int, t: int, level, it) -> float:
+        """Push flow along one s-t path of the level graph; 0 if none is left.
+
+        Iterative depth-first search: ``path`` holds the edges from s to
+        the current node. A dead end advances its parent's edge pointer,
+        so every edge is tried in adjacency order, as a recursive search
+        would.
+        """
+        path: list[list] = []
+        u = s
+        while u != t:
+            adj = self.adj[u]
+            while it[u] < len(adj):
+                edge = adj[it[u]]
+                if edge[1] > _EPS and level[edge[0]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0.0
+                edge = path.pop()
+                u = self.adj[edge[0]][edge[2]][0]  # the edge's tail
+                it[u] += 1
+                continue
+            path.append(edge)
+            u = edge[0]
+        flow = min(edge[1] for edge in path)
+        for edge in path:
+            edge[1] -= flow
+            self.adj[edge[0]][edge[2]][1] += flow
+        return flow
 
     def max_flow(self, s: int, t: int) -> float:
         total = 0.0
@@ -130,7 +147,7 @@ class _FlowNetwork:
                 return total
             it = [0] * len(self.adj)
             while True:
-                flow = self._dfs(s, t, math.inf, level, it)
+                flow = self._dfs(s, t, level, it)
                 if flow <= _EPS:
                     break
                 total += flow
@@ -258,6 +275,12 @@ def _flip_delta(energy: BinaryEnergy, x: list[int], p: int, neighbors) -> float:
         else:
             delta += table[2 * x[q] + new] - table[2 * x[q] + old]
     return delta
+
+
+def depends_on_seed(energy: BinaryEnergy) -> bool:
+    """Whether minimize's result can depend on its seed: only the roof
+    duality path, for large non-submodular energies, uses it."""
+    return energy.n > EXACT_ENUMERATION_LIMIT and not energy.is_submodular()
 
 
 def minimize(energy: BinaryEnergy, init: Sequence[int], seed: int = 0) -> tuple[int, ...]:

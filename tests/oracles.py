@@ -148,6 +148,20 @@ def brute_force_energy_min(energy) -> float:
     return float(values.min())
 
 
+def chain_energy_min(energy) -> float:
+    """Exact minimum of an energy whose pairwise terms all join p and p + 1,
+    by dynamic programming along the chain."""
+    assert all(q == p + 1 for p, q in energy.pairwise)
+    best = list(energy.unary[0])
+    for q in range(1, energy.n):
+        table = energy.pairwise.get((q - 1, q), (0.0, 0.0, 0.0, 0.0))
+        best = [
+            energy.unary[q][b] + min(best[a] + table[2 * a + b] for a in (0, 1))
+            for b in (0, 1)
+        ]
+    return min(best)
+
+
 def energy_value(energy, bits):
     total = 0.0
     for p in range(energy.n):

@@ -175,6 +175,12 @@ class TestErrors:
         assert main([str(bad)]) == 2
         assert "line 4" in capsys.readouterr().err
 
+    def test_entry_count_mismatch(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dd"
+        bad.write_text("gm 0 1\np 1 1 2 0\na 0 0 0 -1.0\n")
+        assert main([str(bad)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_bad_sync_mode(self, t3_file):
         assert main([str(t3_file), "--mode", "sync", "--sync-mode", "soft:-1"]) == 2
 

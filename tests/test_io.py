@@ -80,6 +80,19 @@ class TestParseProblem:
             parse_problem(text)
         assert err.value.line == 4
 
+    def test_entry_counts_must_match_p_line(self):
+        # each block ends at the next 'gm' line or at the end of the file
+        cases = [
+            ("gm 0 1\np 2 2 2 0\na 0 0 0 1.0\n", "'a'"),  # one 'a' missing
+            ("gm 0 1\np 2 2 1 0\na 0 0 0 1.0\na 1 1 1 1.0\n", "'a'"),  # one extra
+            ("gm 0 1\np 2 2 2 1\na 0 0 0 1.0\na 1 1 1 1.0\ngm 0 2\np 2 1 0 0\n", "'e'"),
+        ]
+        for text, kind in cases:
+            with pytest.raises(ParseError) as err:
+                parse_problem(text)
+            assert err.value.line == 2
+            assert kind in str(err.value)
+
     def test_missing_pairs_get_empty_tables(self):
         # objects 0..2 but only the (0,2) block present
         problem = parse_problem("gm 0 2\np 1 1 1 0\na 0 0 0 -1.0\n")

@@ -10,7 +10,7 @@ from mgmatch.qpbo import (
     roof_duality_labels,
 )
 
-from oracles import brute_force_energy, energy_value
+from oracles import brute_force_energy, chain_energy_min, energy_value
 
 
 def swap_pair_energy(deltas):
@@ -169,3 +169,33 @@ class TestRoofDuality:
                         checked += 1
                         assert x[p] == lab
         assert checked > 0
+
+
+class TestLongChains:
+    """Augmenting paths run the whole chain, so max-flow depth grows with n."""
+
+    N = 3000
+
+    def chain(self, couplings):
+        # The ends prefer opposite labels; the couplings decide where to break.
+        unary = [(0.0, 0.0)] * self.N
+        unary[0] = (5.0, 0.0)
+        unary[-1] = (0.0, 5.0)
+        pairwise = {(p, p + 1): couplings(p) for p in range(self.N - 1)}
+        return BinaryEnergy(self.N, unary, pairwise)
+
+    def test_submodular_chain_exact(self):
+        e = self.chain(lambda p: (0.0, 1.0, 1.0, 0.0))
+        assert e.is_submodular()
+        x = minimize(e, (0,) * self.N, seed=0)
+        assert evaluate(e, x) == chain_energy_min(e) == 1.0
+
+    def test_non_submodular_chain_never_worsens(self):
+        # One repulsive coupling makes the energy non-submodular (roof path).
+        e = self.chain(
+            lambda p: (1.0, 0.0, 0.0, 1.0) if p == self.N // 2 else (0.0, 1.0, 1.0, 0.0)
+        )
+        assert not e.is_submodular()
+        init = (0,) * self.N
+        x = minimize(e, init, seed=0)
+        assert chain_energy_min(e) <= evaluate(e, x) <= evaluate(e, init)
