@@ -22,7 +22,6 @@ from .construction import (
 from .gm import (
     Effort,
     GmMatching,
-    GmSubproblem,
     get_solver,
     register_solver,
     solve_gm,

@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError("time limit must be > 0 seconds")
         if self.ls not in LS_CHOICES:
             raise ValueError(f"unknown local search {self.ls!r}")
         self.sync_kind, self.sync_alpha = _parse_sync_mode(self.sync_mode)
@@ -214,7 +216,7 @@ def run(config: RunConfig) -> int:
                 handle.write(report + "\n")
         return 0
 
-    deadline = started + config.time_limit if config.time_limit else None
+    deadline = None if config.time_limit is None else started + config.time_limit
     initial = None
     if config.mode == "ls" and config.initial_path:
         try:

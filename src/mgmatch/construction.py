@@ -19,11 +19,12 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Sequence
 
-from .gm import Effort, GmMatching, GmSolver, GmSubproblem, solve_gm
+from .gm import Effort, GmMatching, GmSolver, solve_gm
 from .model import (
     Clique,
     CliquePartition,
     MgmProblem,
+    PairwiseCosts,
     singleton_partition,
 )
 
@@ -40,7 +41,7 @@ def derive_seed(seed: int, k: int) -> int:
 
 def clique_clique_costs(
     problem: MgmProblem, a: CliquePartition, b: CliquePartition
-) -> GmSubproblem:
+) -> PairwiseCosts:
     """Matching instance between the cliques of two disjoint partial solutions.
 
     Left node k is a.cliques[k], right node l is b.cliques[l]. The linear
@@ -95,12 +96,12 @@ def clique_clique_costs(
         for key, value in quad_sum.items()
         if key[0] in linear and key[1] in linear and key[0][0] != key[1][0] and key[0][1] != key[1][1]
     }
-    return GmSubproblem(len(a.cliques), len(b.cliques), linear, quadratic)
+    return PairwiseCosts(len(a.cliques), len(b.cliques), linear, quadratic)
 
 
 def object_clique_costs(
     problem: MgmProblem, p: int, partial: CliquePartition
-) -> GmSubproblem:
+) -> PairwiseCosts:
     """Matching instance between the vertices of object p and a partial solution.
 
     The single-object special case of clique_clique_costs via singleton

@@ -1,11 +1,14 @@
 """Pairwise graph matching subsolvers.
 
-Construction and local search repeatedly generate small (incomplete)
-matching instances: linear-only ones are solved exactly as sparse LAPs by
-shortest augmenting paths, quadratic ones by a heuristic that starts from
-the linear optimum and improves with matching moves and fusion of
-candidate matchings. Solvers are registered by name so stronger
-implementations can be plugged in.
+Construction, local search and synchronization repeatedly solve small
+(incomplete) matching instances. Each instance is a model.PairwiseCosts
+table, the same type that holds a problem's per-object-pair costs, so
+the synchronization stage hands the problem's own tables to the solver.
+Linear-only instances are solved exactly as sparse LAPs by shortest
+augmenting paths, quadratic ones by a heuristic that starts from the
+linear optimum and improves with matching moves and fusion of candidate
+matchings. Solvers are registered by name so stronger implementations
+can be plugged in.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import math
 import random
 from enum import Enum
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import qpbo
-from .model import Assignment, QuadKey, _canonical_quad_key
+from .model import Assignment, PairwiseCosts
 
 # Instances whose matching count stays below this are brute-forced under
 # Effort.EXHAUSTIVE; covers 5x5 dense and the skewed shapes local search makes.
@@ -29,59 +32,6 @@ class Effort(str, Enum):
     FAST = "fast"
     DEFAULT = "default"
     EXHAUSTIVE = "exhaustive"
-
-
-class GmSubproblem:
-    """Sparse incomplete matching instance with optional quadratic costs."""
-
-    __slots__ = ("left_size", "right_size", "linear", "quadratic", "_partners")
-
-    def __init__(
-        self,
-        left_size: int,
-        right_size: int,
-        linear: Mapping[Assignment, float] | None = None,
-        quadratic: Mapping[QuadKey, float] | None = None,
-    ):
-        self.left_size = left_size
-        self.right_size = right_size
-        self.linear: dict[Assignment, float] = dict(linear or {})
-        for a, b in self.linear:
-            if not (0 <= a < left_size and 0 <= b < right_size):
-                raise IndexError(f"assignment ({a},{b}) out of range")
-        quad: dict[QuadKey, float] = {}
-        for (x, y), value in (quadratic or {}).items():
-            key = _canonical_quad_key(x, y)
-            (a, b), (a2, b2) = key
-            if a == a2 or b == b2:
-                raise ValueError(f"quadratic entry {key} shares a node")
-            if key[0] not in self.linear or key[1] not in self.linear:
-                raise ValueError(f"quadratic entry {key} references a forbidden assignment")
-            quad[key] = quad.get(key, 0.0) + float(value)
-        self.quadratic = quad
-        partners: dict[Assignment, list[tuple[Assignment, float]]] = {}
-        for (x, y), value in self.quadratic.items():
-            partners.setdefault(x, []).append((y, value))
-            partners.setdefault(y, []).append((x, value))
-        self._partners = partners
-
-    def partners(self, pair: Assignment) -> list[tuple[Assignment, float]]:
-        return self._partners.get(pair, [])
-
-    def matching_cost(self, pairs) -> float:
-        total = 0.0
-        chosen = set(pairs)
-        for pair in chosen:
-            total += self.linear[pair]
-        for x, y in combinations(sorted(chosen), 2):
-            total += self.quadratic.get((x, y), 0.0)
-        return total
-
-    def __repr__(self):
-        return (
-            f"GmSubproblem({self.left_size}x{self.right_size}, "
-            f"{len(self.linear)} linear, {len(self.quadratic)} quadratic)"
-        )
 
 
 class GmMatching:
@@ -121,7 +71,7 @@ class GmMatching:
         return f"GmMatching({list(self.pairs)!r})"
 
 
-def solve_lap(sub: GmSubproblem) -> GmMatching:
+def solve_lap(sub: PairwiseCosts) -> GmMatching:
     """Exact minimum-cost incomplete matching of a linear-only instance.
 
     Successive shortest augmenting paths with node potentials on the sparse
@@ -235,7 +185,7 @@ def _count_matchings(left: int, right: int) -> int:
     return total
 
 
-def _brute_force(sub: GmSubproblem) -> GmMatching:
+def _brute_force(sub: PairwiseCosts) -> GmMatching:
     by_left: dict[int, list[int]] = {}
     for a, b in sorted(sub.linear):
         by_left.setdefault(a, []).append(b)
@@ -269,7 +219,7 @@ def _brute_force(sub: GmSubproblem) -> GmMatching:
     return GmMatching(best)
 
 
-def _move_delta(sub: GmSubproblem, current: set, removals, additions) -> float:
+def _move_delta(sub: PairwiseCosts, current: set, removals, additions) -> float:
     removals = list(removals)
     additions = list(additions)
     remaining = current.difference(removals)
@@ -280,18 +230,18 @@ def _move_delta(sub: GmSubproblem, current: set, removals, additions) -> float:
             if other in remaining or other in removals:
                 delta -= value
     for x, y in combinations(removals, 2):
-        delta += sub.quadratic.get(_canonical_quad_key(x, y), 0.0)
+        delta += sub.quad_get(x, y)
     for pair in additions:
         delta += sub.linear[pair]
         for other, value in sub.partners(pair):
             if other in remaining:
                 delta += value
     for x, y in combinations(additions, 2):
-        delta += sub.quadratic.get(_canonical_quad_key(x, y), 0.0)
+        delta += sub.quad_get(x, y)
     return delta
 
 
-def _local_search(sub: GmSubproblem, matching: GmMatching, max_scans: int, two_swaps: bool) -> GmMatching:
+def _local_search(sub: PairwiseCosts, matching: GmMatching, max_scans: int, two_swaps: bool) -> GmMatching:
     """First-improvement moves: add, remove, shift, and optional 2-swaps."""
     current = set(matching.pairs)
     left_used = {a: b for a, b in current}
@@ -349,7 +299,7 @@ def _local_search(sub: GmSubproblem, matching: GmMatching, max_scans: int, two_s
     return GmMatching(current)
 
 
-def _fuse(sub: GmSubproblem, first: GmMatching, second: GmMatching, seed: int) -> GmMatching:
+def _fuse(sub: PairwiseCosts, first: GmMatching, second: GmMatching, seed: int) -> GmMatching:
     """Fusion move: pick per-conflict-component between two matchings.
 
     Conflicting assignments of the symmetric difference are grouped into
@@ -400,7 +350,7 @@ def _fuse(sub: GmSubproblem, first: GmMatching, second: GmMatching, seed: int) -
             chosen = component_pairs(k, label)
             value = sum(sub.linear[p] for p in chosen)
             for x, y in combinations(chosen, 2):
-                value += sub.quadratic.get(_canonical_quad_key(x, y), 0.0)
+                value += sub.quad_get(x, y)
             for p in chosen:
                 for other, v in sub.partners(p):
                     if other in common:
@@ -430,7 +380,7 @@ def _fuse(sub: GmSubproblem, first: GmMatching, second: GmMatching, seed: int) -
     return first
 
 
-def _greedy_candidate(sub: GmSubproblem, rng: random.Random) -> GmMatching:
+def _greedy_candidate(sub: PairwiseCosts, rng: random.Random) -> GmMatching:
     order = sorted(sub.linear)
     rng.shuffle(order)
     current: set[Assignment] = set()
@@ -446,7 +396,7 @@ def _greedy_candidate(sub: GmSubproblem, rng: random.Random) -> GmMatching:
     return GmMatching(current)
 
 
-def solve_gm(sub: GmSubproblem, seed: int = 0, effort: Effort = Effort.DEFAULT) -> GmMatching:
+def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT) -> GmMatching:
     """Feasible matching with cost at most zero; exact when costs are linear.
 
     Linear-only instances delegate to solve_lap. Otherwise the linear
@@ -460,7 +410,7 @@ def solve_gm(sub: GmSubproblem, seed: int = 0, effort: Effort = Effort.DEFAULT) 
     if effort is Effort.EXHAUSTIVE:
         if _count_matchings(sub.left_size, sub.right_size) <= EXHAUSTIVE_MATCHING_LIMIT:
             return _brute_force(sub)
-    linear_only = GmSubproblem(sub.left_size, sub.right_size, sub.linear)
+    linear_only = PairwiseCosts(sub.left_size, sub.right_size, sub.linear)
     matching = solve_lap(linear_only)
     if sub.matching_cost(matching.pairs) > 0:
         matching = GmMatching()
@@ -478,7 +428,7 @@ def solve_gm(sub: GmSubproblem, seed: int = 0, effort: Effort = Effort.DEFAULT) 
     return matching
 
 
-GmSolver = Callable[[GmSubproblem, int, Effort], GmMatching]
+GmSolver = Callable[[PairwiseCosts, int, Effort], GmMatching]
 
 _REGISTRY: dict[str, GmSolver] = {}
 
@@ -498,7 +448,7 @@ def solver_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _lap_solver(sub: GmSubproblem, seed: int = 0, effort: Effort = Effort.DEFAULT) -> GmMatching:
+def _lap_solver(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT) -> GmMatching:
     return solve_lap(sub)
 
 

@@ -28,9 +28,11 @@ from .model import (
     Clique,
     CliquePartition,
     Cost,
+    FeasibilityError,
     MgmProblem,
     PairwiseCosts,
     objective,
+    validate,
 )
 
 SOLUTION_FORMAT = "mgm-solution"
@@ -99,6 +101,8 @@ def parse_problem(source: TextSource) -> MgmProblem:
             if len(fields) != 5:
                 raise ParseError(lineno, "expected 'p <n1> <n2> <A> <E>'")
             n1, n2, n_linear, n_quad = _ints(fields[1:5], lineno)
+            if n1 < 0 or n2 < 0:
+                raise ParseError(lineno, f"object sizes must be non-negative, got ({n1},{n2})")
             current["n"] = (n1, n2)
             current["declared"] = (lineno, n_linear, n_quad)
             for obj, n in zip(current["pair"], (n1, n2)):
@@ -151,8 +155,8 @@ def parse_problem(source: TextSource) -> MgmProblem:
     d = max_object + 1
     size_list = [sizes.get(p, 0) for p in range(d)]
     costs = {
-        pair: PairwiseCosts(block["linear"], block["quad"])
-        for pair, block in blocks.items()
+        (p, q): PairwiseCosts(size_list[p], size_list[q], block["linear"], block["quad"])
+        for (p, q), block in blocks.items()
     }
     return MgmProblem(size_list, costs)
 
@@ -261,10 +265,12 @@ def write_solution(solution: CliquePartition, metadata: dict[str, Any] | None = 
 
 
 def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> SolutionDocument:
-    """Parse a solution document; with a problem, cross-check its objective.
+    """Parse a solution document; with a problem, check it against the problem.
 
-    A stored objective differing from the recomputed one by more than 1e-9
-    is surfaced as a warning on the returned document, not an error.
+    Given a problem, a partition with an out-of-range or repeated vertex
+    raises ParseError. A stored objective differing from the recomputed
+    one by more than 1e-9 is surfaced as a warning on the returned
+    document, not an error.
     """
     text = _as_text(source)
     try:
@@ -277,7 +283,7 @@ def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> Sol
         raise ParseError(1, f"unsupported document version {doc.get('version')!r}")
     try:
         cliques = [
-            Clique({int(p): int(v) for p, v in members}) for members in doc["cliques"]
+            Clique((int(p), int(v)) for p, v in members) for members in doc["cliques"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"malformed clique list: {exc}") from None
@@ -285,7 +291,13 @@ def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> Sol
         partition=CliquePartition(cliques),
         metadata=dict(doc.get("metadata") or {}),
     )
-    if problem is not None and "objective" in document.metadata:
+    if problem is None:
+        return document
+    try:
+        validate(problem, document.partition)
+    except (IndexError, FeasibilityError) as exc:
+        raise ParseError(1, f"solution does not fit the problem: {exc}") from None
+    if "objective" in document.metadata:
         stored = _cost_from_json(document.metadata["objective"])
         actual = objective(problem, document.partition)
         if stored is FORBIDDEN or actual is FORBIDDEN:

@@ -175,7 +175,7 @@ def swap_deltas(
         if vp is None or vq is None:
             return None
         partners = []
-        for (i2, s2), value in table.quad_partners(vp, vq):
+        for (i2, s2), value in table.partners((vp, vq)):
             kp = vmap.get((p, i2))
             kq = vmap.get((q, s2))
             read.add(kp)
@@ -469,7 +469,8 @@ def gm_local_search_parallel(
     Stale proposals (their target cliques changed under earlier accepted
     merges) are re-targeted by clique content; vanished targets are
     dropped, leaving those vertices unmatched in the re-merge. Proposals
-    and re-verifications are priced by ObjectiveTerms.
+    and re-verifications are priced by ObjectiveTerms; a proposal applied
+    before any merge of its round was accepted keeps its proposal price.
     """
     validate(problem, solution)
     current = solution.normalized(problem.sizes)
@@ -488,19 +489,24 @@ def gm_local_search_parallel(
             matching = gm(sub, derive_seed(seed, rounds * problem.d + p + 1), effort)
             candidate = merge_object(problem, p, split, matching)
             targets = [(v, split.cliques[k]) for v, k in matching]
-            proposals.append((terms.value(p, terms.row(p, candidate)), p, targets))
+            row = terms.row(p, candidate)
+            proposals.append((terms.value(p, row), p, targets, candidate, row))
         proposals.sort(key=lambda item: (_sort_cost(item[0]), item[1]))
 
         accepted_any = False
-        for _, p, targets in proposals:
-            split = CliquePartition(c.without_object(p) for c in current)
-            key_index = {clique: idx for idx, clique in enumerate(split.cliques)}
-            pairs = [
-                (v, key_index[clique]) for v, clique in targets if clique in key_index
-            ]
-            candidate = merge_object(problem, p, split, GmMatching(pairs))
-            row = terms.row(p, candidate)
-            value = terms.value(p, row)
+        for value, p, targets, candidate, row in proposals:
+            # Until a merge is accepted, current is the snapshot the
+            # proposal was priced on, and re-targeting rebuilds the same
+            # candidate.
+            if accepted_any:
+                split = CliquePartition(c.without_object(p) for c in current)
+                key_index = {clique: idx for idx, clique in enumerate(split.cliques)}
+                pairs = [
+                    (v, key_index[clique]) for v, clique in targets if clique in key_index
+                ]
+                candidate = merge_object(problem, p, split, GmMatching(pairs))
+                row = terms.row(p, candidate)
+                value = terms.value(p, row)
             if value < current_value:
                 current, current_value = candidate, value
                 terms.replace(p, row)

@@ -81,60 +81,89 @@ def _canonical_quad_key(a: Assignment, b: Assignment) -> QuadKey:
 
 
 class PairwiseCosts:
-    """Sparse cost table between one ordered object pair.
+    """Sparse cost table of one matching instance between two vertex sets.
 
-    ``linear[(i, s)]`` prices matching vertex i of the first object to
-    vertex s of the second; absent keys are forbidden. ``quadratic``
-    prices unordered pairs of distinct assignments; absent keys are zero.
+    ``linear[(i, s)]`` prices matching vertex i of the left set to vertex s
+    of the right set; absent keys are forbidden. ``quadratic`` prices
+    unordered pairs of distinct assignments under the canonical (lower,
+    higher) key; absent keys are zero. An MgmProblem stores one table per
+    object pair (left p, right q, p < q), and construction and local
+    search build the GM instances they solve as tables of this type.
     """
 
-    __slots__ = ("linear", "quadratic", "_partners")
+    __slots__ = ("left_size", "right_size", "linear", "quadratic", "_partners")
 
     def __init__(
         self,
+        left_size: int,
+        right_size: int,
         linear: Mapping[Assignment, float] | None = None,
         quadratic: Mapping[QuadKey, float] | None = None,
     ):
+        self.left_size = left_size
+        self.right_size = right_size
         self.linear: dict[Assignment, float] = dict(linear or {})
+        for i, s in self.linear:
+            if not (0 <= i < left_size and 0 <= s < right_size):
+                raise IndexError(
+                    f"assignment ({i},{s}) out of range for a {left_size}x{right_size} table"
+                )
         quad: dict[QuadKey, float] = {}
         for (a, b), value in (quadratic or {}).items():
             key = _canonical_quad_key(a, b)
             if key in quad:
                 raise ValueError(f"duplicate quadratic entry {key}")
+            if a[0] == b[0] or a[1] == b[1]:
+                raise ValueError(f"quadratic entry {key} shares a vertex")
+            if a not in self.linear or b not in self.linear:
+                raise ValueError(f"quadratic entry {key} references a forbidden assignment")
             quad[key] = float(value)
         self.quadratic = quad
-        for (i, s), (j, t) in self.quadratic:
-            if i == j or s == t:
-                raise ValueError(
-                    f"quadratic entry (({i},{s}),({j},{t})) pairs an assignment with itself"
-                )
-            if (i, s) not in self.linear or (j, t) not in self.linear:
-                raise ValueError(
-                    f"quadratic entry (({i},{s}),({j},{t})) references a forbidden assignment"
-                )
         partners: dict[Assignment, list[tuple[Assignment, float]]] = {}
-        for ((i, s), (j, t)), value in self.quadratic.items():
-            partners.setdefault((i, s), []).append(((j, t), value))
-            partners.setdefault((j, t), []).append(((i, s), value))
+        for (x, y), value in quad.items():
+            partners.setdefault(x, []).append((y, value))
+            partners.setdefault(y, []).append((x, value))
         self._partners = partners
 
-    def linear_get(self, i: int, s: int) -> Cost:
-        return self.linear.get((i, s), FORBIDDEN)
+    def partners(self, pair: Assignment) -> list[tuple[Assignment, float]]:
+        """All entries coupled to the assignment, with their values."""
+        return self._partners.get(pair, [])
 
     def quad_get(self, a: Assignment, b: Assignment) -> float:
         return self.quadratic.get(_canonical_quad_key(a, b), 0.0)
 
-    def quad_partners(self, i: int, s: int) -> list[tuple[Assignment, float]]:
-        """All entries coupled to the assignment (i, s), with their values."""
-        return self._partners.get((i, s), [])
+    def matching_cost(self, pairs) -> float:
+        total = 0.0
+        chosen = set(pairs)
+        for pair in chosen:
+            total += self.linear[pair]
+        for x, y in combinations(sorted(chosen), 2):
+            total += self.quadratic.get((x, y), 0.0)
+        return total
+
+    def transposed(self) -> "PairwiseCosts":
+        """The same table with the left and right sets swapped."""
+        return PairwiseCosts(
+            self.right_size,
+            self.left_size,
+            {(s, i): v for (i, s), v in self.linear.items()},
+            {((s, i), (t, j)): v for ((i, s), (j, t)), v in self.quadratic.items()},
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PairwiseCosts):
             return NotImplemented
-        return self.linear == other.linear and self.quadratic == other.quadratic
+        return (
+            (self.left_size, self.right_size) == (other.left_size, other.right_size)
+            and self.linear == other.linear
+            and self.quadratic == other.quadratic
+        )
 
     def __repr__(self):
-        return f"PairwiseCosts({len(self.linear)} linear, {len(self.quadratic)} quadratic)"
+        return (
+            f"PairwiseCosts({self.left_size}x{self.right_size}, "
+            f"{len(self.linear)} linear, {len(self.quadratic)} quadratic)"
+        )
 
 
 class MgmProblem:
@@ -164,12 +193,15 @@ class MgmProblem:
         full: dict[tuple[int, int], PairwiseCosts] = {}
         for p in range(d):
             for q in range(p + 1, d):
-                table = tables.get((p, q), None) or PairwiseCosts()
-                for (i, s) in table.linear:
-                    if not (0 <= i < self.sizes[p] and 0 <= s < self.sizes[q]):
-                        raise IndexError(
-                            f"linear entry ({i},{s}) out of range for objects ({p},{q})"
-                        )
+                shape = (self.sizes[p], self.sizes[q])
+                table = tables.get((p, q))
+                if table is None:
+                    table = PairwiseCosts(*shape)
+                elif (table.left_size, table.right_size) != shape:
+                    raise ValueError(
+                        f"cost table ({p},{q}) is {table.left_size}x{table.right_size}, "
+                        f"objects have sizes {shape}"
+                    )
                 full[(p, q)] = table
         self.costs = full
         self._total_abs = None
@@ -183,6 +215,11 @@ class MgmProblem:
         if p < q:
             return self.costs[(p, q)], False
         return self.costs[(q, p)], True
+
+    def pair_table(self, p: int, q: int) -> PairwiseCosts:
+        """The table of the pair with object p on the left."""
+        table, swapped = self.table(p, q)
+        return table.transposed() if swapped else table
 
     def linear_cost(self, p: int, q: int, i: int, s: int) -> Cost:
         table, swapped = self.table(p, q)
@@ -229,10 +266,10 @@ class MgmProblem:
         """Entries coupled to matching i of p with s of q, oriented p-first."""
         table, swapped = self.table(p, q)
         if swapped:
-            for (a, b), value in table.quad_partners(s, i):
+            for (a, b), value in table.partners((s, i)):
                 yield (b, a), value
         else:
-            yield from table.quad_partners(i, s)
+            yield from table.partners((i, s))
 
     def total_abs_cost(self) -> float:
         """Sum of absolute finite costs; used to scale forbidden-move penalties."""
@@ -250,21 +287,12 @@ class MgmProblem:
         if len(set(objects)) != len(objects):
             raise ValueError("restriction objects must be distinct")
         sizes = [self.sizes[p] for p in objects]
-        costs: dict[tuple[int, int], PairwiseCosts] = {}
-        for k, p in enumerate(objects):
-            for l, q in enumerate(objects):
-                if k >= l:
-                    continue
-                table, swapped = self.table(p, q)
-                if not swapped:
-                    costs[(k, l)] = table
-                else:
-                    linear = {(s, i): v for (i, s), v in table.linear.items()}
-                    quadratic = {
-                        ((s, i), (t, j)): v
-                        for ((i, s), (j, t)), v in table.quadratic.items()
-                    }
-                    costs[(k, l)] = PairwiseCosts(linear, quadratic)
+        costs = {
+            (k, l): self.pair_table(p, q)
+            for k, p in enumerate(objects)
+            for l, q in enumerate(objects)
+            if k < l
+        }
         return MgmProblem(sizes, costs)
 
     def __eq__(self, other):
@@ -314,11 +342,6 @@ class Clique:
                 raise DuplicateVertexError(f"union would cover object {p} twice")
             merged[p] = v
         return Clique(merged)
-
-    def with_member(self, p: int, v: int) -> "Clique":
-        if p in self._map:
-            raise DuplicateVertexError(f"clique already covers object {p}")
-        return Clique(dict(self._map, **{p: v}))
 
     def without_object(self, p: int) -> "Clique":
         if p not in self._map:
@@ -406,12 +429,6 @@ class CliquePartition:
             if (p, v) not in vmap
         ]
         return CliquePartition(list(self.cliques) + extra)
-
-    def restrict_objects(self, objects: Iterable[int]) -> "CliquePartition":
-        keep = set(objects)
-        return CliquePartition(
-            Clique({p: v for p, v in c.pairs if p in keep}) for c in self.cliques
-        )
 
     def __len__(self):
         return len(self.cliques)

@@ -50,10 +50,6 @@ class CompleteProblem:
     def sizes(self) -> tuple[int, ...]:
         return (self.total,) * self.base.d
 
-    @property
-    def real_sizes(self) -> tuple[int, ...]:
-        return self.base.sizes
-
     def dummy_counts(self) -> tuple[int, ...]:
         return tuple(self.total - n for n in self.base.sizes)
 

@@ -1,12 +1,13 @@
 """Synchronization: projecting independent pairwise matchings onto cycle
 consistency.
 
-All object pairs are first matched independently, which in general yields
-an inconsistent multi-matching E. A linear-only MGM problem is then built
-whose optimum is the cycle-consistent multi-matching sharing the most
-pairs with E, and solved with the regular construction plus local search
-pipeline. Because that problem is linear, every GM subproblem along the
-way is a LAP and is solved exactly.
+All object pairs are first matched independently: the GM solver gets the
+problem's own table of each pair (left p, right q, p < q), uncopied. This
+in general yields an inconsistent multi-matching E. A linear-only MGM
+problem is then built whose optimum is the cycle-consistent
+multi-matching sharing the most pairs with E, and solved with the
+regular construction plus local search pipeline. Because that problem is
+linear, every GM subproblem along the way is a LAP and is solved exactly.
 
 Cost modes for the synchronization problem:
 
@@ -27,7 +28,7 @@ from itertools import combinations
 from typing import Any
 
 from .construction import construct_sequential, derive_seed
-from .gm import Effort, GmMatching, GmSubproblem, GmSolver, solve_gm
+from .gm import Effort, GmMatching, GmSolver, solve_gm
 from .local_search import TraceRecorder, alternate
 from .model import (
     FORBIDDEN,
@@ -58,16 +59,6 @@ class PairwiseMatchingSet:
         return union
 
 
-def pair_subproblem(problem: MgmProblem, p: int, q: int) -> GmSubproblem:
-    """The raw GM instance of one object pair (left p, right q)."""
-    linear = dict(problem.iter_linear_pair(p, q))
-    quadratic = {
-        (a, b) if a <= b else (b, a): value
-        for a, b, value in problem.iter_quad_pair(p, q)
-    }
-    return GmSubproblem(problem.sizes[p], problem.sizes[q], linear, quadratic)
-
-
 def solve_all_pairwise(
     problem: MgmProblem,
     gm: GmSolver = solve_gm,
@@ -76,10 +67,8 @@ def solve_all_pairwise(
 ) -> PairwiseMatchingSet:
     """Independently solve all d(d-1)/2 pairwise GM problems."""
     matchings = {}
-    for p in range(problem.d):
-        for q in range(p + 1, problem.d):
-            sub = pair_subproblem(problem, p, q)
-            matchings[(p, q)] = gm(sub, derive_seed(seed, p * problem.d + q), effort)
+    for (p, q), table in problem.costs.items():
+        matchings[(p, q)] = gm(table, derive_seed(seed, p * problem.d + q), effort)
     return PairwiseMatchingSet(problem.d, matchings)
 
 
@@ -127,7 +116,7 @@ def build_sync_problem(
                     linear[(i, s)] = -1.0
                 else:
                     linear[(i, s)] = 0.0
-            costs[(p, q)] = PairwiseCosts(linear)
+            costs[(p, q)] = PairwiseCosts(problem.sizes[p], problem.sizes[q], linear)
     return MgmProblem(problem.sizes, costs)
 
 

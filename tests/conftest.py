@@ -16,11 +16,13 @@ def t3() -> MgmProblem:
     {{1^1,1^2},{2^1,2^2},{1^3}} in 1-based notation.
     """
     c01 = PairwiseCosts(
+        2,
+        2,
         linear={(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0},
         quadratic={((0, 0), (1, 1)): -0.5},
     )
-    c02 = PairwiseCosts(linear={(0, 0): -1.0, (1, 0): 2.0})
-    c12 = PairwiseCosts(linear={(0, 0): 3.0, (1, 0): -1.0})
+    c02 = PairwiseCosts(2, 1, linear={(0, 0): -1.0, (1, 0): 2.0})
+    c12 = PairwiseCosts(2, 1, linear={(0, 0): 3.0, (1, 0): -1.0})
     return MgmProblem([2, 2, 1], {(0, 1): c01, (0, 2): c02, (1, 2): c12})
 
 

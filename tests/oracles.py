@@ -194,7 +194,7 @@ def random_problem(
             for a, b in combinations(keys, 2):
                 if a[0] != b[0] and a[1] != b[1] and rng.random() < quad_frac:
                     quadratic[(a, b)] = round(rng.uniform(-2.0, 2.0), 3)
-            costs[(p, q)] = PairwiseCosts(linear, quadratic)
+            costs[(p, q)] = PairwiseCosts(sizes[p], sizes[q], linear, quadratic)
     return MgmProblem(sizes, costs)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from mgmatch.cli import RunConfig, run
 from mgmatch.construction import ConstructionTree, construct_parallel, construct_sequential
-from mgmatch.gm import Effort, GmSubproblem, solve_gm, solve_lap
+from mgmatch.gm import Effort, solve_gm, solve_lap
 from mgmatch.local_search import (
     TraceRecorder,
     alternate,
@@ -23,7 +23,7 @@ from mgmatch.local_search import (
     swap_deltas,
     swap_local_search,
 )
-from mgmatch.model import FORBIDDEN, objective, validate
+from mgmatch.model import FORBIDDEN, PairwiseCosts, objective, validate
 from mgmatch.qpbo import BinaryEnergy, evaluate, minimize
 from mgmatch.reduction import (
     complete_to_incomplete,
@@ -204,7 +204,7 @@ def test_criterion_5_lap_exactness():
                 for b in range(right):
                     if rng.random() >= rng.choice([0.2, 0.5, 0.7]):
                         linear[(a, b)] = round(rng.uniform(-5, 5), 4)
-            sub = GmSubproblem(left, right, linear)
+            sub = PairwiseCosts(left, right, linear)
             matching = solve_lap(sub)
             for pair in matching:
                 assert pair in sub.linear

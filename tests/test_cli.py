@@ -189,6 +189,32 @@ class TestErrors:
             RunConfig(mode="nope")
         with pytest.raises(ValueError):
             RunConfig(runs=0)
+        for limit in (0, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                RunConfig(time_limit=limit)
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_time_limit(self, t3_file, tmp_path, capsys, limit):
+        out = tmp_path / "sol.json"
+        assert main([str(t3_file), "--time-limit", limit, "--output", str(out)]) == 2
+        assert "time limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_object_size(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dd"
+        bad.write_text("gm 0 1\np -1 2 0 0\n")
+        assert main([str(bad)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metadata", [{}, {"objective": -1.0}])
+    def test_initial_vertex_out_of_range(self, t3_file, tmp_path, capsys, metadata):
+        from mgmatch.io import write_solution
+
+        initial = tmp_path / "init.json"
+        initial.write_text(write_solution(part({0: 0, 1: 5}), metadata))
+        code = main([str(t3_file), "--mode", "ls", "--initial", str(initial)])
+        assert code == 2
+        assert "initial solution" in capsys.readouterr().err
 
 
 class TestTimeLimit:

@@ -8,7 +8,7 @@ import pytest
 
 from mgmatch.cli import main
 from mgmatch.construction import construct_sequential
-from mgmatch.gm import GmMatching, GmSubproblem, solve_lap
+from mgmatch.gm import GmMatching, solve_lap
 from mgmatch.io import ParseError, parse_problem, write_problem
 from mgmatch.local_search import gm_local_search_parallel
 from mgmatch.model import (
@@ -51,9 +51,9 @@ class TestStaleParallelProposals:
         # Objects 1 and 2 both want to re-match onto object 0's cliques.
         # Applying object 1's proposal changes the split cliques object 2's
         # matching referenced, forcing the re-targeting path.
-        c01 = PairwiseCosts({(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
-        c02 = PairwiseCosts({(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
-        c12 = PairwiseCosts({(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
+        c01 = PairwiseCosts(2, 2, {(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
+        c02 = PairwiseCosts(2, 2, {(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
+        c12 = PairwiseCosts(2, 2, {(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
         problem = MgmProblem([2, 2, 2], {(0, 1): c01, (0, 2): c02, (1, 2): c12})
         # start crossed: both objects matched to the wrong vertex of object 0
         start = part({0: 0, 1: 1, 2: 1}, {0: 1, 1: 0, 2: 0})
@@ -75,7 +75,7 @@ class TestStaleParallelProposals:
                         for i in range(sizes[p])
                         for s in range(sizes[q])
                     }
-                    costs[(p, q)] = PairwiseCosts(linear)
+                    costs[(p, q)] = PairwiseCosts(sizes[p], sizes[q], linear)
             problem = MgmProblem(sizes, costs)
             start = CliquePartition().normalized(problem.sizes)
             result = gm_local_search_parallel(problem, start, seed=rng.randrange(99))
@@ -138,20 +138,20 @@ class TestCliMisconfiguration:
 class TestDegenerateMatchingInstances:
     def test_lap_with_duplicate_costs_ties(self):
         # heavy ties: all entries equal and negative
-        sub = GmSubproblem(4, 4, {(a, b): -1.0 for a in range(4) for b in range(4)})
+        sub = PairwiseCosts(4, 4, {(a, b): -1.0 for a in range(4) for b in range(4)})
         matching = solve_lap(sub)
         assert len(matching) == 4
         assert sub.matching_cost(matching.pairs) == pytest.approx(-4.0)
 
     def test_lap_zero_cost_entries_stay_unmatched(self):
-        sub = GmSubproblem(2, 2, {(0, 0): 0.0, (1, 1): 0.0})
+        sub = PairwiseCosts(2, 2, {(0, 0): 0.0, (1, 1): 0.0})
         assert solve_lap(sub) == GmMatching()
 
     def test_lap_rectangular_extremes(self):
-        sub = GmSubproblem(1, 6, {(0, b): -float(b + 1) for b in range(6)})
+        sub = PairwiseCosts(1, 6, {(0, b): -float(b + 1) for b in range(6)})
         matching = solve_lap(sub)
         assert matching == GmMatching([(0, 5)])
-        tall = GmSubproblem(6, 1, {(a, 0): -float(a + 1) for a in range(6)})
+        tall = PairwiseCosts(6, 1, {(a, 0): -float(a + 1) for a in range(6)})
         assert solve_lap(tall) == GmMatching([(5, 0)])
 
     def test_merge_empty_sides(self):

@@ -6,13 +6,14 @@ import pytest
 from mgmatch.gm import (
     Effort,
     GmMatching,
-    GmSubproblem,
     get_solver,
     register_solver,
     solve_gm,
     solve_lap,
     solver_names,
 )
+
+from mgmatch.model import PairwiseCosts
 
 from oracles import brute_force_gm
 
@@ -25,7 +26,7 @@ def random_lap(rng, max_side=6, forbidden_frac=0.4):
         for b in range(right):
             if rng.random() >= forbidden_frac:
                 linear[(a, b)] = round(rng.uniform(-5, 5), 3)
-    return GmSubproblem(left, right, linear)
+    return PairwiseCosts(left, right, linear)
 
 
 def random_qap(rng, max_side=4, forbidden_frac=0.3, quad_frac=0.5):
@@ -34,25 +35,25 @@ def random_qap(rng, max_side=4, forbidden_frac=0.3, quad_frac=0.5):
     for x, y in combinations(sorted(sub.linear), 2):
         if x[0] != y[0] and x[1] != y[1] and rng.random() < quad_frac:
             quadratic[(x, y)] = round(rng.uniform(-3, 3), 3)
-    return GmSubproblem(sub.left_size, sub.right_size, sub.linear, quadratic)
+    return PairwiseCosts(sub.left_size, sub.right_size, sub.linear, quadratic)
 
 
 class TestSolveLap:
     def test_small_instance(self):
-        sub = GmSubproblem(2, 2, {(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0})
+        sub = PairwiseCosts(2, 2, {(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0})
         matching = solve_lap(sub)
         assert matching == GmMatching([(0, 0), (1, 1)])
         assert sub.matching_cost(matching.pairs) == -3.0
 
     def test_all_positive_leaves_unmatched(self):
-        sub = GmSubproblem(2, 2, {(0, 0): 2.0, (1, 1): 1.0})
+        sub = PairwiseCosts(2, 2, {(0, 0): 2.0, (1, 1): 1.0})
         assert solve_lap(sub) == GmMatching()
 
     def test_empty_table(self):
-        assert solve_lap(GmSubproblem(3, 3)) == GmMatching()
+        assert solve_lap(PairwiseCosts(3, 3)) == GmMatching()
 
     def test_rejects_quadratic(self):
-        sub = GmSubproblem(
+        sub = PairwiseCosts(
             2, 2, {(0, 0): -1.0, (1, 1): -1.0}, {((0, 0), (1, 1)): -0.5}
         )
         with pytest.raises(ValueError):
@@ -76,11 +77,11 @@ class TestSolveLap:
 
 class TestSolveGm:
     def test_delegates_to_lap_without_quadratic(self):
-        sub = GmSubproblem(2, 2, {(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0})
+        sub = PairwiseCosts(2, 2, {(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0})
         assert solve_gm(sub, seed=0) == solve_lap(sub)
 
     def test_single_negative_pair(self):
-        sub = GmSubproblem(
+        sub = PairwiseCosts(
             2, 2, {(0, 0): -2.0, (1, 1): 0.5}, {((0, 0), (1, 1)): 0.25}
         )
         matching = solve_gm(sub, seed=0)
@@ -120,7 +121,7 @@ class TestRegistry:
 
     def test_custom_registration(self):
         register_solver("null", lambda sub, seed=0, effort=Effort.DEFAULT: GmMatching())
-        sub = GmSubproblem(1, 1, {(0, 0): -1.0})
+        sub = PairwiseCosts(1, 1, {(0, 0): -1.0})
         assert get_solver("null")(sub, 0, Effort.DEFAULT) == GmMatching()
 
     def test_unknown_name(self):

@@ -171,7 +171,10 @@ def pinned_instance(seed):
             problem.sizes,
             {
                 pair: PairwiseCosts(
-                    {k: v - 6.0 for k, v in table.linear.items()}, table.quadratic
+                    table.left_size,
+                    table.right_size,
+                    {k: v - 6.0 for k, v in table.linear.items()},
+                    table.quadratic,
                 )
                 for pair, table in problem.costs.items()
             },
@@ -225,3 +228,22 @@ def test_outputs_pinned(seed):
     result = alternate(problem, start, seed=seed)
     assert (objective(problem, result), digest(result)) == (value, alternate_digest)
     assert digest(gm_local_search_parallel(problem, start, seed=seed)) == parallel_digest
+
+
+def test_parallel_round_without_merge_prices_each_proposal_once(monkeypatch):
+    rng = random.Random(5)
+    problem = random_problem(rng, 5, 3, forbidden_frac=0.3, quad_frac=0.0)
+    start = gm_local_search_parallel(problem, CliquePartition().normalized(problem.sizes))
+    # Linear-only: every proposal is an exact LAP whatever its seed, so
+    # from a converged solution the next round accepts no merge.
+    priced = []
+    row = ObjectiveTerms.row
+
+    def counting_row(self, p, *args):
+        priced.append(p)
+        return row(self, p, *args)
+
+    monkeypatch.setattr(ObjectiveTerms, "row", counting_row)
+    assert gm_local_search_parallel(problem, start, max_passes=1) == start
+    # One row per object builds the start's terms, one prices its proposal.
+    assert sorted(priced) == sorted(2 * list(range(problem.d)))

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -78,6 +79,11 @@ class TestParseProblem:
         text = "gm 0 1\np 2 2 0 0\ngm 0 2\np 5 2 0 0\n"
         with pytest.raises(ParseError) as err:
             parse_problem(text)
+        assert err.value.line == 4
+
+    def test_negative_object_size_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_problem("gm 0 1\np 2 2 0 0\ngm 0 2\np 2 -1 0 0\n")
         assert err.value.line == 4
 
     def test_entry_counts_must_match_p_line(self):
@@ -169,6 +175,27 @@ class TestSolutionDocuments:
         assert doc.objective is FORBIDDEN
         assert not doc.warnings
 
+    @pytest.mark.parametrize("stored", [None, -1.0])
+    @pytest.mark.parametrize(
+        "cliques",
+        [
+            [{0: 2, 1: 0}],  # object 0 has vertices 0..1
+            [{0: 0, 3: 0}],  # t3 has objects 0..2
+            [{0: 0, 1: 0}, {0: 0, 2: 0}],  # vertex (0,0) in two cliques
+        ],
+    )
+    def test_partition_checked_against_problem(self, t3, cliques, stored):
+        metadata = {} if stored is None else {"objective": stored}
+        text = write_solution(part(*cliques), metadata)
+        parse_solution(text)  # without a problem nothing is checked
+        with pytest.raises(ParseError):
+            parse_solution(text, problem=t3)
+
+    def test_two_vertices_of_one_object_in_a_clique(self):
+        doc = {"format": "mgm-solution", "version": 1, "cliques": [[[0, 0], [0, 1]]]}
+        with pytest.raises(ParseError):
+            parse_solution(json.dumps(doc))
+
     def test_malformed_document(self):
         with pytest.raises(ParseError):
             parse_solution("not json at all")
@@ -231,7 +258,7 @@ class TestFloatFidelity:
             for s in range(3)
         }
         quadratic = {((0, 0), (1, 1)): 0.1 + 0.2, ((0, 1), (1, 0)): -1e-12}
-        problem = MgmProblem([3, 3], {(0, 1): PairwiseCosts(linear, quadratic)})
+        problem = MgmProblem([3, 3], {(0, 1): PairwiseCosts(3, 3, linear, quadratic)})
         parsed = parse_problem(write_problem(problem))
         assert parsed.costs[(0, 1)].linear == linear  # bit-exact
         assert parsed.costs[(0, 1)].quadratic == quadratic

@@ -45,12 +45,12 @@ def joint_swap_problem():
     problem = MgmProblem(
         [2, 2, 2, 2],
         {
-            (0, 1): PairwiseCosts(partner),
-            (2, 3): PairwiseCosts(partner),
-            (0, 2): PairwiseCosts(cross),
-            (0, 3): PairwiseCosts(cross),
-            (1, 2): PairwiseCosts(cross),
-            (1, 3): PairwiseCosts(cross),
+            (0, 1): PairwiseCosts(2, 2, partner),
+            (2, 3): PairwiseCosts(2, 2, partner),
+            (0, 2): PairwiseCosts(2, 2, cross),
+            (0, 3): PairwiseCosts(2, 2, cross),
+            (1, 2): PairwiseCosts(2, 2, cross),
+            (1, 3): PairwiseCosts(2, 2, cross),
         },
     )
     solution = part({0: 0, 1: 0, 2: 0, 3: 0}, {0: 1, 1: 1, 2: 1, 3: 1})

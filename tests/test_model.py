@@ -7,6 +7,7 @@ from mgmatch.model import (
     Clique,
     CliquePartition,
     DuplicateVertexError,
+    MgmProblem,
     PairwiseCosts,
     lookup_linear,
     objective,
@@ -209,17 +210,21 @@ def _cross_terms(problem, solution, set_a, set_b):
 class TestPairwiseCosts:
     def test_quadratic_requires_allowed_endpoints(self):
         with pytest.raises(ValueError):
-            PairwiseCosts(linear={(0, 0): 1.0}, quadratic={((0, 0), (1, 1)): 0.5})
+            PairwiseCosts(2, 2, linear={(0, 0): 1.0}, quadratic={((0, 0), (1, 1)): 0.5})
 
     def test_quadratic_rejects_self_pairs(self):
         with pytest.raises(ValueError):
             PairwiseCosts(
+                2,
+                2,
                 linear={(0, 0): 1.0, (0, 1): 1.0},
                 quadratic={((0, 0), (0, 1)): 0.5},
             )
 
     def test_symmetric_lookup(self):
         table = PairwiseCosts(
+            2,
+            2,
             linear={(0, 0): 1.0, (1, 1): 1.0},
             quadratic={((1, 1), (0, 0)): 0.25},
         )
@@ -229,6 +234,40 @@ class TestPairwiseCosts:
     def test_problem_symmetric_roles(self, t3):
         assert t3.quad_cost(1, 0, (0, 0), (1, 1)) == -0.5
         assert t3.quad_cost(0, 1, (0, 0), (1, 1)) == -0.5
+
+    def test_linear_key_out_of_range(self):
+        with pytest.raises(IndexError):
+            PairwiseCosts(2, 3, linear={(2, 0): 1.0})
+        with pytest.raises(IndexError):
+            PairwiseCosts(2, 3, linear={(0, -1): 1.0})
+
+    def test_duplicate_quadratic_key_rejected(self):
+        with pytest.raises(ValueError):
+            PairwiseCosts(
+                2,
+                2,
+                linear={(0, 0): 1.0, (1, 1): 1.0},
+                quadratic={((0, 0), (1, 1)): 0.5, ((1, 1), (0, 0)): 0.5},
+            )
+
+    def test_equality_compares_sizes(self):
+        assert PairwiseCosts(2, 2) == PairwiseCosts(2, 2)
+        assert PairwiseCosts(2, 2) != PairwiseCosts(2, 3)
+
+    def test_problem_rejects_table_of_wrong_shape(self):
+        with pytest.raises(ValueError):
+            MgmProblem([2, 3], {(0, 1): PairwiseCosts(3, 2)})
+
+
+class TestPairTable:
+    def test_raw_tables(self, t3):
+        sub = t3.pair_table(0, 1)
+        assert sub.linear == {(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0}
+        assert sub.quadratic == {((0, 0), (1, 1)): -0.5}
+
+    def test_swapped_orientation(self, t3):
+        sub = t3.pair_table(1, 0)
+        assert sub.linear == {(0, 0): -2.0, (1, 1): -1.0, (1, 0): 1.0}
 
 
 def test_singleton_partition():

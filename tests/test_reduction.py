@@ -31,7 +31,7 @@ class TestToComplete:
     def test_equal_sized_problem_still_padded(self):
         from mgmatch.model import MgmProblem, PairwiseCosts
 
-        table = PairwiseCosts({(0, 0): -1.0, (1, 1): -1.0})
+        table = PairwiseCosts(2, 2, {(0, 0): -1.0, (1, 1): -1.0})
         problem = MgmProblem([2, 2, 2], {(0, 1): table, (0, 2): table, (1, 2): table})
         complete = to_complete(problem)
         # the reduction is not a no-op: every object gains (d-1)*n dummies

@@ -7,7 +7,6 @@ from mgmatch.model import FORBIDDEN, objective, validate
 from mgmatch.synchronization import (
     PairwiseMatchingSet,
     build_sync_problem,
-    pair_subproblem,
     solution_pairs,
     solve_all_pairwise,
     sync_metrics,
@@ -147,14 +146,3 @@ class TestSynchronize:
             "forbidden_count",
             "mgm_objective",
         }
-
-
-class TestPairSubproblem:
-    def test_raw_tables(self, t3):
-        sub = pair_subproblem(t3, 0, 1)
-        assert sub.linear == {(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0}
-        assert sub.quadratic == {((0, 0), (1, 1)): -0.5}
-
-    def test_swapped_orientation(self, t3):
-        sub = pair_subproblem(t3, 1, 0)
-        assert sub.linear == {(0, 0): -2.0, (1, 1): -1.0, (1, 0): 1.0}
