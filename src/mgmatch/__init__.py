@@ -58,7 +58,6 @@ from .model import (
     Forbidden,
     MgmProblem,
     PairwiseCosts,
-    is_forbidden,
     lookup_linear,
     objective,
     singleton_partition,

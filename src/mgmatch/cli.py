@@ -6,18 +6,21 @@ solves projected to cycle consistency), reduce (print padding statistics
 of the incomplete-to-complete reduction).
 
 With runs > 1 the pipeline restarts with shuffled object orders, one
-restart after the other, and keeps the best solution found. Algorithm
+restart after the other, and keeps the best solution found; sync mode
+ranks its restarts by the projection objective. Algorithm
 variants are chosen by flags: --construction seq (chain), par (balanced
 construction tree) or inc:<s> (warm-started chain); --ls gm (sequential
 GM local search), gm-par (parallel-proposal GM local search), swap,
-alternate or none. A time limit cuts searches short and the best
-solution so far is still written, flagged in the document metadata.
+alternate or none. A time limit cuts searches short, and no restart
+after the first starts once it has passed; the best solution so far is
+still written, flagged in the document metadata.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -73,6 +76,10 @@ class RunConfig:
             raise ValueError("time limit must be > 0 seconds")
         if self.ls not in LS_CHOICES:
             raise ValueError(f"unknown local search {self.ls!r}")
+        if self.initial_path is not None and self.mode != "ls":
+            raise ValueError(
+                f"an initial solution (--initial) is read in ls mode only, not in {self.mode} mode"
+            )
         self.sync_kind, self.sync_alpha = _parse_sync_mode(self.sync_mode)
         self.construction_kind, self.warm_start = _parse_construction(self.construction)
         self.effort = Effort(self.gm_effort)
@@ -84,8 +91,8 @@ def _parse_sync_mode(text: str) -> tuple[str, float | None]:
     if text.startswith("soft"):
         _, _, raw = text.partition(":")
         alpha = float(raw) if raw else 1.0
-        if not alpha > 0:
-            raise ValueError("soft mode needs alpha > 0")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"soft mode needs a finite alpha > 0, got {raw!r}")
         return "soft", alpha
     raise ValueError(f"unknown sync mode {text!r}")
 
@@ -173,10 +180,22 @@ def _local_search(problem, solution, config: RunConfig, gm, seed, deadline, trac
 
 
 def run_restart(problem, config: RunConfig, run_index: int, deadline, initial=None):
-    """One pipeline restart; returns (objective, run_index, solution, trace)."""
+    """One pipeline restart; returns (rank, run_index, solution, trace, metrics).
+
+    The rank orders restarts: the objective, or in sync mode the
+    projection's mlap objective plus alpha per forbidden match. metrics
+    are the sync metrics, None in the other modes.
+    """
     gm = get_solver(config.gm_solver)
     seed = derive_seed(config.seed, run_index)
     trace = TraceRecorder()
+    if config.mode == "sync":
+        solution, metrics = synchronize(
+            problem, mode=config.sync_kind, alpha=config.sync_alpha, gm=gm,
+            seed=seed, effort=config.effort, deadline=deadline, trace=trace,
+        )
+        rank = metrics.mlap_objective + (config.sync_alpha or 0.0) * metrics.forbidden_count
+        return rank, run_index, solution, trace, metrics
     if config.mode == "construct":
         solution = _construct(problem, config, gm, seed, trace)
     elif config.mode == "ls":
@@ -186,8 +205,7 @@ def run_restart(problem, config: RunConfig, run_index: int, deadline, initial=No
     else:  # full
         solution = _construct(problem, config, gm, seed, trace)
         solution = _local_search(problem, solution, config, gm, seed, deadline, trace)
-    value = objective(problem, solution)
-    return value, run_index, solution, trace
+    return objective(problem, solution), run_index, solution, trace, None
 
 
 def _best_restart(results):
@@ -218,7 +236,7 @@ def run(config: RunConfig) -> int:
 
     deadline = None if config.time_limit is None else started + config.time_limit
     initial = None
-    if config.mode == "ls" and config.initial_path:
+    if config.initial_path is not None:
         try:
             with open(config.initial_path, "rb") as handle:
                 initial = mgm_io.parse_solution(handle, problem).partition
@@ -232,28 +250,18 @@ def run(config: RunConfig) -> int:
         "runs": config.runs,
         "solver": _solver_tag(config),
     }
+    results = []
+    try:
+        for run_index in range(config.runs):
+            # The first restart always runs; later ones only before the deadline.
+            if results and deadline is not None and time.monotonic() >= deadline:
+                break
+            results.append(run_restart(problem, config, run_index, deadline, initial))
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    value, _, solution, trace, metrics = _best_restart(results)
     if config.mode == "sync":
-        results = []
-        try:
-            for run_index in range(config.runs):
-                run_trace = TraceRecorder()
-                solution, metrics = synchronize(
-                    problem,
-                    mode=config.sync_kind,
-                    alpha=config.sync_alpha,
-                    gm=get_solver(config.gm_solver),
-                    seed=derive_seed(config.seed, run_index),
-                    effort=config.effort,
-                    deadline=deadline,
-                    trace=run_trace,
-                )
-                alpha = config.sync_alpha or 0.0
-                rank = metrics.mlap_objective + alpha * metrics.forbidden_count
-                results.append((rank, run_index, solution, metrics, run_trace))
-        except (ValueError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        rank, _, solution, metrics, trace = min(results, key=lambda r: (r[0], r[1]))
         if config.sync_post_ls:
             gm = get_solver(config.gm_solver)
             improved = alternate(
@@ -266,16 +274,6 @@ def run(config: RunConfig) -> int:
             solution = improved
         metadata["sync_metrics"] = metrics.to_dict()
         value = objective(problem, solution)
-    else:
-        try:
-            results = [
-                run_restart(problem, config, run_index, deadline, initial)
-                for run_index in range(config.runs)
-            ]
-        except (ValueError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        value, _, solution, trace = _best_restart(results)
 
     metadata["objective"] = value
     metadata["wall_time_ms"] = (time.monotonic() - started) * 1000.0

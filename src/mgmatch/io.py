@@ -8,9 +8,10 @@ Problems use the line-oriented dd multi-matching format:
     e <id1> <id2> <cost>  # quadratic cost between two declared assignments
 
 Lines starting with '$' or '#' and blank lines are comments. Absent
-assignments are forbidden; absent quadratic entries cost zero. All 'p'
-lines must agree on the size of each object, and each block must hold as
-many 'a' and 'e' lines as its 'p' line declares.
+assignments are forbidden; absent quadratic entries cost zero. Every
+block has one 'p' line, all 'p' lines must agree on the size of each
+object, and each block must hold as many 'a' and 'e' lines as its 'p'
+line declares.
 
 Solutions use a small JSON document (schema version 1) listing cliques in
 a deterministic order plus free-form metadata; see write_solution.
@@ -90,7 +91,7 @@ def parse_problem(source: TextSource) -> MgmProblem:
                 raise DuplicateEntryError(lineno, f"duplicate block for pair ({p},{q})")
             _check_counts(current)
             current = {
-                "pair": (p, q), "n": None, "declared": None,
+                "pair": (p, q), "line": lineno, "n": None, "declared": None,
                 "linear": {}, "quad": {}, "ids": {},
             }
             blocks[(p, q)] = current
@@ -100,6 +101,8 @@ def parse_problem(source: TextSource) -> MgmProblem:
                 raise ParseError(lineno, "'p' line outside a gm block")
             if len(fields) != 5:
                 raise ParseError(lineno, "expected 'p <n1> <n2> <A> <E>'")
+            if current["declared"] is not None:
+                raise ParseError(lineno, f"second 'p' line in block {current['pair']}")
             n1, n2, n_linear, n_quad = _ints(fields[1:5], lineno)
             if n1 < 0 or n2 < 0:
                 raise ParseError(lineno, f"object sizes must be non-negative, got ({n1},{n2})")
@@ -162,9 +165,12 @@ def parse_problem(source: TextSource) -> MgmProblem:
 
 
 def _check_counts(block: dict | None) -> None:
-    """A finished block must hold the 'a' and 'e' lines its 'p' line declares."""
-    if block is None or block["declared"] is None:
+    """A finished block must have a 'p' line and hold the 'a' and 'e' lines
+    it declares."""
+    if block is None:
         return
+    if block["declared"] is None:
+        raise ParseError(block["line"], f"block {block['pair']} has no 'p' line")
     lineno, n_linear, n_quad = block["declared"]
     for kind, declared, found in (
         ("a", n_linear, len(block["linear"])),

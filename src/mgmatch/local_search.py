@@ -9,10 +9,10 @@ only:
   re-matchings for all objects against the same solution, then applies
   them in ascending order of their proposed objective, re-checking profit
   after each. A re-match changes only the objective terms on object pairs
-  that contain the re-matched object, so both variants keep the terms
-  grouped by object pair (ObjectiveTerms) and price a candidate by
-  replacing one object's row: math.fsum over the same terms objective()
-  sums, hence the same float, bit for bit.
+  that contain the re-matched object. objective() is the fsum of
+  model.ObjectiveTerms' per-pair groups, so both variants keep those
+  groups and price a candidate by replacing one object's row: the same
+  float objective() returns, bit for bit.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
@@ -37,9 +37,9 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from random import Random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import qpbo
 from .construction import derive_seed, merge_object, object_clique_costs
@@ -49,8 +49,8 @@ from .model import (
     Clique,
     CliquePartition,
     Cost,
-    Forbidden,
     MgmProblem,
+    ObjectiveTerms,
     objective,
     validate,
 )
@@ -338,72 +338,6 @@ def best_multiswap(
     return outcome
 
 
-class ObjectiveTerms:
-    """The objective's terms grouped by object pair, for one solution.
-
-    A pair's group holds the linear terms of the cliques covering both
-    objects and the realized quadratic entries of its table, or is
-    Forbidden when one of those linear entries is. Re-matching object p
-    (split, then merge) changes only the groups on pairs that contain p,
-    so the candidate's value is math.fsum over the unchanged groups plus
-    p's new row: the same terms objective() sums, and since fsum rounds
-    the exact sum correctly, the same float.
-    """
-
-    def __init__(self, problem: MgmProblem, solution: CliquePartition):
-        self.problem = problem
-        self.groups: dict[tuple[int, int], list[float] | Forbidden] = {}
-        for p in range(problem.d):
-            for q, terms in self.row(p, solution, range(p + 1, problem.d)).items():
-                self.groups[(p, q)] = terms
-
-    def row(
-        self, p: int, solution: CliquePartition, others: Iterable[int] | None = None
-    ) -> dict[int, list[float] | Forbidden]:
-        """Groups of the pairs (p, q), q in others (default: all q != p)."""
-        problem = self.problem
-        if others is None:
-            others = (q for q in range(problem.d) if q != p)
-        row: dict[int, list[float] | Forbidden] = {q: [] for q in others}
-        vmap = solution.vertex_map()
-        for clique in solution.cliques:
-            vp = clique.get(p)
-            if vp is None:
-                continue
-            for q, vq in clique.pairs:
-                terms = row.get(q)
-                if terms is None or terms is FORBIDDEN:
-                    continue
-                cost = problem.linear_cost(p, q, vp, vq)
-                if cost is FORBIDDEN:
-                    row[q] = FORBIDDEN
-                    continue
-                terms.append(cost)
-                for (j, t), value in problem.quad_partners_pair(p, q, vp, vq):
-                    # Each realized entry is seen from both of its
-                    # assignments; count it from the lower p vertex.
-                    if j > vp:
-                        k = vmap.get((p, j))
-                        if k is not None and vmap.get((q, t)) == k:
-                            terms.append(value)
-        return row
-
-    def value(self, p: int | None = None, row=None) -> Cost:
-        """The objective, or the candidate's with object p's row replaced."""
-        groups = [
-            terms for pair, terms in self.groups.items() if p is None or p not in pair
-        ]
-        if p is not None:
-            groups.extend(row.values())
-        if any(terms is FORBIDDEN for terms in groups):
-            return FORBIDDEN
-        return math.fsum(chain.from_iterable(groups))
-
-    def replace(self, p: int, row) -> None:
-        for q, terms in row.items():
-            self.groups[(p, q) if p < q else (q, p)] = terms
-
-
 def gm_local_search(
     problem: MgmProblem,
     solution: CliquePartition,
@@ -585,16 +519,8 @@ def swap_local_search(
             candidate = apply_multiswap(current, first, second, bits)
             value = objective(problem, candidate)
             if value < current_value:
-                live.discard(first)
-                live.discard(second)
-                new_first, new_second = _swap_cliques(
-                    first, second, [p for p, b in enumerate(bits) if b]
-                )
-                if len(new_first):
-                    live.add(new_first)
-                if len(new_second):
-                    live.add(new_second)
                 current, current_value = candidate, value
+                live = set(current.cliques)
                 accepted_any = True
                 if trace is not None:
                     trace.record("swap-ls", value)

@@ -9,12 +9,16 @@ A feasible solution is a partition of the vertices into cliques, each
 clique holding at most one vertex per object. Cycle consistency of the
 induced multi-matching is automatic in this representation. Unmatched
 vertices are implicit singletons and cost nothing.
+
+The objective has one implementation, ObjectiveTerms: its terms grouped
+by object pair. objective() sums all groups; local search re-prices a
+candidate by replacing one object's row.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -58,10 +62,6 @@ class Forbidden:
 FORBIDDEN = Forbidden()
 
 Cost = Union[float, Forbidden]
-
-
-def is_forbidden(cost: Cost) -> bool:
-    return cost is FORBIDDEN
 
 
 class FeasibilityError(ValueError):
@@ -233,12 +233,6 @@ class MgmProblem:
             a = (a[1], a[0])
             b = (b[1], b[0])
         return table.quad_get(a, b)
-
-    def iter_quad_items(self) -> Iterator[tuple[int, int, Assignment, Assignment, float]]:
-        """All quadratic entries as (p, q, (i,s), (j,t), value) with p < q."""
-        for (p, q), table in self.costs.items():
-            for ((i, s), (j, t)), value in table.quadratic.items():
-                yield p, q, (i, s), (j, t), value
 
     def iter_linear_pair(self, p: int, q: int) -> Iterator[tuple[Assignment, float]]:
         """Linear entries of one pair, oriented as (vertex of p, vertex of q)."""
@@ -418,13 +412,12 @@ class CliquePartition:
             covered.update(clique.objects())
         return covered
 
-    def normalized(self, sizes: Sequence[int], objects: Iterable[int] | None = None) -> "CliquePartition":
+    def normalized(self, sizes: Sequence[int]) -> "CliquePartition":
         """Materialize implicit singletons for every uncovered vertex."""
-        object_range = list(objects) if objects is not None else range(len(sizes))
         vmap = self.vertex_map()
         extra = [
             Clique({p: v})
-            for p in object_range
+            for p in range(len(sizes))
             for v in range(sizes[p])
             if (p, v) not in vmap
         ]
@@ -484,30 +477,83 @@ def validate(problem, solution: CliquePartition) -> None:
             seen.add((p, v))
 
 
+class ObjectiveTerms:
+    """The objective's terms grouped by object pair, for one solution.
+
+    A pair's group holds the linear terms of the cliques covering both
+    objects and the realized quadratic entries of its table, or is
+    Forbidden when one of those linear entries is. objective() is value()
+    of a fresh instance. Re-matching object p (split, then merge) changes
+    only the groups on pairs that contain p, so local search prices a
+    candidate as math.fsum over the unchanged groups plus p's new row:
+    the same terms, and since fsum rounds the exact sum correctly, the
+    same float objective() returns for the candidate.
+    """
+
+    def __init__(self, problem: MgmProblem, solution: CliquePartition):
+        self.problem = problem
+        self.groups: dict[tuple[int, int], list[float] | Forbidden] = {}
+        for p in range(problem.d):
+            for q, terms in self.row(p, solution, range(p + 1, problem.d)).items():
+                self.groups[(p, q)] = terms
+
+    def row(
+        self, p: int, solution: CliquePartition, others: Iterable[int] | None = None
+    ) -> dict[int, list[float] | Forbidden]:
+        """Groups of the pairs (p, q), q in others (default: all q != p)."""
+        problem = self.problem
+        if others is None:
+            others = (q for q in range(problem.d) if q != p)
+        row: dict[int, list[float] | Forbidden] = {q: [] for q in others}
+        vmap = solution.vertex_map()
+        for clique in solution.cliques:
+            vp = clique.get(p)
+            if vp is None:
+                continue
+            for q, vq in clique.pairs:
+                terms = row.get(q)
+                if terms is None or terms is FORBIDDEN:
+                    continue
+                cost = problem.linear_cost(p, q, vp, vq)
+                if cost is FORBIDDEN:
+                    row[q] = FORBIDDEN
+                    continue
+                terms.append(cost)
+                for (j, t), value in problem.quad_partners_pair(p, q, vp, vq):
+                    # Each realized entry is seen from both of its
+                    # assignments; count it from the lower p vertex.
+                    if j > vp:
+                        k = vmap.get((p, j))
+                        if k is not None and vmap.get((q, t)) == k:
+                            terms.append(value)
+        return row
+
+    def value(self, p: int | None = None, row=None) -> Cost:
+        """The objective, or the candidate's with object p's row replaced."""
+        groups = [
+            terms for pair, terms in self.groups.items() if p is None or p not in pair
+        ]
+        if p is not None:
+            groups.extend(row.values())
+        if any(terms is FORBIDDEN for terms in groups):
+            return FORBIDDEN
+        return math.fsum(chain.from_iterable(groups))
+
+    def replace(self, p: int, row) -> None:
+        for q, terms in row.items():
+            self.groups[(p, q) if p < q else (q, p)] = terms
+
+
 def objective(problem, solution: CliquePartition) -> Cost:
     """Total cost of a feasible solution.
 
     Linear costs are summed within each clique over its covered object
     pairs; quadratic costs once per unordered pair of distinct cliques over
     their shared object pairs. Any forbidden within-clique match makes the
-    whole objective Forbidden. Summation uses math.fsum so the value does
-    not depend on clique enumeration order.
+    whole objective Forbidden. The value is math.fsum over the
+    ObjectiveTerms per-pair groups, independent of clique order. The
+    problem needs ``d``, ``sizes``, ``linear_cost`` and
+    ``quad_partners_pair`` (MgmProblem or reduction.CompleteProblem).
     """
     validate(problem, solution)
-    terms: list[float] = []
-    for clique in solution.cliques:
-        for (p, vp), (q, vq) in combinations(clique.pairs, 2):
-            cost = problem.linear_cost(p, q, vp, vq)
-            if cost is FORBIDDEN:
-                return FORBIDDEN
-            terms.append(cost)
-    vmap = solution.vertex_map()
-    for p, q, (i, s), (j, t), value in problem.iter_quad_items():
-        k1 = vmap.get((p, i))
-        if k1 is None or vmap.get((q, s)) != k1:
-            continue
-        k2 = vmap.get((p, j))
-        if k2 is None or vmap.get((q, t)) != k2:
-            continue
-        terms.append(value)
-    return math.fsum(terms)
+    return ObjectiveTerms(problem, solution).value()

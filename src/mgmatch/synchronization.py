@@ -14,14 +14,14 @@ Cost modes for the synchronization problem:
 * sparse: entries only where the original problem allows the match (-1 on
   E, 0 otherwise). Solutions can never contain a forbidden match.
 * dense: entries on the union of the original support and E, ignoring
-  forbiddenness (the classic formulation); optionally the full vertex
-  product via ``dense_full``.
-* soft(alpha): full product; originally forbidden matches cost +alpha
-  instead of being excluded.
+  forbiddenness (the classic formulation).
+* soft(alpha): full vertex product; originally forbidden matches cost
+  +alpha (finite, > 0) instead of being excluded.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -77,7 +77,6 @@ def build_sync_problem(
     matchings: PairwiseMatchingSet,
     mode: str = "sparse",
     alpha: float | None = None,
-    dense_full: bool = False,
 ) -> MgmProblem:
     """Linear-only problem whose optimum recovers the consistent projection.
 
@@ -89,8 +88,8 @@ def build_sync_problem(
     if mode not in ("dense", "sparse", "soft"):
         raise ValueError(f"unknown synchronization mode {mode!r}")
     if mode == "soft":
-        if alpha is None or not alpha > 0:
-            raise ValueError("soft mode needs alpha > 0")
+        if alpha is None or not 0 < alpha < math.inf:
+            raise ValueError("soft mode needs a finite alpha > 0")
     matched = matchings.pairs()
     costs = {}
     for p in range(problem.d):
@@ -99,7 +98,7 @@ def build_sync_problem(
             linear: dict[tuple[int, int], float] = {}
             if mode == "sparse":
                 support = set(table.linear)
-            elif mode == "dense" and not dense_full:
+            elif mode == "dense":
                 support = set(table.linear) | {
                     (i, s) for ((pp, i), (qq, s)) in matched if (pp, qq) == (p, q)
                 }

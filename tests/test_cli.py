@@ -184,6 +184,35 @@ class TestErrors:
     def test_bad_sync_mode(self, t3_file):
         assert main([str(t3_file), "--mode", "sync", "--sync-mode", "soft:-1"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan", "1e400"])
+    def test_soft_alpha_must_be_finite(self, t3_file, tmp_path, capsys, alpha):
+        out = tmp_path / "sol.json"
+        argv = [str(t3_file), "--mode", "sync", "--sync-mode", f"soft:{alpha}",
+                "--output", str(out)]
+        assert main(argv) == 2
+        assert "finite alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_block_without_p_line(self, tmp_path, capsys):
+        bad = tmp_path / "nop.dd"
+        bad.write_text("gm 0 1\ngm 1 2\np 3 3 0 0\n")
+        assert main([str(bad), "--mode", "reduce"]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "no 'p' line" in err
+
+    def test_empty_initial_path_is_read(self, t3_file, capsys):
+        assert main([str(t3_file), "--mode", "ls", "--initial", ""]) == 2
+        assert "initial solution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["construct", "full", "sync", "reduce"])
+    def test_initial_outside_ls_mode(self, t3_file, tmp_path, capsys, mode):
+        out = tmp_path / "sol.json"
+        argv = [str(t3_file), "--mode", mode, "--initial", str(tmp_path / "none.json"),
+                "--output", str(out)]
+        assert main(argv) == 2
+        assert "ls mode only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(mode="nope")
@@ -192,6 +221,12 @@ class TestErrors:
         for limit in (0, 0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
                 RunConfig(time_limit=limit)
+        for alpha in ("inf", "nan"):
+            with pytest.raises(ValueError):
+                RunConfig(mode="sync", sync_mode=f"soft:{alpha}")
+        with pytest.raises(ValueError):
+            RunConfig(mode="full", initial_path="start.json")
+        assert RunConfig(mode="ls", initial_path="start.json").initial_path == "start.json"
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_non_positive_time_limit(self, t3_file, tmp_path, capsys, limit):
@@ -228,6 +263,30 @@ class TestTimeLimit:
         doc = read_doc(out)
         assert doc.metadata["time_limit_reached"] is True
         assert doc.objective is not None
+
+
+    @pytest.mark.parametrize("mode, phase", [("full", "_construct"), ("sync", "synchronize")])
+    @pytest.mark.parametrize(
+        "limit, restarts", [(["--time-limit", "1e-9"], 1), ([], 5)], ids=["limit", "no-limit"]
+    )
+    def test_no_restart_starts_after_the_deadline(
+        self, t3_file, tmp_path, monkeypatch, mode, phase, limit, restarts
+    ):
+        from mgmatch import cli
+
+        calls = []
+        original = getattr(cli, phase)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, phase, counting)
+        out = tmp_path / "sol.json"
+        argv = [str(t3_file), "--mode", mode, "--runs", "5", "--output", str(out)]
+        assert main(argv + limit) == 0
+        assert len(calls) == restarts
+        assert read_doc(out).metadata["time_limit_reached"] is bool(limit)
 
 
 def solution_without_wall_time(path):

@@ -99,6 +99,24 @@ class TestParseProblem:
             assert err.value.line == 2
             assert kind in str(err.value)
 
+    def test_block_without_p_line_rejected(self):
+        # the error names the block's 'gm' line, wherever the block ends
+        cases = [
+            ("gm 0 1\ngm 1 2\np 3 3 0 0\n", 1),
+            ("gm 0 1\np 3 3 0 0\ngm 1 2\n", 3),
+            ("$ header\ngm 0 1\n", 2),
+        ]
+        for text, line in cases:
+            with pytest.raises(ParseError) as err:
+                parse_problem(text)
+            assert err.value.line == line
+            assert "no 'p' line" in str(err.value)
+
+    def test_second_p_line_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_problem("gm 0 1\np 1 1 1 0\na 0 0 0 -1.0\np 1 1 1 0\n")
+        assert err.value.line == 4
+
     def test_missing_pairs_get_empty_tables(self):
         # objects 0..2 but only the (0,2) block present
         problem = parse_problem("gm 0 2\np 1 1 1 0\na 0 0 0 -1.0\n")

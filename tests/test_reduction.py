@@ -17,6 +17,7 @@ from oracles import (
     enumerate_complete_partitions,
     random_partition,
     random_problem,
+    reference_objective,
 )
 
 
@@ -101,10 +102,13 @@ class TestTranslation:
             assert len(translated.cliques) == complete.total
             incomplete_value = objective(problem, solution)
             complete_value = objective(complete, translated)
+            reference = reference_objective(complete, translated)
             if incomplete_value is FORBIDDEN:
                 assert complete_value is FORBIDDEN
+                assert reference is FORBIDDEN
             else:
                 assert complete_value == incomplete_value  # exact, not approximate
+                assert complete_value == pytest.approx(reference, abs=1e-9)
             back = complete_to_incomplete(complete, translated)
             assert back == solution
             assert objective(problem, back) == incomplete_value

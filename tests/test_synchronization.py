@@ -75,6 +75,9 @@ class TestBuildSyncProblem:
         matchings = solve_all_pairwise(t3, gm=exhaustive, seed=0)
         with pytest.raises(ValueError):
             build_sync_problem(t3, matchings, mode="soft")
+        for alpha in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                build_sync_problem(t3, matchings, mode="soft", alpha=alpha)
         with pytest.raises(ValueError):
             build_sync_problem(t3, matchings, mode="nonsense")
 
