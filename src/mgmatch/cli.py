@@ -114,16 +114,16 @@ def _shuffled_order(d: int, seed: int) -> list[int]:
     return order
 
 
-def _construct(problem, config: RunConfig, gm, seed: int, trace) -> CliquePartition:
+def _construct(problem, config: RunConfig, gm, seed: int, deadline, trace) -> CliquePartition:
     order = _shuffled_order(problem.d, seed)
     if config.construction_kind == "seq":
         solution = construct_sequential(
-            problem, order, gm=gm, seed=seed, effort=config.effort
+            problem, order, gm=gm, seed=seed, effort=config.effort, deadline=deadline
         )
     elif config.construction_kind == "par":
         tree = ConstructionTree.balanced(order)
         solution = construct_parallel(
-            problem, tree, gm=gm, seed=seed, effort=config.effort
+            problem, tree, gm=gm, seed=seed, effort=config.effort, deadline=deadline
         )
     else:
 
@@ -134,9 +134,11 @@ def _construct(problem, config: RunConfig, gm, seed: int, trace) -> CliquePartit
                 gm=gm,
                 seed=inner_seed,
                 effort=config.effort,
+                deadline=deadline,
             )
             return alternate(
-                sub_problem, start, gm=gm, seed=inner_seed, effort=config.effort
+                sub_problem, start, gm=gm, seed=inner_seed, effort=config.effort,
+                deadline=deadline,
             )
 
         solution = construct_incremental(
@@ -147,6 +149,7 @@ def _construct(problem, config: RunConfig, gm, seed: int, trace) -> CliquePartit
             gm=gm,
             seed=seed,
             effort=config.effort,
+            deadline=deadline,
         )
     if trace is not None:
         value = objective(problem, solution)
@@ -197,13 +200,13 @@ def run_restart(problem, config: RunConfig, run_index: int, deadline, initial=No
         rank = metrics.mlap_objective + (config.sync_alpha or 0.0) * metrics.forbidden_count
         return rank, run_index, solution, trace, metrics
     if config.mode == "construct":
-        solution = _construct(problem, config, gm, seed, trace)
+        solution = _construct(problem, config, gm, seed, deadline, trace)
     elif config.mode == "ls":
         solution = initial if initial is not None else CliquePartition()
         solution = solution.normalized(problem.sizes)
         solution = _local_search(problem, solution, config, gm, seed, deadline, trace)
     else:  # full
-        solution = _construct(problem, config, gm, seed, trace)
+        solution = _construct(problem, config, gm, seed, deadline, trace)
         solution = _local_search(problem, solution, config, gm, seed, deadline, trace)
     return objective(problem, solution), run_index, solution, trace, None
 

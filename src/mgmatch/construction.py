@@ -17,12 +17,14 @@ the GM solver can never produce a forbidden match.
 from __future__ import annotations
 
 import hashlib
+import time
 from typing import Callable, Sequence
 
 from .gm import Effort, GmMatching, GmSolver, solve_gm
 from .model import (
     Clique,
     CliquePartition,
+    DuplicateVertexError,
     MgmProblem,
     PairwiseCosts,
     singleton_partition,
@@ -39,6 +41,24 @@ def derive_seed(seed: int, k: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _clique_columns(
+    problem: MgmProblem, partition: CliquePartition
+) -> dict[int, list[int | None]]:
+    """Per covered object, the clique index of each of its vertices."""
+    columns: dict[int, list[int | None]] = {}
+    for idx, clique in enumerate(partition.cliques):
+        for p, v in clique.pairs:
+            column = columns.get(p)
+            if column is None:
+                column = columns[p] = [None] * problem.sizes[p]
+            if not 0 <= v < len(column):
+                raise IndexError(f"vertex {v} out of range for object {p}")
+            if column[v] is not None:
+                raise DuplicateVertexError(f"vertex ({p},{v}) appears in more than one clique")
+            column[v] = idx
+    return columns
+
+
 def clique_clique_costs(
     problem: MgmProblem, a: CliquePartition, b: CliquePartition
 ) -> PairwiseCosts:
@@ -46,57 +66,57 @@ def clique_clique_costs(
 
     Left node k is a.cliques[k], right node l is b.cliques[l]. The linear
     entry (k, l) exists only when every member pair across the two cliques
-    is allowed, and then carries the sum of those costs.
+    is allowed, and then carries the sum of those costs. A quadratic
+    entry's two vertices of one object lie in distinct cliques, so every
+    summed entry joins two assignments that share no node.
     """
-    objects_a = a.objects()
-    objects_b = b.objects()
-    common = objects_a & objects_b
+    columns_a = _clique_columns(problem, a)
+    columns_b = _clique_columns(problem, b)
+    common = columns_a.keys() & columns_b.keys()
     if common:
         raise OverlapError(f"partial solutions share objects {sorted(common)}")
-    amap = a.vertex_map()
-    bmap = b.vertex_map()
-    size_a = [len(c) for c in a.cliques]
-    size_b = [len(c) for c in b.cliques]
-
-    lin_sum: dict[tuple[int, int], float] = {}
-    lin_cnt: dict[tuple[int, int], int] = {}
-    for p in sorted(objects_a):
-        for q in sorted(objects_b):
-            for (i, s), value in problem.iter_linear_pair(p, q):
-                ka = amap.get((p, i))
-                kb = bmap.get((q, s))
-                if ka is None or kb is None:
+    # Sums are keyed k * nb + l for assignment (k, l): int keys hash faster
+    # than tuples and order the same way.
+    nb = len(b.cliques)
+    n = len(a.cliques) * nb
+    lin_sum: dict[int, float] = {}
+    lin_cnt: dict[int, int] = {}
+    quad_sum: dict[int, float] = {}
+    for p in sorted(columns_a):
+        scaled = [None if k is None else k * nb for k in columns_a[p]]
+        for q in sorted(columns_b):
+            # Read the table as stored (p < q): the scaled column indexes
+            # object p's vertices on whichever side p is.
+            table, swapped = problem.table(p, q)
+            left, right = (columns_b[q], scaled) if swapped else (scaled, columns_b[q])
+            for (i, s), value in table.linear.items():
+                ki, ks = left[i], right[s]
+                if ki is None or ks is None:
                     continue
-                key = (ka, kb)
+                key = ki + ks
                 lin_sum[key] = lin_sum.get(key, 0.0) + value
                 lin_cnt[key] = lin_cnt.get(key, 0) + 1
-    linear = {
-        key: total
-        for key, total in lin_sum.items()
-        if lin_cnt[key] == size_a[key[0]] * size_b[key[1]]
-    }
-
-    quad_sum: dict = {}
-    for p in sorted(objects_a):
-        for q in sorted(objects_b):
-            for (i, s), (j, t), value in problem.iter_quad_pair(p, q):
-                ka = amap.get((p, i))
-                kb = bmap.get((q, s))
-                la = amap.get((p, j))
-                lb = bmap.get((q, t))
-                if ka is None or kb is None or la is None or lb is None:
+            for ((i, s), (j, t)), value in table.quadratic.items():
+                ki, ks, kj, kt = left[i], right[s], left[j], right[t]
+                if ki is None or ks is None or kj is None or kt is None:
                     continue
-                x, y = (ka, kb), (la, lb)
-                if x == y:
-                    continue
-                key = (x, y) if x <= y else (y, x)
+                x, y = ki + ks, kj + kt
+                key = x * n + y if x <= y else y * n + x
                 quad_sum[key] = quad_sum.get(key, 0.0) + value
-    quadratic = {
-        key: value
-        for key, value in quad_sum.items()
-        if key[0] in linear and key[1] in linear and key[0][0] != key[1][0] and key[0][1] != key[1][1]
-    }
-    return PairwiseCosts(len(a.cliques), len(b.cliques), linear, quadratic)
+    size_a = [len(c) for c in a.cliques]
+    size_b = [len(c) for c in b.cliques]
+    pairs = {}  # kept linear keys -> (k, l)
+    for key, count in lin_cnt.items():
+        k, l = divmod(key, nb)
+        if count == size_a[k] * size_b[l]:
+            pairs[key] = (k, l)
+    linear = {pair: lin_sum[key] for key, pair in pairs.items()}
+    quadratic = {}
+    for key, value in quad_sum.items():
+        x, y = divmod(key, n)
+        if x in pairs and y in pairs:
+            quadratic[(pairs[x], pairs[y])] = value
+    return PairwiseCosts._trusted(len(a.cliques), nb, linear, quadratic)
 
 
 def object_clique_costs(
@@ -106,7 +126,8 @@ def object_clique_costs(
 
     The single-object special case of clique_clique_costs via singleton
     lifting: left node i is vertex i of object p, right node l is
-    partial.cliques[l].
+    partial.cliques[l]. It goes through the module attribute, so chain
+    construction and GM local search share that one aggregation.
     """
     if p in partial.objects():
         raise OverlapError(f"object {p} is already covered by the partial solution")
@@ -242,9 +263,13 @@ def _chain(
     gm: GmSolver,
     seed: int,
     effort: Effort,
+    deadline: float | None,
 ) -> CliquePartition:
-    """Match order[start:] onto acc one object at a time; step k is seeded by k."""
+    """Match order[start:] onto acc one object at a time; step k is seeded by k.
+    Objects not reached by the deadline stay unmatched."""
     for k in range(start, len(order)):
+        if deadline is not None and time.monotonic() >= deadline:
+            break
         p = order[k]
         sub = object_clique_costs(problem, p, acc)
         matching = gm(sub, derive_seed(seed, k), effort)
@@ -258,11 +283,12 @@ def construct_sequential(
     gm: GmSolver = solve_gm,
     seed: int = 0,
     effort: Effort = Effort.DEFAULT,
+    deadline: float | None = None,
 ) -> CliquePartition:
     """Chain construction: start from one object, match the next one in each step."""
     order = _permutation(problem, range(problem.d) if order is None else order)
     acc = singleton_partition(problem.sizes[order[0]], order[0])
-    return _chain(problem, acc, order, 1, gm, seed, effort)
+    return _chain(problem, acc, order, 1, gm, seed, effort, deadline)
 
 
 def construct_parallel(
@@ -271,12 +297,13 @@ def construct_parallel(
     gm: GmSolver = solve_gm,
     seed: int = 0,
     effort: Effort = Effort.DEFAULT,
+    deadline: float | None = None,
 ) -> CliquePartition:
     """Tree construction: each internal node matches the partial solutions of
     its two subtrees and merges them, lower levels first.
 
     A chain tree reproduces construct_sequential exactly, including
-    per-step seeds.
+    per-step seeds. Past the deadline, nodes merge their subtrees unmatched.
     """
     if tree.d != problem.d:
         raise ValueError("tree does not cover the problem's objects")
@@ -291,8 +318,11 @@ def construct_parallel(
         for seq, node in level:
             a = solution_of(node[0])
             b = solution_of(node[1])
-            sub = clique_clique_costs(problem, a, b)
-            matching = gm(sub, derive_seed(seed, seq), effort)
+            if deadline is not None and time.monotonic() >= deadline:
+                matching = GmMatching()
+            else:
+                sub = clique_clique_costs(problem, a, b)
+                matching = gm(sub, derive_seed(seed, seq), effort)
             solutions[id(node)] = merge(a, b, matching)
     return solution_of(tree.root)
 
@@ -305,12 +335,14 @@ def construct_incremental(
     gm: GmSolver = solve_gm,
     seed: int = 0,
     effort: Effort = Effort.DEFAULT,
+    deadline: float | None = None,
 ) -> CliquePartition:
     """Warm-start the chain: solve the first s objects with a full MGM pipeline.
 
     The restriction of the problem to the first s objects of the order is
-    handed to ``inner`` (any solver returning a feasible partition); the
-    remaining objects are then chained on as in sequential construction.
+    handed to ``inner`` (any solver returning a feasible partition; it
+    honours the deadline itself); the remaining objects are then chained
+    on as in sequential construction.
     """
     order = _permutation(problem, order)
     if not (2 <= s <= problem.d):
@@ -322,4 +354,4 @@ def construct_incremental(
     acc = CliquePartition(
         Clique({head[p]: v for p, v in clique.pairs}) for clique in inner_solution
     )
-    return _chain(problem, acc, order, s, gm, seed, effort)
+    return _chain(problem, acc, order, s, gm, seed, effort, deadline)

@@ -5,10 +5,12 @@ Construction, local search and synchronization repeatedly solve small
 table, the same type that holds a problem's per-object-pair costs, so
 the synchronization stage hands the problem's own tables to the solver.
 Linear-only instances are solved exactly as sparse LAPs by shortest
-augmenting paths, quadratic ones by a heuristic that starts from the
-linear optimum and improves with matching moves and fusion of candidate
-matchings. Solvers are registered by name so stronger implementations
-can be plugged in.
+augmenting paths on integer node indices, quadratic ones by a heuristic
+that starts from the linear optimum and improves with matching moves and
+fusion of candidate matchings. Moves are priced by gains: each allowed
+assignment's quadratic cost to the current matching, kept up to date as
+moves are applied. Solvers are registered by name so stronger
+implementations can be plugged in.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def solve_lap(sub: PairwiseCosts) -> GmMatching:
     Successive shortest augmenting paths with node potentials on the sparse
     bipartite graph; augmentation stops as soon as the cheapest augmenting
     path is no longer negative, which is exactly the point where leaving
-    the remaining nodes unmatched (at zero cost) is optimal.
+    the remaining nodes unmatched (at zero cost) is optimal. Left node a
+    is index a of the node arrays, right node b is index left_size + b.
     """
     if sub.quadratic:
         raise ValueError("solve_lap requires an instance without quadratic costs")
@@ -89,90 +92,79 @@ def solve_lap(sub: PairwiseCosts) -> GmMatching:
     if not arcs:
         return GmMatching()
 
+    offset = sub.left_size
+    size = offset + sub.right_size
     left_nodes = sorted(arcs)
-    pot_left = {a: 0.0 for a in left_nodes}
-    pot_right: dict[int, float] = {}
+    # Right nodes without arcs keep potential inf; no path ever reaches them.
+    pot = [0.0] * offset + [math.inf] * sub.right_size
     for a in left_nodes:
         for b, cost in arcs[a]:
-            if cost < pot_right.get(b, math.inf):
-                pot_right[b] = cost
-    pot_sink = min(pot_right.values())
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
+            if cost < pot[offset + b]:
+                pot[offset + b] = cost
+    pot_sink = min(pot[offset:])
+    match = [-1] * size  # node index of the partner
 
     while True:
         # Dijkstra over reduced costs from all unmatched left nodes to a
         # virtual sink reachable from every unmatched right node.
-        dist: dict[tuple[str, int], float] = {}
-        parent: dict[tuple[str, int], tuple] = {}
+        dist = [math.inf] * size
+        parent = [-1] * size
+        done = [False] * size
         heap = []
         for a in left_nodes:
-            if a not in match_left:
-                dist[("L", a)] = 0.0
-                parent[("L", a)] = None
+            if match[a] < 0:
+                dist[a] = 0.0
                 heapq.heappush(heap, (0.0, 0, a))
         sink_dist = math.inf
-        sink_parent = None
-        done = set()
+        sink_parent = -1
         while heap:
             d, side, node = heapq.heappop(heap)
-            key = ("L", node) if side == 0 else ("R", node)
-            if key in done:
+            key = node if side == 0 else offset + node
+            if done[key]:
                 continue
-            done.add(key)
+            done[key] = True
             if d >= sink_dist:
                 continue
             if side == 0:
-                matched_b = match_left.get(node)
+                matched = match[node]
+                pot_node = pot[node]
                 for b, cost in arcs[node]:
-                    if b == matched_b:
+                    rkey = offset + b
+                    if rkey == matched:
                         continue
-                    rc = cost + pot_left[node] - pot_right[b]
-                    nd = d + rc
-                    rkey = ("R", b)
-                    if rkey not in done and nd < dist.get(rkey, math.inf) - 1e-15:
+                    nd = d + (cost + pot_node - pot[rkey])
+                    if not done[rkey] and nd < dist[rkey] - 1e-15:
                         dist[rkey] = nd
-                        parent[rkey] = ("L", node)
+                        parent[rkey] = node
                         heapq.heappush(heap, (nd, 1, b))
             else:
-                b = node
-                if b not in match_right:
-                    nd = d + pot_right[b] - pot_sink
+                a = match[key]
+                if a < 0:
+                    nd = d + pot[key] - pot_sink
                     if nd < sink_dist:
                         sink_dist = nd
-                        sink_parent = ("R", b)
+                        sink_parent = key
                     continue
-                a = match_right[b]
-                cost = sub.linear[(a, b)]
-                rc = -cost + pot_right[b] - pot_left[a]
-                nd = d + rc
-                lkey = ("L", a)
-                if lkey not in done and nd < dist.get(lkey, math.inf) - 1e-15:
-                    dist[lkey] = nd
-                    parent[lkey] = ("R", b)
+                nd = d + (-sub.linear[(a, node)] + pot[key] - pot[a])
+                if not done[a] and nd < dist[a] - 1e-15:
+                    dist[a] = nd
+                    parent[a] = key
                     heapq.heappush(heap, (nd, 0, a))
-        if sink_parent is None:
-            break
-        true_cost = sink_dist + pot_sink
-        if true_cost >= -1e-12:
+        if sink_parent < 0 or sink_dist + pot_sink >= -1e-12:
             break
         # Standard potential update, capped by the sink distance; unreached
         # nodes count as infinitely far and shift by the full sink distance.
-        for a in left_nodes:
-            pot_left[a] += min(dist.get(("L", a), math.inf), sink_dist)
-        for b in pot_right:
-            pot_right[b] += min(dist.get(("R", b), math.inf), sink_dist)
+        for v in range(size):
+            pot[v] += min(dist[v], sink_dist)
         pot_sink += sink_dist
-        # Flip matching along the augmenting path.
+        # Flip matching along the augmenting path (right, left, ..., root).
         key = sink_parent
-        while key is not None:
-            prev = parent[key]
-            if key[0] == "R" and prev is not None and prev[0] == "L":
-                match_left[prev[1]] = key[1]
-                match_right[key[1]] = prev[1]
-            key = prev
+        while key >= 0:
+            a = parent[key]
+            match[a], match[key] = key, a
+            key = parent[a]
 
-    return GmMatching(match_left.items())
+    return GmMatching((a, match[a] - offset) for a in left_nodes if match[a] >= 0)
 
 
 def _count_matchings(left: int, right: int) -> int:
@@ -219,84 +211,76 @@ def _brute_force(sub: PairwiseCosts) -> GmMatching:
     return GmMatching(best)
 
 
-def _move_delta(sub: PairwiseCosts, current: set, removals, additions) -> float:
-    removals = list(removals)
-    additions = list(additions)
-    remaining = current.difference(removals)
-    delta = 0.0
-    for pair in removals:
-        delta -= sub.linear[pair]
-        for other, value in sub.partners(pair):
-            if other in remaining or other in removals:
-                delta -= value
-    for x, y in combinations(removals, 2):
-        delta += sub.quad_get(x, y)
-    for pair in additions:
-        delta += sub.linear[pair]
-        for other, value in sub.partners(pair):
-            if other in remaining:
-                delta += value
-    for x, y in combinations(additions, 2):
-        delta += sub.quad_get(x, y)
-    return delta
-
-
 def _local_search(sub: PairwiseCosts, matching: GmMatching, max_scans: int, two_swaps: bool) -> GmMatching:
-    """First-improvement moves: add, remove, shift, and optional 2-swaps."""
-    current = set(matching.pairs)
-    left_used = {a: b for a, b in current}
-    right_used = {b: a for a, b in current}
-    allowed = sorted(sub.linear)
+    """First-improvement moves: add, remove, shift, and optional 2-swaps.
+
+    gain[x] is the quadratic cost between assignment x and the current
+    matching, updated along the partner lists on every applied move, so a
+    move's delta takes a few lookups (the delta technique of QAP local
+    search). No quadratic entry joins two assignments that share a node,
+    so an added assignment's gain never counts the one it displaces.
+    """
+    lin = sub.linear
+    partners = sub.partners
+    left_used = dict(matching.pairs)
+    right_used = {b: a for a, b in matching.pairs}
+    allowed = sorted(lin)
+    gain = dict.fromkeys(allowed, 0.0)
+    for pair in matching.pairs:
+        for other, value in partners(pair):
+            gain[other] += value
 
     def apply(removals, additions):
         for pair in removals:
-            current.discard(pair)
-            left_used.pop(pair[0], None)
-            right_used.pop(pair[1], None)
-        for a, b in additions:
-            current.add((a, b))
-            left_used[a] = b
-            right_used[b] = a
+            del left_used[pair[0]], right_used[pair[1]]
+            for other, value in partners(pair):
+                gain[other] -= value
+        for pair in additions:
+            left_used[pair[0]] = pair[1]
+            right_used[pair[1]] = pair[0]
+            for other, value in partners(pair):
+                gain[other] += value
 
     for _ in range(max_scans):
         improved = False
-        for a, b in allowed:
-            if left_used.get(a) == b:
-                continue
-            a_busy = a in left_used
-            b_busy = b in right_used
-            if not a_busy and not b_busy:
-                removals: list[Assignment] = []
-            elif a_busy and not b_busy:
-                removals = [(a, left_used[a])]
-            elif b_busy and not a_busy:
-                removals = [(right_used[b], b)]
+        for pair in allowed:
+            a, b = pair
+            if a in left_used:
+                if b in right_used:
+                    continue  # already chosen, or both nodes taken
+                removals: tuple[Assignment, ...] = ((a, left_used[a]),)
+            elif b in right_used:
+                removals = ((right_used[b], b),)
             else:
-                continue
-            delta = _move_delta(sub, current, removals, [(a, b)])
+                removals = ()
+            delta = lin[pair] + gain[pair]
+            for r in removals:
+                delta -= lin[r] + gain[r]
             if delta < -1e-12:
-                apply(removals, [(a, b)])
+                apply(removals, (pair,))
                 improved = True
-        for pair in sorted(current):
-            delta = _move_delta(sub, current, [pair], [])
-            if delta < -1e-12:
-                apply([pair], [])
+        for pair in sorted(left_used.items()):
+            if -(lin[pair] + gain[pair]) < -1e-12:
+                apply((pair,), ())
                 improved = True
         if two_swaps:
-            for (a1, b1), (a2, b2) in combinations(sorted(current), 2):
-                if (a1, b1) not in current or (a2, b2) not in current:
+            for r1, r2 in combinations(sorted(left_used.items()), 2):
+                if left_used.get(r1[0]) != r1[1] or left_used.get(r2[0]) != r2[1]:
                     continue  # replaced by an earlier swap this scan
-                if (a1, b2) not in sub.linear or (a2, b1) not in sub.linear:
+                x1, x2 = (r1[0], r2[1]), (r2[0], r1[1])
+                if x1 not in lin or x2 not in lin:
                     continue
-                removals = [(a1, b1), (a2, b2)]
-                additions = [(a1, b2), (a2, b1)]
-                delta = _move_delta(sub, current, removals, additions)
+                delta = (
+                    lin[x1] + gain[x1] + lin[x2] + gain[x2]
+                    - (lin[r1] + gain[r1]) - (lin[r2] + gain[r2])
+                    + sub.quad_get(x1, x2) + sub.quad_get(r1, r2)
+                )
                 if delta < -1e-12:
-                    apply(removals, additions)
+                    apply((r1, r2), (x1, x2))
                     improved = True
         if not improved:
             break
-    return GmMatching(current)
+    return GmMatching(left_used.items())
 
 
 def _fuse(sub: PairwiseCosts, first: GmMatching, second: GmMatching, seed: int) -> GmMatching:
@@ -383,17 +367,19 @@ def _fuse(sub: PairwiseCosts, first: GmMatching, second: GmMatching, seed: int) 
 def _greedy_candidate(sub: PairwiseCosts, rng: random.Random) -> GmMatching:
     order = sorted(sub.linear)
     rng.shuffle(order)
-    current: set[Assignment] = set()
-    left_used: set[int] = set()
+    left_used: dict[int, int] = {}
     right_used: set[int] = set()
-    for a, b in order:
+    gain = dict.fromkeys(order, 0.0)  # quadratic cost to the chosen pairs
+    for pair in order:
+        a, b = pair
         if a in left_used or b in right_used:
             continue
-        if _move_delta(sub, current, [], [(a, b)]) < 0:
-            current.add((a, b))
-            left_used.add(a)
+        if sub.linear[pair] + gain[pair] < 0:
+            left_used[a] = b
             right_used.add(b)
-    return GmMatching(current)
+            for other, value in sub.partners(pair):
+                gain[other] += value
+    return GmMatching(left_used.items())
 
 
 def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT) -> GmMatching:
@@ -410,7 +396,7 @@ def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT)
     if effort is Effort.EXHAUSTIVE:
         if _count_matchings(sub.left_size, sub.right_size) <= EXHAUSTIVE_MATCHING_LIMIT:
             return _brute_force(sub)
-    linear_only = PairwiseCosts(sub.left_size, sub.right_size, sub.linear)
+    linear_only = PairwiseCosts._trusted(sub.left_size, sub.right_size, sub.linear)
     matching = solve_lap(linear_only)
     if sub.matching_cost(matching.pairs) > 0:
         matching = GmMatching()

@@ -89,6 +89,10 @@ class PairwiseCosts:
     higher) key; absent keys are zero. An MgmProblem stores one table per
     object pair (left p, right q, p < q), and construction and local
     search build the GM instances they solve as tables of this type.
+
+    The constructor checks every entry of a table parsed or supplied from
+    outside. Tables the program derives from valid ones (aggregation,
+    transposition, a table's linear part) skip the checks via _trusted.
     """
 
     __slots__ = ("left_size", "right_size", "linear", "quadratic", "_partners")
@@ -119,8 +123,21 @@ class PairwiseCosts:
                 raise ValueError(f"quadratic entry {key} references a forbidden assignment")
             quad[key] = float(value)
         self.quadratic = quad
+        self._index_partners()
+
+    @classmethod
+    def _trusted(cls, left_size, right_size, linear, quadratic=None) -> "PairwiseCosts":
+        """A table over dicts that pass every check of the constructor
+        (canonical keys, float values); the dicts are used, not copied."""
+        table = cls.__new__(cls)
+        table.left_size, table.right_size = left_size, right_size
+        table.linear, table.quadratic = linear, quadratic or {}
+        table._index_partners()
+        return table
+
+    def _index_partners(self) -> None:
         partners: dict[Assignment, list[tuple[Assignment, float]]] = {}
-        for (x, y), value in quad.items():
+        for (x, y), value in self.quadratic.items():
             partners.setdefault(x, []).append((y, value))
             partners.setdefault(y, []).append((x, value))
         self._partners = partners
@@ -143,11 +160,14 @@ class PairwiseCosts:
 
     def transposed(self) -> "PairwiseCosts":
         """The same table with the left and right sets swapped."""
-        return PairwiseCosts(
+        return PairwiseCosts._trusted(
             self.right_size,
             self.left_size,
             {(s, i): v for (i, s), v in self.linear.items()},
-            {((s, i), (t, j)): v for ((i, s), (j, t)), v in self.quadratic.items()},
+            {
+                _canonical_quad_key((s, i), (t, j)): v
+                for ((i, s), (j, t)), v in self.quadratic.items()
+            },
         )
 
     def __eq__(self, other):
@@ -233,26 +253,6 @@ class MgmProblem:
             a = (a[1], a[0])
             b = (b[1], b[0])
         return table.quad_get(a, b)
-
-    def iter_linear_pair(self, p: int, q: int) -> Iterator[tuple[Assignment, float]]:
-        """Linear entries of one pair, oriented as (vertex of p, vertex of q)."""
-        table, swapped = self.table(p, q)
-        if swapped:
-            for (i, s), value in table.linear.items():
-                yield (s, i), value
-        else:
-            yield from table.linear.items()
-
-    def iter_quad_pair(
-        self, p: int, q: int
-    ) -> Iterator[tuple[Assignment, Assignment, float]]:
-        """Quadratic entries of one pair, both assignments oriented p-first."""
-        table, swapped = self.table(p, q)
-        for ((i, s), (j, t)), value in table.quadratic.items():
-            if swapped:
-                yield (s, i), (t, j), value
-            else:
-                yield (i, s), (j, t), value
 
     def quad_partners_pair(
         self, p: int, q: int, i: int, s: int

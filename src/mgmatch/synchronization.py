@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any
@@ -64,10 +65,14 @@ def solve_all_pairwise(
     gm: GmSolver = solve_gm,
     seed: int = 0,
     effort: Effort = Effort.DEFAULT,
+    deadline: float | None = None,
 ) -> PairwiseMatchingSet:
-    """Independently solve all d(d-1)/2 pairwise GM problems."""
+    """Independently solve all d(d-1)/2 pairwise GM problems; pairs not
+    reached by the deadline get no matching."""
     matchings = {}
     for (p, q), table in problem.costs.items():
+        if deadline is not None and time.monotonic() >= deadline:
+            break
         matchings[(p, q)] = gm(table, derive_seed(seed, p * problem.d + q), effort)
     return PairwiseMatchingSet(problem.d, matchings)
 
@@ -184,12 +189,13 @@ def synchronize(
     solves every intermediate subproblem exactly as a LAP regardless of the
     solver configured for the pairwise stage.
     """
-    matchings = solve_all_pairwise(problem, gm=gm, seed=seed, effort=effort)
+    matchings = solve_all_pairwise(problem, gm=gm, seed=seed, effort=effort, deadline=deadline)
     sync_problem = build_sync_problem(problem, matchings, mode=mode, alpha=alpha)
     order = list(range(problem.d))
     random.Random(derive_seed(seed, 1)).shuffle(order)
     solution = construct_sequential(
-        sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2), effort=effort
+        sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2), effort=effort,
+        deadline=deadline,
     )
     if trace is not None:
         value = objective(sync_problem, solution)

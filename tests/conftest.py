@@ -2,8 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# One profile for every property test: deterministic examples and no
+# example database, so a test run reproduces exactly and leaves no files.
+settings.register_profile(
+    "mgmatch", max_examples=60, deadline=None, derandomize=True, database=None
+)
+settings.load_profile("mgmatch")
 
 from mgmatch.model import Clique, CliquePartition, MgmProblem, PairwiseCosts
 

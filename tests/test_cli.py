@@ -289,6 +289,36 @@ class TestTimeLimit:
         assert read_doc(out).metadata["time_limit_reached"] is bool(limit)
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "full"],
+            ["--mode", "construct", "--construction", "par"],
+            ["--mode", "full", "--construction", "inc:2"],
+            ["--mode", "sync"],
+            ["--mode", "sync", "--sync-post-ls"],
+        ],
+        ids=["full", "par", "inc", "sync", "sync-post-ls"],
+    )
+    def test_expired_deadline_makes_no_gm_solve(self, t3, t3_file, tmp_path, monkeypatch, args):
+        from mgmatch import gm
+
+        calls = []
+        solve_lap = gm.solve_lap
+
+        def counting(sub):
+            calls.append(1)
+            return solve_lap(sub)
+
+        monkeypatch.setattr(gm, "solve_lap", counting)
+        out = tmp_path / "sol.json"
+        assert main([str(t3_file), *args, "--time-limit", "1e-9", "--output", str(out)]) == 0
+        assert calls == []
+        doc = read_doc(out, t3)
+        assert doc.metadata["time_limit_reached"] is True
+        assert doc.objective == objective(t3, doc.partition)
+
+
 def solution_without_wall_time(path):
     data = json.loads(path.read_text())
     data["metadata"].pop("wall_time_ms")

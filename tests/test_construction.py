@@ -1,7 +1,12 @@
 import random
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mgmatch import construction
 from mgmatch.construction import (
     ConstructionTree,
     OverlapError,
@@ -15,15 +20,17 @@ from mgmatch.construction import (
 )
 from mgmatch.gm import Effort, GmMatching, solve_gm
 from mgmatch.model import (
+    FORBIDDEN,
     Clique,
     CliquePartition,
+    PairwiseCosts,
     objective,
     singleton_partition,
     validate,
 )
 
 from conftest import part
-from oracles import brute_force_mgm, random_problem
+from oracles import brute_force_mgm, random_partition, random_problem
 
 def exhaustive(sub, seed=0, effort=Effort.EXHAUSTIVE):
     """A solver pinned to exhaustive effort regardless of pipeline defaults."""
@@ -89,6 +96,97 @@ class TestCliqueCliqueCosts:
     def test_overlap_rejected(self, t3):
         with pytest.raises(OverlapError):
             clique_clique_costs(t3, part({0: 0}), part({0: 1}))
+
+
+@st.composite
+def split_problems(draw):
+    """A random problem and a partition of part of its vertices, some
+    cliques dropped so that covered objects keep unmatched vertices."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 5))
+    forbidden = draw(st.sampled_from([0.0, 0.3, 0.6]))
+    problem = random_problem(rng, d, 3, forbidden_frac=forbidden, quad_frac=0.5)
+    cliques = [c for c in random_partition(rng, problem) if rng.random() < 0.85]
+    return problem, cliques, rng
+
+
+def restricted(cliques, objects):
+    return CliquePartition(Clique({p: v for p, v in c.pairs if p in objects}) for c in cliques)
+
+
+def reference_costs(problem, a, b):
+    """Aggregated table entry by entry from pointwise lookups; an absent
+    quadratic entry counts as 0."""
+    linear = {}
+    for k, ca in enumerate(a.cliques):
+        for l, cb in enumerate(b.cliques):
+            costs = [problem.linear_cost(p, q, i, s) for p, i in ca.pairs for q, s in cb.pairs]
+            if FORBIDDEN not in costs:
+                linear[(k, l)] = sum(costs)
+    quadratic = {}
+    for x, y in combinations(sorted(linear), 2):
+        c1, c2 = a.cliques[x[0]], a.cliques[y[0]]
+        d1, d2 = b.cliques[x[1]], b.cliques[y[1]]
+        quadratic[(x, y)] = sum(
+            problem.quad_cost(p, q, (c1.get(p), d1.get(q)), (c2.get(p), d2.get(q)))
+            for p in set(c1.objects()) & set(c2.objects())
+            for q in set(d1.objects()) & set(d2.objects())
+        )
+    return linear, quadratic
+
+
+def assert_passes_checks(table):
+    """table equals the validating constructor's rebuild of it, entry
+    order and partner lists included."""
+    rebuilt = PairwiseCosts(table.left_size, table.right_size, table.linear, table.quadratic)
+    assert table == rebuilt
+    assert list(table.quadratic) == list(rebuilt.quadratic)
+    for x in table.linear:
+        assert table.partners(x) == rebuilt.partners(x)
+
+
+def assert_built_right(problem, table, a, b):
+    """table passes the constructor's checks and equals the pointwise
+    reference aggregation."""
+    assert_passes_checks(table)
+    linear, quadratic = reference_costs(problem, a, b)
+    assert table.linear.keys() == linear.keys()
+    for key, value in linear.items():
+        assert table.linear[key] == pytest.approx(value, abs=1e-9)
+    assert table.quadratic.keys() <= quadratic.keys()
+    for key, value in quadratic.items():
+        assert table.quadratic.get(key, 0.0) == pytest.approx(value, abs=1e-9)
+
+
+class TestTrustedTables:
+    """Tables built without the constructor's checks would pass them."""
+
+    @given(split_problems())
+    def test_clique_clique_costs(self, case):
+        problem, cliques, rng = case
+        objects = list(range(problem.d))
+        rng.shuffle(objects)
+        cut = rng.randint(1, problem.d - 1)
+        # Either side may hold the larger objects: stored tables are read
+        # in both orientations.
+        a = restricted(cliques, set(objects[:cut]))
+        b = restricted(cliques, set(objects[cut:]))
+        assert_built_right(problem, clique_clique_costs(problem, a, b), a, b)
+
+    @given(split_problems())
+    def test_object_clique_costs(self, case):
+        problem, cliques, rng = case
+        p = rng.randrange(problem.d)
+        partial = restricted(cliques, set(range(problem.d)) - {p})
+        lifted = singleton_partition(problem.sizes[p], p)
+        assert_built_right(problem, object_clique_costs(problem, p, partial), lifted, partial)
+
+    @given(split_problems())
+    def test_transposed(self, case):
+        problem, _, _ = case
+        for table in problem.costs.values():
+            assert_passes_checks(table.transposed())
+            assert table.transposed().transposed() == table
 
 
 class TestMerge:
@@ -251,6 +349,53 @@ class TestConstructIncremental:
             construct_incremental(t3, [0, 1, 2], 1, self._inner)
         with pytest.raises(ValueError):
             construct_incremental(t3, [0, 1, 2], 4, self._inner)
+
+
+@pytest.fixture
+def clocked_gm(monkeypatch):
+    """solve_gm on a construction clock that advances one second per solve."""
+    now = [0.0]
+    monkeypatch.setattr(construction, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+    def gm(sub, seed, effort):
+        now[0] += 1.0
+        return solve_gm(sub, seed, effort)
+
+    gm.solves = lambda: int(now[0])
+    return gm
+
+
+class TestDeadline:
+    def test_chain_leaves_objects_after_the_deadline_unmatched(self, clocked_gm):
+        problem = random_problem(random.Random(8), 6, 3, forbidden_frac=0.1)
+        order = [3, 1, 5, 0, 2, 4]
+        full = construct_sequential(problem, order, seed=2)
+        cut = construct_sequential(problem, order, gm=clocked_gm, seed=2, deadline=2.5)
+        assert clocked_gm.solves() == 3
+        head = set(order[:4])
+        assert cut.objects() == head
+        assert cut == CliquePartition(
+            Clique({p: v for p, v in c.pairs if p in head}) for c in full
+        )
+
+    def test_tree_merges_unmatched_after_the_deadline(self, clocked_gm):
+        problem = random_problem(random.Random(9), 6, 3, forbidden_frac=0.1)
+        tree = ConstructionTree.balanced([2, 0, 5, 1, 4, 3])
+        solution = construct_parallel(problem, tree, gm=clocked_gm, deadline=1.5)
+        assert clocked_gm.solves() == 2
+        validate(problem, solution)
+        assert solution.objects() == set(range(6))
+
+    def test_expired_deadline_solves_nothing(self, clocked_gm, t3):
+        order = [2, 0, 1]
+        seq = construct_sequential(t3, order, gm=clocked_gm, deadline=0.0)
+        tree = ConstructionTree.balanced(order)
+        par = construct_parallel(t3, tree, gm=clocked_gm, deadline=0.0)
+        inc = construct_incremental(
+            t3, order, 2, lambda sub, seed: CliquePartition(), gm=clocked_gm, deadline=0.0
+        )
+        assert clocked_gm.solves() == 0
+        assert seq == par == inc == CliquePartition()
 
 
 class TestGraspStyleRestarts:

@@ -12,7 +12,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mgmatch.construction import construct_sequential, merge_object, object_clique_costs
@@ -37,8 +37,6 @@ from mgmatch.model import (
 
 from conftest import part
 from oracles import random_partition, random_problem, reference_objective
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -69,7 +67,6 @@ def connected(nodes, adjacent):
 
 
 class TestPruning:
-    @PROPERTY
     @given(problems())
     def test_pruned_pairs_get_no_swap(self, case):
         problem, rng = case
@@ -93,7 +90,6 @@ class TestPruning:
 
 
 class TestDeltaCache:
-    @PROPERTY
     @given(problems())
     def test_reusable_matrices_equal_fresh_ones(self, case):
         """Along random swaps and GM re-matches, a matrix whose owner
@@ -130,7 +126,6 @@ class TestDeltaCache:
 
 
 class TestObjectiveTerms:
-    @PROPERTY
     @given(problems())
     def test_rematch_value_is_objective(self, case):
         problem, rng = case

@@ -1,7 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from mgmatch import synchronization
 from mgmatch.gm import Effort, GmMatching, solve_gm
 from mgmatch.model import FORBIDDEN, objective, validate
 from mgmatch.synchronization import (
@@ -27,6 +29,20 @@ class TestSolveAllPairwise:
         assert result.matchings[(0, 1)] == GmMatching([(0, 0), (1, 1)])
         assert result.matchings[(0, 2)] == GmMatching([(0, 0)])
         assert result.matchings[(1, 2)] == GmMatching([(1, 0)])
+
+    def test_pairs_after_the_deadline_get_no_matching(self, monkeypatch):
+        problem = random_problem(random.Random(4), 5, 3)
+        now = [0.0]
+        monkeypatch.setattr(synchronization, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+        def gm(sub, seed, effort):
+            now[0] += 1.0
+            return solve_gm(sub, seed, effort)
+
+        result = solve_all_pairwise(problem, gm=gm, seed=3, deadline=3.5)
+        full = solve_all_pairwise(problem, seed=3)
+        solved = list(problem.costs)[:4]
+        assert result.matchings == {pair: full.matchings[pair] for pair in solved}
 
     def test_two_objects(self, t3):
         sub = t3.restrict([0, 1])
