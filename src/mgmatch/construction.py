@@ -75,48 +75,40 @@ def clique_clique_costs(
     common = columns_a.keys() & columns_b.keys()
     if common:
         raise OverlapError(f"partial solutions share objects {sorted(common)}")
-    # Sums are keyed k * nb + l for assignment (k, l): int keys hash faster
-    # than tuples and order the same way.
-    nb = len(b.cliques)
-    n = len(a.cliques) * nb
-    lin_sum: dict[int, float] = {}
-    lin_cnt: dict[int, int] = {}
-    quad_sum: dict[int, float] = {}
+    lin_sum: dict[tuple[int, int], float] = {}
+    lin_cnt: dict[tuple[int, int], int] = {}
+    quad_sum: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
     for p in sorted(columns_a):
-        scaled = [None if k is None else k * nb for k in columns_a[p]]
         for q in sorted(columns_b):
-            # Read the table as stored (p < q): the scaled column indexes
-            # object p's vertices on whichever side p is.
+            # Read the table as stored (p < q), each column on its object's
+            # side; keys stay (clique of a, clique of b).
             table, swapped = problem.table(p, q)
-            left, right = (columns_b[q], scaled) if swapped else (scaled, columns_b[q])
+            left, right = (columns_b[q], columns_a[p]) if swapped else (columns_a[p], columns_b[q])
             for (i, s), value in table.linear.items():
                 ki, ks = left[i], right[s]
                 if ki is None or ks is None:
                     continue
-                key = ki + ks
+                key = (ks, ki) if swapped else (ki, ks)
                 lin_sum[key] = lin_sum.get(key, 0.0) + value
                 lin_cnt[key] = lin_cnt.get(key, 0) + 1
             for ((i, s), (j, t)), value in table.quadratic.items():
                 ki, ks, kj, kt = left[i], right[s], left[j], right[t]
                 if ki is None or ks is None or kj is None or kt is None:
                     continue
-                x, y = ki + ks, kj + kt
-                key = x * n + y if x <= y else y * n + x
+                x, y = ((ks, ki), (kt, kj)) if swapped else ((ki, ks), (kj, kt))
+                key = (x, y) if x <= y else (y, x)
                 quad_sum[key] = quad_sum.get(key, 0.0) + value
     size_a = [len(c) for c in a.cliques]
     size_b = [len(c) for c in b.cliques]
-    pairs = {}  # kept linear keys -> (k, l)
-    for key, count in lin_cnt.items():
-        k, l = divmod(key, nb)
-        if count == size_a[k] * size_b[l]:
-            pairs[key] = (k, l)
-    linear = {pair: lin_sum[key] for key, pair in pairs.items()}
-    quadratic = {}
-    for key, value in quad_sum.items():
-        x, y = divmod(key, n)
-        if x in pairs and y in pairs:
-            quadratic[(pairs[x], pairs[y])] = value
-    return PairwiseCosts._trusted(len(a.cliques), nb, linear, quadratic)
+    linear = {
+        key: lin_sum[key] for key, count in lin_cnt.items()
+        if count == size_a[key[0]] * size_b[key[1]]
+    }
+    quadratic = {
+        key: value for key, value in quad_sum.items()
+        if key[0] in linear and key[1] in linear
+    }
+    return PairwiseCosts._trusted(len(a.cliques), len(b.cliques), linear, quadratic)
 
 
 def object_clique_costs(

@@ -211,6 +211,12 @@ def _brute_force(sub: PairwiseCosts) -> GmMatching:
     return GmMatching(best)
 
 
+def _update_gains(gain: dict, sub: PairwiseCosts, pair: Assignment, sign: float) -> None:
+    """Add (sign +1) or remove (sign -1) pair's quadratic terms from the gains."""
+    for other, value in sub.partners(pair):
+        gain[other] += sign * value
+
+
 def _local_search(sub: PairwiseCosts, matching: GmMatching, max_scans: int, two_swaps: bool) -> GmMatching:
     """First-improvement moves: add, remove, shift, and optional 2-swaps.
 
@@ -221,25 +227,21 @@ def _local_search(sub: PairwiseCosts, matching: GmMatching, max_scans: int, two_
     so an added assignment's gain never counts the one it displaces.
     """
     lin = sub.linear
-    partners = sub.partners
     left_used = dict(matching.pairs)
     right_used = {b: a for a, b in matching.pairs}
     allowed = sorted(lin)
     gain = dict.fromkeys(allowed, 0.0)
     for pair in matching.pairs:
-        for other, value in partners(pair):
-            gain[other] += value
+        _update_gains(gain, sub, pair, 1.0)
 
     def apply(removals, additions):
         for pair in removals:
             del left_used[pair[0]], right_used[pair[1]]
-            for other, value in partners(pair):
-                gain[other] -= value
+            _update_gains(gain, sub, pair, -1.0)
         for pair in additions:
             left_used[pair[0]] = pair[1]
             right_used[pair[1]] = pair[0]
-            for other, value in partners(pair):
-                gain[other] += value
+            _update_gains(gain, sub, pair, 1.0)
 
     for _ in range(max_scans):
         improved = False
@@ -377,8 +379,7 @@ def _greedy_candidate(sub: PairwiseCosts, rng: random.Random) -> GmMatching:
         if sub.linear[pair] + gain[pair] < 0:
             left_used[a] = b
             right_used.add(b)
-            for other, value in sub.partners(pair):
-                gain[other] += value
+            _update_gains(gain, sub, pair, 1.0)
     return GmMatching(left_used.items())
 
 

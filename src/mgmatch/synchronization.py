@@ -187,15 +187,16 @@ def synchronize(
 
     The projection problem is linear-only, so the pipeline's GM subroutine
     solves every intermediate subproblem exactly as a LAP regardless of the
-    solver configured for the pairwise stage.
+    solver configured for the pairwise stage. The deadline bounds the
+    pairwise stage and the local search; the projection's construction
+    always runs, so the matchings solved before the deadline are projected.
     """
     matchings = solve_all_pairwise(problem, gm=gm, seed=seed, effort=effort, deadline=deadline)
     sync_problem = build_sync_problem(problem, matchings, mode=mode, alpha=alpha)
     order = list(range(problem.d))
     random.Random(derive_seed(seed, 1)).shuffle(order)
     solution = construct_sequential(
-        sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2), effort=effort,
-        deadline=deadline,
+        sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2), effort=effort
     )
     if trace is not None:
         value = objective(sync_problem, solution)

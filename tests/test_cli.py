@@ -301,16 +301,18 @@ class TestTimeLimit:
         ids=["full", "par", "inc", "sync", "sync-post-ls"],
     )
     def test_expired_deadline_makes_no_gm_solve(self, t3, t3_file, tmp_path, monkeypatch, args):
+        # Counts the configured solver only: sync's projection solves its
+        # linear subproblems with solve_gm directly and runs past the deadline.
         from mgmatch import gm
 
         calls = []
-        solve_lap = gm.solve_lap
+        solver = gm.get_solver("default")
 
-        def counting(sub):
+        def counting(sub, seed, effort):
             calls.append(1)
-            return solve_lap(sub)
+            return solver(sub, seed, effort)
 
-        monkeypatch.setattr(gm, "solve_lap", counting)
+        monkeypatch.setitem(gm._REGISTRY, "default", counting)
         out = tmp_path / "sol.json"
         assert main([str(t3_file), *args, "--time-limit", "1e-9", "--output", str(out)]) == 0
         assert calls == []

@@ -97,6 +97,10 @@ class TestCliqueCliqueCosts:
         with pytest.raises(OverlapError):
             clique_clique_costs(t3, part({0: 0}), part({0: 1}))
 
+    def test_vertex_outside_its_object_rejected(self, t3):
+        with pytest.raises(IndexError):
+            clique_clique_costs(t3, part({0: 9}), part({1: 0}))
+
 
 @st.composite
 def split_problems(draw):

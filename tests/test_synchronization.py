@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from mgmatch import synchronization
+from mgmatch import local_search, synchronization
 from mgmatch.gm import Effort, GmMatching, solve_gm
 from mgmatch.model import FORBIDDEN, objective, validate
 from mgmatch.synchronization import (
@@ -155,6 +155,27 @@ class TestSynchronize:
             target = matchings.pairs()
             recovered = solution_pairs(solution)
             assert metrics.hamming == len(target | recovered) - len(target & recovered)
+
+    def test_deadline_in_pairwise_stage_still_projects(self, monkeypatch):
+        problem = random_problem(random.Random(4), 5, 3)
+        now = [0.0]
+        clock = SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(synchronization, "time", clock)
+        monkeypatch.setattr(local_search, "time", clock)
+
+        def gm(sub, seed, effort):
+            now[0] += 1.0
+            return solve_gm(sub, seed, effort)
+
+        solution, metrics = synchronize(problem, gm=gm, seed=3, deadline=3.5)
+        validate(problem, solution)
+        # four pairs were solved before the deadline, and their matched
+        # pairs are projected rather than dropped
+        solved = solve_all_pairwise(problem, seed=3).matchings
+        partial = PairwiseMatchingSet(problem.d, {pair: solved[pair] for pair in list(solved)[:4]})
+        assert metrics == sync_metrics(problem, partial, solution)
+        assert metrics.mlap_objective < 0
+        assert any(len(clique) > 1 for clique in solution.cliques)
 
     def test_metrics_serialization(self, t3):
         _, metrics = synchronize(t3, mode="sparse", seed=0)
