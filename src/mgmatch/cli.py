@@ -232,9 +232,8 @@ def run(config: RunConfig) -> int:
     if config.mode == "reduce":
         report = json.dumps(size_report(problem), indent=2, sort_keys=True)
         print(report)
-        if config.output_path:
-            with open(config.output_path, "w") as handle:
-                handle.write(report + "\n")
+        if config.output_path and not _write(config.output_path, report + "\n"):
+            return 2
         return 0
 
     deadline = None if config.time_limit is None else started + config.time_limit
@@ -284,17 +283,25 @@ def run(config: RunConfig) -> int:
         deadline is not None and time.monotonic() >= deadline
     )
     document = mgm_io.write_solution(solution, metadata)
-    if config.output_path:
-        with open(config.output_path, "w") as handle:
-            handle.write(document)
-    else:
+    if not config.output_path:
         print(document, end="")
-    if config.trace_path:
-        with open(config.trace_path, "w") as handle:
-            handle.write("elapsed_ms,phase,objective\n")
-            for line in trace.lines():
-                handle.write(line + "\n")
+    elif not _write(config.output_path, document):
+        return 2
+    lines = ["elapsed_ms,phase,objective", *trace.lines()]
+    if config.trace_path and not _write(config.trace_path, "".join(f"{x}\n" for x in lines)):
+        return 2
     return 0
+
+
+def _write(path: str, text: str) -> bool:
+    """Write a result file; on failure report it and return False."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _solver_tag(config: RunConfig) -> str:

@@ -17,8 +17,9 @@ only:
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
   objects into per-object-pair deltas, which turns picking the best joint
-  swap into a pairwise binary energy handed to the qpbo module. Two
-  shortcuts skip work whose outcome is already known:
+  swap into a pairwise binary energy handed to the qpbo module; objects
+  joined by a forbidden single swap share one variable. Two shortcuts
+  skip work whose outcome is already known:
 
   - Pruning. When the graph on the involved objects whose edges are
     forbidden single swaps (a linear-cost check) is connected, every
@@ -247,9 +248,9 @@ def swaps_all_forbidden(problem: MgmProblem, first: Clique, second: Clique) -> b
     relation is symmetric and equals ``swap_deltas(...).get(p, q) is
     FORBIDDEN``. If the involved objects are connected, any labeling that
     is not constant on them swaps one end of an adjacent pair without the
-    other, which best_multiswap rejects; swapping all of them only renames
-    the two cliques (energy 0, never strictly below no-swap). Reads linear
-    costs and the two cliques only.
+    other; best_multiswap contracts them into a single group, where
+    swapping all of them only renames the two cliques (energy 0, never
+    strictly below no-swap). Reads linear costs and the two cliques only.
     """
     involved = sorted(set(first.objects()) | set(second.objects()))
 
@@ -295,12 +296,14 @@ def best_multiswap(
 ) -> tuple[tuple[int, ...], float]:
     """Best joint swap between two cliques via binary energy minimization.
 
-    Builds the swap-delta energy (objects untouched by both cliques are
-    isolated and fixed to zero), encodes forbidden swaps as a finite
-    penalty larger than any achievable improvement, and minimizes starting
-    from the no-swap labeling. Labelings that would activate a forbidden
-    swap fall back to no-swap. Returns the bit vector over all objects and
-    the predicted objective change (0 for no-swap).
+    A forbidden single swap is symmetric, so an acceptable joint swap gives
+    both its objects the same bit: objects joined by forbidden swaps are
+    contracted into one variable. Tables inside a group drop out (their
+    (0,0) and (1,1) entries are 0), tables between groups add up, and no
+    penalty is needed; minimizing from no-swap is exact up to
+    qpbo.EXACT_ENUMERATION_LIMIT groups. A single group is the pruned case.
+    Returns the bit vector over all objects and the predicted objective
+    change (0 for no-swap).
 
     ``deltas`` are this pair's swap deltas in ``solution`` when the caller
     has them. When the minimization did not depend on the seed, the
@@ -309,30 +312,27 @@ def best_multiswap(
     if deltas is None:
         deltas = swap_deltas(problem, solution, first, second)
     involved = sorted(set(first.objects()) | set(second.objects()))
-    penalty = 1.0 + problem.total_abs_cost()
-    index = {p: k for k, p in enumerate(involved)}
+    label = {p: p for p in involved}  # the smallest member of p's group
+    for p, q in combinations(involved, 2):
+        if deltas.get(p, q) is FORBIDDEN and label[p] != label[q]:
+            keep, drop = sorted((label[p], label[q]))
+            label = {r: keep if g == drop else g for r, g in label.items()}
+    variable = {g: k for k, g in enumerate(sorted(set(label.values())))}
+    group = {p: variable[label[p]] for p in involved}
     pairwise = {}
     for p, q in combinations(involved, 2):
-        dpq = deltas.get(p, q)
-        dqp = deltas.get(q, p)
-        t10 = penalty if dpq is FORBIDDEN else dpq
-        t01 = penalty if dqp is FORBIDDEN else dqp
-        if t10 == 0.0 and t01 == 0.0:
+        gp, gq = group[p], group[q]
+        t10, t01 = deltas.get(p, q), deltas.get(q, p)
+        if gp == gq or (t10 == 0.0 and t01 == 0.0):
             continue
-        pairwise[(index[p], index[q])] = (0.0, t01, t10, 0.0)
-    energy = qpbo.BinaryEnergy(len(involved), pairwise=pairwise)
-    labels = qpbo.minimize(energy, (0,) * len(involved), seed=seed)
-    full = [0] * problem.d
-    for p in involved:
-        full[p] = labels[index[p]]
-    for p, q in combinations(range(problem.d), 2):
-        if (full[p] and not full[q] and deltas.get(p, q) is FORBIDDEN) or (
-            full[q] and not full[p] and deltas.get(q, p) is FORBIDDEN
-        ):
-            outcome = (0,) * problem.d, 0.0
-            break
-    else:
-        outcome = tuple(full), qpbo.evaluate(energy, labels)
+        if gp > gq:
+            gp, gq, t10, t01 = gq, gp, t01, t10
+        _, s01, s10, _ = pairwise.get((gp, gq), (0.0, 0.0, 0.0, 0.0))
+        pairwise[(gp, gq)] = (0.0, s01 + t01, s10 + t10, 0.0)
+    energy = qpbo.BinaryEnergy(len(variable), pairwise=pairwise)
+    labels = qpbo.minimize(energy, (0,) * energy.n, seed=seed)
+    bits = tuple(labels[group[p]] if p in group else 0 for p in range(problem.d))
+    outcome = bits, qpbo.evaluate(energy, labels)
     if not qpbo.depends_on_seed(energy):
         deltas.best = outcome
     return outcome

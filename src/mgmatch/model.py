@@ -193,7 +193,7 @@ class MgmProblem:
     transparent. The instance is immutable after construction.
     """
 
-    __slots__ = ("sizes", "costs", "_total_abs")
+    __slots__ = ("sizes", "costs")
 
     def __init__(
         self,
@@ -224,7 +224,6 @@ class MgmProblem:
                     )
                 full[(p, q)] = table
         self.costs = full
-        self._total_abs = None
 
     @property
     def d(self) -> int:
@@ -264,16 +263,6 @@ class MgmProblem:
                 yield (b, a), value
         else:
             yield from table.partners((i, s))
-
-    def total_abs_cost(self) -> float:
-        """Sum of absolute finite costs; used to scale forbidden-move penalties."""
-        if self._total_abs is None:
-            total = 0.0
-            for table in self.costs.values():
-                total += sum(abs(v) for v in table.linear.values())
-                total += sum(abs(v) for v in table.quadratic.values())
-            self._total_abs = total
-        return self._total_abs
 
     def restrict(self, objects: Sequence[int]) -> "MgmProblem":
         """Sub-problem over the given objects, renumbered to 0..len(objects)-1."""

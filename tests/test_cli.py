@@ -164,6 +164,14 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         assert main([str(tmp_path / "nope.dd")]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--output"], ["--trace"], ["--mode", "reduce", "--output"]]
+    )
+    def test_unwritable_result_path(self, t3_file, tmp_path, capsys, flags):
+        target = tmp_path / "missing" / "x"
+        assert main([str(t3_file), *flags, str(target)]) == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+
     def test_parse_failure(self, tmp_path):
         bad = tmp_path / "bad.dd"
         bad.write_text("this is not a problem\n")

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mgmatch.gm import Effort, solve_gm
 from mgmatch.local_search import (
@@ -139,7 +142,52 @@ class TestSwapDeltas:
                 samples += 1
 
 
+@st.composite
+def feasible_cases(draw):
+    """A tiny problem with forbidden matches, a feasible partition of it
+    (random_partition with conflicting vertices split off as singletons)
+    and a generator for the test's own choices."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 5))
+    forbidden = draw(st.sampled_from([0.3, 0.6, 0.85]))
+    problem = random_problem(rng, d, 3, forbidden_frac=forbidden)
+    cliques = []
+    for clique in random_partition(rng, problem).cliques:
+        kept = {}
+        for p, v in sorted(clique.pairs):
+            if all(problem.linear_cost(q, p, w, v) is not FORBIDDEN for q, w in kept.items()):
+                kept[p] = v
+            else:
+                cliques.append(Clique({p: v}))
+        cliques.append(Clique(kept))
+    return problem, CliquePartition(cliques), rng
+
+
 class TestBestMultiswap:
+    @given(feasible_cases())
+    def test_contracted_minimum_is_exact(self, case):
+        """The predicted change is the least objective change over joint
+        swaps whose result has no forbidden match (0 if none improves), and
+        applying the returned bits realizes it."""
+        problem, solution, rng = case
+        base = objective(problem, solution)
+        for first, second in combinations(sorted(solution.cliques), 2):
+            involved = sorted(set(first.objects()) | set(second.objects()))
+            best = 0.0
+            for chosen in product((0, 1), repeat=len(involved)):
+                bits = [0] * problem.d
+                for p, bit in zip(involved, chosen):
+                    bits[p] = bit
+                value = objective(problem, apply_multiswap(solution, first, second, bits))
+                if value is not FORBIDDEN:
+                    best = min(best, value - base)
+            bits, predicted = best_multiswap(
+                problem, solution, first, second, seed=rng.randrange(100)
+            )
+            assert predicted == pytest.approx(best, abs=1e-9)
+            after = objective(problem, apply_multiswap(solution, first, second, bits))
+            assert after - base == pytest.approx(predicted, abs=1e-9)
+
     def test_t3_no_profitable_swap(self, t3):
         solution = part({0: 0, 1: 0}, {2: 0}, {0: 1, 1: 1})
         bits, predicted = best_multiswap(

@@ -10,7 +10,12 @@ from mgmatch.qpbo import (
     roof_duality_labels,
 )
 
-from oracles import brute_force_energy, chain_energy_min, energy_value
+from oracles import (
+    brute_force_energy,
+    brute_force_energy_min,
+    chain_energy_min,
+    energy_value,
+)
 
 
 def swap_pair_energy(deltas):
@@ -92,36 +97,59 @@ class TestMinimize:
     def test_never_worsens(self):
         rng = random.Random(11)
         for _ in range(150):
-            n = rng.randint(1, 16)
+            n = rng.randint(1, EXACT_ENUMERATION_LIMIT + 4)
             e = random_energy(rng, n)
             init = tuple(rng.randint(0, 1) for _ in range(n))
             x = minimize(e, init, seed=rng.randrange(1000))
             assert evaluate(e, x) <= evaluate(e, init) + 1e-12
 
     def test_exact_below_enumeration_limit(self):
+        # Enumeration runs in blocks of 2^12 labelings: n > 12 spans blocks.
         rng = random.Random(13)
-        for _ in range(60):
-            n = rng.randint(1, EXACT_ENUMERATION_LIMIT)
-            e = random_energy(rng, n)
-            init = tuple(rng.randint(0, 1) for _ in range(n))
-            best, _ = brute_force_energy(e)
-            x = minimize(e, init, seed=0)
-            assert evaluate(e, x) == pytest.approx(best, abs=1e-9)
+        for n in range(1, EXACT_ENUMERATION_LIMIT + 1):
+            for density in (0.3, 1.0):
+                e = random_energy(rng, n, density=density)
+                init = tuple(rng.randint(0, 1) for _ in range(n))
+                x = minimize(e, init, seed=0)
+                assert evaluate(e, x) == pytest.approx(brute_force_energy_min(e), abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, EXACT_ENUMERATION_LIMIT + 1))
+    def test_ties_keep_init(self, n):
+        """Integer costs make many labelings tie; the result is exact, and
+        init comes back whenever no labeling is strictly lower."""
+        rng = random.Random(37 + n)
+        unary = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(n)]
+        pairwise = {
+            (p, q): tuple(rng.randint(-1, 1) for _ in range(4))
+            for p in range(n)
+            for q in range(p + 1, n)
+            if rng.random() < 0.5
+        }
+        e = BinaryEnergy(n, unary, pairwise)
+        best = brute_force_energy_min(e)
+        init = tuple(rng.randint(0, 1) for _ in range(n))
+        x = minimize(e, init, seed=0)
+        assert evaluate(e, x) == best
+        assert minimize(e, x, seed=0) == x  # nothing is strictly below x
+        # Agreement-only couplings: all-ones ties with all-zeros, the
+        # first labeling enumerated, and must be kept.
+        agree = BinaryEnergy(n, pairwise={(p, p + 1): (0, 1, 1, 0) for p in range(n - 1)})
+        assert minimize(agree, (1,) * n, seed=0) == (1,) * n
 
     def test_submodular_exact_above_limit(self):
         rng = random.Random(17)
-        for _ in range(15):
-            n = rng.randint(13, 15)
+        for _ in range(9):
+            n = rng.randint(EXACT_ENUMERATION_LIMIT + 1, EXACT_ENUMERATION_LIMIT + 3)
             e = random_energy(rng, n, density=0.4, submodular=True)
             init = tuple(rng.randint(0, 1) for _ in range(n))
-            best, _ = brute_force_energy(e)
             x = minimize(e, init, seed=0)
-            assert evaluate(e, x) == pytest.approx(best, abs=1e-9)
+            assert evaluate(e, x) == pytest.approx(brute_force_energy_min(e), abs=1e-9)
 
     def test_deterministic(self):
         rng = random.Random(19)
-        e = random_energy(rng, 15)
-        init = tuple(rng.randint(0, 1) for _ in range(15))
+        n = EXACT_ENUMERATION_LIMIT + 3  # the seeded roof-duality path
+        e = random_energy(rng, n)
+        init = tuple(rng.randint(0, 1) for _ in range(n))
         assert minimize(e, init, seed=7) == minimize(e, init, seed=7)
 
 
@@ -156,7 +184,7 @@ class TestRoofDuality:
         rng = random.Random(31)
         checked = 0
         for _ in range(60):
-            n = rng.randint(13, 17)
+            n = rng.randint(EXACT_ENUMERATION_LIMIT + 1, EXACT_ENUMERATION_LIMIT + 3)
             e = random_energy(rng, n, density=0.5)
             if e.is_submodular():
                 continue
