@@ -63,7 +63,7 @@ from .model import (
     singleton_partition,
     validate,
 )
-from .qpbo import BinaryEnergy, evaluate, minimize, roof_duality_labels
+from .qpbo import BinaryEnergy, evaluate, minimize
 from .reduction import (
     CompleteProblem,
     CompletenessError,

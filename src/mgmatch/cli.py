@@ -86,26 +86,31 @@ class RunConfig:
 
 
 def _parse_sync_mode(text: str) -> tuple[str, float | None]:
+    """dense, sparse, soft or soft:<alpha>; nothing else."""
     if text in ("dense", "sparse"):
         return text, None
-    if text.startswith("soft"):
-        _, _, raw = text.partition(":")
-        alpha = float(raw) if raw else 1.0
-        if not 0 < alpha < math.inf:
-            raise ValueError(f"soft mode needs a finite alpha > 0, got {raw!r}")
-        return "soft", alpha
-    raise ValueError(f"unknown sync mode {text!r}")
+    if text == "soft":
+        return "soft", 1.0
+    kind, _, raw = text.partition(":")
+    if kind != "soft" or not raw:
+        raise ValueError(f"unknown --sync-mode {text!r}: use dense, sparse or soft:<alpha>")
+    try:
+        alpha = float(raw)
+    except ValueError:
+        alpha = math.nan
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"--sync-mode soft needs a finite alpha > 0, got {raw!r}")
+    return "soft", alpha
 
 
 def _parse_construction(text: str) -> tuple[str, int | None]:
+    """seq, par or inc:<size>; nothing else."""
     if text in ("seq", "par"):
         return text, None
-    if text.startswith("inc"):
-        _, _, raw = text.partition(":")
-        if not raw:
-            raise ValueError("incremental construction needs a size, e.g. inc:5")
-        return "inc", int(raw)
-    raise ValueError(f"unknown construction {text!r}")
+    kind, _, raw = text.partition(":")
+    if kind != "inc" or not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"unknown --construction {text!r}: use seq, par or inc:<size>")
+    return "inc", int(raw)
 
 
 def _shuffled_order(d: int, seed: int) -> list[int]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Any, Union
 
@@ -273,10 +274,12 @@ def write_solution(solution: CliquePartition, metadata: dict[str, Any] | None = 
 def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> SolutionDocument:
     """Parse a solution document; with a problem, check it against the problem.
 
-    Given a problem, a partition with an out-of-range or repeated vertex
-    raises ParseError. A stored objective differing from the recomputed
-    one by more than 1e-9 is surfaced as a warning on the returned
-    document, not an error.
+    Metadata that is not a JSON object, or a stored objective that is
+    neither a finite number nor "forbidden", raises ParseError. Given a
+    problem, a partition with an out-of-range or repeated vertex raises
+    ParseError too. A stored objective differing from the recomputed one
+    by more than 1e-9 is surfaced as a warning on the returned document,
+    not an error.
     """
     text = _as_text(source)
     try:
@@ -293,10 +296,16 @@ def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> Sol
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"malformed clique list: {exc}") from None
-    document = SolutionDocument(
-        partition=CliquePartition(cliques),
-        metadata=dict(doc.get("metadata") or {}),
-    )
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError(1, "metadata is not a JSON object")
+    stored = metadata.get("objective", "forbidden")  # absent: nothing to check
+    # A finite float or an int within float range; bool is not a number here.
+    if stored != "forbidden" and not (
+        type(stored) in (int, float) and abs(stored) <= sys.float_info.max
+    ):
+        raise ParseError(1, f"stored objective {stored!r} is neither a number nor 'forbidden'")
+    document = SolutionDocument(partition=CliquePartition(cliques), metadata=dict(metadata))
     if problem is None:
         return document
     try:
@@ -311,7 +320,7 @@ def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> Sol
                 document.warnings.append(
                     f"stored objective {stored!r} does not match recomputed {actual!r}"
                 )
-        elif stored is None or abs(stored - actual) > 1e-9:
+        elif abs(stored - actual) > 1e-9:
             document.warnings.append(
                 f"stored objective {stored!r} does not match recomputed {actual!r}"
             )

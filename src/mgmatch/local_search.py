@@ -126,10 +126,12 @@ class SwapDeltaMatrix:
 
     get(p, q) is the change restricted to objects p and q when the swap
     fixing p is performed alone; Forbidden marks swaps that would create
-    a disallowed match. Row sums equal the exact objective change of the
-    corresponding single swap. ``entries`` holds the matrix row-major,
-    with +inf for Forbidden (costs are finite, so deltas are too); it is
-    compact because swap local search keeps many matrices alive.
+    a disallowed match. The matrix is symmetric: swapping q alone puts the
+    same two assignments into the two cliques, in the other clique order.
+    Row sums equal the exact objective change of the corresponding single
+    swap. ``entries`` holds the matrix row-major, with +inf for Forbidden
+    (costs are finite, so deltas are too); it is compact because swap
+    local search keeps many matrices alive.
 
     ``owners`` holds the two cliques and every clique owning a vertex the
     quadratic terms were looked up for; while all of them are still in
@@ -184,10 +186,10 @@ def swap_deltas(
             partners.append((value, kp, kq))
         return table.linear.get((vp, vq), FORBIDDEN), partners
 
-    def contrib(x, y, flip_p, flip_q, interaction):
+    def contrib(x, y, flip_p, interaction):
         """Objective terms on the object pair that involve assignments x, y.
 
-        flip_p/flip_q apply a single swap on p/q to the looked-up cliques.
+        flip_p applies a single swap on p to the looked-up cliques.
         """
         total = 0.0
         for side in (x, y):
@@ -200,8 +202,6 @@ def swap_deltas(
                 for value, kp, kq in side[1]:
                     if flip_p:
                         kp = exchanged.get(kp, kp)
-                    if flip_q:
-                        kq = exchanged.get(kq, kq)
                     if kp is not None and kp == kq:
                         total += value
         if interaction is not None:
@@ -209,10 +209,9 @@ def swap_deltas(
             total -= interaction
         return total
 
-    # One evaluation per object pair p < q: before(q, p) would sum the same
-    # terms in the same order as before(p, q), and a swap of q alone gives
-    # the same assignments as one of p, in the other clique order. Objects
-    # neither clique covers contribute nothing; their entries stay 0.
+    # One evaluation per object pair p < q, written to both entries: the
+    # matrix is symmetric. Objects neither clique covers contribute
+    # nothing; their entries stay 0.
     involved = sorted(set(first.objects()) | set(second.objects()))
     for p, q in combinations(involved, 2):
         table = problem.costs[(p, q)]
@@ -223,17 +222,15 @@ def swap_deltas(
         moved_b = assignment(table, p, q, ap, bq)  # second after swapping p
         full = None not in (ap, aq, bp, bq)
         before = contrib(
-            kept_a, kept_b, False, False,
-            table.quad_get((ap, aq), (bp, bq)) if full else None,
+            kept_a, kept_b, False, table.quad_get((ap, aq), (bp, bq)) if full else None
         )
-        cross = table.quad_get((bp, aq), (ap, bq)) if full else None
-        after_p = contrib(moved_a, moved_b, True, False, cross)
-        after_q = contrib(moved_b, moved_a, False, True, cross)
-        for row, col, after in ((p, q, after_p), (q, p, after_q)):
-            if before is FORBIDDEN or after is FORBIDDEN:
-                entries[row * d + col] = math.inf
-            else:
-                entries[row * d + col] = after - before
+        after = contrib(
+            moved_a, moved_b, True, table.quad_get((bp, aq), (ap, bq)) if full else None
+        )
+        if before is FORBIDDEN or after is FORBIDDEN:
+            entries[p * d + q] = entries[q * d + p] = math.inf
+        else:
+            entries[p * d + q] = entries[q * d + p] = after - before
     owners = None
     if None not in read:
         owners = tuple(solution.cliques[k] for k in read)
@@ -302,8 +299,9 @@ def best_multiswap(
     (0,0) and (1,1) entries are 0), tables between groups add up, and no
     penalty is needed; minimizing from no-swap is exact up to
     qpbo.EXACT_ENUMERATION_LIMIT groups. A single group is the pruned case.
-    Returns the bit vector over all objects and the predicted objective
-    change (0 for no-swap).
+    The delta matrix is symmetric, so each table between groups is
+    (0, w, w, 0). Returns the bit vector over all objects and the
+    predicted objective change (0 for no-swap).
 
     ``deltas`` are this pair's swap deltas in ``solution`` when the caller
     has them. When the minimization did not depend on the seed, the
@@ -321,14 +319,12 @@ def best_multiswap(
     group = {p: variable[label[p]] for p in involved}
     pairwise = {}
     for p, q in combinations(involved, 2):
-        gp, gq = group[p], group[q]
-        t10, t01 = deltas.get(p, q), deltas.get(q, p)
-        if gp == gq or (t10 == 0.0 and t01 == 0.0):
+        gp, gq = sorted((group[p], group[q]))
+        w = deltas.get(p, q)
+        if gp == gq or w == 0.0:
             continue
-        if gp > gq:
-            gp, gq, t10, t01 = gq, gp, t01, t10
-        _, s01, s10, _ = pairwise.get((gp, gq), (0.0, 0.0, 0.0, 0.0))
-        pairwise[(gp, gq)] = (0.0, s01 + t01, s10 + t10, 0.0)
+        _, total, _, _ = pairwise.get((gp, gq), (0.0, 0.0, 0.0, 0.0))
+        pairwise[(gp, gq)] = (0.0, total + w, total + w, 0.0)
     energy = qpbo.BinaryEnergy(len(variable), pairwise=pairwise)
     labels = qpbo.minimize(energy, (0,) * energy.n, seed=seed)
     bits = tuple(labels[group[p]] if p in group else 0 for p in range(problem.d))

@@ -6,9 +6,10 @@ Provides the multi-swap optimizer: energies of the form
 
 ``minimize`` never returns a labeling worse than its initializer. Up to 16
 variables it enumerates the energy as a quadratic form; beyond, submodular
-instances are cut exactly by one max-flow, and the general case gets roof
-duality on the doubled network plus improve sweeps over unlabeled variables.
-Swap energies come contracted over forbidden swaps, with no penalty terms.
+instances are cut exactly by one max-flow and the general case gets greedy
+improve sweeps from the initializer. Swap energies come contracted over
+forbidden swaps, with no penalty terms. Roof duality is not used: on these
+frustrated energies it finds no persistent labels (Rother et al. 2007).
 """
 
 from __future__ import annotations
@@ -167,35 +168,23 @@ class _FlowNetwork:
         return seen
 
 
-def _decompose(energy: BinaryEnergy):
-    """Split into per-variable coefficients and pure pairwise interactions.
+def _solve_submodular(energy: BinaryEnergy) -> list[int]:
+    """Exact minimizer of a submodular energy via one s-t min cut.
 
     Each table (A, B, C, D) becomes A + (C-A) x_p + (B-A) x_q + g x_p x_q
-    with g = A + D - B - C. A submodular interaction (g <= 0) is rewritten
-    as g x_p + (-g) x_p (1-x_q); constants are dropped throughout.
+    with g = A + D - B - C <= 0, rewritten as g x_p + (-g) x_p (1-x_q), an
+    edge q -> p; constants are dropped throughout.
     """
+    n = energy.n
     u0 = [a for a, _ in energy.unary]
     u1 = [b for _, b in energy.unary]
-    sub_terms: list[tuple[int, int, float]] = []  # coef * x_p * (1 - x_q)
-    nonsub_terms: list[tuple[int, int, float]] = []  # coef * x_p * x_q
+    edges = []
     for (p, q), (t00, t01, t10, t11) in energy.pairwise.items():
         g = t00 + t11 - t01 - t10
         u1[p] += t10 - t00
+        u1[p] += g
         u1[q] += t01 - t00
-        if g <= 0:
-            u1[p] += g
-            if g < 0:
-                sub_terms.append((p, q, -g))
-        else:
-            nonsub_terms.append((p, q, g))
-    return u0, u1, sub_terms, nonsub_terms
-
-
-def _solve_submodular(energy: BinaryEnergy) -> list[int]:
-    """Exact minimizer of a submodular energy via one s-t min cut."""
-    u0, u1, sub_terms, nonsub = _decompose(energy)
-    assert not nonsub
-    n = energy.n
+        edges.append((q, p, -g))
     source, sink = n, n + 1
     net = _FlowNetwork(n + 2)
     for p in range(n):
@@ -204,50 +193,11 @@ def _solve_submodular(energy: BinaryEnergy) -> list[int]:
             net.add_edge(source, p, u1[p] - base)
         if u0[p] - base > 0:
             net.add_edge(p, sink, u0[p] - base)
-    for p, q, coef in sub_terms:
-        net.add_edge(q, p, coef)
+    for edge in edges:
+        net.add_edge(*edge)
     net.max_flow(source, sink)
     seen = net.reachable(source)
     return [0 if seen[p] else 1 for p in range(n)]
-
-
-def roof_duality_labels(energy: BinaryEnergy) -> list[int | None]:
-    """Partial labeling from roof duality on the doubled network.
-
-    Every variable owns two nodes (itself and its negation); terms are
-    charged half to each copy. Variables whose copies end up on opposite
-    sides of the min cut receive a persistent label, the rest stay None.
-    """
-    n = energy.n
-    u0, u1, sub_terms, nonsub_terms = _decompose(energy)
-    source, sink = 2 * n, 2 * n + 1
-    twin = lambda p: n + p
-    net = _FlowNetwork(2 * n + 2)
-    for p in range(n):
-        base = min(u0[p], u1[p])
-        c1 = u1[p] - base
-        c0 = u0[p] - base
-        if c1 > 0:
-            net.add_edge(source, p, c1 / 2)
-            net.add_edge(twin(p), sink, c1 / 2)
-        if c0 > 0:
-            net.add_edge(p, sink, c0 / 2)
-            net.add_edge(source, twin(p), c0 / 2)
-    for p, q, coef in sub_terms:  # coef * x_p * (1 - x_q)
-        net.add_edge(q, p, coef / 2)
-        net.add_edge(twin(p), twin(q), coef / 2)
-    for p, q, coef in nonsub_terms:  # coef * x_p * x_q
-        net.add_edge(twin(q), p, coef / 2)
-        net.add_edge(twin(p), q, coef / 2)
-    net.max_flow(source, sink)
-    seen = net.reachable(source)
-    labels: list[int | None] = [None] * n
-    for p in range(n):
-        if seen[p] and not seen[twin(p)]:
-            labels[p] = 0
-        elif not seen[p] and seen[twin(p)]:
-            labels[p] = 1
-    return labels
 
 
 @functools.cache
@@ -259,9 +209,10 @@ def _low_bits(k: int) -> np.ndarray:
 
 
 def _enumerate_minimize(energy: BinaryEnergy, init: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact minimizer of E(x) = u.x + x'Gx (_decompose's split, constant
-    dropped) over blocks of the 2^k labelings of the k low bits: their
-    energies once, then one matrix-vector product per high-bit assignment."""
+    """Exact minimizer of E(x) = u.x + x'Gx (_solve_submodular's split,
+    constant dropped) over blocks of the 2^k labelings of the k low bits:
+    their energies once, then one matrix-vector product per high-bit
+    assignment."""
     n = energy.n
     u = np.array([b - a for a, b in energy.unary])
     G = np.zeros((n, n))
@@ -295,8 +246,8 @@ def _flip_delta(energy: BinaryEnergy, x: list[int], p: int, neighbors) -> float:
 
 
 def depends_on_seed(energy: BinaryEnergy) -> bool:
-    """Whether minimize's result can depend on its seed: only the roof
-    duality path, for large non-submodular energies, uses it."""
+    """Whether minimize's result can depend on its seed: only the
+    improve-sweep path, for large non-submodular energies, uses it."""
     return energy.n > EXACT_ENUMERATION_LIMIT and not energy.is_submodular()
 
 
@@ -305,9 +256,9 @@ def minimize(energy: BinaryEnergy, init: Sequence[int], seed: int = 0) -> tuple[
 
     For n <= EXACT_ENUMERATION_LIMIT every labeling is enumerated, and
     ``init`` is returned unless a labeling is strictly lower; otherwise
-    submodular energies are cut exactly and general ones get roof-duality
-    labels plus greedy improve sweeps (ties resolved toward label 0) over
-    the variables roof duality left open. Deterministic for a fixed seed.
+    submodular energies are cut exactly and general ones get greedy
+    improve sweeps from ``init`` over all variables in a seeded shuffle
+    (ties resolved toward label 0). Deterministic for a fixed seed.
     Swap energies arrive contracted, with no penalty tables.
     """
     if len(init) != energy.n:
@@ -321,14 +272,12 @@ def minimize(energy: BinaryEnergy, init: Sequence[int], seed: int = 0) -> tuple[
         candidate = tuple(_solve_submodular(energy))
         return candidate if evaluate(energy, candidate) < evaluate(energy, init) else init
 
-    labels = roof_duality_labels(energy)
-    x = [labels[p] if labels[p] is not None else init[p] for p in range(energy.n)]
-    free = [p for p in range(energy.n) if labels[p] is None]
+    x = list(init)
     neighbors: list[list] = [[] for _ in range(energy.n)]
     for (p, q), table in energy.pairwise.items():
         neighbors[p].append((q, table, True))
         neighbors[q].append((p, table, False))
-    order = list(free)
+    order = list(range(energy.n))
     random.Random(seed).shuffle(order)
     changed = True
     while changed:

@@ -235,6 +235,8 @@ class TestErrors:
         with pytest.raises(ValueError):
             RunConfig(mode="full", initial_path="start.json")
         assert RunConfig(mode="ls", initial_path="start.json").initial_path == "start.json"
+        assert RunConfig(mode="sync", sync_mode="soft").sync_alpha == 1.0
+        assert RunConfig(construction="inc:12").warm_start == 12
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_non_positive_time_limit(self, t3_file, tmp_path, capsys, limit):
@@ -248,6 +250,30 @@ class TestErrors:
         bad.write_text("gm 0 1\np -1 2 0 0\n")
         assert main([str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--sync-mode", "softer"],
+            ["--sync-mode", "soft:"],
+            ["--sync-mode", "soft:x"],
+            ["--construction", "incr:2"],
+            ["--construction", "inc:x"],
+            ["--construction", "inc:"],
+        ],
+    )
+    def test_misspelt_algorithm_flag(self, t3_file, tmp_path, capsys, flag):
+        out = tmp_path / "sol.json"
+        assert main([str(t3_file), "--mode", "sync", *flag, "--output", str(out)]) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_initial_malformed_metadata(self, t3_file, tmp_path, capsys):
+        initial = tmp_path / "init.json"
+        doc = {"format": "mgm-solution", "version": 1, "cliques": [], "metadata": "abc"}
+        initial.write_text(json.dumps(doc))
+        assert main([str(t3_file), "--mode", "ls", "--initial", str(initial)]) == 2
+        assert "metadata is not a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("metadata", [{}, {"objective": -1.0}])
     def test_initial_vertex_out_of_range(self, t3_file, tmp_path, capsys, metadata):

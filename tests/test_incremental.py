@@ -78,6 +78,7 @@ class TestPruning:
 
             def forbidden(p, q):
                 assert (deltas.get(p, q) is FORBIDDEN) == (deltas.get(q, p) is FORBIDDEN)
+                assert deltas.get(p, q) == deltas.get(q, p)  # one delta per pair
                 return deltas.get(p, q) is FORBIDDEN
 
             pruned = swaps_all_forbidden(problem, first, second)

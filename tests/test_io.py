@@ -209,6 +209,17 @@ class TestSolutionDocuments:
         with pytest.raises(ParseError):
             parse_solution(text, problem=t3)
 
+    @pytest.mark.parametrize(
+        "metadata",
+        [[1, 2], "abc", None, {"objective": "abc"}, {"objective": [1]},
+         {"objective": None}, {"objective": True}, {"objective": 10**400}],
+    )
+    def test_malformed_metadata(self, t3, metadata):
+        doc = {"format": "mgm-solution", "version": 1, "cliques": [[[0, 0]]],
+               "metadata": metadata}
+        with pytest.raises(ParseError):
+            parse_solution(json.dumps(doc), problem=t3)
+
     def test_two_vertices_of_one_object_in_a_clique(self):
         doc = {"format": "mgm-solution", "version": 1, "cliques": [[[0, 0], [0, 1]]]}
         with pytest.raises(ParseError):

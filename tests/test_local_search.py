@@ -25,6 +25,7 @@ from mgmatch.model import (
     PairwiseCosts,
     objective,
 )
+from mgmatch.qpbo import EXACT_ENUMERATION_LIMIT
 
 from conftest import part
 from oracles import brute_force_mgm, random_partition, random_problem
@@ -151,16 +152,22 @@ def feasible_cases(draw):
     d = draw(st.integers(2, 5))
     forbidden = draw(st.sampled_from([0.3, 0.6, 0.85]))
     problem = random_problem(rng, d, 3, forbidden_frac=forbidden)
-    cliques = []
-    for clique in random_partition(rng, problem).cliques:
+    return problem, split_conflicts(problem, random_partition(rng, problem).cliques), rng
+
+
+def split_conflicts(problem, cliques):
+    """The cliques with every vertex that has a forbidden match to an
+    earlier member split off as a singleton: a feasible partition."""
+    feasible = []
+    for clique in cliques:
         kept = {}
         for p, v in sorted(clique.pairs):
             if all(problem.linear_cost(q, p, w, v) is not FORBIDDEN for q, w in kept.items()):
                 kept[p] = v
             else:
-                cliques.append(Clique({p: v}))
-        cliques.append(Clique(kept))
-    return problem, CliquePartition(cliques), rng
+                feasible.append(Clique({p: v}))
+        feasible.append(Clique(kept))
+    return CliquePartition(feasible)
 
 
 class TestBestMultiswap:
@@ -232,6 +239,42 @@ class TestBestMultiswap:
                 if value is not FORBIDDEN:
                     best = min(best, value - base)
             assert predicted == pytest.approx(best, abs=1e-9)
+
+    def test_swept_above_enumeration_limit(self):
+        """With more than qpbo.EXACT_ENUMERATION_LIMIT contracted groups the
+        energy gets seeded improve sweeps: the predicted change is realized
+        and never positive, and the seed-dependent outcome is not memoized.
+        random_partition's cliques cover too few objects to get there, so
+        the solution is two wide random cliques with conflicts split off."""
+        rng = random.Random(41)
+        checked = 0
+        for d in range(17, 21):
+            problem = random_problem(rng, d, 3, forbidden_frac=0.01, min_size=2)
+            wide = [{}, {}]
+            for p in range(d):
+                for clique, v in zip(wide, rng.sample(range(problem.sizes[p]), 2)):
+                    clique[p] = v
+            solution = split_conflicts(problem, [Clique(c) for c in wide])
+            base = objective(problem, solution)
+            for first, second in combinations(sorted(solution.cliques), 2):
+                deltas = swap_deltas(problem, solution, first, second)
+                involved = sorted(set(first.objects()) | set(second.objects()))
+                group = {p: p for p in involved}
+                for p, q in combinations(involved, 2):
+                    if deltas.get(p, q) is FORBIDDEN:
+                        old, new = group[q], group[p]
+                        group = {r: new if g == old else g for r, g in group.items()}
+                if len(set(group.values())) <= EXACT_ENUMERATION_LIMIT:
+                    continue
+                bits, predicted = best_multiswap(
+                    problem, solution, first, second, seed=rng.randrange(100), deltas=deltas
+                )
+                after = objective(problem, apply_multiswap(solution, first, second, bits))
+                assert after - base == pytest.approx(predicted, abs=1e-9)
+                assert predicted <= 0.0
+                assert deltas.best is None
+                checked += 1
+        assert checked > 0
 
     def test_predicted_never_positive(self):
         rng = random.Random(23)

@@ -7,7 +7,6 @@ from mgmatch.qpbo import (
     BinaryEnergy,
     evaluate,
     minimize,
-    roof_duality_labels,
 )
 
 from oracles import (
@@ -147,56 +146,10 @@ class TestMinimize:
 
     def test_deterministic(self):
         rng = random.Random(19)
-        n = EXACT_ENUMERATION_LIMIT + 3  # the seeded roof-duality path
+        n = EXACT_ENUMERATION_LIMIT + 3  # the seeded improve-sweep path
         e = random_energy(rng, n)
         init = tuple(rng.randint(0, 1) for _ in range(n))
         assert minimize(e, init, seed=7) == minimize(e, init, seed=7)
-
-
-class TestRoofDuality:
-    def test_labels_agree_with_optimum_on_generic_submodular(self):
-        rng = random.Random(23)
-        hits = 0
-        for _ in range(20):
-            n = rng.randint(3, 8)
-            e = random_energy(rng, n, density=0.7, submodular=True)
-            _, argmin = brute_force_energy(e)
-            labels = roof_duality_labels(e)
-            for p, lab in enumerate(labels):
-                if lab is not None:
-                    hits += 1
-                    assert lab == argmin[p]
-        assert hits > 0
-
-    def test_autarky_never_increases_energy(self):
-        rng = random.Random(29)
-        for _ in range(80):
-            n = rng.randint(2, 10)
-            e = random_energy(rng, n, density=0.6)
-            labels = roof_duality_labels(e)
-            init = tuple(rng.randint(0, 1) for _ in range(n))
-            overwritten = tuple(
-                labels[p] if labels[p] is not None else init[p] for p in range(n)
-            )
-            assert evaluate(e, overwritten) <= evaluate(e, init) + 1e-9
-
-    def test_improve_keeps_persistent_labels(self):
-        rng = random.Random(31)
-        checked = 0
-        for _ in range(60):
-            n = rng.randint(EXACT_ENUMERATION_LIMIT + 1, EXACT_ENUMERATION_LIMIT + 3)
-            e = random_energy(rng, n, density=0.5)
-            if e.is_submodular():
-                continue
-            labels = roof_duality_labels(e)
-            init = tuple(rng.randint(0, 1) for _ in range(n))
-            x = minimize(e, init, seed=3)
-            if evaluate(e, x) < evaluate(e, init):
-                for p, lab in enumerate(labels):
-                    if lab is not None:
-                        checked += 1
-                        assert x[p] == lab
-        assert checked > 0
 
 
 class TestLongChains:
@@ -219,7 +172,7 @@ class TestLongChains:
         assert evaluate(e, x) == chain_energy_min(e) == 1.0
 
     def test_non_submodular_chain_never_worsens(self):
-        # One repulsive coupling makes the energy non-submodular (roof path).
+        # One repulsive coupling makes the energy non-submodular (sweep path).
         e = self.chain(
             lambda p: (1.0, 0.0, 0.0, 1.0) if p == self.N // 2 else (0.0, 1.0, 1.0, 0.0)
         )
