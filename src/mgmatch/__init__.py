@@ -16,8 +16,7 @@ from .construction import (
     construct_parallel,
     construct_sequential,
     merge,
-    merge_object,
-    object_clique_costs,
+    rematch,
 )
 from .gm import (
     Effort,

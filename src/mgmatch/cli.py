@@ -19,6 +19,7 @@ still written, flagged in the document metadata.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -122,14 +123,10 @@ def _shuffled_order(d: int, seed: int) -> list[int]:
 def _construct(problem, config: RunConfig, gm, seed: int, deadline, trace) -> CliquePartition:
     order = _shuffled_order(problem.d, seed)
     if config.construction_kind == "seq":
-        solution = construct_sequential(
-            problem, order, gm=gm, seed=seed, effort=config.effort, deadline=deadline
-        )
+        solution = construct_sequential(problem, order, gm=gm, seed=seed, deadline=deadline)
     elif config.construction_kind == "par":
         tree = ConstructionTree.balanced(order)
-        solution = construct_parallel(
-            problem, tree, gm=gm, seed=seed, effort=config.effort, deadline=deadline
-        )
+        solution = construct_parallel(problem, tree, gm=gm, seed=seed, deadline=deadline)
     else:
 
         def inner(sub_problem, inner_seed):
@@ -138,23 +135,12 @@ def _construct(problem, config: RunConfig, gm, seed: int, deadline, trace) -> Cl
                 _shuffled_order(sub_problem.d, inner_seed),
                 gm=gm,
                 seed=inner_seed,
-                effort=config.effort,
                 deadline=deadline,
             )
-            return alternate(
-                sub_problem, start, gm=gm, seed=inner_seed, effort=config.effort,
-                deadline=deadline,
-            )
+            return alternate(sub_problem, start, gm=gm, seed=inner_seed, deadline=deadline)
 
         solution = construct_incremental(
-            problem,
-            order,
-            min(config.warm_start, problem.d),
-            inner,
-            gm=gm,
-            seed=seed,
-            effort=config.effort,
-            deadline=deadline,
+            problem, order, config.warm_start, inner, gm=gm, seed=seed, deadline=deadline
         )
     if trace is not None:
         value = objective(problem, solution)
@@ -169,38 +155,34 @@ def _local_search(problem, solution, config: RunConfig, gm, seed, deadline, trac
         return solution
     if config.ls == "gm-par":
         return gm_local_search_parallel(
-            problem, solution, gm=gm, seed=seed,
-            effort=config.effort, deadline=deadline, trace=trace,
+            problem, solution, gm=gm, seed=seed, deadline=deadline, trace=trace,
         )
     if config.ls == "gm":
         return gm_local_search(
-            problem, solution, order=order, gm=gm, seed=seed,
-            effort=config.effort, deadline=deadline, trace=trace,
+            problem, solution, order=order, gm=gm, seed=seed, deadline=deadline, trace=trace,
         )
     if config.ls == "swap":
         return swap_local_search(
             problem, solution, seed=seed, deadline=deadline, trace=trace
         )
     return alternate(
-        problem, solution, gm=gm, order=order, seed=seed, effort=config.effort,
-        deadline=deadline, trace=trace,
+        problem, solution, gm=gm, order=order, seed=seed, deadline=deadline, trace=trace,
     )
 
 
-def run_restart(problem, config: RunConfig, run_index: int, deadline, initial=None):
+def run_restart(problem, config: RunConfig, gm, run_index: int, deadline, initial=None):
     """One pipeline restart; returns (rank, run_index, solution, trace, metrics).
 
-    The rank orders restarts: the objective, or in sync mode the
-    projection's mlap objective plus alpha per forbidden match. metrics
-    are the sync metrics, None in the other modes.
+    gm is the GM solver, gm(sub, seed). The rank orders restarts: the
+    objective, or in sync mode the projection's mlap objective plus alpha
+    per forbidden match. metrics are the sync metrics, None otherwise.
     """
-    gm = get_solver(config.gm_solver)
     seed = derive_seed(config.seed, run_index)
     trace = TraceRecorder()
     if config.mode == "sync":
         solution, metrics = synchronize(
             problem, mode=config.sync_kind, alpha=config.sync_alpha, gm=gm,
-            seed=seed, effort=config.effort, deadline=deadline, trace=trace,
+            seed=seed, deadline=deadline, trace=trace,
         )
         rank = metrics.mlap_objective + (config.sync_alpha or 0.0) * metrics.forbidden_count
         return rank, run_index, solution, trace, metrics
@@ -241,15 +223,26 @@ def run(config: RunConfig) -> int:
             return 2
         return 0
 
+    if config.mode in ("construct", "full") and config.warm_start is not None:
+        if not 2 <= config.warm_start <= problem.d:
+            print(
+                f"error: --construction {config.construction}: the warm-start size "
+                f"must lie in [2, {problem.d}]", file=sys.stderr,
+            )
+            return 2
+
     deadline = None if config.time_limit is None else started + config.time_limit
     initial = None
     if config.initial_path is not None:
         try:
             with open(config.initial_path, "rb") as handle:
-                initial = mgm_io.parse_solution(handle, problem).partition
+                document = mgm_io.parse_solution(handle, problem)
         except (OSError, mgm_io.ParseError) as exc:
             print(f"error: cannot read initial solution: {exc}", file=sys.stderr)
             return 2
+        for warning in document.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        initial = document.partition
 
     metadata: dict = {
         "mode": config.mode,
@@ -259,21 +252,20 @@ def run(config: RunConfig) -> int:
     }
     results = []
     try:
+        gm = functools.partial(get_solver(config.gm_solver), effort=config.effort)
         for run_index in range(config.runs):
             # The first restart always runs; later ones only before the deadline.
             if results and deadline is not None and time.monotonic() >= deadline:
                 break
-            results.append(run_restart(problem, config, run_index, deadline, initial))
+            results.append(run_restart(problem, config, gm, run_index, deadline, initial))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     value, _, solution, trace, metrics = _best_restart(results)
     if config.mode == "sync":
         if config.sync_post_ls:
-            gm = get_solver(config.gm_solver)
             improved = alternate(
-                problem, solution, gm=gm, seed=derive_seed(config.seed, 777),
-                effort=config.effort, deadline=deadline,
+                problem, solution, gm=gm, seed=derive_seed(config.seed, 777), deadline=deadline
             )
             metadata["mgm_objective_post_ls"] = mgm_io._cost_to_json(
                 objective(problem, improved)

@@ -1,9 +1,10 @@
 """Feasible solution construction.
 
-Solutions are built by repeatedly matching two partial solutions (or one
-object against a partial solution) with a pairwise GM solver and merging
-matched cliques. The sequential variant walks a random object order; the
-tree variant combines partial solutions along a binary construction tree,
+Solutions are built by repeatedly matching two partial solutions with a
+pairwise GM solver, called as gm(sub, seed), and merging matched cliques.
+rematch is the one-object step, shared with GM local search. The
+sequential variant chains it along a random object order; the tree
+variant combines partial solutions along a binary construction tree,
 bottom-up; the incremental variant warm-starts the chain with a stronger
 solver on a prefix of the objects.
 
@@ -20,7 +21,7 @@ import hashlib
 import time
 from typing import Callable, Sequence
 
-from .gm import Effort, GmMatching, GmSolver, solve_gm
+from .gm import GmMatching, GmSolver, solve_gm
 from .model import (
     Clique,
     CliquePartition,
@@ -111,22 +112,6 @@ def clique_clique_costs(
     return PairwiseCosts._trusted(len(a.cliques), len(b.cliques), linear, quadratic)
 
 
-def object_clique_costs(
-    problem: MgmProblem, p: int, partial: CliquePartition
-) -> PairwiseCosts:
-    """Matching instance between the vertices of object p and a partial solution.
-
-    The single-object special case of clique_clique_costs via singleton
-    lifting: left node i is vertex i of object p, right node l is
-    partial.cliques[l]. It goes through the module attribute, so chain
-    construction and GM local search share that one aggregation.
-    """
-    if p in partial.objects():
-        raise OverlapError(f"object {p} is already covered by the partial solution")
-    lifted = singleton_partition(problem.sizes[p], p)
-    return clique_clique_costs(problem, lifted, partial)
-
-
 def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> CliquePartition:
     """Union matched cliques, carry the unmatched ones over.
 
@@ -149,12 +134,19 @@ def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> Cliqu
     return CliquePartition(result)
 
 
-def merge_object(
-    problem: MgmProblem, p: int, partial: CliquePartition, matching: GmMatching
-) -> CliquePartition:
-    """Merge object p into a partial solution; matching pairs (vertex, clique)."""
+def rematch(
+    problem: MgmProblem, p: int, partial: CliquePartition, gm: GmSolver, seed: int
+) -> tuple[GmMatching, CliquePartition]:
+    """Match object p's vertices to the cliques of a partial solution, then merge.
+
+    Object p is lifted to singleton cliques, so the matching pairs (vertex
+    of p, index into partial.cliques). The instance comes from the module
+    attribute clique_clique_costs, which raises OverlapError when partial
+    already covers p. Returns the matching and the merged partition.
+    """
     lifted = singleton_partition(problem.sizes[p], p)
-    return merge(lifted, partial, matching)
+    matching = gm(clique_clique_costs(problem, lifted, partial), seed)
+    return matching, merge(lifted, partial, matching)
 
 
 class ConstructionTree:
@@ -254,7 +246,6 @@ def _chain(
     start: int,
     gm: GmSolver,
     seed: int,
-    effort: Effort,
     deadline: float | None,
 ) -> CliquePartition:
     """Match order[start:] onto acc one object at a time; step k is seeded by k.
@@ -262,10 +253,7 @@ def _chain(
     for k in range(start, len(order)):
         if deadline is not None and time.monotonic() >= deadline:
             break
-        p = order[k]
-        sub = object_clique_costs(problem, p, acc)
-        matching = gm(sub, derive_seed(seed, k), effort)
-        acc = merge_object(problem, p, acc, matching)
+        _, acc = rematch(problem, order[k], acc, gm, derive_seed(seed, k))
     return acc
 
 
@@ -274,13 +262,12 @@ def construct_sequential(
     order: Sequence[int] | None = None,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    effort: Effort = Effort.DEFAULT,
     deadline: float | None = None,
 ) -> CliquePartition:
     """Chain construction: start from one object, match the next one in each step."""
     order = _permutation(problem, range(problem.d) if order is None else order)
     acc = singleton_partition(problem.sizes[order[0]], order[0])
-    return _chain(problem, acc, order, 1, gm, seed, effort, deadline)
+    return _chain(problem, acc, order, 1, gm, seed, deadline)
 
 
 def construct_parallel(
@@ -288,7 +275,6 @@ def construct_parallel(
     tree: ConstructionTree,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    effort: Effort = Effort.DEFAULT,
     deadline: float | None = None,
 ) -> CliquePartition:
     """Tree construction: each internal node matches the partial solutions of
@@ -313,8 +299,7 @@ def construct_parallel(
             if deadline is not None and time.monotonic() >= deadline:
                 matching = GmMatching()
             else:
-                sub = clique_clique_costs(problem, a, b)
-                matching = gm(sub, derive_seed(seed, seq), effort)
+                matching = gm(clique_clique_costs(problem, a, b), derive_seed(seed, seq))
             solutions[id(node)] = merge(a, b, matching)
     return solution_of(tree.root)
 
@@ -326,7 +311,6 @@ def construct_incremental(
     inner: Callable[[MgmProblem, int], CliquePartition],
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    effort: Effort = Effort.DEFAULT,
     deadline: float | None = None,
 ) -> CliquePartition:
     """Warm-start the chain: solve the first s objects with a full MGM pipeline.
@@ -346,4 +330,4 @@ def construct_incremental(
     acc = CliquePartition(
         Clique({head[p]: v for p, v in clique.pairs}) for clique in inner_solution
     )
-    return _chain(problem, acc, order, s, gm, seed, effort, deadline)
+    return _chain(problem, acc, order, s, gm, seed, deadline)

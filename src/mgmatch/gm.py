@@ -9,8 +9,11 @@ augmenting paths on integer node indices, quadratic ones by a heuristic
 that starts from the linear optimum and improves with matching moves and
 fusion of candidate matchings. Moves are priced by gains: each allowed
 assignment's quadratic cost to the current matching, kept up to date as
-moves are applied. Solvers are registered by name so stronger
-implementations can be plugged in.
+moves are applied. The pipeline calls a solver as gm(sub, seed)
+(GmSolver), so the solver carries its effort, as in
+functools.partial(solve_gm, effort=Effort.FAST). Solvers are registered
+by name so stronger implementations can be plugged in; the CLI binds
+--gm-effort to the registered one by keyword.
 """
 
 from __future__ import annotations
@@ -415,16 +418,18 @@ def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT)
     return matching
 
 
-GmSolver = Callable[[PairwiseCosts, int, Effort], GmMatching]
+# The pipeline's GM subroutine, gm(sub, seed); effort is bound in beforehand.
+GmSolver = Callable[[PairwiseCosts, int], GmMatching]
 
-_REGISTRY: dict[str, GmSolver] = {}
+_REGISTRY: dict[str, Callable[..., GmMatching]] = {}
 
 
-def register_solver(name: str, solver: GmSolver) -> None:
+def register_solver(name: str, solver: Callable[..., GmMatching]) -> None:
+    """Register solver(sub, seed, effort=...) under name."""
     _REGISTRY[name] = solver
 
 
-def get_solver(name: str) -> GmSolver:
+def get_solver(name: str) -> Callable[..., GmMatching]:
     try:
         return _REGISTRY[name]
     except KeyError:

@@ -271,15 +271,23 @@ def write_solution(solution: CliquePartition, metadata: dict[str, Any] | None = 
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _member(pair) -> tuple[int, int]:
+    """A clique member [object, vertex]; both must be JSON integers."""
+    p, v = pair
+    if type(p) is not int or type(v) is not int:
+        raise ValueError(f"clique member {pair!r} is not a pair of integers")
+    return p, v
+
+
 def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> SolutionDocument:
     """Parse a solution document; with a problem, check it against the problem.
 
-    Metadata that is not a JSON object, or a stored objective that is
-    neither a finite number nor "forbidden", raises ParseError. Given a
-    problem, a partition with an out-of-range or repeated vertex raises
-    ParseError too. A stored objective differing from the recomputed one
-    by more than 1e-9 is surfaced as a warning on the returned document,
-    not an error.
+    A clique member that is not a pair of JSON integers, metadata that is
+    not a JSON object, or a stored objective that is neither a finite
+    number nor "forbidden" raises ParseError. Given a problem, a partition
+    with an out-of-range or repeated vertex raises ParseError too. A
+    stored objective differing from the recomputed one by more than 1e-9
+    is surfaced as a warning on the returned document, not an error.
     """
     text = _as_text(source)
     try:
@@ -291,9 +299,7 @@ def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> Sol
     if doc.get("version") != SOLUTION_VERSION:
         raise ParseError(1, f"unsupported document version {doc.get('version')!r}")
     try:
-        cliques = [
-            Clique((int(p), int(v)) for p, v in members) for members in doc["cliques"]
-        ]
+        cliques = [Clique(map(_member, members)) for members in doc["cliques"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"malformed clique list: {exc}") from None
     metadata = doc.get("metadata", {})

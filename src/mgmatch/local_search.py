@@ -4,15 +4,16 @@ Two neighborhoods are searched, both accepting strictly improving moves
 only:
 
 * GM local search splits one object out of the solution, re-matches it
-  against the remaining cliques with a pairwise GM solve, and keeps the
-  merge when the objective drops. The parallel-proposal variant proposes
-  re-matchings for all objects against the same solution, then applies
-  them in ascending order of their proposed objective, re-checking profit
-  after each. A re-match changes only the objective terms on object pairs
-  that contain the re-matched object. objective() is the fsum of
-  model.ObjectiveTerms' per-pair groups, so both variants keep those
-  groups and price a candidate by replacing one object's row: the same
-  float objective() returns, bit for bit.
+  against the remaining cliques with construction.rematch, the step
+  chain construction takes too (MDAP's dimensionwise variation), and
+  keeps the merge when the objective drops. The parallel-proposal
+  variant proposes re-matchings for all objects against the same
+  solution, then applies them in ascending order of their proposed
+  objective, re-checking profit after each. A re-match changes only the
+  objective terms on object pairs that contain the re-matched object.
+  objective() is the fsum of model.ObjectiveTerms' per-pair groups, so
+  both variants keep those groups and price a candidate by replacing one
+  object's row: the same float objective() returns, bit for bit.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
@@ -43,8 +44,8 @@ from random import Random
 from typing import Sequence
 
 from . import qpbo
-from .construction import derive_seed, merge_object, object_clique_costs
-from .gm import Effort, GmMatching, GmSolver, solve_gm
+from .construction import derive_seed, merge, rematch
+from .gm import GmMatching, GmSolver, solve_gm
 from .model import (
     FORBIDDEN,
     Clique,
@@ -53,6 +54,7 @@ from .model import (
     MgmProblem,
     ObjectiveTerms,
     objective,
+    singleton_partition,
     validate,
 )
 
@@ -340,7 +342,6 @@ def gm_local_search(
     order: Sequence[int] | None = None,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    effort: Effort = Effort.DEFAULT,
     max_passes: int | None = None,
     deadline: float | None = None,
     trace: TraceRecorder | None = None,
@@ -366,9 +367,7 @@ def gm_local_search(
         p = order[step % len(order)]
         step += 1
         split = CliquePartition(c.without_object(p) for c in current)
-        sub = object_clique_costs(problem, p, split)
-        matching = gm(sub, derive_seed(seed, step), effort)
-        candidate = merge_object(problem, p, split, matching)
+        _, candidate = rematch(problem, p, split, gm, derive_seed(seed, step))
         row = terms.row(p, candidate)
         value = terms.value(p, row)
         if value < current_value:
@@ -387,7 +386,6 @@ def gm_local_search_parallel(
     solution: CliquePartition,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    effort: Effort = Effort.DEFAULT,
     max_passes: int | None = None,
     deadline: float | None = None,
     trace: TraceRecorder | None = None,
@@ -415,9 +413,8 @@ def gm_local_search_parallel(
         proposals = []
         for p in range(problem.d):
             split = CliquePartition(c.without_object(p) for c in current)
-            sub = object_clique_costs(problem, p, split)
-            matching = gm(sub, derive_seed(seed, rounds * problem.d + p + 1), effort)
-            candidate = merge_object(problem, p, split, matching)
+            seed_p = derive_seed(seed, rounds * problem.d + p + 1)
+            matching, candidate = rematch(problem, p, split, gm, seed_p)
             targets = [(v, split.cliques[k]) for v, k in matching]
             row = terms.row(p, candidate)
             proposals.append((terms.value(p, row), p, targets, candidate, row))
@@ -434,7 +431,8 @@ def gm_local_search_parallel(
                 pairs = [
                     (v, key_index[clique]) for v, clique in targets if clique in key_index
                 ]
-                candidate = merge_object(problem, p, split, GmMatching(pairs))
+                lifted = singleton_partition(problem.sizes[p], p)
+                candidate = merge(lifted, split, GmMatching(pairs))
                 row = terms.row(p, candidate)
                 value = terms.value(p, row)
             if value < current_value:
@@ -548,7 +546,6 @@ def alternate(
     gm: GmSolver = solve_gm,
     order: Sequence[int] | None = None,
     seed: int = 0,
-    effort: Effort = Effort.DEFAULT,
     max_rounds: int | None = None,
     deadline: float | None = None,
     trace: TraceRecorder | None = None,
@@ -570,8 +567,7 @@ def alternate(
             break
         current = gm_local_search(
             problem, current, order=order, gm=gm,
-            seed=derive_seed(seed, 2 * rounds), effort=effort,
-            deadline=deadline, trace=trace,
+            seed=derive_seed(seed, 2 * rounds), deadline=deadline, trace=trace,
         )
         current = swap_local_search(
             problem, current, seed=derive_seed(seed, 2 * rounds + 1),

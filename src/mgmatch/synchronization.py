@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import Any
 
 from .construction import construct_sequential, derive_seed
-from .gm import Effort, GmMatching, GmSolver, solve_gm
+from .gm import GmMatching, GmSolver, solve_gm
 from .local_search import TraceRecorder, alternate
 from .model import (
     FORBIDDEN,
@@ -64,7 +64,6 @@ def solve_all_pairwise(
     problem: MgmProblem,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    effort: Effort = Effort.DEFAULT,
     deadline: float | None = None,
 ) -> PairwiseMatchingSet:
     """Independently solve all d(d-1)/2 pairwise GM problems; pairs not
@@ -73,7 +72,7 @@ def solve_all_pairwise(
     for (p, q), table in problem.costs.items():
         if deadline is not None and time.monotonic() >= deadline:
             break
-        matchings[(p, q)] = gm(table, derive_seed(seed, p * problem.d + q), effort)
+        matchings[(p, q)] = gm(table, derive_seed(seed, p * problem.d + q))
     return PairwiseMatchingSet(problem.d, matchings)
 
 
@@ -178,26 +177,23 @@ def synchronize(
     alpha: float | None = None,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    effort: Effort = Effort.DEFAULT,
     ls_rounds: int | None = None,
     deadline: float | None = None,
     trace: TraceRecorder | None = None,
 ) -> tuple[CliquePartition, SyncMetrics]:
     """Full synchronization pipeline: pairwise solves, projection, metrics.
 
-    The projection problem is linear-only, so the pipeline's GM subroutine
-    solves every intermediate subproblem exactly as a LAP regardless of the
-    solver configured for the pairwise stage. The deadline bounds the
-    pairwise stage and the local search; the projection's construction
-    always runs, so the matchings solved before the deadline are projected.
+    The projection problem is linear-only; its pipeline runs solve_gm,
+    which solves every intermediate subproblem exactly as a LAP whatever
+    solver the pairwise stage was given. The deadline bounds the pairwise
+    stage and the local search; the projection's construction always
+    runs, so the matchings solved before the deadline are projected.
     """
-    matchings = solve_all_pairwise(problem, gm=gm, seed=seed, effort=effort, deadline=deadline)
+    matchings = solve_all_pairwise(problem, gm=gm, seed=seed, deadline=deadline)
     sync_problem = build_sync_problem(problem, matchings, mode=mode, alpha=alpha)
     order = list(range(problem.d))
     random.Random(derive_seed(seed, 1)).shuffle(order)
-    solution = construct_sequential(
-        sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2), effort=effort
-    )
+    solution = construct_sequential(sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2))
     if trace is not None:
         value = objective(sync_problem, solution)
         if value is not FORBIDDEN:
@@ -208,7 +204,6 @@ def synchronize(
         gm=solve_gm,
         order=order,
         seed=derive_seed(seed, 3),
-        effort=effort,
         max_rounds=ls_rounds,
         deadline=deadline,
         trace=trace,

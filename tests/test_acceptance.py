@@ -8,6 +8,7 @@ import contextlib
 import os
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -53,8 +54,7 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number}: PASS  {description}")
 
 
-def exhaustive(sub, seed=0, effort=Effort.EXHAUSTIVE):
-    return solve_gm(sub, seed, Effort.EXHAUSTIVE)
+exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
 
 
 def full_pipeline(problem, seed, runs=5):

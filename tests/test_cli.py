@@ -109,6 +109,24 @@ class TestLsMode:
         doc = read_doc(out, t3)
         assert doc.objective <= objective(t3, part({0: 0, 1: 1}))
 
+    @pytest.mark.parametrize("stored, warns", [(5.0, True), (-2.0, False)])
+    def test_initial_objective_mismatch_warns(
+        self, t3, t3_file, tmp_path, capsys, stored, warns
+    ):
+        from mgmatch.io import write_solution
+
+        start = part({0: 0, 1: 0})
+        assert objective(t3, start) == -2.0
+        initial = tmp_path / "init.json"
+        initial.write_text(write_solution(start, {"objective": stored}))
+        out = tmp_path / "sol.json"
+        code = main([str(t3_file), "--mode", "ls", "--initial", str(initial),
+                     "--output", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert ("warning: stored objective 5.0" in err) is warns
+        assert ("warning" in err) is warns
+
     def test_from_scratch(self, t3, t3_file, tmp_path):
         out = tmp_path / "sol.json"
         code = main(
@@ -220,6 +238,31 @@ class TestErrors:
         assert main(argv) == 2
         assert "ls mode only" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["construct", "full"])
+    @pytest.mark.parametrize("size", ["1", "4"])
+    def test_warm_start_size_outside_object_count(self, t3_file, tmp_path, capsys, mode, size):
+        # t3 has three objects; a size above d was once clamped to d silently.
+        out = tmp_path / "sol.json"
+        argv = [str(t3_file), "--mode", mode, "--construction", f"inc:{size}",
+                "--output", str(out)]
+        assert main(argv) == 2
+        assert "--construction" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["construct", "full"])
+    def test_warm_start_size_equal_to_object_count(self, t3, t3_file, tmp_path, mode):
+        out = tmp_path / "sol.json"
+        argv = [str(t3_file), "--mode", mode, "--construction", "inc:3", "--output", str(out)]
+        assert main(argv) == 0
+        assert ":inc:3+" in read_doc(out, t3).metadata["solver"]
+
+    def test_initial_member_not_an_integer(self, t3_file, tmp_path, capsys):
+        initial = tmp_path / "init.json"
+        doc = {"format": "mgm-solution", "version": 1, "cliques": [[[0, 0], [1, 0.9]]]}
+        initial.write_text(json.dumps(doc))
+        assert main([str(t3_file), "--mode", "ls", "--initial", str(initial)]) == 2
+        assert "malformed clique list" in capsys.readouterr().err
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -393,6 +436,37 @@ class TestThreadsHaveNoEffect:
         with_env = tmp_path / "env.json"
         assert main(args + ["--output", str(with_env)]) == 0
         assert solution_without_wall_time(with_env) == solution_without_wall_time(plain)
+
+
+class TestGmEffort:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "full"],
+            ["--mode", "full", "--construction", "par"],
+            ["--mode", "full", "--construction", "inc:2"],
+            ["--mode", "full", "--ls", "gm-par"],
+            ["--mode", "sync"],
+            ["--mode", "sync", "--sync-post-ls"],
+        ],
+        ids=["full", "par", "inc", "gm-par", "sync", "sync-post-ls"],
+    )
+    def test_effort_flag_reaches_every_solve(self, t3_file, tmp_path, monkeypatch, args):
+        from mgmatch import gm
+
+        efforts = []
+        solver = gm.get_solver("default")
+
+        def recording(sub, seed, effort=gm.Effort.DEFAULT):
+            efforts.append(effort)
+            return solver(sub, seed, effort)
+
+        monkeypatch.setitem(gm._REGISTRY, "default", recording)
+        out = tmp_path / "sol.json"
+        argv = [str(t3_file), *args, "--gm-effort", "fast", "--output", str(out)]
+        assert main(argv) == 0
+        assert efforts
+        assert set(efforts) == {gm.Effort.FAST}
 
 
 class TestParallelProposalLs:

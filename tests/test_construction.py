@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -15,8 +16,7 @@ from mgmatch.construction import (
     construct_parallel,
     construct_sequential,
     merge,
-    merge_object,
-    object_clique_costs,
+    rematch,
 )
 from mgmatch.gm import Effort, GmMatching, solve_gm
 from mgmatch.model import (
@@ -32,9 +32,12 @@ from mgmatch.model import (
 from conftest import part
 from oracles import brute_force_mgm, random_partition, random_problem
 
-def exhaustive(sub, seed=0, effort=Effort.EXHAUSTIVE):
-    """A solver pinned to exhaustive effort regardless of pipeline defaults."""
-    return solve_gm(sub, seed, Effort.EXHAUSTIVE)
+exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
+
+
+def object_clique_costs(problem, p, solution):
+    """The instance rematch solves: object p lifted to singletons against solution."""
+    return clique_clique_costs(problem, singleton_partition(problem.sizes[p], p), solution)
 
 
 class TestObjectCliqueCosts:
@@ -61,7 +64,7 @@ class TestObjectCliqueCosts:
 
     def test_overlap_rejected(self, t3):
         with pytest.raises(OverlapError):
-            object_clique_costs(t3, 0, part({0: 0}))
+            rematch(t3, 0, part({0: 0}), solve_gm, 0)
 
     def test_forbidden_absorbs_partial_sums(self, t3):
         # clique {2^1, 1^3}: c01(0,1)=+1 exists but c...(vertex 1 of object 0
@@ -208,7 +211,9 @@ class TestMerge:
 
     def test_object_merge(self, t3):
         partial_solution = part({0: 0, 1: 0}, {0: 1, 1: 1})
-        merged = merge_object(t3, 2, partial_solution, GmMatching([(0, 1)]))
+        matching = GmMatching([(0, 1)])
+        found, merged = rematch(t3, 2, partial_solution, lambda sub, seed: matching, 0)
+        assert found == matching
         assert merged == part({0: 0, 1: 0}, {0: 1, 1: 1, 2: 0})
         validate(t3, merged)
 
@@ -254,9 +259,7 @@ class TestConstructSequential:
         acc = singleton_partition(t3.sizes[0], 0)
         covered = {0}
         for k, p in enumerate([1, 2], start=1):
-            sub = object_clique_costs(t3, p, acc)
-            matching = exhaustive(sub, 0)
-            acc = merge_object(t3, p, acc, matching)
+            _, acc = rematch(t3, p, acc, exhaustive, 0)
             covered.add(p)
             assert acc.objects() == covered
             validate(t3, acc)
@@ -361,9 +364,9 @@ def clocked_gm(monkeypatch):
     now = [0.0]
     monkeypatch.setattr(construction, "time", SimpleNamespace(monotonic=lambda: now[0]))
 
-    def gm(sub, seed, effort):
+    def gm(sub, seed):
         now[0] += 1.0
-        return solve_gm(sub, seed, effort)
+        return solve_gm(sub, seed)
 
     gm.solves = lambda: int(now[0])
     return gm

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mgmatch.construction import construct_sequential, merge_object, object_clique_costs
+from mgmatch import construction
+from mgmatch.construction import construct_sequential
 from mgmatch.gm import solve_gm
 from mgmatch.local_search import (
     ObjectiveTerms,
@@ -49,9 +50,9 @@ def problems(draw):
 
 
 def rematch(problem, solution, p, seed):
+    """GM local search's move: split object p out, then re-match it."""
     split = CliquePartition(c.without_object(p) for c in solution)
-    matching = solve_gm(object_clique_costs(problem, p, split), seed)
-    return merge_object(problem, p, split, matching)
+    return construction.rematch(problem, p, split, solve_gm, seed)[1]
 
 
 def connected(nodes, adjacent):

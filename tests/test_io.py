@@ -225,6 +225,18 @@ class TestSolutionDocuments:
         with pytest.raises(ParseError):
             parse_solution(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "member",
+        [[0, 0.9], [0, 0.0], [2.0, 0], ["1", 0], [0, "0"], [True, 0], [0, False],
+         [0, None], [0], [0, 0, 0], "ab", 0],
+    )
+    def test_clique_member_must_be_two_integers(self, t3, member):
+        doc = {"format": "mgm-solution", "version": 1, "cliques": [[member]]}
+        with pytest.raises(ParseError):
+            parse_solution(json.dumps(doc))
+        with pytest.raises(ParseError):
+            parse_solution(json.dumps(doc), problem=t3)
+
     def test_malformed_document(self):
         with pytest.raises(ParseError):
             parse_solution("not json at all")

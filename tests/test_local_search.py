@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
@@ -31,8 +32,7 @@ from conftest import part
 from oracles import brute_force_mgm, random_partition, random_problem
 
 
-def exhaustive(sub, seed=0, effort=Effort.EXHAUSTIVE):
-    return solve_gm(sub, seed, Effort.EXHAUSTIVE)
+exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
 
 
 @pytest.fixture
@@ -323,7 +323,7 @@ class TestGmLocalSearch:
 
     def test_fixed_point_soundness(self):
         # at termination, no single-object re-match (solved exactly) improves
-        from mgmatch.construction import merge_object, object_clique_costs
+        from mgmatch.construction import rematch
 
         rng = random.Random(47)
         for _ in range(10):
@@ -335,9 +335,7 @@ class TestGmLocalSearch:
             value = objective(problem, result)
             for p in range(problem.d):
                 split = CliquePartition(c.without_object(p) for c in result)
-                sub = object_clique_costs(problem, p, split)
-                matching = exhaustive(sub)
-                candidate = merge_object(problem, p, split, matching)
+                _, candidate = rematch(problem, p, split, exhaustive, 0)
                 assert objective(problem, candidate) >= value - 1e-9
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -19,8 +20,7 @@ from conftest import part
 from oracles import random_problem
 
 
-def exhaustive(sub, seed=0, effort=Effort.EXHAUSTIVE):
-    return solve_gm(sub, seed, Effort.EXHAUSTIVE)
+exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
 
 
 class TestSolveAllPairwise:
@@ -35,9 +35,9 @@ class TestSolveAllPairwise:
         now = [0.0]
         monkeypatch.setattr(synchronization, "time", SimpleNamespace(monotonic=lambda: now[0]))
 
-        def gm(sub, seed, effort):
+        def gm(sub, seed):
             now[0] += 1.0
-            return solve_gm(sub, seed, effort)
+            return solve_gm(sub, seed)
 
         result = solve_all_pairwise(problem, gm=gm, seed=3, deadline=3.5)
         full = solve_all_pairwise(problem, seed=3)
@@ -163,9 +163,9 @@ class TestSynchronize:
         monkeypatch.setattr(synchronization, "time", clock)
         monkeypatch.setattr(local_search, "time", clock)
 
-        def gm(sub, seed, effort):
+        def gm(sub, seed):
             now[0] += 1.0
-            return solve_gm(sub, seed, effort)
+            return solve_gm(sub, seed)
 
         solution, metrics = synchronize(problem, gm=gm, seed=3, deadline=3.5)
         validate(problem, solution)
