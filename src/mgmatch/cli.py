@@ -302,10 +302,14 @@ def _write(path: str, text: str) -> bool:
 
 
 def _solver_tag(config: RunConfig) -> str:
-    return (
-        f"mgmatch/{config.mode}:{config.construction}+{config.ls}"
-        f"/gm={config.gm_solver}:{config.gm_effort}"
-    )
+    """The algorithm flags the mode reads, plus the GM solver."""
+    algorithm = {
+        "construct": config.construction,
+        "ls": config.ls,
+        "full": f"{config.construction}+{config.ls}",
+        "sync": config.sync_mode + ("+post-ls" if config.sync_post_ls else ""),
+    }[config.mode]
+    return f"mgmatch/{config.mode}:{algorithm}/gm={config.gm_solver}:{config.gm_effort}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,6 @@ from .gm import GmMatching, GmSolver, solve_gm
 from .model import (
     Clique,
     CliquePartition,
-    DuplicateVertexError,
     MgmProblem,
     PairwiseCosts,
     singleton_partition,
@@ -42,24 +41,6 @@ def derive_seed(seed: int, k: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _clique_columns(
-    problem: MgmProblem, partition: CliquePartition
-) -> dict[int, list[int | None]]:
-    """Per covered object, the clique index of each of its vertices."""
-    columns: dict[int, list[int | None]] = {}
-    for idx, clique in enumerate(partition.cliques):
-        for p, v in clique.pairs:
-            column = columns.get(p)
-            if column is None:
-                column = columns[p] = [None] * problem.sizes[p]
-            if not 0 <= v < len(column):
-                raise IndexError(f"vertex {v} out of range for object {p}")
-            if column[v] is not None:
-                raise DuplicateVertexError(f"vertex ({p},{v}) appears in more than one clique")
-            column[v] = idx
-    return columns
-
-
 def clique_clique_costs(
     problem: MgmProblem, a: CliquePartition, b: CliquePartition
 ) -> PairwiseCosts:
@@ -71,8 +52,8 @@ def clique_clique_costs(
     entry's two vertices of one object lie in distinct cliques, so every
     summed entry joins two assignments that share no node.
     """
-    columns_a = _clique_columns(problem, a)
-    columns_b = _clique_columns(problem, b)
+    columns_a = a.columns(problem.sizes)
+    columns_b = b.columns(problem.sizes)
     common = columns_a.keys() & columns_b.keys()
     if common:
         raise OverlapError(f"partial solutions share objects {sorted(common)}")

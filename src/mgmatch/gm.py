@@ -440,9 +440,4 @@ def solver_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _lap_solver(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT) -> GmMatching:
-    return solve_lap(sub)
-
-
 register_solver("default", solve_gm)
-register_solver("lap", _lap_solver)

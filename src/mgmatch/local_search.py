@@ -27,10 +27,11 @@ only:
     joint swap other than renaming the two cliques activates a forbidden
     swap, so best_multiswap would return no-swap; the pair is skipped.
   - Caching. A pair's delta matrix depends on the two cliques and on
-    which cliques own the vertices its quadratic terms read. It is kept,
-    across passes and alternate rounds, while all those owner cliques are
-    still in the solution; the qpbo outcome is kept with it when the
-    minimization did not depend on the seed.
+    which cliques own the vertices its quadratic terms read. The matrix is
+    dropped once minimized; its outcome is kept, across passes and
+    alternate rounds, while all those owner cliques are still in the
+    solution. A pruned pair's outcome is no-swap and its owners are the
+    two cliques.
 """
 
 from __future__ import annotations
@@ -132,21 +133,18 @@ class SwapDeltaMatrix:
     same two assignments into the two cliques, in the other clique order.
     Row sums equal the exact objective change of the corresponding single
     swap. ``entries`` holds the matrix row-major, with +inf for Forbidden
-    (costs are finite, so deltas are too); it is compact because swap
-    local search keeps many matrices alive.
+    (costs are finite, so deltas are too).
 
     ``owners`` holds the two cliques and every clique owning a vertex the
     quadratic terms were looked up for; while all of them are still in
     the solution, recomputing gives the same entries. It is None when a
     looked-up vertex was in no clique, which a later solution could change
-    unnoticed. ``best`` memoizes best_multiswap's outcome when the
-    minimization did not depend on its seed.
+    unnoticed.
     """
 
     d: int
     entries: array
     owners: tuple[Clique, ...] | None = None
-    best: tuple[tuple[int, ...], float] | None = None
 
     def get(self, p: int, q: int) -> Cost:
         value = self.entries[p * self.d + q]
@@ -167,7 +165,7 @@ def swap_deltas(
     idx_second = _index_of(solution, second)
     if idx_first == idx_second:
         raise ValueError("swap deltas need two distinct cliques")
-    vmap = solution.vertex_map()
+    columns = solution.columns(problem.sizes)
     d = problem.d
     entries = array("d", bytes(8 * d * d))
     read: set[int | None] = {idx_first, idx_second}
@@ -181,8 +179,8 @@ def swap_deltas(
             return None
         partners = []
         for (i2, s2), value in table.partners((vp, vq)):
-            kp = vmap.get((p, i2))
-            kq = vmap.get((q, s2))
+            kp = columns[p][i2]
+            kq = columns[q][s2]
             read.add(kp)
             read.add(kq)
             partners.append((value, kp, kq))
@@ -306,8 +304,8 @@ def best_multiswap(
     predicted objective change (0 for no-swap).
 
     ``deltas`` are this pair's swap deltas in ``solution`` when the caller
-    has them. When the minimization did not depend on the seed, the
-    outcome is stored as ``deltas.best``.
+    has them; they are read, not changed. The seed matters only above the
+    enumeration limit, for energies that are not submodular.
     """
     if deltas is None:
         deltas = swap_deltas(problem, solution, first, second)
@@ -330,10 +328,7 @@ def best_multiswap(
     energy = qpbo.BinaryEnergy(len(variable), pairwise=pairwise)
     labels = qpbo.minimize(energy, (0,) * energy.n, seed=seed)
     bits = tuple(labels[group[p]] if p in group else 0 for p in range(problem.d))
-    outcome = bits, qpbo.evaluate(energy, labels)
-    if not qpbo.depends_on_seed(energy):
-        deltas.best = outcome
-    return outcome
+    return bits, qpbo.evaluate(energy, labels)
 
 
 def gm_local_search(
@@ -458,7 +453,7 @@ def swap_local_search(
     max_passes: int | None = None,
     deadline: float | None = None,
     trace: TraceRecorder | None = None,
-    cache: dict[tuple[Clique, Clique], SwapDeltaMatrix | None] | None = None,
+    cache: dict[tuple[Clique, Clique], tuple] | None = None,
 ) -> CliquePartition:
     """Iterate joint multi-swaps over clique pairs, accepting strict profits.
 
@@ -467,9 +462,12 @@ def swap_local_search(
     whose cliques were changed earlier in the same pass are skipped, and
     so are pairs where swaps_all_forbidden holds.
 
-    ``cache`` maps a clique pair to its SwapDeltaMatrix, or to None when
-    the pair is pruned; pass the same dict to later calls (as alternate
-    does) to keep the entries whose owner cliques are all unchanged.
+    ``cache`` maps a clique pair (first, second) to (owners, (bits,
+    predicted)): best_multiswap's outcome and the cliques it depends on
+    (SwapDeltaMatrix.owners; the pair itself when pruned, with outcome
+    no-swap). Pass the same dict to later calls (as alternate does) to
+    keep the entries whose owner cliques are all unchanged. An outcome of
+    the seeded sweeps is kept too, so it is not redrawn with a later seed.
     """
     validate(problem, solution)
     cache = {} if cache is None else cache
@@ -493,21 +491,18 @@ def swap_local_search(
             if deadline is not None and time.monotonic() >= deadline:
                 break
             key = (first, second)
-            if key not in cache:
-                pruned = swaps_all_forbidden(problem, first, second)
-                cache[key] = None if pruned else swap_deltas(problem, current, first, second)
-            elif not _reusable(key, cache[key], live):
-                cache[key] = swap_deltas(problem, current, first, second)
-            deltas = cache[key]
-            if deltas is None:
-                continue
-            if deltas.best is not None:
-                bits, predicted = deltas.best
-            else:
-                bits, predicted = best_multiswap(
-                    problem, current, first, second,
-                    seed=derive_seed(seed, passes), deltas=deltas,
-                )
+            entry = cache.get(key)
+            if entry is None or not _reusable(entry[0], live):
+                if swaps_all_forbidden(problem, first, second):
+                    entry = key, ((0,) * problem.d, 0.0)
+                else:
+                    deltas = swap_deltas(problem, current, first, second)
+                    entry = deltas.owners, best_multiswap(
+                        problem, current, first, second,
+                        seed=derive_seed(seed, passes), deltas=deltas,
+                    )
+                cache[key] = entry
+            bits, predicted = entry[1]
             if not any(bits) or not predicted < 0.0:
                 continue
             candidate = apply_multiswap(current, first, second, bits)
@@ -524,19 +519,13 @@ def swap_local_search(
     return current
 
 
-def _reusable(key: tuple[Clique, Clique], deltas: SwapDeltaMatrix | None, live) -> bool:
-    """Whether a swap cache entry holds for a solution with the live cliques.
-
-    Pruning depends on the pair's two cliques alone; a matrix on all of
-    its owner cliques.
-    """
-    if deltas is None:
-        return key[0] in live and key[1] in live
-    return deltas.owners is not None and all(c in live for c in deltas.owners)
+def _reusable(owners: tuple[Clique, ...] | None, live) -> bool:
+    """Whether a swap cache entry holds for a solution with the live cliques."""
+    return owners is not None and all(c in live for c in owners)
 
 
 def _evict(cache: dict, live: set[Clique]) -> None:
-    for key in [key for key, deltas in cache.items() if not _reusable(key, deltas, live)]:
+    for key in [key for key, (owners, _) in cache.items() if not _reusable(owners, live)]:
         del cache[key]
 
 

@@ -91,8 +91,9 @@ class PairwiseCosts:
     search build the GM instances they solve as tables of this type.
 
     The constructor checks every entry of a table parsed or supplied from
-    outside. Tables the program derives from valid ones (aggregation,
-    transposition, a table's linear part) skip the checks via _trusted.
+    outside, values finite included. Tables the program derives from
+    valid ones (aggregation, transposition, a table's linear part) skip
+    the checks via _trusted.
     """
 
     __slots__ = ("left_size", "right_size", "linear", "quadratic", "_partners")
@@ -107,14 +108,18 @@ class PairwiseCosts:
         self.left_size = left_size
         self.right_size = right_size
         self.linear: dict[Assignment, float] = dict(linear or {})
-        for i, s in self.linear:
+        for (i, s), value in self.linear.items():
             if not (0 <= i < left_size and 0 <= s < right_size):
                 raise IndexError(
                     f"assignment ({i},{s}) out of range for a {left_size}x{right_size} table"
                 )
+            if not math.isfinite(value):
+                raise ValueError(f"linear entry ({i},{s}) is not finite: {value!r}")
         quad: dict[QuadKey, float] = {}
         for (a, b), value in (quadratic or {}).items():
             key = _canonical_quad_key(a, b)
+            if not math.isfinite(value):
+                raise ValueError(f"quadratic entry {key} is not finite: {value!r}")
             if key in quad:
                 raise ValueError(f"duplicate quadratic entry {key}")
             if a[0] == b[0] or a[1] == b[1]:
@@ -368,26 +373,38 @@ class CliquePartition:
     against it.
     """
 
-    __slots__ = ("cliques", "_vmap", "_canonical")
+    __slots__ = ("cliques", "_columns", "_canonical")
 
     def __init__(self, cliques: Iterable[Clique] = ()):
         self.cliques = tuple(c for c in cliques if len(c) > 0)
-        self._vmap = None
+        self._columns = None
         self._canonical = None
 
-    def vertex_map(self) -> dict[tuple[int, int], int]:
-        """Map (object, vertex) to the index of its clique; cached."""
-        if self._vmap is None:
-            vmap: dict[tuple[int, int], int] = {}
+    def columns(self, sizes: Sequence[int]) -> dict[int, list[int | None]]:
+        """Per covered object p, the index of the clique holding each of its
+        sizes[p] vertices, None where no clique does.
+
+        Raises IndexError for an object or vertex outside sizes and
+        DuplicateVertexError for a vertex in two cliques. Cached for the
+        last sizes asked, compared by value; callers must not mutate it.
+        """
+        sizes = tuple(sizes)
+        if self._columns is None or self._columns[0] != sizes:
+            columns: dict[int, list[int | None]] = {}
             for idx, clique in enumerate(self.cliques):
                 for p, v in clique.pairs:
-                    if (p, v) in vmap:
-                        raise DuplicateVertexError(
-                            f"vertex ({p},{v}) appears in more than one clique"
-                        )
-                    vmap[(p, v)] = idx
-            self._vmap = vmap
-        return self._vmap
+                    column = columns.get(p)
+                    if column is None:
+                        if not 0 <= p < len(sizes):
+                            raise IndexError(f"object index {p} out of range")
+                        column = columns[p] = [None] * sizes[p]
+                    if not 0 <= v < len(column):
+                        raise IndexError(f"vertex {v} out of range for object {p}")
+                    if column[v] is not None:
+                        raise DuplicateVertexError(f"vertex ({p},{v}) appears in two cliques")
+                    column[v] = idx
+            self._columns = sizes, columns
+        return self._columns[1]
 
     def canonical(self) -> frozenset:
         """Cliques of size >= 2; singletons are normalization noise."""
@@ -403,12 +420,12 @@ class CliquePartition:
 
     def normalized(self, sizes: Sequence[int]) -> "CliquePartition":
         """Materialize implicit singletons for every uncovered vertex."""
-        vmap = self.vertex_map()
+        columns = self.columns(sizes)
         extra = [
             Clique({p: v})
             for p in range(len(sizes))
             for v in range(sizes[p])
-            if (p, v) not in vmap
+            if p not in columns or columns[p][v] is None
         ]
         return CliquePartition(list(self.cliques) + extra)
 
@@ -451,19 +468,10 @@ def lookup_linear(problem: MgmProblem, p: int, q: int, i: int, s: int) -> Cost:
 def validate(problem, solution: CliquePartition) -> None:
     """Raise unless the partition is feasible for the problem.
 
-    Checks index ranges, global disjointness, and the one-vertex-per-object
-    rule (the latter is already structural in Clique).
+    Building the solution's columns checks index ranges and global
+    disjointness; the one-vertex-per-object rule is structural in Clique.
     """
-    seen: set[tuple[int, int]] = set()
-    for clique in solution.cliques:
-        for p, v in clique.pairs:
-            if not (0 <= p < problem.d):
-                raise IndexError(f"object index {p} out of range")
-            if not (0 <= v < problem.sizes[p]):
-                raise IndexError(f"vertex {v} out of range for object {p}")
-            if (p, v) in seen:
-                raise DuplicateVertexError(f"vertex ({p},{v}) appears in two cliques")
-            seen.add((p, v))
+    solution.columns(problem.sizes)
 
 
 class ObjectiveTerms:
@@ -494,7 +502,7 @@ class ObjectiveTerms:
         if others is None:
             others = (q for q in range(problem.d) if q != p)
         row: dict[int, list[float] | Forbidden] = {q: [] for q in others}
-        vmap = solution.vertex_map()
+        columns = solution.columns(problem.sizes)
         for clique in solution.cliques:
             vp = clique.get(p)
             if vp is None:
@@ -512,8 +520,8 @@ class ObjectiveTerms:
                     # Each realized entry is seen from both of its
                     # assignments; count it from the lower p vertex.
                     if j > vp:
-                        k = vmap.get((p, j))
-                        if k is not None and vmap.get((q, t)) == k:
+                        k = columns[p][j]
+                        if k is not None and columns[q][t] == k:
                             terms.append(value)
         return row
 

@@ -245,12 +245,6 @@ def _flip_delta(energy: BinaryEnergy, x: list[int], p: int, neighbors) -> float:
     return delta
 
 
-def depends_on_seed(energy: BinaryEnergy) -> bool:
-    """Whether minimize's result can depend on its seed: only the
-    improve-sweep path, for large non-submodular energies, uses it."""
-    return energy.n > EXACT_ENUMERATION_LIMIT and not energy.is_submodular()
-
-
 def minimize(energy: BinaryEnergy, init: Sequence[int], seed: int = 0) -> tuple[int, ...]:
     """Labeling with energy at most that of ``init``; exact for n <= 16.
 
@@ -258,7 +252,7 @@ def minimize(energy: BinaryEnergy, init: Sequence[int], seed: int = 0) -> tuple[
     ``init`` is returned unless a labeling is strictly lower; otherwise
     submodular energies are cut exactly and general ones get greedy
     improve sweeps from ``init`` over all variables in a seeded shuffle
-    (ties resolved toward label 0). Deterministic for a fixed seed.
+    (ties resolved toward label 0); only the sweeps read the seed.
     Swap energies arrive contracted, with no penalty tables.
     """
     if len(init) != energy.n:

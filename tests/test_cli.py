@@ -169,6 +169,24 @@ class TestSyncMode:
         assert "mgm_objective_post_ls" in doc.metadata
 
 
+class TestSolverTag:
+    @pytest.mark.parametrize(
+        "flags, tag",
+        [
+            (["--mode", "construct", "--ls", "swap"], "construct:seq"),
+            (["--mode", "ls", "--construction", "par", "--ls", "swap"], "ls:swap"),
+            (["--mode", "full", "--construction", "par", "--ls", "gm"], "full:par+gm"),
+            (["--mode", "sync", "--construction", "inc:100", "--ls", "gm-par"], "sync:sparse"),
+            (["--mode", "sync", "--sync-mode", "soft:0.5", "--sync-post-ls"],
+             "sync:soft:0.5+post-ls"),
+        ],
+    )
+    def test_names_only_the_flags_the_mode_reads(self, t3_file, tmp_path, flags, tag):
+        out = tmp_path / "sol.json"
+        assert main([str(t3_file), *flags, "--gm-effort", "fast", "--output", str(out)]) == 0
+        assert read_doc(out).metadata["solver"] == f"mgmatch/{tag}/gm=default:fast"
+
+
 class TestReduceMode:
     def test_prints_padding_stats(self, t3_file, capsys):
         code = main([str(t3_file), "--mode", "reduce"])
@@ -255,7 +273,8 @@ class TestErrors:
         out = tmp_path / "sol.json"
         argv = [str(t3_file), "--mode", mode, "--construction", "inc:3", "--output", str(out)]
         assert main(argv) == 0
-        assert ":inc:3+" in read_doc(out, t3).metadata["solver"]
+        tag = {"construct": "construct:inc:3", "full": "full:inc:3+alternate"}[mode]
+        assert read_doc(out, t3).metadata["solver"] == f"mgmatch/{tag}/gm=default:default"
 
     def test_initial_member_not_an_integer(self, t3_file, tmp_path, capsys):
         initial = tmp_path / "init.json"

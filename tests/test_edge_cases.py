@@ -109,13 +109,6 @@ class TestParserFuzz:
 
 
 class TestCliMisconfiguration:
-    def test_lap_solver_on_quadratic_problem_exits_2(self, t3, tmp_path, capsys):
-        path = tmp_path / "t3.dd"
-        path.write_text(write_problem(t3))
-        code = main([str(path), "--gm-solver", "lap"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
     def test_unknown_solver_exits_2(self, t3, tmp_path):
         path = tmp_path / "t3.dd"
         path.write_text(write_problem(t3))

@@ -239,7 +239,6 @@ class TestLocalSearch:
 class TestRegistry:
     def test_known_solvers(self):
         assert "default" in solver_names()
-        assert "lap" in solver_names()
 
     def test_custom_registration(self):
         register_solver("null", lambda sub, seed=0, effort=Effort.DEFAULT: GmMatching())

@@ -1,7 +1,7 @@
 """Shortcuts in local search that must not change what it computes.
 
 Swap local search prunes clique pairs with no acceptable swap and reuses
-delta matrices (and seed-free qpbo outcomes) while their owner cliques
+each pair's best joint swap while the owner cliques of its delta matrix
 are unchanged; GM local search prices candidates with ObjectiveTerms
 instead of objective(). Each is checked against a fresh computation on
 small random problems, and the searches' outputs are pinned.
@@ -25,6 +25,7 @@ from mgmatch.local_search import (
     best_multiswap,
     gm_local_search_parallel,
     swap_deltas,
+    swap_local_search,
     swaps_all_forbidden,
 )
 from mgmatch.model import (
@@ -116,6 +117,27 @@ class TestDeltaCache:
             else:
                 p = rng.randrange(problem.d)
                 solution = rematch(problem, solution, p, rng.randrange(100))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([0.0, 0.3, 0.6]))
+    def test_kept_outcomes_equal_fresh_ones(self, seed, d, forbidden):
+        """Every cached outcome whose owner cliques are all in a solution is
+        best_multiswap's there (no-swap for a pruned pair): in the result of
+        swap local search, and after a random joint swap, as when alternate
+        hands the cache on. Up to 16 contracted groups it is seed-free."""
+        rng = random.Random(seed)
+        problem = random_problem(rng, d, 4, forbidden_frac=forbidden, quad_frac=0.5)
+        cache = {}
+        solution = swap_local_search(problem, random_partition(rng, problem), cache=cache)
+        for _ in range(2):
+            live = set(solution.cliques)
+            for (first, second), (owners, outcome) in cache.items():
+                if owners is not None and set(owners) <= live:
+                    assert outcome == best_multiswap(problem, solution, first, second)
+            if len(live) < 2:
+                break
+            first, second = rng.sample(sorted(live), 2)
+            bits = [rng.randint(0, 1) for _ in range(d)]
+            solution = apply_multiswap(solution, first, second, bits)
 
     def test_uncovered_vertex_makes_matrix_single_use(self, t3):
         # The quadratic entry ((0,0),(1,1)) of t3 is looked up through

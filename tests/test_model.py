@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from mgmatch.construction import clique_clique_costs
 from mgmatch.model import (
     FORBIDDEN,
     Clique,
@@ -84,10 +86,29 @@ class TestValidate:
     def test_duplicate_vertex(self, t3):
         with pytest.raises(DuplicateVertexError):
             validate(t3, part({0: 0}, {0: 0, 1: 0}))
+        with pytest.raises(DuplicateVertexError):
+            clique_clique_costs(t3, part({0: 0}, {0: 0, 1: 0}), part({2: 0}))
 
     def test_bad_index(self, t3):
         with pytest.raises(IndexError):
             validate(t3, part({0: 2}))
+
+    @pytest.mark.parametrize("clique", [{0: 2}, {3: 0}, {0: -1}, {-1: 0}])
+    def test_index_outside_sizes(self, t3, clique):
+        # A negative index must not wrap around to the last object or vertex.
+        with pytest.raises(IndexError):
+            validate(t3, part(clique))
+        with pytest.raises(IndexError):
+            clique_clique_costs(t3, part(clique), part({1: 0}))
+
+    def test_columns_follow_the_sizes_asked(self):
+        partition = part({0: 1, 1: 0})
+        columns = partition.columns((2, 1))
+        assert columns == {0: [None, 0], 1: [0]}
+        assert partition.columns([2, 1]) is columns  # equal sizes: the cached index
+        assert partition.columns((3, 1)) == {0: [None, 0, None], 1: [0]}
+        with pytest.raises(IndexError):
+            partition.columns((1, 1))
 
     def test_clique_rejects_two_per_object(self):
         with pytest.raises(DuplicateVertexError):
@@ -234,6 +255,15 @@ class TestPairwiseCosts:
     def test_problem_symmetric_roles(self, t3):
         assert t3.quad_cost(1, 0, (0, 0), (1, 1)) == -0.5
         assert t3.quad_cost(0, 1, (0, 0), (1, 1)) == -0.5
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            PairwiseCosts(2, 2, linear={(0, 0): value})
+        with pytest.raises(ValueError, match="not finite"):
+            PairwiseCosts(
+                2, 2, linear={(0, 0): 1.0, (1, 1): 1.0}, quadratic={((0, 0), (1, 1)): value}
+            )
 
     def test_linear_key_out_of_range(self):
         with pytest.raises(IndexError):
