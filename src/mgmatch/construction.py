@@ -12,7 +12,8 @@ Aggregated costs: matching clique I to clique S prices every cross pair of
 their members, so a single forbidden member pair forbids the whole entry.
 Quadratic costs aggregate likewise over shared objects. Entries with no
 contributing term stay absent, which keeps instances sparse and guarantees
-the GM solver can never produce a forbidden match.
+the GM solver can never produce a forbidden match. np.bincount sums in
+entry order from 0.0, and keys keep first-occurrence order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import time
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .gm import GmMatching, GmSolver, solve_gm
 from .model import (
@@ -50,47 +53,57 @@ def clique_clique_costs(
     entry (k, l) exists only when every member pair across the two cliques
     is allowed, and then carries the sum of those costs. A quadratic
     entry's two vertices of one object lie in distinct cliques, so every
-    summed entry joins two assignments that share no node.
+    summed entry joins two assignments that share no node. Sums add terms
+    from 0.0 in table, then arrays() order; keys keep first-term order.
     """
     columns_a = a.columns(problem.sizes)
     columns_b = b.columns(problem.sizes)
     common = columns_a.keys() & columns_b.keys()
     if common:
         raise OverlapError(f"partial solutions share objects {sorted(common)}")
-    lin_sum: dict[tuple[int, int], float] = {}
-    lin_cnt: dict[tuple[int, int], int] = {}
-    quad_sum: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
+    cols = {
+        p: np.array([-1 if k is None else k for k in column], dtype=np.int64)
+        for p, column in (*columns_a.items(), *columns_b.items())
+    }
+    # Per stored entry, the cliques holding its vertices (-1: uncovered);
+    # one empty row, so that concatenation works without tables.
+    parts = [(np.empty(0, np.int64),) * 8]
     for p in sorted(columns_a):
         for q in sorted(columns_b):
-            # Read the table as stored (p < q), each column on its object's
-            # side; keys stay (clique of a, clique of b).
             table, swapped = problem.table(p, q)
-            left, right = (columns_b[q], columns_a[p]) if swapped else (columns_a[p], columns_b[q])
-            for (i, s), value in table.linear.items():
-                ki, ks = left[i], right[s]
-                if ki is None or ks is None:
-                    continue
-                key = (ks, ki) if swapped else (ki, ks)
-                lin_sum[key] = lin_sum.get(key, 0.0) + value
-                lin_cnt[key] = lin_cnt.get(key, 0) + 1
-            for ((i, s), (j, t)), value in table.quadratic.items():
-                ki, ks, kj, kt = left[i], right[s], left[j], right[t]
-                if ki is None or ks is None or kj is None or kt is None:
-                    continue
-                x, y = ((ks, ki), (kt, kj)) if swapped else ((ki, ks), (kj, kt))
-                key = (x, y) if x <= y else (y, x)
-                quad_sum[key] = quad_sum.get(key, 0.0) + value
-    size_a = [len(c) for c in a.cliques]
-    size_b = [len(c) for c in b.cliques]
-    linear = {
-        key: lin_sum[key] for key, count in lin_cnt.items()
-        if count == size_a[key[0]] * size_b[key[1]]
-    }
-    quadratic = {
-        key: value for key, value in quad_sum.items()
-        if key[0] in linear and key[1] in linear
-    }
-    return PairwiseCosts._trusted(len(a.cliques), len(b.cliques), linear, quadratic)
+            (i, s), lin_v, (qi, qs, qj, qt), quad_v = table.arrays()
+            if swapped:  # the stored left object is q
+                i, s, qi, qs, qj, qt = s, i, qs, qi, qt, qj
+            ca, cb = cols[p], cols[q]
+            parts.append((ca[i], cb[s], lin_v, ca[qi], cb[qs], ca[qj], cb[qt], quad_v))
+    na, nb = len(a.cliques), len(b.cliques)
+    ka, kb, lin_v, xa, xb, ya, yb, quad_v = map(np.concatenate, zip(*parts))
+    # Linear keys coded k * nb + l, which keeps tuple order.
+    covered = (ka >= 0) & (kb >= 0)
+    codes, order, sums, counts = _sum_by_code(ka[covered] * nb + kb[covered], lin_v[covered])
+    # A forbidden member pair leaves an entry with fewer terms than pairs.
+    sizes = np.array([len(c) for c in a.cliques + b.cliques], dtype=np.int64)
+    complete = counts == sizes[codes // nb] * sizes[na + codes % nb]
+    order = order[complete[order]]
+    key = list(zip((codes // nb).tolist(), (codes % nb).tolist())).__getitem__
+    linear = dict(zip(map(key, order.tolist()), sums[order].tolist()))
+    # Quadratic entries pair linear keys; code those by slot in sorted codes.
+    covered = (xa >= 0) & (xb >= 0) & (ya >= 0) & (yb >= 0)
+    x = np.searchsorted(codes, xa[covered] * nb + xb[covered])
+    y = np.searchsorted(codes, ya[covered] * nb + yb[covered])
+    low, high = np.minimum(x, y), np.maximum(x, y)
+    kept = complete[low] & complete[high]
+    n = len(codes)
+    pairs, order, sums, _ = _sum_by_code(low[kept] * n + high[kept], quad_v[covered][kept])
+    keys = zip(map(key, (pairs[order] // n).tolist()), map(key, (pairs[order] % n).tolist()))
+    return PairwiseCosts._trusted(na, nb, linear, dict(zip(keys, sums[order].tolist())))
+
+
+def _sum_by_code(codes, values):
+    """Sorted distinct codes, their first-occurrence order, sums and counts."""
+    keys, first, slot = np.unique(codes, return_index=True, return_inverse=True)
+    sums, counts = np.bincount(slot, values, len(keys)), np.bincount(slot, None, len(keys))
+    return keys, np.argsort(first, kind="stable"), sums, counts
 
 
 def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> CliquePartition:

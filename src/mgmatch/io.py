@@ -75,14 +75,58 @@ def parse_problem(source: TextSource) -> MgmProblem:
     current: dict | None = None
     max_object = -1
     sizes: dict[int, int] = {}
+    linear = quad = ids = shape = None  # the current block's
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("$") or line.startswith("#"):
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         tag = fields[0]
-        if tag == "gm":
+        if tag == "a":
+            if ids is None:
+                raise ParseError(lineno, "'a' line outside a gm block")
+            if len(fields) != 5:
+                raise ParseError(lineno, "expected 'a <id> <i> <s> <cost>'")
+            try:
+                aid, i, s, cost = int(fields[1]), int(fields[2]), int(fields[3]), float(fields[4])
+                if not math.isfinite(cost):
+                    raise ValueError
+            except ValueError:
+                raise _number_error(lineno, fields[1:4], fields[4]) from None
+            if shape is None:
+                raise ParseError(lineno, "'a' line before the block's 'p' line")
+            if not (0 <= i < shape[0] and 0 <= s < shape[1]):
+                raise ParseError(lineno, f"assignment ({i},{s}) outside declared sizes {shape}")
+            if aid in ids:
+                raise DuplicateEntryError(lineno, f"assignment id {aid} declared twice")
+            if (i, s) in linear:
+                raise DuplicateEntryError(lineno, f"duplicate assignment ({i},{s})")
+            ids[aid] = (i, s)
+            linear[(i, s)] = cost
+        elif tag == "e":
+            if ids is None:
+                raise ParseError(lineno, "'e' line outside a gm block")
+            if len(fields) != 4:
+                raise ParseError(lineno, "expected 'e <id1> <id2> <cost>'")
+            try:
+                id1, id2, cost = int(fields[1]), int(fields[2]), float(fields[3])
+                if not math.isfinite(cost):
+                    raise ValueError
+            except ValueError:
+                raise _number_error(lineno, fields[1:3], fields[3]) from None
+            for aid in (id1, id2):
+                if aid not in ids:
+                    raise DanglingReferenceError(lineno, f"assignment id {aid} not declared")
+            a1, a2 = ids[id1], ids[id2]
+            if a1[0] == a2[0] or a1[1] == a2[1]:
+                raise ParseError(lineno, f"quadratic entry {a1},{a2} shares a vertex")
+            key = (a1, a2) if a1 <= a2 else (a2, a1)
+            if key in quad:
+                raise DuplicateEntryError(lineno, f"duplicate quadratic entry {key}")
+            quad[key] = cost
+        elif tag[0] in "$#":
+            continue
+        elif tag == "gm":
             if len(fields) != 3:
                 raise ParseError(lineno, "expected 'gm <p> <q>'")
             p, q = _ints(fields[1:3], lineno)
@@ -91,9 +135,10 @@ def parse_problem(source: TextSource) -> MgmProblem:
             if (p, q) in blocks:
                 raise DuplicateEntryError(lineno, f"duplicate block for pair ({p},{q})")
             _check_counts(current)
+            linear, quad, ids, shape = {}, {}, {}, None
             current = {
-                "pair": (p, q), "line": lineno, "n": None, "declared": None,
-                "linear": {}, "quad": {}, "ids": {},
+                "pair": (p, q), "line": lineno, "declared": None,
+                "linear": linear, "quad": quad,
             }
             blocks[(p, q)] = current
             max_object = max(max_object, q)
@@ -107,49 +152,13 @@ def parse_problem(source: TextSource) -> MgmProblem:
             n1, n2, n_linear, n_quad = _ints(fields[1:5], lineno)
             if n1 < 0 or n2 < 0:
                 raise ParseError(lineno, f"object sizes must be non-negative, got ({n1},{n2})")
-            current["n"] = (n1, n2)
+            shape = (n1, n2)
             current["declared"] = (lineno, n_linear, n_quad)
-            for obj, n in zip(current["pair"], (n1, n2)):
+            for obj, n in zip(current["pair"], shape):
                 if sizes.setdefault(obj, n) != n:
                     raise ParseError(
                         lineno, f"object {obj} declared with size {n}, earlier {sizes[obj]}"
                     )
-        elif tag == "a":
-            if current is None:
-                raise ParseError(lineno, "'a' line outside a gm block")
-            if len(fields) != 5:
-                raise ParseError(lineno, "expected 'a <id> <i> <s> <cost>'")
-            aid, i, s = _ints(fields[1:4], lineno)
-            cost = _real(fields[4], lineno)
-            if current["n"] is None:
-                raise ParseError(lineno, "'a' line before the block's 'p' line")
-            n1, n2 = current["n"]
-            if not (0 <= i < n1 and 0 <= s < n2):
-                raise ParseError(lineno, f"assignment ({i},{s}) outside declared sizes {current['n']}")
-            if aid in current["ids"]:
-                raise DuplicateEntryError(lineno, f"assignment id {aid} declared twice")
-            if (i, s) in current["linear"]:
-                raise DuplicateEntryError(lineno, f"duplicate assignment ({i},{s})")
-            current["ids"][aid] = (i, s)
-            current["linear"][(i, s)] = cost
-        elif tag == "e":
-            if current is None:
-                raise ParseError(lineno, "'e' line outside a gm block")
-            if len(fields) != 4:
-                raise ParseError(lineno, "expected 'e <id1> <id2> <cost>'")
-            id1, id2 = _ints(fields[1:3], lineno)
-            cost = _real(fields[3], lineno)
-            for aid in (id1, id2):
-                if aid not in current["ids"]:
-                    raise DanglingReferenceError(lineno, f"assignment id {aid} not declared")
-            a1 = current["ids"][id1]
-            a2 = current["ids"][id2]
-            if a1[0] == a2[0] or a1[1] == a2[1]:
-                raise ParseError(lineno, f"quadratic entry {a1},{a2} shares a vertex")
-            key = (a1, a2) if a1 <= a2 else (a2, a1)
-            if key in current["quad"]:
-                raise DuplicateEntryError(lineno, f"duplicate quadratic entry {key}")
-            current["quad"][key] = cost
         else:
             raise ParseError(lineno, f"unknown line tag {tag!r}")
 
@@ -158,8 +167,9 @@ def parse_problem(source: TextSource) -> MgmProblem:
         raise ParseError(1, "no 'gm' blocks found")
     d = max_object + 1
     size_list = [sizes.get(p, 0) for p in range(d)]
+    # The checks above cover every check of the PairwiseCosts constructor.
     costs = {
-        (p, q): PairwiseCosts(size_list[p], size_list[q], block["linear"], block["quad"])
+        (p, q): PairwiseCosts._trusted(size_list[p], size_list[q], block["linear"], block["quad"])
         for (p, q), block in blocks.items()
     }
     return MgmProblem(size_list, costs)
@@ -191,14 +201,15 @@ def _ints(fields, lineno):
         raise ParseError(lineno, f"expected integers, got {fields!r}") from None
 
 
-def _real(field, lineno):
+def _number_error(lineno, ints, cost) -> ParseError:
+    """The error for an entry line whose numbers do not parse: _ints raises
+    for a bad integer field, else the cost's error is returned."""
+    _ints(ints, lineno)
     try:
-        value = float(field)
+        float(cost)
     except ValueError:
-        raise ParseError(lineno, f"expected a real number, got {field!r}") from None
-    if not math.isfinite(value):
-        raise ParseError(lineno, f"costs must be finite, got {field!r}")
-    return value
+        return ParseError(lineno, f"expected a real number, got {cost!r}")
+    return ParseError(lineno, f"costs must be finite, got {cost!r}")
 
 
 def write_problem(problem: MgmProblem) -> str:

@@ -21,6 +21,8 @@ import math
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+import numpy as np
+
 
 class Forbidden:
     """Sentinel for a disallowed match. Absorbs addition, compares as +inf."""
@@ -90,13 +92,13 @@ class PairwiseCosts:
     object pair (left p, right q, p < q), and construction and local
     search build the GM instances they solve as tables of this type.
 
-    The constructor checks every entry of a table parsed or supplied from
-    outside, values finite included. Tables the program derives from
-    valid ones (aggregation, transposition, a table's linear part) skip
-    the checks via _trusted.
+    The constructor checks every entry, values finite included; _trusted
+    skips the checks for tables known to pass them: parsed ones and those
+    derived from valid tables (aggregation, transposition, a linear part).
+    Tables are immutable; arrays() views the entries, built on first use.
     """
 
-    __slots__ = ("left_size", "right_size", "linear", "quadratic", "_partners")
+    __slots__ = ("left_size", "right_size", "linear", "quadratic", "_partners", "_arrays")
 
     def __init__(
         self,
@@ -146,6 +148,20 @@ class PairwiseCosts:
             partners.setdefault(x, []).append((y, value))
             partners.setdefault(y, []).append((x, value))
         self._partners = partners
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Read-only entries in dict order, built on first use: linear key
+        rows (i, s) and values, quadratic key rows (i, s, j, t) and values."""
+        if not hasattr(self, "_arrays"):
+            self._arrays = (
+                np.array(list(self.linear), np.int64).reshape(-1, 2).T.copy(),
+                np.array(list(self.linear.values()), np.float64),
+                np.array(list(self.quadratic), np.int64).reshape(-1, 4).T.copy(),
+                np.array(list(self.quadratic.values()), np.float64),
+            )
+            for view in self._arrays:
+                view.flags.writeable = False
+        return self._arrays
 
     def partners(self, pair: Assignment) -> list[tuple[Assignment, float]]:
         """All entries coupled to the assignment, with their values."""

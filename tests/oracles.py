@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here enumerates exhaustively and stays deliberately naive; none
-of it shares code paths with the solvers under test.
+Everything here enumerates exhaustively or loops over dicts and stays
+deliberately naive; none of it shares code paths with the solvers under
+test.
 """
 
 from __future__ import annotations
@@ -17,6 +18,44 @@ from mgmatch.model import (
     MgmProblem,
     PairwiseCosts,
 )
+
+
+def dict_clique_clique_costs(problem, a, b):
+    """construction.clique_clique_costs as dict loops, for bitwise checks of
+    the array kernel: (linear, quadratic) with the same keys, key order and
+    float summation order."""
+    columns_a = a.columns(problem.sizes)
+    columns_b = b.columns(problem.sizes)
+    lin_sum, lin_cnt, quad_sum = {}, {}, {}
+    for p in sorted(columns_a):
+        for q in sorted(columns_b):
+            table, swapped = problem.table(p, q)
+            left, right = (columns_b[q], columns_a[p]) if swapped else (columns_a[p], columns_b[q])
+            for (i, s), value in table.linear.items():
+                ki, ks = left[i], right[s]
+                if ki is None or ks is None:
+                    continue
+                key = (ks, ki) if swapped else (ki, ks)
+                lin_sum[key] = lin_sum.get(key, 0.0) + value
+                lin_cnt[key] = lin_cnt.get(key, 0) + 1
+            for ((i, s), (j, t)), value in table.quadratic.items():
+                ki, ks, kj, kt = left[i], right[s], left[j], right[t]
+                if ki is None or ks is None or kj is None or kt is None:
+                    continue
+                x, y = ((ks, ki), (kt, kj)) if swapped else ((ki, ks), (kj, kt))
+                key = (x, y) if x <= y else (y, x)
+                quad_sum[key] = quad_sum.get(key, 0.0) + value
+    size_a = [len(c) for c in a.cliques]
+    size_b = [len(c) for c in b.cliques]
+    linear = {
+        key: lin_sum[key] for key, count in lin_cnt.items()
+        if count == size_a[key[0]] * size_b[key[1]]
+    }
+    quadratic = {
+        key: value for key, value in quad_sum.items()
+        if key[0] in linear and key[1] in linear
+    }
+    return linear, quadratic
 
 
 def enumerate_partitions(sizes):

@@ -30,7 +30,7 @@ from mgmatch.model import (
 )
 
 from conftest import part
-from oracles import brute_force_mgm, random_partition, random_problem
+from oracles import brute_force_mgm, dict_clique_clique_costs, random_partition, random_problem
 
 exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
 
@@ -194,6 +194,43 @@ class TestTrustedTables:
         for table in problem.costs.values():
             assert_passes_checks(table.transposed())
             assert table.transposed().transposed() == table
+
+
+def assert_matches_dict_loops(problem, a, b):
+    """clique_clique_costs equals the dict-loop reference bit for bit: the
+    same keys in the same order, the same float bits, Python ints and
+    floats only."""
+    table = clique_clique_costs(problem, a, b)
+    linear, quadratic = dict_clique_clique_costs(problem, a, b)
+    for got, want in ((table.linear, linear), (table.quadratic, quadratic)):
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+        assert all(type(v) is float for v in got.values())
+    assert all(type(k) is int for key in table.linear for k in key)
+    assert all(type(k) is int for x, y in table.quadratic for k in x + y)
+
+
+class TestArrayAggregation:
+    @given(split_problems())
+    def test_split_partitions(self, case):
+        problem, cliques, rng = case
+        objects = list(range(problem.d))
+        rng.shuffle(objects)
+        cut = rng.randint(0, problem.d)  # 0 or d leaves one side empty
+        a = restricted(cliques, set(objects[:cut]))
+        b = restricted(cliques, set(objects[cut:]))
+        # Both orientations: each side reads stored tables as left and right.
+        assert_matches_dict_loops(problem, a, b)
+        assert_matches_dict_loops(problem, b, a)
+
+    @given(split_problems())
+    def test_lifted_object(self, case):
+        problem, cliques, rng = case
+        p = rng.randrange(problem.d)
+        partial = restricted(cliques, set(range(problem.d)) - {p})
+        lifted = singleton_partition(problem.sizes[p], p)
+        assert_matches_dict_loops(problem, lifted, partial)
+        assert_matches_dict_loops(problem, partial, lifted)
 
 
 class TestMerge:

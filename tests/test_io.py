@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mgmatch.io import (
     DanglingReferenceError,
@@ -12,7 +14,7 @@ from mgmatch.io import (
     write_problem,
     write_solution,
 )
-from mgmatch.model import FORBIDDEN, MgmProblem, objective
+from mgmatch.model import FORBIDDEN, MgmProblem, PairwiseCosts, objective
 
 from conftest import part
 from oracles import random_partition, random_problem
@@ -122,6 +124,66 @@ class TestParseProblem:
         problem = parse_problem("gm 0 2\np 1 1 1 0\na 0 0 0 -1.0\n")
         assert problem.d == 3
         assert problem.linear_cost(0, 1, 0, 0) is FORBIDDEN
+
+
+BLOCK = "gm 0 1\np 2 2 2 1\na 0 0 0 1.0\na 1 1 1 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, line, message",
+    [
+        ("gm 0 1\np 2 2 1 0\na 0 0 0\n", ParseError, 3,
+         "expected 'a <id> <i> <s> <cost>'"),
+        (BLOCK + "e 0 1\n", ParseError, 5, "expected 'e <id1> <id2> <cost>'"),
+        ("gm 0 1\np 2 2 1 0\na x 0 0 1.0\n", ParseError, 3,
+         "expected integers, got ['x', '0', '0']"),
+        (BLOCK + "e 0 1.5 1.0\n", ParseError, 5, "expected integers, got ['0', '1.5']"),
+        ("gm 0 1\np 2 2 1 0\na 0 0 0 abc\n", ParseError, 3,
+         "expected a real number, got 'abc'"),
+        ("gm 0 1\np 2 2 1 0\na 0 0 0 nan\n", ParseError, 3, "costs must be finite, got 'nan'"),
+        (BLOCK + "e 0 1 -inf\n", ParseError, 5, "costs must be finite, got '-inf'"),
+        # Within a line, integer fields are checked before the cost, and
+        # both before the block state.
+        ("gm 0 1\np 2 2 1 0\na 0 x 0 nan\n", ParseError, 3,
+         "expected integers, got ['0', 'x', '0']"),
+        ("gm 0 1\na 0 0 0 inf\n", ParseError, 2, "costs must be finite, got 'inf'"),
+        ("gm 0 1\na 0 0 0 1.0\n", ParseError, 2, "'a' line before the block's 'p' line"),
+        ("a 0 0 0 1.0\ngm 0 1\n", ParseError, 1, "'a' line outside a gm block"),
+        ("$ header\ne 0 1 1.0\n", ParseError, 2, "'e' line outside a gm block"),
+        (BLOCK + "e 5 7 1.0\n", DanglingReferenceError, 5, "assignment id 5 not declared"),
+        (BLOCK + "e 0 7 1.0\n", DanglingReferenceError, 5, "assignment id 7 not declared"),
+        ("gm 0 1\np 2 2 2 0\na 0 0 0 1.0\na 0 1 1 1.0\n", DuplicateEntryError, 4,
+         "assignment id 0 declared twice"),
+        ("gm 0 1\np 2 2 2 0\na 0 0 0 1.0\na 1 0 0 2.0\n", DuplicateEntryError, 4,
+         "duplicate assignment (0,0)"),
+        ("gm 0 1\np 2 2 2 1\na 0 0 0 1.0\na 1 0 1 1.0\ne 0 1 0.5\n", ParseError, 5,
+         "quadratic entry (0, 0),(0, 1) shares a vertex"),
+        (BLOCK + "e 0 1 0.5\ne 1 0 0.5\n", DuplicateEntryError, 6,
+         "duplicate quadratic entry ((0, 0), (1, 1))"),
+    ],
+)
+def test_malformed_entry_line(text, error, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert type(err.value) is error
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([0.0, 0.3, 0.6]))
+def test_parse_equals_checked_construction(seed, d, forbidden):
+    """Parsed tables are built unchecked; they equal tables rebuilt through
+    the checking constructor, entry order included."""
+    problem = random_problem(random.Random(seed), d, 4, forbidden_frac=forbidden, quad_frac=0.5)
+    parsed = parse_problem(write_problem(problem))
+    rebuilt = MgmProblem(parsed.sizes, {
+        pair: PairwiseCosts(table.left_size, table.right_size, table.linear, table.quadratic)
+        for pair, table in parsed.costs.items()
+    })
+    assert parsed == rebuilt == problem
+    for pair, table in parsed.costs.items():
+        assert list(table.linear.items()) == list(rebuilt.costs[pair].linear.items())
+        assert list(table.quadratic.items()) == list(rebuilt.costs[pair].quadratic.items())
 
 
 class TestWriteProblem:
@@ -291,8 +353,6 @@ class TestSolutionDocuments:
 class TestFloatFidelity:
     def test_problem_roundtrip_preserves_floats_exactly(self):
         rng = random.Random(77)
-        from mgmatch.model import MgmProblem, PairwiseCosts
-
         linear = {
             (i, s): rng.uniform(-1e3, 1e3) * (10.0 ** rng.randint(-6, 6))
             for i in range(3)

@@ -288,6 +288,25 @@ class TestPairwiseCosts:
         with pytest.raises(ValueError):
             MgmProblem([2, 3], {(0, 1): PairwiseCosts(3, 2)})
 
+    def test_arrays_view_entries_in_dict_order(self):
+        table = PairwiseCosts(
+            2, 3, linear={(1, 2): -1.5, (0, 0): 2.0}, quadratic={((1, 2), (0, 0)): 0.25}
+        )
+        lin_keys, lin_values, quad_keys, quad_values = table.arrays()
+        assert lin_keys.tolist() == [[1, 0], [2, 0]]
+        assert lin_values.tolist() == [-1.5, 2.0]
+        assert quad_keys.tolist() == [[0], [0], [1], [2]]
+        assert quad_values.tolist() == [0.25]
+        assert table.arrays() is table.arrays()
+        for view in table.arrays():
+            with pytest.raises(ValueError):
+                view[...] = 0
+
+    def test_arrays_of_an_empty_table(self):
+        lin_keys, lin_values, quad_keys, quad_values = PairwiseCosts(2, 2).arrays()
+        assert lin_keys.shape == (2, 0) and quad_keys.shape == (4, 0)
+        assert lin_values.shape == quad_values.shape == (0,)
+
 
 class TestPairTable:
     def test_raw_tables(self, t3):
