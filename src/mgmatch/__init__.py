@@ -42,7 +42,6 @@ from .local_search import (
     apply_multiswap,
     best_multiswap,
     gm_local_search,
-    gm_local_search_parallel,
     single_swap,
     swap_deltas,
     swap_local_search,

@@ -9,11 +9,10 @@ With runs > 1 the pipeline restarts with shuffled object orders, one
 restart after the other, and keeps the best solution found; sync mode
 ranks its restarts by the projection objective. Algorithm
 variants are chosen by flags: --construction seq (chain), par (balanced
-construction tree) or inc:<s> (warm-started chain); --ls gm (sequential
-GM local search), gm-par (parallel-proposal GM local search), swap,
-alternate or none. A time limit cuts searches short, and no restart
-after the first starts once it has passed; the best solution so far is
-still written, flagged in the document metadata.
+construction tree) or inc:<s> (warm-started chain); --ls gm (GM local
+search), swap, alternate or none. A time limit cuts searches short,
+and no restart after the first starts once it has passed; the best
+solution so far is still written, flagged in the document metadata.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .local_search import (
     TraceRecorder,
     alternate,
     gm_local_search,
-    gm_local_search_parallel,
     swap_local_search,
 )
 from .model import FORBIDDEN, CliquePartition, objective
@@ -48,7 +46,7 @@ from .reduction import size_report
 from .synchronization import synchronize
 
 MODES = ("construct", "ls", "full", "sync", "reduce")
-LS_CHOICES = ("gm", "gm-par", "swap", "alternate", "none")
+LS_CHOICES = ("gm", "swap", "alternate", "none")
 
 
 @dataclass
@@ -61,7 +59,7 @@ class RunConfig:
     runs: int = 1
     time_limit: float | None = None
     construction: str = "seq"  # seq | par | inc:<s>
-    ls: str = "alternate"  # gm | gm-par | swap | alternate | none
+    ls: str = "alternate"  # gm | swap | alternate | none
     gm_solver: str = "default"
     gm_effort: str = "default"
     sync_mode: str = "sparse"  # dense | sparse | soft:<alpha>
@@ -153,10 +151,6 @@ def _local_search(problem, solution, config: RunConfig, gm, seed, deadline, trac
     order = _shuffled_order(problem.d, seed)
     if config.ls == "none":
         return solution
-    if config.ls == "gm-par":
-        return gm_local_search_parallel(
-            problem, solution, gm=gm, seed=seed, deadline=deadline, trace=trace,
-        )
     if config.ls == "gm":
         return gm_local_search(
             problem, solution, order=order, gm=gm, seed=seed, deadline=deadline, trace=trace,
@@ -264,8 +258,14 @@ def run(config: RunConfig) -> int:
     value, _, solution, trace, metrics = _best_restart(results)
     if config.mode == "sync":
         if config.sync_post_ls:
+            # The restart's trace holds projection objectives; the post-LS
+            # entries that follow are objectives of the original problem.
+            start_value = objective(problem, solution)
+            if start_value is not FORBIDDEN:
+                trace.record("sync-post-ls", start_value)
             improved = alternate(
-                problem, solution, gm=gm, seed=derive_seed(config.seed, 777), deadline=deadline
+                problem, solution, gm=gm, seed=derive_seed(config.seed, 777),
+                deadline=deadline, trace=trace,
             )
             metadata["mgm_objective_post_ls"] = mgm_io._cost_to_json(
                 objective(problem, improved)

@@ -6,14 +6,11 @@ only:
 * GM local search splits one object out of the solution, re-matches it
   against the remaining cliques with construction.rematch, the step
   chain construction takes too (MDAP's dimensionwise variation), and
-  keeps the merge when the objective drops. The parallel-proposal
-  variant proposes re-matchings for all objects against the same
-  solution, then applies them in ascending order of their proposed
-  objective, re-checking profit after each. A re-match changes only the
+  keeps the merge when the objective drops. A re-match changes only the
   objective terms on object pairs that contain the re-matched object.
   objective() is the fsum of model.ObjectiveTerms' per-pair groups, so
-  both variants keep those groups and price a candidate by replacing one
-  object's row: the same float objective() returns, bit for bit.
+  GM local search keeps those groups and prices a candidate by replacing
+  one object's row: the same float objective() returns, bit for bit.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
@@ -45,8 +42,8 @@ from random import Random
 from typing import Sequence
 
 from . import qpbo
-from .construction import derive_seed, merge, rematch
-from .gm import GmMatching, GmSolver, solve_gm
+from .construction import derive_seed, rematch
+from .gm import GmSolver, solve_gm
 from .model import (
     FORBIDDEN,
     Clique,
@@ -55,7 +52,6 @@ from .model import (
     MgmProblem,
     ObjectiveTerms,
     objective,
-    singleton_partition,
     validate,
 )
 
@@ -374,76 +370,6 @@ def gm_local_search(
         else:
             stale += 1
     return current
-
-
-def gm_local_search_parallel(
-    problem: MgmProblem,
-    solution: CliquePartition,
-    gm: GmSolver = solve_gm,
-    seed: int = 0,
-    max_passes: int | None = None,
-    deadline: float | None = None,
-    trace: TraceRecorder | None = None,
-) -> CliquePartition:
-    """Two-pass variant: propose all object re-matchings against a snapshot,
-    then apply them in ascending proposed-objective order, accepting only
-    re-verified profits.
-
-    Stale proposals (their target cliques changed under earlier accepted
-    merges) are re-targeted by clique content; vanished targets are
-    dropped, leaving those vertices unmatched in the re-merge. Proposals
-    and re-verifications are priced by ObjectiveTerms; a proposal applied
-    before any merge of its round was accepted keeps its proposal price.
-    """
-    validate(problem, solution)
-    current = solution.normalized(problem.sizes)
-    terms = ObjectiveTerms(problem, current)
-    current_value = terms.value()
-    rounds = 0
-    while True:
-        if max_passes is not None and rounds >= max_passes:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        proposals = []
-        for p in range(problem.d):
-            split = CliquePartition(c.without_object(p) for c in current)
-            seed_p = derive_seed(seed, rounds * problem.d + p + 1)
-            matching, candidate = rematch(problem, p, split, gm, seed_p)
-            targets = [(v, split.cliques[k]) for v, k in matching]
-            row = terms.row(p, candidate)
-            proposals.append((terms.value(p, row), p, targets, candidate, row))
-        proposals.sort(key=lambda item: (_sort_cost(item[0]), item[1]))
-
-        accepted_any = False
-        for value, p, targets, candidate, row in proposals:
-            # Until a merge is accepted, current is the snapshot the
-            # proposal was priced on, and re-targeting rebuilds the same
-            # candidate.
-            if accepted_any:
-                split = CliquePartition(c.without_object(p) for c in current)
-                key_index = {clique: idx for idx, clique in enumerate(split.cliques)}
-                pairs = [
-                    (v, key_index[clique]) for v, clique in targets if clique in key_index
-                ]
-                lifted = singleton_partition(problem.sizes[p], p)
-                candidate = merge(lifted, split, GmMatching(pairs))
-                row = terms.row(p, candidate)
-                value = terms.value(p, row)
-            if value < current_value:
-                current, current_value = candidate, value
-                terms.replace(p, row)
-                accepted_any = True
-                if trace is not None:
-                    trace.record("gm-ls-par", value)
-        rounds += 1
-        if not accepted_any:
-            break
-    return current
-
-
-def _sort_cost(value: Cost) -> float:
-    return float("inf") if value is FORBIDDEN else value
 
 
 def swap_local_search(

@@ -19,7 +19,6 @@ from mgmatch.local_search import (
     TraceRecorder,
     alternate,
     gm_local_search,
-    gm_local_search_parallel,
     single_swap,
     swap_deltas,
     swap_local_search,
@@ -112,8 +111,8 @@ def test_criterion_2_monotone_acceptance():
                 lambda: gm_local_search(
                     problem, start, seed=checked, trace=trace, max_passes=4
                 ),
-                lambda: gm_local_search_parallel(
-                    problem, start, seed=checked, trace=trace, max_passes=4
+                lambda: alternate(
+                    problem, start, seed=checked, trace=trace, max_rounds=2
                 ),
                 lambda: swap_local_search(
                     problem, start, seed=checked, trace=trace, max_passes=4

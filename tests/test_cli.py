@@ -168,6 +168,27 @@ class TestSyncMode:
         doc = read_doc(out)
         assert "mgm_objective_post_ls" in doc.metadata
 
+    def test_trace_ends_at_the_post_ls_objective(self, tmp_path):
+        # The restart's trace entries are projection objectives; from the
+        # sync-post-ls entry on they are objectives of the original problem.
+        problem = random_problem(random.Random(3), 5, 4, forbidden_frac=0.2, quad_frac=0.3)
+        path = tmp_path / "r3.dd"
+        path.write_text(write_problem(problem))
+        out, trace = tmp_path / "sol.json", tmp_path / "trace.csv"
+        code = main(
+            [str(path), "--mode", "sync", "--sync-mode", "dense", "--sync-post-ls",
+             "--seed", "1", "--output", str(out), "--trace", str(trace)]
+        )
+        assert code == 0
+        metadata = read_doc(out, problem).metadata
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        phases = [phase for _, phase, _ in rows]
+        values = [float(value) for _, _, value in rows[phases.index("sync-post-ls"):]]
+        assert values[0] == metadata["sync_metrics"]["mgm_objective"]
+        assert len(values) > 1
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert values[-1] == metadata["mgm_objective_post_ls"]
+
 
 class TestSolverTag:
     @pytest.mark.parametrize(
@@ -176,7 +197,7 @@ class TestSolverTag:
             (["--mode", "construct", "--ls", "swap"], "construct:seq"),
             (["--mode", "ls", "--construction", "par", "--ls", "swap"], "ls:swap"),
             (["--mode", "full", "--construction", "par", "--ls", "gm"], "full:par+gm"),
-            (["--mode", "sync", "--construction", "inc:100", "--ls", "gm-par"], "sync:sparse"),
+            (["--mode", "sync", "--construction", "inc:100", "--ls", "gm"], "sync:sparse"),
             (["--mode", "sync", "--sync-mode", "soft:0.5", "--sync-post-ls"],
              "sync:soft:0.5+post-ls"),
         ],
@@ -299,6 +320,16 @@ class TestErrors:
         assert RunConfig(mode="ls", initial_path="start.json").initial_path == "start.json"
         assert RunConfig(mode="sync", sync_mode="soft").sync_alpha == 1.0
         assert RunConfig(construction="inc:12").warm_start == 12
+        with pytest.raises(ValueError):
+            RunConfig(ls="gm-par")
+
+    def test_unknown_local_search_is_an_invalid_choice(self, t3_file, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        with pytest.raises(SystemExit) as exc:
+            main([str(t3_file), "--ls", "gm-par", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gm-par'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_non_positive_time_limit(self, t3_file, tmp_path, capsys, limit):
@@ -424,9 +455,10 @@ def solution_without_wall_time(path):
 
 
 @pytest.fixture
-def proposal_sensitive_file(tmp_path):
-    """An instance on which parallel-proposal GM local search ends at a
-    different objective than the sequential one."""
+def r21_file(tmp_path):
+    """A small random instance with forbidden pairs and quadratic terms, on
+    which a full-mode run with two restarts at seed 1 accepts both GM and
+    swap moves."""
     problem = random_problem(random.Random(21), 5, 3, forbidden_frac=0.2, quad_frac=0.3)
     path = tmp_path / "r21.dd"
     path.write_text(write_problem(problem))
@@ -434,12 +466,12 @@ def proposal_sensitive_file(tmp_path):
 
 
 class TestThreadsHaveNoEffect:
-    def test_thread_count_does_not_change_output(self, proposal_sensitive_file, tmp_path):
+    def test_thread_count_does_not_change_output(self, r21_file, tmp_path):
         outs = []
         for threads in ("1", "4"):
             out = tmp_path / f"sol{threads}.json"
             code = main(
-                [str(proposal_sensitive_file), "--mode", "full", "--runs", "2", "--seed", "1",
+                [str(r21_file), "--mode", "full", "--runs", "2", "--seed", "1",
                  "--threads", threads, "--output", str(out)]
             )
             assert code == 0
@@ -447,8 +479,8 @@ class TestThreadsHaveNoEffect:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("value", ["abc", "2"])
-    def test_env_var_is_ignored(self, proposal_sensitive_file, tmp_path, monkeypatch, value):
-        args = [str(proposal_sensitive_file), "--runs", "2", "--seed", "1"]
+    def test_env_var_is_ignored(self, r21_file, tmp_path, monkeypatch, value):
+        args = [str(r21_file), "--runs", "2", "--seed", "1"]
         plain = tmp_path / "plain.json"
         assert main(args + ["--output", str(plain)]) == 0
         monkeypatch.setenv("MGM_THREADS", value)
@@ -464,11 +496,10 @@ class TestGmEffort:
             ["--mode", "full"],
             ["--mode", "full", "--construction", "par"],
             ["--mode", "full", "--construction", "inc:2"],
-            ["--mode", "full", "--ls", "gm-par"],
             ["--mode", "sync"],
             ["--mode", "sync", "--sync-post-ls"],
         ],
-        ids=["full", "par", "inc", "gm-par", "sync", "sync-post-ls"],
+        ids=["full", "par", "inc", "sync", "sync-post-ls"],
     )
     def test_effort_flag_reaches_every_solve(self, t3_file, tmp_path, monkeypatch, args):
         from mgmatch import gm
@@ -486,27 +517,3 @@ class TestGmEffort:
         assert main(argv) == 0
         assert efforts
         assert set(efforts) == {gm.Effort.FAST}
-
-
-class TestParallelProposalLs:
-    def test_gm_par_runs_parallel_proposal_search(self, t3, t3_file, tmp_path, monkeypatch):
-        from mgmatch import cli
-
-        calls = []
-        original = cli.gm_local_search_parallel
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("--ls gm-par must not run sequential GM local search")
-
-        monkeypatch.setattr(cli, "gm_local_search_parallel", counting)
-        monkeypatch.setattr(cli, "gm_local_search", refuse)
-        out = tmp_path / "sol.json"
-        assert main([str(t3_file), "--ls", "gm-par", "--runs", "2", "--output", str(out)]) == 0
-        assert len(calls) == 2
-        doc = read_doc(out, t3)
-        assert not doc.warnings
-        assert "+gm-par/" in doc.metadata["solver"]

@@ -1,5 +1,5 @@
-"""Edge cases cutting across modules: degenerate sizes, stale proposals,
-hostile parser input, solver misconfiguration."""
+"""Edge cases cutting across modules: degenerate sizes, hostile parser
+input, solver misconfiguration."""
 
 import random
 import string
@@ -10,15 +10,8 @@ from mgmatch.cli import main
 from mgmatch.construction import construct_sequential
 from mgmatch.gm import GmMatching, solve_lap
 from mgmatch.io import ParseError, parse_problem, write_problem
-from mgmatch.local_search import gm_local_search_parallel
-from mgmatch.model import (
-    Clique,
-    CliquePartition,
-    MgmProblem,
-    PairwiseCosts,
-    objective,
-    validate,
-)
+from mgmatch.local_search import alternate, gm_local_search
+from mgmatch.model import CliquePartition, PairwiseCosts, objective, validate
 
 from conftest import part
 
@@ -42,45 +35,10 @@ class TestZeroSizeObjects:
     def test_local_search_with_empty_object(self):
         problem = parse_problem("gm 0 2\np 2 2 1 0\na 0 0 0 -1.0\n")
         start = CliquePartition().normalized(problem.sizes)
-        result = gm_local_search_parallel(problem, start, seed=0)
-        assert objective(problem, result) == pytest.approx(-1.0)
-
-
-class TestStaleParallelProposals:
-    def test_stale_target_cliques_are_dropped_not_crashed(self):
-        # Objects 1 and 2 both want to re-match onto object 0's cliques.
-        # Applying object 1's proposal changes the split cliques object 2's
-        # matching referenced, forcing the re-targeting path.
-        c01 = PairwiseCosts(2, 2, {(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
-        c02 = PairwiseCosts(2, 2, {(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
-        c12 = PairwiseCosts(2, 2, {(0, 0): -5.0, (1, 1): -5.0, (0, 1): -0.5, (1, 0): -0.5})
-        problem = MgmProblem([2, 2, 2], {(0, 1): c01, (0, 2): c02, (1, 2): c12})
-        # start crossed: both objects matched to the wrong vertex of object 0
-        start = part({0: 0, 1: 1, 2: 1}, {0: 1, 1: 0, 2: 0})
-        result = gm_local_search_parallel(problem, start, seed=0, max_passes=6)
-        validate(problem, result)
-        assert objective(problem, result) <= objective(problem, start)
-        # both straight full cliques at -15 each is the optimum
-        assert objective(problem, result) == pytest.approx(-30.0)
-
-    def test_parallel_search_monotone_under_many_conflicts(self):
-        rng = random.Random(71)
-        for _ in range(10):
-            sizes = [rng.randint(2, 4) for _ in range(4)]
-            costs = {}
-            for p in range(4):
-                for q in range(p + 1, 4):
-                    linear = {
-                        (i, s): round(rng.uniform(-4, 1), 3)
-                        for i in range(sizes[p])
-                        for s in range(sizes[q])
-                    }
-                    costs[(p, q)] = PairwiseCosts(sizes[p], sizes[q], linear)
-            problem = MgmProblem(sizes, costs)
-            start = CliquePartition().normalized(problem.sizes)
-            result = gm_local_search_parallel(problem, start, seed=rng.randrange(99))
-            assert objective(problem, result) <= 0.0
+        for search in (gm_local_search, alternate):
+            result = search(problem, start, seed=0)
             validate(problem, result)
+            assert objective(problem, result) == pytest.approx(-1.0)
 
 
 class TestParserFuzz:

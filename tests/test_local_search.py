@@ -13,7 +13,6 @@ from mgmatch.local_search import (
     apply_multiswap,
     best_multiswap,
     gm_local_search,
-    gm_local_search_parallel,
     single_swap,
     swap_deltas,
     swap_local_search,
@@ -336,38 +335,6 @@ class TestGmLocalSearch:
                 split = CliquePartition(c.without_object(p) for c in result)
                 _, candidate = rematch(problem, p, split, exhaustive, 0)
                 assert objective(problem, candidate) >= value - 1e-9
-
-
-class TestGmLocalSearchParallel:
-    def test_matches_sequential_fixed_point_on_t3(self, t3):
-        singles = CliquePartition().normalized(t3.sizes)
-        seq = gm_local_search(t3, singles, gm=exhaustive, seed=0)
-        par = gm_local_search_parallel(t3, singles, gm=exhaustive, seed=0)
-        assert objective(t3, par) == objective(t3, seq)
-
-    def test_optimum_unchanged(self, t3):
-        optimum = part({0: 0, 1: 0}, {0: 1, 1: 1}, {2: 0})
-        result = gm_local_search_parallel(t3, optimum, gm=exhaustive, seed=0)
-        assert result == optimum
-
-    def test_unprofitable_proposals_terminate_first_pass(self, t3):
-        optimum = part({0: 0, 1: 0}, {0: 1, 1: 1}, {2: 0})
-        trace = TraceRecorder()
-        result = gm_local_search_parallel(
-            t3, optimum, gm=exhaustive, seed=0, trace=trace
-        )
-        assert result == optimum
-        assert trace.entries == []
-
-    def test_never_worsens(self):
-        rng = random.Random(37)
-        for _ in range(2):
-            problem = random_problem(rng, 5, 3, forbidden_frac=0.3)
-            start = random_partition(rng, problem)
-            if objective(problem, start) is FORBIDDEN:
-                continue
-            result = gm_local_search_parallel(problem, start, seed=5)
-            assert objective(problem, result) <= objective(problem, start)
 
 
 class TestSwapLocalSearch:

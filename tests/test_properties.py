@@ -2,9 +2,11 @@
 
 Every construction variant returns a feasible partition without a
 forbidden match; every local search ends no higher than its
-non-forbidden start; every synchronization mode returns a feasible
-partition, and the sparse one matches no forbidden pair. Each property
-is checked on every drawn instance.
+non-forbidden start; the reduction to a complete problem keeps a
+solution's objective exactly and strips back to the same solution;
+every synchronization mode returns a feasible partition, and the sparse
+one matches no forbidden pair. Each property is checked on every drawn
+instance.
 """
 
 import random
@@ -18,13 +20,9 @@ from mgmatch.construction import (
     construct_parallel,
     construct_sequential,
 )
-from mgmatch.local_search import (
-    alternate,
-    gm_local_search,
-    gm_local_search_parallel,
-    swap_local_search,
-)
+from mgmatch.local_search import alternate, gm_local_search, swap_local_search
 from mgmatch.model import FORBIDDEN, Clique, CliquePartition, objective, validate
+from mgmatch.reduction import complete_to_incomplete, incomplete_to_complete, to_complete
 from mgmatch.synchronization import synchronize
 
 from oracles import random_partition, random_problem
@@ -79,10 +77,23 @@ def test_local_search_never_ends_above_its_start(case):
     start_value = objective(problem, start)
     assert start_value is not FORBIDDEN
     seed = rng.randrange(100)
-    for search in (gm_local_search, gm_local_search_parallel, swap_local_search, alternate):
+    for search in (gm_local_search, swap_local_search, alternate):
         result = search(problem, start, seed=seed)
         validate(problem, result)
         assert objective(problem, result) <= start_value
+
+
+@given(problems())
+def test_reduction_round_trip_keeps_the_objective(case):
+    problem, rng = case
+    start = allowed_start(rng, problem)
+    complete = to_complete(problem)
+    padded = incomplete_to_complete(start, complete, seed=rng.randrange(100))
+    assert len(padded.cliques) == complete.total
+    assert all(len(clique) == problem.d for clique in padded.cliques)
+    assert objective(complete, padded) == objective(problem, start)  # exact equality
+    back = complete_to_incomplete(complete, padded)
+    assert back.normalized(problem.sizes) == start.normalized(problem.sizes)
 
 
 @given(problems())
