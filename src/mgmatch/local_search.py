@@ -16,30 +16,33 @@ only:
   their vertices on any subset of objects. The change decomposes over
   objects into per-object-pair deltas, which turns picking the best joint
   swap into a pairwise binary energy handed to the qpbo module; objects
-  joined by a forbidden single swap share one variable. Two shortcuts
-  skip work whose outcome is already known:
+  joined by a forbidden single swap share one variable. swap_deltas
+  computes the delta matrices of many clique pairs at once from one
+  problem-wide slot index (MgmProblem.slot_index) and per-solution sums
+  of realized quadratic partners (Taillard's delta technique), which are
+  recomputed only when the solution changes. Two rules skip work whose
+  outcome is already known:
 
-  - Pruning. When the graph on the involved objects whose edges are
-    forbidden single swaps (a linear-cost check) is connected, every
-    joint swap other than renaming the two cliques activates a forbidden
-    swap, so best_multiswap would return no-swap; the pair is skipped.
-  - Caching. A pair's delta matrix depends on the two cliques and on
-    which cliques own the vertices its quadratic terms read. The matrix is
-    dropped once minimized; its outcome is kept, across passes and
-    alternate rounds, while all those owner cliques are still in the
-    solution. A pruned pair's outcome is no-swap and its owners are the
-    two cliques.
+  - best_multiswap returns no-swap without an energy when contraction
+    leaves one group (every other joint swap activates a forbidden swap
+    or renames the two cliques), or when no weight between groups is
+    negative (no labeling is below no-swap).
+  - best_multiswap reads only the two cliques and their delta matrix, so
+    a pair's outcome is kept, across passes and alternate rounds, and
+    reused while the pair's freshly computed matrix is byte-equal to the
+    one it came from.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import qpbo
 from .construction import derive_seed, rematch
@@ -54,6 +57,10 @@ from .model import (
     objective,
     validate,
 )
+
+# Clique pairs per swap_deltas call in swap local search: a few batches
+# per pass, while an accepted swap discards at most one batch.
+_CHUNK = 32
 
 
 @dataclass
@@ -121,151 +128,137 @@ def _replace(solution: CliquePartition, replacements: dict[int, Clique]) -> Cliq
 
 @dataclass
 class SwapDeltaMatrix:
-    """Per-object-pair objective changes of single swaps between two cliques.
+    """One clique pair's swap deltas: a matrix of swap_deltas, d x d.
 
     get(p, q) is the change restricted to objects p and q when the swap
     fixing p is performed alone; Forbidden marks swaps that would create
     a disallowed match. The matrix is symmetric: swapping q alone puts the
     same two assignments into the two cliques, in the other clique order.
     Row sums equal the exact objective change of the corresponding single
-    swap. ``entries`` holds the matrix row-major, with +inf for Forbidden
-    (costs are finite, so deltas are too).
-
-    ``owners`` holds the two cliques and every clique owning a vertex the
-    quadratic terms were looked up for; while all of them are still in
-    the solution, recomputing gives the same entries. It is None when a
-    looked-up vertex was in no clique, which a later solution could change
-    unnoticed.
+    swap.
     """
 
-    d: int
-    entries: array
-    owners: tuple[Clique, ...] | None = None
+    entries: np.ndarray
 
     def get(self, p: int, q: int) -> Cost:
-        value = self.entries[p * self.d + q]
+        value = float(self.entries[p, q])
         return FORBIDDEN if value == math.inf else value
 
     def row_sum(self, p: int) -> Cost:
         total: Cost = 0.0
-        for q in range(self.d):
+        for q in range(len(self.entries)):
             if q != p:
                 total = total + self.get(p, q)
         return total
 
 
+class _SwapView(NamedTuple):
+    """What swap_deltas reads of a solution. Per clique: its position, its
+    vertex per object (-1 where it covers none), and _assignments of its
+    own vertex pairs. Per slot of the problem's SlotIndex: the linear cost
+    plus the realized partner sum, the quadratic entries joining the slot
+    to an assignment inside a clique."""
+
+    position: dict[Clique, int]
+    vertices: np.ndarray
+    own: tuple[np.ndarray, np.ndarray, np.ndarray]
+    values: np.ndarray
+
+
+def _assignments(problem: MgmProblem, x: np.ndarray, y: np.ndarray):
+    """Slots, stored flags and forbidden flags of matching vertices x to
+    vertices y, for the object pairs p < q of np.triu_indices(d, 1) along
+    the last axis; -1 stands for no vertex, which is neither."""
+    index = problem.slot_index()
+    p, q = np.triu_indices(problem.d, 1)
+    present = (x >= 0) & (y >= 0)
+    code = index.offsets[p, q] + x * np.array(problem.sizes, np.int64)[q] + y
+    slots = np.searchsorted(index.codes, code)
+    stored = present & (index.codes[slots] == code)
+    return slots, stored, present & ~stored
+
+
+def _swap_view(problem: MgmProblem, solution: CliquePartition) -> _SwapView:
+    columns = solution.columns(problem.sizes)  # validates the solution
+    index = problem.slot_index()
+    vertices = np.full((len(solution.cliques), problem.d), -1, np.int64)
+    for p, column in columns.items():
+        for v, k in enumerate(column):
+            if k is not None:
+                vertices[k, p] = v
+    p, q = np.triu_indices(problem.d, 1)
+    own = _assignments(problem, vertices[:, p], vertices[:, q])
+    realized = np.zeros(len(index.codes), bool)
+    realized[own[0][own[1]]] = True
+    low, high = np.divmod(index.quad_keys[:-1], len(index.codes))
+    values = index.quad_values[:-1]
+    # Each quadratic entry counts toward each of its slots while the other
+    # one lies inside a clique.
+    partner_sums = np.bincount(
+        np.concatenate((low, high)),
+        np.where(realized[np.concatenate((high, low))], np.concatenate((values, values)), 0.0),
+        len(index.codes),
+    )
+    position = {clique: k for k, clique in enumerate(solution.cliques)}
+    return _SwapView(position, vertices, own, index.linear + partner_sums)
+
+
 def swap_deltas(
-    problem: MgmProblem, solution: CliquePartition, first: Clique, second: Clique
-) -> SwapDeltaMatrix:
-    idx_first = _index_of(solution, first)
-    idx_second = _index_of(solution, second)
-    if idx_first == idx_second:
-        raise ValueError("swap deltas need two distinct cliques")
-    columns = solution.columns(problem.sizes)
-    d = problem.d
-    entries = array("d", bytes(8 * d * d))
-    read: set[int | None] = {idx_first, idx_second}
-    # A single swap on object p moves first's p-vertex to second and back.
-    exchanged = {idx_first: idx_second, idx_second: idx_first}
+    problem: MgmProblem,
+    solution: CliquePartition,
+    pairs: Sequence[tuple[Clique, Clique]],
+    view: _SwapView | None = None,
+) -> np.ndarray:
+    """Swap delta matrices of clique pairs (first, second) of a solution.
 
-    def assignment(table, p, q, vp, vq):
-        """(linear cost, [(quadratic value, clique of its p end, clique of
-        its q end)]) of matching vp to vq, or None without both vertices."""
-        if vp is None or vq is None:
-            return None
-        partners = []
-        for (i2, s2), value in table.partners((vp, vq)):
-            kp = columns[p][i2]
-            kq = columns[q][s2]
-            read.add(kp)
-            read.add(kq)
-            partners.append((value, kp, kq))
-        return table.linear.get((vp, vq), FORBIDDEN), partners
+    Returns an array of shape (len(pairs), d, d), each matrix as described
+    in SwapDeltaMatrix, with +inf for Forbidden. For objects p < q and a
+    pair with vertices a_p, a_q (first) and b_p, b_q (second), the terms
+    that involve the pair's assignments are, with v = linear cost plus
+    realized partner sum (_SwapView.values):
 
-    def contrib(x, y, flip_p, interaction):
-        """Objective terms on the object pair that involve assignments x, y.
+    * before: v(a_p, a_q) + v(b_p, b_q) minus their mutual quadratic
+      entry, which each side's partner sum counts;
+    * after swapping p: v(b_p, a_q) + v(a_p, b_q) plus their mutual entry,
+      the only partner the swap realizes.
 
-        flip_p applies a single swap on p to the looked-up cliques.
-        """
-        total = 0.0
-        for side in (x, y):
-            if side is not None:
-                if side[0] is FORBIDDEN:
-                    return FORBIDDEN
-                total += side[0]
-        for side in (x, y):
-            if side is not None:
-                for value, kp, kq in side[1]:
-                    if flip_p:
-                        kp = exchanged.get(kp, kp)
-                    if kp is not None and kp == kq:
-                        total += value
-        if interaction is not None:
-            # The x-y interaction was counted from both sides; it must count once.
-            total -= interaction
-        return total
-
-    # One evaluation per object pair p < q, written to both entries: the
-    # matrix is symmetric. Objects neither clique covers contribute
-    # nothing; their entries stay 0.
-    involved = sorted(set(first.objects()) | set(second.objects()))
-    for p, q in combinations(involved, 2):
-        table = problem.costs[(p, q)]
-        ap, aq, bp, bq = first.get(p), first.get(q), second.get(p), second.get(q)
-        kept_a = assignment(table, p, q, ap, aq)
-        kept_b = assignment(table, p, q, bp, bq)
-        moved_a = assignment(table, p, q, bp, aq)  # first after swapping p
-        moved_b = assignment(table, p, q, ap, bq)  # second after swapping p
-        full = None not in (ap, aq, bp, bq)
-        before = contrib(
-            kept_a, kept_b, False, table.quad_get((ap, aq), (bp, bq)) if full else None
-        )
-        after = contrib(
-            moved_a, moved_b, True, table.quad_get((bp, aq), (ap, bq)) if full else None
-        )
-        if before is FORBIDDEN or after is FORBIDDEN:
-            entries[p * d + q] = entries[q * d + p] = math.inf
-        else:
-            entries[p * d + q] = entries[q * d + p] = after - before
-    owners = None
-    if None not in read:
-        owners = tuple(solution.cliques[k] for k in read)
-    return SwapDeltaMatrix(d, entries, owners)
-
-
-def swaps_all_forbidden(problem: MgmProblem, first: Clique, second: Clique) -> bool:
-    """True when no joint swap of the two cliques can be accepted.
-
-    Objects p and q are adjacent when swapping p alone puts a forbidden
-    linear entry on (p, q), or the two cliques hold one there already; the
-    relation is symmetric and equals ``swap_deltas(...).get(p, q) is
-    FORBIDDEN``. If the involved objects are connected, any labeling that
-    is not constant on them swaps one end of an adjacent pair without the
-    other; best_multiswap contracts them into a single group, where
-    swapping all of them only renames the two cliques (energy 0, never
-    strictly below no-swap). Reads linear costs and the two cliques only.
+    Absent vertices contribute nothing, so entries of objects neither
+    clique covers are 0; the entry is +inf if any present assignment is
+    forbidden. ``view`` is _swap_view(problem, solution) when the caller
+    has it.
     """
-    involved = sorted(set(first.objects()) | set(second.objects()))
+    if view is None:
+        view = _swap_view(problem, solution)
+    try:
+        at = np.array([[view.position[c] for c in pair] for pair in pairs], np.int64)
+    except KeyError as error:
+        raise ValueError(f"{error.args[0]!r} is not part of the solution") from None
+    first, second = at.reshape(-1, 2).T
+    if np.any(first == second):
+        raise ValueError("swap deltas need two distinct cliques")
+    index = problem.slot_index()
+    p, q = np.triu_indices(problem.d, 1)
+    a, b = view.vertices[first], view.vertices[second]
+    kept_a, kept_b = tuple(own[first] for own in view.own), tuple(own[second] for own in view.own)
+    moved_a = _assignments(problem, b[:, p], a[:, q])  # first after swapping p
+    moved_b = _assignments(problem, a[:, p], b[:, q])
 
-    def adjacent(p, q):
-        if p > q:
-            p, q = q, p
-        linear = problem.costs[(p, q)].linear
-        ap, aq, bp, bq = first.get(p), first.get(q), second.get(p), second.get(q)
-        for vp, vq in ((ap, aq), (bp, bq), (bp, aq), (ap, bq)):
-            if vp is not None and vq is not None and (vp, vq) not in linear:
-                return True
-        return False
+    def value(x):
+        return np.where(x[1], view.values[x[0]], 0.0)
 
-    reached = {involved[0]}
-    frontier = [involved[0]]
-    while frontier:
-        p = frontier.pop()
-        for q in involved:
-            if q not in reached and adjacent(p, q):
-                reached.add(q)
-                frontier.append(q)
-    return len(reached) == len(involved)
+    def mutual(x, y):
+        """The quadratic entry joining two stored assignments, else 0."""
+        key = np.minimum(x[0], y[0]) * len(index.codes) + np.maximum(x[0], y[0])
+        found = np.searchsorted(index.quad_keys, key)
+        hit = x[1] & y[1] & (index.quad_keys[found] == key)
+        return np.where(hit, index.quad_values[found], 0.0)
+
+    before = value(kept_a) + value(kept_b) - mutual(kept_a, kept_b)
+    after = value(moved_a) + value(moved_b) + mutual(moved_a, moved_b)
+    forbidden = kept_a[2] | kept_b[2] | moved_a[2] | moved_b[2]
+    rows = np.zeros((len(first), problem.d, problem.d))
+    rows[:, p, q] = rows[:, q, p] = np.where(forbidden, math.inf, after - before)
+    return rows
 
 
 def apply_multiswap(
@@ -285,7 +278,7 @@ def best_multiswap(
     first: Clique,
     second: Clique,
     seed: int = 0,
-    deltas: SwapDeltaMatrix | None = None,
+    deltas: np.ndarray | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Best joint swap between two cliques via binary energy minimization.
 
@@ -294,37 +287,48 @@ def best_multiswap(
     contracted into one variable. Tables inside a group drop out (their
     (0,0) and (1,1) entries are 0), tables between groups add up, and no
     penalty is needed; minimizing from no-swap is exact up to
-    qpbo.EXACT_ENUMERATION_LIMIT groups. A single group is the pruned case.
-    The delta matrix is symmetric, so each table between groups is
-    (0, w, w, 0). Returns the bit vector over all objects and the
-    predicted objective change (0 for no-swap).
+    qpbo.EXACT_ENUMERATION_LIMIT groups. The delta matrix is symmetric, so
+    each table between groups is (0, w, w, 0). Returns the bit vector over
+    all objects and the predicted objective change (0 for no-swap).
 
-    ``deltas`` are this pair's swap deltas in ``solution`` when the caller
-    has them; they are read, not changed. The seed matters only above the
-    enumeration limit, for energies that are not submodular.
+    No-swap is returned without an energy when contraction leaves one
+    group (every other joint swap is forbidden or renames the cliques) or
+    no weight w is negative (the energy is then at least 0 everywhere).
+    ``deltas`` is this pair's swap_deltas matrix in ``solution`` when the
+    caller has it; it is read, not changed. The seed matters only above
+    the enumeration limit, for energies that are not submodular.
     """
     if deltas is None:
-        deltas = swap_deltas(problem, solution, first, second)
+        (deltas,) = swap_deltas(problem, solution, [(first, second)])
+    no_swap = ((0,) * problem.d, 0.0)
     involved = sorted(set(first.objects()) | set(second.objects()))
-    label = {p: p for p in involved}  # the smallest member of p's group
-    for p, q in combinations(involved, 2):
-        if deltas.get(p, q) is FORBIDDEN and label[p] != label[q]:
-            keep, drop = sorted((label[p], label[q]))
-            label = {r: keep if g == drop else g for r, g in label.items()}
-    variable = {g: k for k, g in enumerate(sorted(set(label.values())))}
-    group = {p: variable[label[p]] for p in involved}
-    pairwise = {}
-    for p, q in combinations(involved, 2):
-        gp, gq = sorted((group[p], group[q]))
-        w = deltas.get(p, q)
-        if gp == gq or w == 0.0:
-            continue
-        _, total, _, _ = pairwise.get((gp, gq), (0.0, 0.0, 0.0, 0.0))
-        pairwise[(gp, gq)] = (0.0, total + w, total + w, 0.0)
+    weights = deltas[np.ix_(involved, involved)]
+    label = list(range(len(involved)))  # the smallest member of each group
+    for i, j in np.argwhere(np.isinf(np.triu(weights, 1))).tolist():
+        if label[i] != label[j]:
+            keep, drop = sorted((label[i], label[j]))
+            label = [keep if g == drop else g for g in label]
+    variable = {g: k for k, g in enumerate(sorted(set(label)))}
+    if len(variable) == 1:
+        return no_swap
+    group = np.array([variable[g] for g in label])
+    i, j = np.triu_indices(len(involved), 1)
+    w = weights[i, j]
+    between = (group[i] != group[j]) & (w != 0.0)
+    low = np.minimum(group[i], group[j])[between].tolist()
+    high = np.maximum(group[i], group[j])[between].tolist()
+    totals: dict[tuple[int, int], float] = {}
+    for key, value in zip(zip(low, high), w[between].tolist()):
+        totals[key] = totals.get(key, 0.0) + value
+    if all(total >= 0.0 for total in totals.values()):
+        return no_swap
+    pairwise = {key: (0.0, total, total, 0.0) for key, total in totals.items()}
     energy = qpbo.BinaryEnergy(len(variable), pairwise=pairwise)
     labels = qpbo.minimize(energy, (0,) * energy.n, seed=seed)
-    bits = tuple(labels[group[p]] if p in group else 0 for p in range(problem.d))
-    return bits, qpbo.evaluate(energy, labels)
+    bits = [0] * problem.d
+    for p, g in zip(involved, group.tolist()):
+        bits[p] = labels[g]
+    return tuple(bits), qpbo.evaluate(energy, labels)
 
 
 def gm_local_search(
@@ -379,26 +383,31 @@ def swap_local_search(
     max_passes: int | None = None,
     deadline: float | None = None,
     trace: TraceRecorder | None = None,
-    cache: dict[tuple[Clique, Clique], tuple] | None = None,
+    cache: dict[tuple[Clique, Clique], tuple[bytes, tuple]] | None = None,
 ) -> CliquePartition:
     """Iterate joint multi-swaps over clique pairs, accepting strict profits.
 
     Clique pairs are visited in a per-pass seeded shuffle of their sorted
     order; a pass without any accepted swap terminates the search. Pairs
-    whose cliques were changed earlier in the same pass are skipped, and
-    so are pairs where swaps_all_forbidden holds.
+    whose cliques were changed earlier in the same pass are skipped. Delta
+    matrices come from swap_deltas in chunks of _CHUNK pairs in visit
+    order; an accepted swap drops the rest of the chunk, so the pairs after
+    it are priced against the new solution.
 
-    ``cache`` maps a clique pair (first, second) to (owners, (bits,
-    predicted)): best_multiswap's outcome and the cliques it depends on
-    (SwapDeltaMatrix.owners; the pair itself when pruned, with outcome
-    no-swap). Pass the same dict to later calls (as alternate does) to
-    keep the entries whose owner cliques are all unchanged. An outcome of
-    the seeded sweeps is kept too, so it is not redrawn with a later seed.
+    ``cache`` maps a clique pair (first, second) to (matrix bytes, (bits,
+    predicted)): best_multiswap's outcome and the upper triangle of the
+    matrix it came from. The outcome is reused while a fresh matrix is
+    byte-equal; best_multiswap reads nothing else of the solution. Pass
+    the same dict to later calls (as alternate does) to keep entries whose
+    cliques are both still in the solution. An outcome of the seeded
+    sweeps is kept too, so it is not redrawn with a later seed.
     """
     validate(problem, solution)
     cache = {} if cache is None else cache
     current = solution
     current_value = objective(problem, current)
+    view = _swap_view(problem, current)
+    upper = np.triu_indices(problem.d, 1)
     passes = 0
     while True:
         if max_passes is not None and passes >= max_passes:
@@ -409,33 +418,37 @@ def swap_local_search(
         pair_list = list(combinations(ordered, 2))
         Random(derive_seed(seed, passes)).shuffle(pair_list)
         live = set(current.cliques)
-        _evict(cache, live)
+        for key in [key for key in cache if not live.issuperset(key)]:
+            del cache[key]
+        priced: dict = {}  # pair -> its matrix, for the chunk being visited
         accepted_any = False
-        for first, second in pair_list:
-            if first not in live or second not in live:
+        for at, key in enumerate(pair_list):
+            if not live.issuperset(key):
                 continue
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            key = (first, second)
+            if key not in priced:
+                pending = (pair for pair in islice(pair_list, at, None) if live.issuperset(pair))
+                chunk = list(islice(pending, _CHUNK))
+                priced = dict(zip(chunk, swap_deltas(problem, current, chunk, view)))
+            deltas = priced.pop(key)
+            row = deltas[upper].tobytes()
             entry = cache.get(key)
-            if entry is None or not _reusable(entry[0], live):
-                if swaps_all_forbidden(problem, first, second):
-                    entry = key, ((0,) * problem.d, 0.0)
-                else:
-                    deltas = swap_deltas(problem, current, first, second)
-                    entry = deltas.owners, best_multiswap(
-                        problem, current, first, second,
-                        seed=derive_seed(seed, passes), deltas=deltas,
-                    )
+            if entry is None or entry[0] != row:
+                entry = row, best_multiswap(
+                    problem, current, *key, seed=derive_seed(seed, passes), deltas=deltas
+                )
                 cache[key] = entry
             bits, predicted = entry[1]
             if not any(bits) or not predicted < 0.0:
                 continue
-            candidate = apply_multiswap(current, first, second, bits)
+            candidate = apply_multiswap(current, *key, bits)
             value = objective(problem, candidate)
             if value < current_value:
                 current, current_value = candidate, value
+                view = _swap_view(problem, current)
                 live = set(current.cliques)
+                priced = {}
                 accepted_any = True
                 if trace is not None:
                     trace.record("swap-ls", value)
@@ -443,16 +456,6 @@ def swap_local_search(
         if not accepted_any:
             break
     return current
-
-
-def _reusable(owners: tuple[Clique, ...] | None, live) -> bool:
-    """Whether a swap cache entry holds for a solution with the live cliques."""
-    return owners is not None and all(c in live for c in owners)
-
-
-def _evict(cache: dict, live: set[Clique]) -> None:
-    for key in [key for key, (owners, _) in cache.items() if not _reusable(owners, live)]:
-        del cache[key]
 
 
 def alternate(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -207,14 +207,35 @@ class PairwiseCosts:
         )
 
 
+class SlotIndex(NamedTuple):
+    """Every stored table's entries in one problem-wide slot space.
+
+    The assignment of vertex i of object p to vertex s of object q (p < q)
+    has the code ``offsets[p, q] + i * sizes[q] + s``; its slot is its
+    position in the sorted ``codes``, which end with a sentinel above
+    every code, so a searchsorted position is always a valid slot, and
+    ``linear`` holds the slots' costs. A quadratic entry joining slots
+    low < high has the key ``low * len(codes) + high``; ``quad_keys``
+    holds the keys sorted and ``quad_values`` their values, both followed
+    by a sentinel.
+    """
+
+    offsets: np.ndarray
+    codes: np.ndarray
+    linear: np.ndarray
+    quad_keys: np.ndarray
+    quad_values: np.ndarray
+
+
 class MgmProblem:
     """An incomplete MGM instance: object sizes plus one table per object pair.
 
     Tables are stored once for p < q; lookups with swapped roles are
-    transparent. The instance is immutable after construction.
+    transparent. The instance is immutable after construction;
+    slot_index() views all tables at once, built on first use.
     """
 
-    __slots__ = ("sizes", "costs")
+    __slots__ = ("sizes", "costs", "_slot_index")
 
     def __init__(
         self,
@@ -249,6 +270,40 @@ class MgmProblem:
     @property
     def d(self) -> int:
         return len(self.sizes)
+
+    def slot_index(self) -> SlotIndex:
+        """The read-only SlotIndex of the stored tables, built on first use."""
+        if not hasattr(self, "_slot_index"):
+            tables = [(pair, table.arrays()) for pair, table in self.costs.items()]
+            n_lin = sum(len(arrays[1]) for _, arrays in tables)
+            n_quad = sum(len(arrays[3]) for _, arrays in tables)
+            sizes = np.array(self.sizes, np.int64)
+            offsets = np.zeros((self.d, self.d), np.int64)
+            codes, linear = np.empty(n_lin + 1, np.int64), np.empty(n_lin + 1)
+            keys, quad_values = np.empty(n_quad + 1, np.int64), np.empty(n_quad + 1)
+            # Tables fill consecutive code and slot ranges, so sorting within
+            # each table sorts codes and keys globally.
+            base = lin_at = quad_at = 0
+            for (p, q), ((i, s), lin_v, (qi, qs, qj, qt), quad_v) in tables:
+                offsets[p, q] = base
+                local = i * sizes[q] + s
+                order = np.argsort(local)
+                local = local[order]
+                lin = slice(lin_at, lin_at + len(order))
+                codes[lin], linear[lin] = base + local, lin_v[order]
+                x = lin_at + np.searchsorted(local, qi * sizes[q] + qs)
+                y = lin_at + np.searchsorted(local, qj * sizes[q] + qt)
+                table_keys = np.minimum(x, y) * (n_lin + 1) + np.maximum(x, y)
+                by_key = np.argsort(table_keys)
+                quad = slice(quad_at, quad_at + len(by_key))
+                keys[quad], quad_values[quad] = table_keys[by_key], quad_v[by_key]
+                base, lin_at, quad_at = base + sizes[p] * sizes[q], lin.stop, quad.stop
+            codes[-1], linear[-1] = base, 0.0
+            keys[-1], quad_values[-1] = (n_lin + 1) ** 2, 0.0
+            self._slot_index = SlotIndex(offsets, codes, linear, keys, quad_values)
+            for view in self._slot_index:
+                view.flags.writeable = False
+        return self._slot_index
 
     def table(self, p: int, q: int) -> tuple[PairwiseCosts, bool]:
         """Table for the pair plus whether the (p, q) roles are swapped."""

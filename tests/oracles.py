@@ -58,6 +58,73 @@ def dict_clique_clique_costs(problem, a, b):
     return linear, quadratic
 
 
+def reference_swap_deltas(problem, solution, first, second):
+    """Swap deltas of one clique pair as a d x d list of lists, +inf where
+    forbidden: per object pair, the terms that involve the four affected
+    assignments, looked up along their partner lists before and after
+    swapping p alone."""
+    columns = solution.columns(problem.sizes)
+    idx_first = solution.cliques.index(first)
+    idx_second = solution.cliques.index(second)
+    exchanged = {idx_first: idx_second, idx_second: idx_first}
+    d = problem.d
+    entries = [[0.0] * d for _ in range(d)]
+
+    def assignment(table, p, q, vp, vq):
+        """(linear cost, [(quadratic value, clique of its p end, clique of
+        its q end)]) of matching vp to vq, or None without both vertices."""
+        if vp is None or vq is None:
+            return None
+        partners = [
+            (value, columns[p][i2], columns[q][s2])
+            for (i2, s2), value in table.partners((vp, vq))
+        ]
+        return table.linear.get((vp, vq), FORBIDDEN), partners
+
+    def contrib(x, y, flip_p, interaction):
+        """Objective terms on the object pair that involve assignments x, y;
+        flip_p applies a single swap on p to the looked-up cliques."""
+        total = 0.0
+        for side in (x, y):
+            if side is not None:
+                if side[0] is FORBIDDEN:
+                    return FORBIDDEN
+                total += side[0]
+        for side in (x, y):
+            if side is not None:
+                for value, kp, kq in side[1]:
+                    if flip_p:
+                        kp = exchanged.get(kp, kp)
+                    if kp is not None and kp == kq:
+                        total += value
+        if interaction is not None:
+            total -= interaction  # counted from both sides
+        return total
+
+    involved = sorted(set(first.objects()) | set(second.objects()))
+    for p, q in combinations(involved, 2):
+        table = problem.costs[(p, q)]
+        ap, aq, bp, bq = first.get(p), first.get(q), second.get(p), second.get(q)
+        full = None not in (ap, aq, bp, bq)
+        before = contrib(
+            assignment(table, p, q, ap, aq),
+            assignment(table, p, q, bp, bq),
+            False,
+            table.quad_get((ap, aq), (bp, bq)) if full else None,
+        )
+        after = contrib(
+            assignment(table, p, q, bp, aq),
+            assignment(table, p, q, ap, bq),
+            True,
+            table.quad_get((bp, aq), (ap, bq)) if full else None,
+        )
+        if before is FORBIDDEN or after is FORBIDDEN:
+            entries[p][q] = entries[q][p] = math.inf
+        else:
+            entries[p][q] = entries[q][p] = after - before
+    return entries
+
+
 def enumerate_partitions(sizes):
     """Yield every feasible clique partition covering all vertices.
 

@@ -16,6 +16,7 @@ from mgmatch.cli import RunConfig, run
 from mgmatch.construction import ConstructionTree, construct_parallel, construct_sequential
 from mgmatch.gm import Effort, solve_gm, solve_lap
 from mgmatch.local_search import (
+    SwapDeltaMatrix,
     TraceRecorder,
     alternate,
     gm_local_search,
@@ -144,7 +145,7 @@ def test_criterion_3_swap_delta_exactness():
             if len(cliques) < 2:
                 continue
             first, second = rng.sample(cliques, 2)
-            deltas = swap_deltas(problem, solution, first, second)
+            deltas = SwapDeltaMatrix(swap_deltas(problem, solution, [(first, second)])[0])
             for p in range(problem.d):
                 after = objective(problem, single_swap(solution, first, second, p))
                 row = deltas.row_sum(p)

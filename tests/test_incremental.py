@@ -1,21 +1,24 @@
 """Shortcuts in local search that must not change what it computes.
 
-Swap local search prunes clique pairs with no acceptable swap and reuses
-each pair's best joint swap while the owner cliques of its delta matrix
-are unchanged; GM local search prices candidates with ObjectiveTerms
-instead of objective(). Each is checked against a fresh computation on
-small random problems, and the searches' outputs are pinned.
+best_multiswap returns no-swap early when no joint swap can win, and
+swap local search reuses each pair's best joint swap while its delta
+matrix is byte-equal; GM local search prices candidates with
+ObjectiveTerms instead of objective(). Each is checked against a fresh
+computation on small random problems, and the searches' outputs are
+pinned.
 """
 
 import hashlib
+import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mgmatch import construction
+from mgmatch import construction, local_search, qpbo
 from mgmatch.construction import construct_sequential
 from mgmatch.gm import solve_gm
 from mgmatch.local_search import (
@@ -25,8 +28,8 @@ from mgmatch.local_search import (
     best_multiswap,
     swap_deltas,
     swap_local_search,
-    swaps_all_forbidden,
 )
+from mgmatch.qpbo import BinaryEnergy, evaluate, minimize
 from mgmatch.model import (
     FORBIDDEN,
     Clique,
@@ -55,97 +58,162 @@ def rematch(problem, solution, p, seed):
     return construction.rematch(problem, p, split, solve_gm, seed)[1]
 
 
-def connected(nodes, adjacent):
-    reached = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        p = frontier.pop()
-        for q in nodes:
-            if q not in reached and adjacent(p, q):
-                reached.add(q)
-                frontier.append(q)
-    return len(reached) == len(nodes)
+def contracted_minimum(deltas, involved, d, seed):
+    """best_multiswap without its early exits: contract forbidden swaps,
+    add up the tables between groups in object-pair order and minimize."""
+    label = {p: p for p in involved}
+    for p, q in combinations(involved, 2):
+        if math.isinf(deltas[p][q]) and label[p] != label[q]:
+            keep, drop = sorted((label[p], label[q]))
+            label = {r: keep if g == drop else g for r, g in label.items()}
+    variable = {g: k for k, g in enumerate(sorted(set(label.values())))}
+    group = {p: variable[label[p]] for p in involved}
+    totals = {}
+    for p, q in combinations(involved, 2):
+        key = tuple(sorted((group[p], group[q])))
+        if key[0] != key[1] and deltas[p][q] != 0.0:
+            totals[key] = totals.get(key, 0.0) + deltas[p][q]
+    energy = BinaryEnergy(len(variable), pairwise={k: (0.0, t, t, 0.0) for k, t in totals.items()})
+    labels = minimize(energy, (0,) * energy.n, seed=seed)
+    bits = tuple(labels[group[p]] if p in group else 0 for p in range(d))
+    return bits, evaluate(energy, labels)
 
 
-class TestPruning:
+def wide_pair(d):
+    """A problem of d size-2 objects without costs (best_multiswap reads
+    none when given a matrix), a partition into two cliques that cover
+    every object, and the two cliques."""
+    problem = MgmProblem([2] * d)
+    first, second = Clique({p: 0 for p in range(d)}), Clique({p: 1 for p in range(d)})
+    return problem, CliquePartition([first, second]), first, second
+
+
+def random_matrix(rng, d, forbidden, negative):
+    """A symmetric swap-delta-like matrix: +inf with probability forbidden,
+    entries below 0 with probability negative, zero diagonal."""
+    matrix = np.zeros((d, d))
+    for p, q in combinations(range(d), 2):
+        if rng.random() < forbidden:
+            value = math.inf
+        else:
+            low = -3.0 if rng.random() < negative else 0.0
+            value = round(rng.uniform(low, low + 3.0), 3)
+        matrix[p, q] = matrix[q, p] = value
+    return matrix
+
+
+class TestBestMultiswapShortcuts:
+    def test_one_contracted_group_gives_no_swap(self, monkeypatch):
+        monkeypatch.setattr(qpbo, "minimize", None)  # must not be reached
+        rng = random.Random(3)
+        for d in range(2, 9):
+            problem, solution, first, second = wide_pair(d)
+            deltas = random_matrix(rng, d, 0.0, 0.9)
+            for p in range(1, d):  # a path of forbidden swaps through every object
+                deltas[p - 1, p] = deltas[p, p - 1] = math.inf
+            outcome = best_multiswap(problem, solution, first, second, deltas=deltas)
+            assert outcome == ((0,) * d, 0.0)
+
+    def test_no_negative_weight_gives_no_swap_without_minimizing(self, monkeypatch):
+        calls = []
+        real = qpbo.minimize
+        monkeypatch.setattr(qpbo, "minimize", lambda *a, **k: calls.append(1) or real(*a, **k))
+        rng = random.Random(4)
+        for _ in range(50):
+            d = rng.randint(2, 20)
+            problem, solution, first, second = wide_pair(d)
+            deltas = random_matrix(rng, d, rng.choice([0.0, 0.2]), 0.0)
+            outcome = best_multiswap(problem, solution, first, second, seed=1, deltas=deltas)
+            assert outcome == ((0,) * d, 0.0)
+            assert outcome == contracted_minimum(deltas, list(range(d)), d, 1)
+        assert calls == []
+        deltas[0, 1] = deltas[1, 0] = -1.0  # the counter sees a real energy
+        best_multiswap(problem, solution, first, second, deltas=deltas)
+        assert calls == [1]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 20))
+    @example(4, 17)
+    @example(4, 20)  # seed 4 draws no forbidden swap: 17 and 20 groups
+    def test_equal_to_full_minimization(self, seed, d):
+        """Up to 20 objects, with and without forbidden swaps, so that
+        17-20 groups reach the seeded sweeps."""
+        rng = random.Random(seed)
+        problem, solution, first, second = wide_pair(d)
+        deltas = random_matrix(rng, d, rng.choice([0.0, 0.05, 0.3]), rng.choice([0.1, 0.5]))
+        sweep_seed = rng.randrange(100)
+        got = best_multiswap(problem, solution, first, second, seed=sweep_seed, deltas=deltas)
+        want = contracted_minimum(deltas, list(range(d)), d, sweep_seed)
+        assert got == want
+
     @given(problems())
-    def test_pruned_pairs_get_no_swap(self, case):
+    def test_swap_deltas_of_every_pair(self, case):
+        """The same, on the matrices swap_deltas computes."""
         problem, rng = case
         solution = random_partition(rng, problem)
-        no_swap = ((0,) * problem.d, 0.0)
-        for first, second in combinations(sorted(solution.cliques), 2):
-            deltas = swap_deltas(problem, solution, first, second)
+        pairs = list(combinations(sorted(solution.cliques), 2))
+        for (first, second), deltas in zip(pairs, swap_deltas(problem, solution, pairs)):
             involved = sorted(set(first.objects()) | set(second.objects()))
+            got = best_multiswap(problem, solution, first, second, seed=7, deltas=deltas)
+            assert got == contracted_minimum(deltas, involved, problem.d, 7)
 
-            def forbidden(p, q):
-                assert (deltas.get(p, q) is FORBIDDEN) == (deltas.get(q, p) is FORBIDDEN)
-                assert deltas.get(p, q) == deltas.get(q, p)  # one delta per pair
-                return deltas.get(p, q) is FORBIDDEN
 
-            pruned = swaps_all_forbidden(problem, first, second)
-            assert pruned == connected(involved, forbidden)
-            if pruned:
-                outcome = best_multiswap(
-                    problem, solution, first, second, seed=rng.randrange(100)
-                )
-                assert outcome == no_swap
+def upper_bytes(matrix):
+    return matrix[np.triu_indices(len(matrix), 1)].tobytes()
 
 
 class TestDeltaCache:
-    @given(problems())
-    def test_reusable_matrices_equal_fresh_ones(self, case):
-        """Along random swaps and GM re-matches, a matrix whose owner
-        cliques are all still in the solution equals a recomputation."""
-        problem, rng = case
-        solution = random_partition(rng, problem)  # covers every vertex
-        cache = {}
-        for _ in range(6):
-            live = set(solution.cliques)
-            for key in combinations(sorted(solution.cliques), 2):
-                fresh = swap_deltas(problem, solution, *key)
-                assert fresh.owners is not None and set(key) <= set(fresh.owners)
-                cached = cache.get(key)
-                if cached is not None and set(cached.owners) <= live:
-                    assert cached.entries == fresh.entries
-                else:
-                    cache[key] = fresh
-            if len(solution.cliques) >= 2 and rng.random() < 0.5:
-                first, second = rng.sample(sorted(solution.cliques), 2)
-                bits = [rng.randint(0, 1) for _ in range(problem.d)]
-                solution = apply_multiswap(solution, first, second, bits)
-            else:
-                p = rng.randrange(problem.d)
-                solution = rematch(problem, solution, p, rng.randrange(100))
-
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([0.0, 0.3, 0.6]))
     def test_kept_outcomes_equal_fresh_ones(self, seed, d, forbidden):
-        """Every cached outcome whose owner cliques are all in a solution is
-        best_multiswap's there (no-swap for a pruned pair): in the result of
-        swap local search, and after a random joint swap, as when alternate
-        hands the cache on. Up to 16 contracted groups it is seed-free."""
+        """When swap local search returns, its last pass visited every
+        pair, so the cache holds each pair of the result with its fresh
+        matrix and best_multiswap's outcome there. That holds from an empty
+        cache and from the cache of an earlier search after a random joint
+        swap, as when alternate hands it on, and the handed-on cache does
+        not change the result. Up to 16 contracted groups an outcome is
+        seed-free."""
         rng = random.Random(seed)
         problem = random_problem(rng, d, 4, forbidden_frac=forbidden, quad_frac=0.5)
         cache = {}
         solution = swap_local_search(problem, random_partition(rng, problem), cache=cache)
-        for _ in range(2):
-            live = set(solution.cliques)
-            for (first, second), (owners, outcome) in cache.items():
-                if owners is not None and set(owners) <= live:
-                    assert outcome == best_multiswap(problem, solution, first, second)
-            if len(live) < 2:
+        for round_ in range(3):
+            pairs = list(combinations(sorted(solution.cliques), 2))
+            assert sorted(cache) == pairs
+            for key, deltas in zip(pairs, swap_deltas(problem, solution, pairs)):
+                assert cache[key] == (upper_bytes(deltas), best_multiswap(problem, solution, *key))
+            if len(pairs) == 0:
                 break
-            first, second = rng.sample(sorted(live), 2)
+            first, second = rng.sample(sorted(solution.cliques), 2)
             bits = [rng.randint(0, 1) for _ in range(d)]
             solution = apply_multiswap(solution, first, second, bits)
+            fresh = swap_local_search(problem, solution, seed=round_)
+            solution = swap_local_search(problem, solution, seed=round_, cache=cache)
+            assert solution.cliques == fresh.cliques
 
-    def test_uncovered_vertex_makes_matrix_single_use(self, t3):
-        # The quadratic entry ((0,0),(1,1)) of t3 is looked up through
-        # vertex 1 of object 0, which no clique holds here.
+    def test_covering_an_uncovered_vertex_recomputes(self, t3, monkeypatch):
+        # The quadratic entry ((0,0),(1,1)) of t3 is realized only once
+        # vertex 1 of object 0 joins vertex 1 of object 1.
         first, second = Clique({0: 0, 1: 0}), Clique({2: 0})
-        solution = part({0: 0, 1: 0}, {1: 1}, {2: 0})
-        assert swap_deltas(t3, solution, first, second).owners is None
-        covered = part({0: 0, 1: 0}, {0: 1, 1: 1}, {2: 0})
-        assert set(swap_deltas(t3, covered, first, second).owners) == set(covered.cliques)
+        uncovered = part({0: 0, 1: 0}, {1: 1}, {2: 0})
+        covered = part({0: 0, 1: 0}, {0: 1, 1: 1}, {2: 0})  # the optimum
+        rows = [
+            upper_bytes(swap_deltas(t3, s, [(first, second)])[0]) for s in (uncovered, covered)
+        ]
+        assert rows[0] != rows[1]
+        cache = {(first, second): (rows[0], best_multiswap(t3, uncovered, first, second))}
+        computed = []
+        real = local_search.best_multiswap
+
+        def spy(problem, solution, *pair, **kwargs):
+            computed.append(pair)
+            return real(problem, solution, *pair, **kwargs)
+
+        monkeypatch.setattr(local_search, "best_multiswap", spy)
+        assert swap_local_search(t3, covered, cache=cache) == covered
+        assert computed.count((first, second)) == 1
+        assert cache[(first, second)] == (rows[1], real(t3, covered, first, second))
+        computed.clear()
+        swap_local_search(t3, covered, cache=cache)
+        assert computed == []  # every matrix is unchanged
 
 
 class TestObjectiveTerms:

@@ -1,13 +1,18 @@
+import math
 import random
 from functools import partial
 from itertools import combinations, product
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mgmatch import local_search
 from mgmatch.gm import Effort, solve_gm
 from mgmatch.local_search import (
+    SwapDeltaMatrix,
     TraceRecorder,
     alternate,
     apply_multiswap,
@@ -28,10 +33,20 @@ from mgmatch.model import (
 from mgmatch.qpbo import EXACT_ENUMERATION_LIMIT
 
 from conftest import part
-from oracles import brute_force_mgm, random_partition, random_problem
+from oracles import (
+    brute_force_mgm,
+    random_partition,
+    random_problem,
+    reference_swap_deltas,
+)
 
 
 exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
+
+
+def pair_deltas(problem, solution, first, second):
+    """The swap_deltas matrix of one clique pair."""
+    return SwapDeltaMatrix(swap_deltas(problem, solution, [(first, second)])[0])
 
 
 @pytest.fixture
@@ -91,7 +106,7 @@ class TestSwapDeltas:
     def test_t3_move_row(self, t3):
         solution = part({0: 0, 1: 0}, {2: 0}, {0: 1, 1: 1})
         first, second = Clique({0: 0, 1: 0}), Clique({2: 0})
-        deltas = swap_deltas(t3, solution, first, second)
+        deltas = pair_deltas(t3, solution, first, second)
         assert deltas.get(2, 0) == pytest.approx(-1.0)
         assert deltas.get(2, 1) == pytest.approx(3.0)
         row = deltas.row_sum(2)
@@ -101,7 +116,7 @@ class TestSwapDeltas:
 
     def test_disjoint_cliques_zero_matrix(self, t3):
         solution = part({0: 0}, {1: 0}, {0: 1, 1: 1}, {2: 0})
-        deltas = swap_deltas(t3, solution, Clique({0: 0}), Clique({1: 0}))
+        deltas = pair_deltas(t3, solution, Clique({0: 0}), Clique({1: 0}))
         # swapping object 0 moves vertex 0 into the {1^2} clique
         # but no pair covering both objects exists afterwards except (0,1)
         assert deltas.get(2, 0) == 0.0
@@ -109,7 +124,7 @@ class TestSwapDeltas:
 
     def test_forbidden_swap_marked(self, t3):
         solution = part({0: 1, 1: 1}, {0: 0, 1: 0}, {2: 0})
-        deltas = swap_deltas(
+        deltas = pair_deltas(
             t3, solution, Clique({0: 1, 1: 1}), Clique({0: 0, 1: 0})
         )
         # exchanging object 0 creates pairs (0,0)x(1,1)... vertex 1 of object 0
@@ -128,7 +143,7 @@ class TestSwapDeltas:
             if len(cliques) < 2:
                 continue
             first, second = rng.sample(cliques, 2)
-            deltas = swap_deltas(problem, solution, first, second)
+            deltas = pair_deltas(problem, solution, first, second)
             for p in range(problem.d):
                 after = single_swap(solution, first, second, p)
                 change = objective(problem, after)
@@ -140,6 +155,35 @@ class TestSwapDeltas:
                         change - objective(problem, solution), abs=1e-9
                     )
                 samples += 1
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([0.0, 0.3, 0.6, 0.85]))
+    def test_batched_rows_equal_the_oracle(self, seed, d, forbidden):
+        """Every row of a batch over all clique pairs, on a partition that
+        leaves some vertices uncovered, has the oracle's +inf pattern,
+        finite entries within 1e-9 of it, and is symmetric."""
+        rng = random.Random(seed)
+        problem = random_problem(rng, d, 4, forbidden_frac=forbidden, quad_frac=0.5)
+        solution = CliquePartition(
+            Clique({p: v for p, v in clique.pairs if rng.random() < 0.8})
+            for clique in random_partition(rng, problem).cliques
+        )
+        pairs = list(combinations(solution.cliques, 2))
+        rows = swap_deltas(problem, solution, pairs)
+        assert rows.shape == (len(pairs), d, d)
+        for (first, second), row in zip(pairs, rows):
+            want = np.array(reference_swap_deltas(problem, solution, first, second))
+            assert np.array_equal(np.isinf(row), np.isinf(want))
+            finite = ~np.isinf(want)
+            assert np.allclose(row[finite], want[finite], rtol=0.0, atol=1e-9)
+            assert np.array_equal(row, row.T)
+
+    def test_unknown_or_repeated_clique(self, t3):
+        solution = part({0: 0, 1: 0}, {2: 0})
+        first, second = solution.cliques
+        with pytest.raises(ValueError):
+            swap_deltas(t3, solution, [(first, Clique({0: 1}))])
+        with pytest.raises(ValueError):
+            swap_deltas(t3, solution, [(first, second), (second, second)])
 
 
 @st.composite
@@ -256,7 +300,8 @@ class TestBestMultiswap:
             solution = split_conflicts(problem, [Clique(c) for c in wide])
             base = objective(problem, solution)
             for first, second in combinations(sorted(solution.cliques), 2):
-                deltas = swap_deltas(problem, solution, first, second)
+                (matrix,) = swap_deltas(problem, solution, [(first, second)])
+                deltas = SwapDeltaMatrix(matrix)
                 involved = sorted(set(first.objects()) | set(second.objects()))
                 group = {p: p for p in involved}
                 for p, q in combinations(involved, 2):
@@ -266,7 +311,7 @@ class TestBestMultiswap:
                 if len(set(group.values())) <= EXACT_ENUMERATION_LIMIT:
                     continue
                 bits, predicted = best_multiswap(
-                    problem, solution, first, second, seed=rng.randrange(100), deltas=deltas
+                    problem, solution, first, second, seed=rng.randrange(100), deltas=matrix
                 )
                 after = objective(problem, apply_multiswap(solution, first, second, bits))
                 assert after - base == pytest.approx(predicted, abs=1e-9)
@@ -362,6 +407,40 @@ class TestSwapLocalSearch:
                 continue
             result = swap_local_search(problem, start, seed=7)
             assert objective(problem, result) <= objective(problem, start)
+
+    @pytest.mark.parametrize("deadline", [3, local_search._CHUNK])
+    @pytest.mark.parametrize("start", ["singletons", "optimum"])
+    def test_deadline_passing_mid_pass(self, monkeypatch, deadline, start):
+        """On a clock that advances one second per priced visit, the search
+        stops before the first visit at the deadline and computes no delta
+        matrices from then on. From a swap optimum no swap is accepted, so
+        the deadline of _CHUNK seconds falls where the next chunk is due."""
+        rng = random.Random(12)
+        problem = random_problem(rng, 6, 6, forbidden_frac=0.5, min_size=5)
+        begin = CliquePartition().normalized(problem.sizes)
+        if start == "optimum":
+            begin = swap_local_search(problem, begin, seed=5)
+        assert math.comb(len(begin.cliques), 2) > 2 * local_search._CHUNK
+        now = [0.0]
+        monkeypatch.setattr(local_search, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        batches, visits = [], []
+        real_deltas, real_best = local_search.swap_deltas, local_search.best_multiswap
+
+        def timed_deltas(*args, **kwargs):
+            batches.append(now[0])
+            return real_deltas(*args, **kwargs)
+
+        def timed_best(*args, **kwargs):
+            visits.append(now[0])
+            now[0] += 1.0
+            return real_best(*args, **kwargs)
+
+        monkeypatch.setattr(local_search, "swap_deltas", timed_deltas)
+        monkeypatch.setattr(local_search, "best_multiswap", timed_best)
+        result = swap_local_search(problem, begin, seed=5, deadline=deadline)
+        assert visits == [float(t) for t in range(deadline)]
+        assert batches and all(t < deadline for t in batches)
+        assert objective(problem, result) <= objective(problem, begin)
 
 
 class TestAlternate:
