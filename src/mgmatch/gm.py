@@ -4,13 +4,13 @@ Construction, local search and synchronization repeatedly solve small
 (incomplete) matching instances. Each instance is a model.PairwiseCosts
 table, the same type that holds a problem's per-object-pair costs, so
 the synchronization stage hands the problem's own tables to the solver.
-Linear-only instances are solved exactly as sparse LAPs by shortest
-augmenting paths on integer node indices, quadratic ones by a heuristic
-that starts from the linear optimum and improves with matching moves and
-fusion of candidate matchings. Moves are priced by gains: each allowed
-assignment's quadratic cost to the current matching, kept up to date as
-moves are applied. The pipeline calls a solver as gm(sub, seed)
-(GmSolver), so the solver carries its effort, as in
+Linear-only instances are solved exactly as sparse LAPs by row-by-row
+shortest augmenting paths, quadratic ones by a heuristic on integer
+assignment ids that starts from the linear optimum and improves with
+matching moves and fusion of candidate matchings. Moves are priced by
+gains: each allowed assignment's quadratic cost to the current matching,
+kept up to date as moves are applied. The pipeline calls a solver as
+gm(sub, seed) (GmSolver), so the solver carries its effort, as in
 functools.partial(solve_gm, effort=Effort.FAST). Solvers are registered
 by name so stronger implementations can be plugged in; the CLI binds
 --gm-effort to the registered one by keyword.
@@ -79,95 +79,69 @@ class GmMatching:
 def solve_lap(sub: PairwiseCosts) -> GmMatching:
     """Exact minimum-cost incomplete matching of a linear-only instance.
 
-    Successive shortest augmenting paths with node potentials on the sparse
-    bipartite graph; augmentation stops as soon as the cheapest augmenting
-    path is no longer negative, which is exactly the point where leaving
-    the remaining nodes unmatched (at zero cost) is optimal. Left node a
-    is index a of the node arrays, right node b is index left_size + b.
+    Row-by-row shortest augmenting paths (Jonker and Volgenant 1987) on
+    the sparse graph. Each row (left node with an arc) gets a private
+    zero-cost column, right_size + a, that stands for staying unmatched.
+    Rows are assigned in index order: to their cheapest column in reduced
+    cost when it is free, else along the path of a Dijkstra search from
+    the row alone that stops at the first free column. Column potentials
+    start at 0. Costs, distances and potentials are (cost, pairs) compared
+    lexicographically, so the minimum-cost matching with the fewest pairs
+    wins: no zero-gain path is taken.
     """
     if sub.quadratic:
         raise ValueError("solve_lap requires an instance without quadratic costs")
-    arcs: dict[int, list[tuple[int, float]]] = {}
+    offset = sub.right_size
+    arcs: dict[int, list[tuple[int, float, int]]] = {}
     for (a, b), cost in sub.linear.items():
-        arcs.setdefault(a, []).append((b, cost))
-    for lst in arcs.values():
-        lst.sort()
-    if not arcs:
-        return GmMatching()
-
-    offset = sub.left_size
-    size = offset + sub.right_size
-    left_nodes = sorted(arcs)
-    # Right nodes without arcs keep potential inf; no path ever reaches them.
-    pot = [0.0] * offset + [math.inf] * sub.right_size
-    for a in left_nodes:
-        for b, cost in arcs[a]:
-            if cost < pot[offset + b]:
-                pot[offset + b] = cost
-    pot_sink = min(pot[offset:])
-    match = [-1] * size  # node index of the partner
-
-    while True:
-        # Dijkstra over reduced costs from all unmatched left nodes to a
-        # virtual sink reachable from every unmatched right node.
-        dist = [math.inf] * size
-        parent = [-1] * size
-        done = [False] * size
-        heap = []
-        for a in left_nodes:
-            if match[a] < 0:
-                dist[a] = 0.0
-                heapq.heappush(heap, (0.0, 0, a))
-        sink_dist = math.inf
-        sink_parent = -1
-        while heap:
-            d, side, node = heapq.heappop(heap)
-            key = node if side == 0 else offset + node
-            if done[key]:
+        arcs.setdefault(a, []).append((b, cost, 1))
+    size = offset + sub.left_size
+    v_cost, v_pairs = [0.0] * size, [0] * size
+    u_cost, u_pairs = [0.0] * sub.left_size, [0] * sub.left_size
+    owner, column = [-1] * size, [-1] * sub.left_size  # row of a column, column of a row
+    for root in sorted(arcs):
+        arcs[root].append((offset + root, 0.0, 0))
+        # Ties go to free, then lower columns: the entries' order is irrelevant.
+        heap = [(c - v_cost[j], k - v_pairs[j], owner[j] >= 0, j) for j, c, k in arcs[root]]
+        top = min(heap)
+        if not top[2]:
+            u_cost[root], u_pairs[root], _, j = top
+            owner[j], column[root] = root, j
+            continue
+        dist = {j: (c, k) for c, k, _, j in heap}
+        via = dict.fromkeys(dist, root)
+        settled: set[int] = set()
+        heapq.heapify(heap)
+        while True:
+            d_cost, d_pairs, busy, j = heapq.heappop(heap)
+            if j in settled:
                 continue
-            done[key] = True
-            if d >= sink_dist:
-                continue
-            if side == 0:
-                matched = match[node]
-                pot_node = pot[node]
-                for b, cost in arcs[node]:
-                    rkey = offset + b
-                    if rkey == matched:
-                        continue
-                    nd = d + (cost + pot_node - pot[rkey])
-                    if not done[rkey] and nd < dist[rkey] - 1e-15:
-                        dist[rkey] = nd
-                        parent[rkey] = node
-                        heapq.heappush(heap, (nd, 1, b))
-            else:
-                a = match[key]
-                if a < 0:
-                    nd = d + pot[key] - pot_sink
-                    if nd < sink_dist:
-                        sink_dist = nd
-                        sink_parent = key
+            settled.add(j)
+            if not busy:
+                break
+            row = owner[j]
+            base_cost, base_pairs = d_cost - u_cost[row], d_pairs - u_pairs[row]
+            for k, c, n in arcs[row]:
+                if k in settled:
                     continue
-                nd = d + (-sub.linear[(a, node)] + pot[key] - pot[a])
-                if not done[a] and nd < dist[a] - 1e-15:
-                    dist[a] = nd
-                    parent[a] = key
-                    heapq.heappush(heap, (nd, 0, a))
-        if sink_parent < 0 or sink_dist + pot_sink >= -1e-12:
-            break
-        # Standard potential update, capped by the sink distance; unreached
-        # nodes count as infinitely far and shift by the full sink distance.
-        for v in range(size):
-            pot[v] += min(dist[v], sink_dist)
-        pot_sink += sink_dist
-        # Flip matching along the augmenting path (right, left, ..., root).
-        key = sink_parent
-        while key >= 0:
-            a = parent[key]
-            match[a], match[key] = key, a
-            key = parent[a]
-
-    return GmMatching((a, match[a] - offset) for a in left_nodes if match[a] >= 0)
+                label = (base_cost + c - v_cost[k], base_pairs + n - v_pairs[k])
+                if k not in dist or label < dist[k]:
+                    dist[k], via[k] = label, row
+                    heapq.heappush(heap, (*label, owner[k] >= 0, k))
+        # Keep every reduced cost non-negative and matched ones at zero.
+        for k in settled:
+            shift_cost, shift_pairs, row = d_cost - dist[k][0], d_pairs - dist[k][1], owner[k]
+            v_cost[k], v_pairs[k] = v_cost[k] - shift_cost, v_pairs[k] - shift_pairs
+            if row >= 0:
+                u_cost[row], u_pairs[row] = u_cost[row] + shift_cost, u_pairs[row] + shift_pairs
+        u_cost[root], u_pairs[root] = d_cost, d_pairs
+        while True:  # flip the path from the free column back to the root
+            row = via[j]
+            owner[j] = row
+            column[row], j = j, column[row]
+            if row == root:
+                break
+    return GmMatching((a, column[a]) for a in arcs if column[a] < offset)
 
 
 def _count_matchings(left: int, right: int) -> int:
@@ -214,91 +188,113 @@ def _brute_force(sub: PairwiseCosts) -> GmMatching:
     return GmMatching(best)
 
 
-def _update_gains(gain: dict, sub: PairwiseCosts, pair: Assignment, sign: float) -> None:
-    """Add (sign +1) or remove (sign -1) pair's quadratic terms from the gains."""
-    for other, value in sub.partners(pair):
-        gain[other] += sign * value
+class _Ids:
+    """A quadratic instance on integer assignment ids: id k is the k-th of
+    sorted(sub.linear), with linear cost ``cost[k]``, nodes ``left[k]`` and
+    ``right[k]``, and quadratic entries ``partners[k]`` as (id, value) in
+    the order of sub.quadratic; ``at[a * right_size + b]`` is the id of
+    (a, b), -1 where forbidden."""
+
+    __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at")
+
+    def __init__(self, sub: PairwiseCosts):
+        self.sub = sub
+        self.pairs = pairs = sorted(sub.linear)
+        self.cost = [sub.linear[pair] for pair in pairs]
+        self.left, self.right = [a for a, _ in pairs], [b for _, b in pairs]
+        width = sub.right_size
+        self.at = at = [-1] * (sub.left_size * width)
+        for k, (a, b) in enumerate(pairs):
+            at[a * width + b] = k
+        self.partners = partners = [[] for _ in pairs]
+        for ((a, b), (c, d)), value in sub.quadratic.items():
+            x, y = at[a * width + b], at[c * width + d]
+            partners[x].append((y, value))
+            partners[y].append((x, value))
 
 
-def _local_search(sub: PairwiseCosts, matching: GmMatching, max_scans: int, two_swaps: bool) -> GmMatching:
+def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: bool) -> list[int]:
     """First-improvement moves: add, remove, shift, and optional 2-swaps.
 
-    gain[x] is the quadratic cost between assignment x and the current
-    matching, updated along the partner lists on every applied move, so a
-    move's delta takes a few lookups (the delta technique of QAP local
-    search). No quadratic entry joins two assignments that share a node,
-    so an added assignment's gain never counts the one it displaces.
+    ``matching`` and the result are ascending assignment ids; by_left and
+    by_right hold the id matched at each node, -1 where none. gain[x] is
+    the quadratic cost between assignment x and the current matching,
+    updated along the partner lists on every applied move, so a move's
+    delta takes a few lookups (the delta technique of QAP local search).
+    No quadratic entry joins two assignments that share a node, so an
+    added assignment's gain never counts the one it displaces.
     """
-    lin = sub.linear
-    left_used = dict(matching.pairs)
-    right_used = {b: a for a, b in matching.pairs}
-    allowed = sorted(lin)
-    gain = dict.fromkeys(allowed, 0.0)
-    for pair in matching.pairs:
-        _update_gains(gain, sub, pair, 1.0)
+    cost, left, right, partners = ids.cost, ids.left, ids.right, ids.partners
+    by_left, by_right = [-1] * ids.sub.left_size, [-1] * ids.sub.right_size
+    gain = [0.0] * len(cost)
+    for x in matching:
+        by_left[left[x]] = by_right[right[x]] = x
+        for other, value in partners[x]:
+            gain[other] += value
 
     def apply(removals, additions):
-        for pair in removals:
-            del left_used[pair[0]], right_used[pair[1]]
-            _update_gains(gain, sub, pair, -1.0)
-        for pair in additions:
-            left_used[pair[0]] = pair[1]
-            right_used[pair[1]] = pair[0]
-            _update_gains(gain, sub, pair, 1.0)
+        for x in removals:
+            by_left[left[x]] = by_right[right[x]] = -1
+            for other, value in partners[x]:
+                gain[other] -= value
+        for x in additions:
+            by_left[left[x]] = by_right[right[x]] = x
+            for other, value in partners[x]:
+                gain[other] += value
 
     for _ in range(max_scans):
         improved = False
-        for pair in allowed:
-            a, b = pair
-            if a in left_used:
-                if b in right_used:
+        for x, a, b in zip(range(len(cost)), left, right):
+            r = by_left[a]
+            if r >= 0:
+                if by_right[b] >= 0:
                     continue  # already chosen, or both nodes taken
-                removals: tuple[Assignment, ...] = ((a, left_used[a]),)
-            elif b in right_used:
-                removals = ((right_used[b], b),)
             else:
-                removals = ()
-            delta = lin[pair] + gain[pair]
-            for r in removals:
-                delta -= lin[r] + gain[r]
+                r = by_right[b]
+            delta = cost[x] + gain[x]
+            if r >= 0:
+                delta -= cost[r] + gain[r]
             if delta < -1e-12:
-                apply(removals, (pair,))
+                apply(() if r < 0 else (r,), (x,))
                 improved = True
-        for pair in sorted(left_used.items()):
-            if -(lin[pair] + gain[pair]) < -1e-12:
-                apply((pair,), ())
+        for x in [x for x in by_left if x >= 0]:
+            if -(cost[x] + gain[x]) < -1e-12:
+                apply((x,), ())
                 improved = True
         if two_swaps:
-            for r1, r2 in combinations(sorted(left_used.items()), 2):
-                if left_used.get(r1[0]) != r1[1] or left_used.get(r2[0]) != r2[1]:
+            # Left nodes a1 < a2 make (a1, b2) < (a2, b1): both keys are canonical.
+            quad, pairs, at, width = ids.sub.quadratic, ids.pairs, ids.at, ids.sub.right_size
+            for r1, r2 in combinations([x for x in by_left if x >= 0], 2):
+                if by_left[left[r1]] != r1 or by_left[left[r2]] != r2:
                     continue  # replaced by an earlier swap this scan
-                x1, x2 = (r1[0], r2[1]), (r2[0], r1[1])
-                if x1 not in lin or x2 not in lin:
+                x1, x2 = at[left[r1] * width + right[r2]], at[left[r2] * width + right[r1]]
+                if x1 < 0 or x2 < 0:
                     continue
                 delta = (
-                    lin[x1] + gain[x1] + lin[x2] + gain[x2]
-                    - (lin[r1] + gain[r1]) - (lin[r2] + gain[r2])
-                    + sub.quad_get(x1, x2) + sub.quad_get(r1, r2)
+                    cost[x1] + gain[x1] + cost[x2] + gain[x2]
+                    - (cost[r1] + gain[r1]) - (cost[r2] + gain[r2])
+                    + quad.get((pairs[x1], pairs[x2]), 0.0) + quad.get((pairs[r1], pairs[r2]), 0.0)
                 )
                 if delta < -1e-12:
                     apply((r1, r2), (x1, x2))
                     improved = True
         if not improved:
             break
-    return GmMatching(left_used.items())
+    return [x for x in by_left if x >= 0]
 
 
-def _fuse(sub: PairwiseCosts, first: GmMatching, second: GmMatching, seed: int) -> GmMatching:
+def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int]:
     """Fusion move: pick per-conflict-component between two matchings.
 
     Conflicting assignments of the symmetric difference are grouped into
     components; one binary variable per component selects a side and the
     induced pairwise binary energy is minimized starting from the first
     matching (the all-zeros labeling), so the result never loses to it.
+    Matchings are ascending assignment ids.
     """
-    common = set(first.pairs) & set(second.pairs)
-    only_first = [p for p in first.pairs if p not in common]
-    only_second = [p for p in second.pairs if p not in common]
+    common = set(first) & set(second)
+    only_first = [x for x in first if x not in common]
+    only_second = [x for x in second if x not in common]
     if not only_second:
         return first
     # Conflicting assignments (sharing a node) must stay on one side; group
@@ -314,9 +310,9 @@ def _fuse(sub: PairwiseCosts, first: GmMatching, second: GmMatching, seed: int) 
 
     by_left: dict[int, list[int]] = {}
     by_right: dict[int, list[int]] = {}
-    for idx, (a, b) in enumerate(nodes):
-        by_left.setdefault(a, []).append(idx)
-        by_right.setdefault(b, []).append(idx)
+    for idx, x in enumerate(nodes):
+        by_left.setdefault(ids.left[x], []).append(idx)
+        by_right.setdefault(ids.right[x], []).append(idx)
     for group in list(by_left.values()) + list(by_right.values()):
         for other in group[1:]:
             ra, rb = root(group[0]), root(other)
@@ -325,31 +321,27 @@ def _fuse(sub: PairwiseCosts, first: GmMatching, second: GmMatching, seed: int) 
     comp_ids = sorted({root(i) for i in range(len(nodes))})
     comp_index = {r: k for k, r in enumerate(comp_ids)}
     n_comp = len(comp_ids)
-    side_of = {}
-    for idx, pair in enumerate(nodes):
-        side_of[pair] = (comp_index[root(idx)], 0 if idx < len(only_first) else 1)
+    side_of = {x: (comp_index[root(i)], int(i >= len(only_first))) for i, x in enumerate(nodes)}
 
     def component_pairs(k, label):
-        return [p for p in nodes if side_of[p][0] == k and side_of[p][1] == label]
+        return [x for x in nodes if side_of[x] == (k, label)]
 
-    unary = []
-    for k in range(n_comp):
-        costs = []
-        for label in (0, 1):
-            chosen = component_pairs(k, label)
-            value = sum(sub.linear[p] for p in chosen)
-            for x, y in combinations(chosen, 2):
-                value += sub.quad_get(x, y)
-            for p in chosen:
-                for other, v in sub.partners(p):
-                    if other in common:
-                        value += v
-            costs.append(value)
-        unary.append((costs[0], costs[1]))
+    def side_cost(k, label):
+        chosen = component_pairs(k, label)  # ascending, so keys are canonical
+        value = sum((ids.cost[x] for x in chosen), 0.0)
+        for x, y in combinations(chosen, 2):
+            value += ids.sub.quadratic.get((ids.pairs[x], ids.pairs[y]), 0.0)
+        for x in chosen:
+            for other, v in ids.partners[x]:
+                if other in common:
+                    value += v
+        return value
+
+    unary = [(side_cost(k, 0), side_cost(k, 1)) for k in range(n_comp)]
     pairwise: dict[tuple[int, int], list[float]] = {}
-    for idx, pair in enumerate(nodes):
-        k1, label1 = side_of[pair]
-        for other, value in sub.partners(pair):
+    for x in nodes:
+        k1, label1 = side_of[x]
+        for other, value in ids.partners[x]:
             if other not in side_of:
                 continue
             k2, label2 = side_of[other]
@@ -357,33 +349,34 @@ def _fuse(sub: PairwiseCosts, first: GmMatching, second: GmMatching, seed: int) 
                 continue  # count each unordered component pair once
             table = pairwise.setdefault((k1, k2), [0.0, 0.0, 0.0, 0.0])
             table[2 * label1 + label2] += value
-    energy = qpbo.BinaryEnergy(
-        n_comp, unary, {key: tuple(t) for key, t in pairwise.items()}
-    )
+    energy = qpbo.BinaryEnergy._trusted(n_comp, unary, {k: tuple(t) for k, t in pairwise.items()})
     labels = qpbo.minimize(energy, (0,) * n_comp, seed=seed)
-    fused = set(common)
+    fused = {ids.pairs[x] for x in common}
     for k in range(n_comp):
-        fused.update(component_pairs(k, labels[k]))
-    if sub.matching_cost(fused) < sub.matching_cost(first.pairs) - 1e-12:
-        return GmMatching(fused)
+        fused.update(ids.pairs[x] for x in component_pairs(k, labels[k]))
+    sub = ids.sub
+    if sub.matching_cost(fused) < sub.matching_cost(ids.pairs[x] for x in first) - 1e-12:
+        return sorted(ids.at[a * sub.right_size + b] for a, b in fused)
     return first
 
 
-def _greedy_candidate(sub: PairwiseCosts, rng: random.Random) -> GmMatching:
-    order = sorted(sub.linear)
+def _greedy_candidate(ids: _Ids, rng: random.Random) -> list[int]:
+    """Free assignments of negative cost to those taken, in random order."""
+    cost, left, right, partners = ids.cost, ids.left, ids.right, ids.partners
+    order = list(range(len(cost)))
     rng.shuffle(order)
     left_used: dict[int, int] = {}
     right_used: set[int] = set()
-    gain = dict.fromkeys(order, 0.0)  # quadratic cost to the chosen pairs
-    for pair in order:
-        a, b = pair
-        if a in left_used or b in right_used:
+    gain = [0.0] * len(cost)  # quadratic cost to the chosen pairs
+    for x in order:
+        if left[x] in left_used or right[x] in right_used:
             continue
-        if sub.linear[pair] + gain[pair] < 0:
-            left_used[a] = b
-            right_used.add(b)
-            _update_gains(gain, sub, pair, 1.0)
-    return GmMatching(left_used.items())
+        if cost[x] + gain[x] < 0:
+            left_used[left[x]] = x
+            right_used.add(right[x])
+            for other, value in partners[x]:
+                gain[other] += value
+    return sorted(left_used.values())
 
 
 def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT) -> GmMatching:
@@ -404,18 +397,18 @@ def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT)
     matching = solve_lap(linear_only)
     if sub.matching_cost(matching.pairs) > 0:
         matching = GmMatching()
+    ids = _Ids(sub)
     two_swaps = effort is not Effort.FAST
     max_scans = 30 if effort is Effort.FAST else 60
-    matching = _local_search(sub, matching, max_scans, two_swaps)
+    start = [ids.at[a * sub.right_size + b] for a, b in matching]
+    current = _local_search(ids, start, max_scans, two_swaps)
     if effort is not Effort.FAST:
         rng = random.Random(seed)
         for k in range(2):
-            candidate = _local_search(
-                sub, _greedy_candidate(sub, rng), max_scans // 2, two_swaps
-            )
-            matching = _fuse(sub, matching, candidate, seed=seed + k + 1)
-        matching = _local_search(sub, matching, max_scans, two_swaps)
-    return matching
+            candidate = _local_search(ids, _greedy_candidate(ids, rng), max_scans // 2, two_swaps)
+            current = _fuse(ids, current, candidate, seed=seed + k + 1)
+        current = _local_search(ids, current, max_scans, two_swaps)
+    return GmMatching(ids.pairs[x] for x in current)
 
 
 # The pipeline's GM subroutine, gm(sub, seed); effort is bound in beforehand.

@@ -168,13 +168,16 @@ class _SwapView(NamedTuple):
 def _assignments(problem: MgmProblem, x: np.ndarray, y: np.ndarray):
     """Slots, stored flags and forbidden flags of matching vertices x to
     vertices y, for the object pairs p < q of np.triu_indices(d, 1) along
-    the last axis; -1 stands for no vertex, which is neither."""
+    the last axis; -1 stands for no vertex, which is neither and is given
+    the sentinel slot without a search."""
     index = problem.slot_index()
     p, q = np.triu_indices(problem.d, 1)
     present = (x >= 0) & (y >= 0)
-    code = index.offsets[p, q] + x * np.array(problem.sizes, np.int64)[q] + y
-    slots = np.searchsorted(index.codes, code)
-    stored = present & (index.codes[slots] == code)
+    code = (index.offsets[p, q] + x * np.array(problem.sizes, np.int64)[q] + y)[present]
+    slots = np.full(present.shape, len(index.codes) - 1)
+    slots[present] = np.searchsorted(index.codes, code)
+    stored = np.zeros_like(present)
+    stored[present] = index.codes[slots[present]] == code
     return slots, stored, present & ~stored
 
 
@@ -323,7 +326,7 @@ def best_multiswap(
     if all(total >= 0.0 for total in totals.values()):
         return no_swap
     pairwise = {key: (0.0, total, total, 0.0) for key, total in totals.items()}
-    energy = qpbo.BinaryEnergy(len(variable), pairwise=pairwise)
+    energy = qpbo.BinaryEnergy._trusted(len(variable), pairwise=pairwise)
     labels = qpbo.minimize(energy, (0,) * energy.n, seed=seed)
     bits = [0] * problem.d
     for p, g in zip(involved, group.tolist()):

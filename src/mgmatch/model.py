@@ -95,7 +95,8 @@ class PairwiseCosts:
     The constructor checks every entry, values finite included; _trusted
     skips the checks for tables known to pass them: parsed ones and those
     derived from valid tables (aggregation, transposition, a linear part).
-    Tables are immutable; arrays() views the entries, built on first use.
+    Tables are immutable; arrays() views the entries and partners() indexes
+    them by assignment, both built on first use.
     """
 
     __slots__ = ("left_size", "right_size", "linear", "quadratic", "_partners", "_arrays")
@@ -130,7 +131,6 @@ class PairwiseCosts:
                 raise ValueError(f"quadratic entry {key} references a forbidden assignment")
             quad[key] = float(value)
         self.quadratic = quad
-        self._index_partners()
 
     @classmethod
     def _trusted(cls, left_size, right_size, linear, quadratic=None) -> "PairwiseCosts":
@@ -139,15 +139,7 @@ class PairwiseCosts:
         table = cls.__new__(cls)
         table.left_size, table.right_size = left_size, right_size
         table.linear, table.quadratic = linear, quadratic or {}
-        table._index_partners()
         return table
-
-    def _index_partners(self) -> None:
-        partners: dict[Assignment, list[tuple[Assignment, float]]] = {}
-        for (x, y), value in self.quadratic.items():
-            partners.setdefault(x, []).append((y, value))
-            partners.setdefault(y, []).append((x, value))
-        self._partners = partners
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """Read-only entries in dict order, built on first use: linear key
@@ -164,7 +156,13 @@ class PairwiseCosts:
         return self._arrays
 
     def partners(self, pair: Assignment) -> list[tuple[Assignment, float]]:
-        """All entries coupled to the assignment, with their values."""
+        """All entries coupled to the assignment, with their values, in the
+        order of ``quadratic``; the index is built on first use."""
+        if not hasattr(self, "_partners"):
+            self._partners: dict[Assignment, list[tuple[Assignment, float]]] = {}
+            for (x, y), value in self.quadratic.items():
+                self._partners.setdefault(x, []).append((y, value))
+                self._partners.setdefault(y, []).append((x, value))
         return self._partners.get(pair, [])
 
     def quad_get(self, a: Assignment, b: Assignment) -> float:

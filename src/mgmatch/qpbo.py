@@ -18,6 +18,7 @@ import functools
 import math
 import random
 from collections import deque
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,7 +34,9 @@ class BinaryEnergy:
     """Finite pairwise binary energy over n variables.
 
     ``unary[p]`` holds (theta_p(0), theta_p(1)); ``pairwise[(p, q)]`` with
-    p < q holds the 2x2 table flattened as (t00, t01, t10, t11).
+    p < q holds the 2x2 table flattened as (t00, t01, t10, t11). The
+    constructor converts and checks every entry; _trusted skips that for
+    energies the program builds from finite tables.
     """
 
     __slots__ = ("n", "unary", "pairwise")
@@ -46,26 +49,29 @@ class BinaryEnergy:
     ):
         if n < 0:
             raise ValueError("variable count must be non-negative")
-        self.n = n
-        self.unary = [(0.0, 0.0)] * n if unary is None else [
-            (float(a), float(b)) for a, b in unary
-        ]
-        if len(self.unary) != n:
+        unary = [(0.0, 0.0)] * n if unary is None else [(float(a), float(b)) for a, b in unary]
+        if len(unary) != n:
             raise ValueError("unary table length does not match variable count")
-        self.pairwise: dict[tuple[int, int], PairTable] = {}
+        tables: dict[tuple[int, int], PairTable] = {}
         for (p, q), table in (pairwise or {}).items():
             if not (0 <= p < q < n):
                 raise ValueError(f"pairwise key ({p},{q}) is not an ordered variable pair")
-            table = tuple(float(v) for v in table)
+            tables[(p, q)] = table = tuple(float(v) for v in table)
             if len(table) != 4:
                 raise ValueError("pairwise tables need exactly 4 entries")
-            self.pairwise[(p, q)] = table
-        for a, b in self.unary:
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("unary costs must be finite")
-        for table in self.pairwise.values():
-            if not all(math.isfinite(v) for v in table):
-                raise ValueError("pairwise costs must be finite")
+        if not all(map(math.isfinite, chain.from_iterable(unary))):
+            raise ValueError("unary costs must be finite")
+        if not all(map(math.isfinite, chain.from_iterable(tables.values()))):
+            raise ValueError("pairwise costs must be finite")
+        self.n, self.unary, self.pairwise = n, unary, tables
+
+    @classmethod
+    def _trusted(cls, n: int, unary=None, pairwise=None) -> "BinaryEnergy":
+        """An energy over float tables that pass the constructor's checks, as
+        the program's swap and fusion energies do; they are used, not copied."""
+        energy = cls.__new__(cls)
+        energy.n, energy.unary, energy.pairwise = n, unary or [(0.0, 0.0)] * n, pairwise or {}
+        return energy
 
     def is_submodular(self) -> bool:
         """True when every table satisfies t00 + t11 <= t01 + t10."""

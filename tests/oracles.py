@@ -2,7 +2,8 @@
 
 Everything here enumerates exhaustively or loops over dicts and stays
 deliberately naive; none of it shares code paths with the solvers under
-test.
+test. The reference_* functions are earlier implementations of solver
+layers, kept to check that their replacements return the same results.
 """
 
 from __future__ import annotations
@@ -213,15 +214,178 @@ def gm_matching_cost(sub, pairs):
 
 
 def brute_force_gm(sub):
-    """Exact minimum of a pairwise matching instance: (cost, pairs)."""
+    """Exact minimum of a pairwise matching instance: (cost, pairs), the
+    pairs being one of the minimum-cost matchings with the fewest pairs
+    (costs within 1e-12 count as equal)."""
     best_cost = 0.0
     best: list = []
     for pairs in enumerate_matchings(sub.left_size, sub.right_size, sub.linear):
         cost = gm_matching_cost(sub, pairs)
-        if cost < best_cost - 1e-12:
-            best_cost = cost
+        if cost < best_cost - 1e-12 or (cost <= best_cost + 1e-12 and len(pairs) < len(best)):
+            best_cost = min(cost, best_cost)
             best = pairs
     return best_cost, sorted(best)
+
+
+def reference_solve_lap(sub):
+    """gm.solve_lap as it was before the row-by-row LAP: successive
+    shortest augmenting paths, each a Dijkstra from all unmatched left
+    nodes to a virtual sink, stopping once the cheapest path is no longer
+    negative. Returns the sorted pairs."""
+    import heapq
+
+    arcs = {}
+    for (a, b), cost in sub.linear.items():
+        arcs.setdefault(a, []).append((b, cost))
+    for lst in arcs.values():
+        lst.sort()
+    if not arcs:
+        return []
+    offset = sub.left_size
+    size = offset + sub.right_size
+    left_nodes = sorted(arcs)
+    pot = [0.0] * offset + [math.inf] * sub.right_size
+    for a in left_nodes:
+        for b, cost in arcs[a]:
+            pot[offset + b] = min(pot[offset + b], cost)
+    pot_sink = min(pot[offset:])
+    match = [-1] * size
+    while True:
+        dist = [math.inf] * size
+        parent = [-1] * size
+        done = [False] * size
+        heap = []
+        for a in left_nodes:
+            if match[a] < 0:
+                dist[a] = 0.0
+                heapq.heappush(heap, (0.0, 0, a))
+        sink_dist, sink_parent = math.inf, -1
+        while heap:
+            d, side, node = heapq.heappop(heap)
+            key = node if side == 0 else offset + node
+            if done[key]:
+                continue
+            done[key] = True
+            if d >= sink_dist:
+                continue
+            if side == 0:
+                for b, cost in arcs[node]:
+                    rkey = offset + b
+                    if rkey == match[node]:
+                        continue
+                    nd = d + (cost + pot[node] - pot[rkey])
+                    if not done[rkey] and nd < dist[rkey] - 1e-15:
+                        dist[rkey], parent[rkey] = nd, node
+                        heapq.heappush(heap, (nd, 1, b))
+            else:
+                a = match[key]
+                if a < 0:
+                    nd = d + pot[key] - pot_sink
+                    if nd < sink_dist:
+                        sink_dist, sink_parent = nd, key
+                    continue
+                nd = d + (-sub.linear[(a, node)] + pot[key] - pot[a])
+                if not done[a] and nd < dist[a] - 1e-15:
+                    dist[a], parent[a] = nd, key
+                    heapq.heappush(heap, (nd, 0, a))
+        if sink_parent < 0 or sink_dist + pot_sink >= -1e-12:
+            break
+        for v in range(size):
+            pot[v] += min(dist[v], sink_dist)
+        pot_sink += sink_dist
+        key = sink_parent
+        while key >= 0:
+            a = parent[key]
+            match[a], match[key] = key, a
+            key = parent[a]
+    return sorted((a, match[a] - offset) for a in left_nodes if match[a] >= 0)
+
+
+def reference_gm_local_search(sub, pairs, max_scans, two_swaps):
+    """gm._local_search on tuple-keyed dicts, as it was before assignment
+    ids: the same moves in the same order with the same float arithmetic.
+    Takes and returns sorted pairs."""
+    lin = sub.linear
+    left_used = dict(pairs)
+    right_used = {b: a for a, b in pairs}
+    allowed = sorted(lin)
+    gain = dict.fromkeys(allowed, 0.0)
+
+    def update(pair, sign):
+        for other, value in sub.partners(pair):
+            gain[other] += sign * value
+
+    for pair in sorted(pairs):
+        update(pair, 1.0)
+
+    def apply(removals, additions):
+        for pair in removals:
+            del left_used[pair[0]], right_used[pair[1]]
+            update(pair, -1.0)
+        for pair in additions:
+            left_used[pair[0]] = pair[1]
+            right_used[pair[1]] = pair[0]
+            update(pair, 1.0)
+
+    for _ in range(max_scans):
+        improved = False
+        for pair in allowed:
+            a, b = pair
+            if a in left_used:
+                if b in right_used:
+                    continue
+                removals = ((a, left_used[a]),)
+            elif b in right_used:
+                removals = ((right_used[b], b),)
+            else:
+                removals = ()
+            delta = lin[pair] + gain[pair]
+            for r in removals:
+                delta -= lin[r] + gain[r]
+            if delta < -1e-12:
+                apply(removals, (pair,))
+                improved = True
+        for pair in sorted(left_used.items()):
+            if -(lin[pair] + gain[pair]) < -1e-12:
+                apply((pair,), ())
+                improved = True
+        if two_swaps:
+            for r1, r2 in combinations(sorted(left_used.items()), 2):
+                if left_used.get(r1[0]) != r1[1] or left_used.get(r2[0]) != r2[1]:
+                    continue
+                x1, x2 = (r1[0], r2[1]), (r2[0], r1[1])
+                if x1 not in lin or x2 not in lin:
+                    continue
+                delta = (
+                    lin[x1] + gain[x1] + lin[x2] + gain[x2]
+                    - (lin[r1] + gain[r1]) - (lin[r2] + gain[r2])
+                    + sub.quad_get(x1, x2) + sub.quad_get(r1, r2)
+                )
+                if delta < -1e-12:
+                    apply((r1, r2), (x1, x2))
+                    improved = True
+        if not improved:
+            break
+    return sorted(left_used.items())
+
+
+def reference_greedy_candidate(sub, rng):
+    """gm._greedy_candidate on tuple-keyed dicts, as it was before
+    assignment ids. Returns sorted pairs."""
+    order = sorted(sub.linear)
+    rng.shuffle(order)
+    left_used, right_used = {}, set()
+    gain = dict.fromkeys(order, 0.0)
+    for pair in order:
+        a, b = pair
+        if a in left_used or b in right_used:
+            continue
+        if sub.linear[pair] + gain[pair] < 0:
+            left_used[a] = b
+            right_used.add(b)
+            for other, value in sub.partners(pair):
+                gain[other] += value
+    return sorted(left_used.items())
 
 
 def brute_force_energy(energy):

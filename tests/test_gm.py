@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mgmatch import gm
 from mgmatch.gm import (
@@ -17,7 +19,13 @@ from mgmatch.gm import (
 
 from mgmatch.model import PairwiseCosts
 
-from oracles import brute_force_gm, gm_matching_cost
+from oracles import (
+    brute_force_gm,
+    gm_matching_cost,
+    reference_gm_local_search,
+    reference_greedy_candidate,
+    reference_solve_lap,
+)
 
 
 def random_lap(rng, max_side=6, forbidden_frac=0.4, shape=None, integer=False):
@@ -86,6 +94,52 @@ class TestSolveLap:
             sub = random_lap(rng, forbidden_frac=0.7)
             for pair in solve_lap(sub):
                 assert pair in sub.linear
+
+    def test_tied_optima_take_the_fewest_pairs(self):
+        # Rows 1, 2 and 4 compete for column 1. Cost -3 is reached by
+        # [(4, 1)] alone and by two-pair matchings that add a zero-cost arc.
+        sub = PairwiseCosts(5, 2, {
+            (1, 0): 0.0, (1, 1): -2.0, (2, 0): 0.0, (2, 1): -2.0,
+            (3, 0): 2.0, (3, 1): 0.0, (4, 0): -1.0, (4, 1): -3.0,
+        })
+        assert solve_lap(sub) == GmMatching([(4, 1)])
+
+    def test_zero_cost_arcs_stay_unmatched(self):
+        sub = PairwiseCosts(2, 2, {(0, 0): 0.0, (0, 1): -1.0, (1, 1): 0.0, (1, 0): 0.0})
+        assert solve_lap(sub) == GmMatching([(0, 1)])
+
+    def test_matches_the_previous_lap_on_float_costs(self):
+        # Costs with three decimals have no tied optima here, so both
+        # algorithms return the one optimal matching.
+        rng = random.Random(5)
+        for _ in range(150):
+            sub = random_lap(rng, max_side=8, forbidden_frac=rng.choice([0.0, 0.3, 0.7]))
+            assert list(solve_lap(sub).pairs) == reference_solve_lap(sub)
+
+
+@st.composite
+def integer_laps(draw):
+    """Linear instances with small integer costs, so optima tie often:
+    1 x n and n x 1 shapes, rows and columns without arcs."""
+    left = draw(st.integers(1, 6))
+    right = draw(st.integers(1, 6))
+    empty_rows = draw(st.sets(st.integers(0, left - 1)))
+    empty_cols = draw(st.sets(st.integers(0, right - 1)))
+    linear = {}
+    for a in range(left):
+        for b in range(right):
+            if a not in empty_rows and b not in empty_cols and draw(st.booleans()):
+                linear[(a, b)] = float(draw(st.integers(-3, 3)))
+    return PairwiseCosts(left, right, linear)
+
+
+@given(integer_laps())
+def test_lap_reaches_the_exact_cost_with_the_fewest_pairs(sub):
+    want_cost, want_pairs = brute_force_gm(sub)
+    matching = solve_lap(sub)
+    assert all(pair in sub.linear for pair in matching)
+    assert sub.matching_cost(matching.pairs) == want_cost
+    assert len(matching) == len(want_pairs)
 
 
 class TestSolveGm:
@@ -220,20 +274,56 @@ def improving_moves(sub, pairs):
     return [m for m in moves if gm_matching_cost(sub, m) < cost - 1e-9]
 
 
+def pairs_of(ids, matching):
+    """The assignment pairs of ascending assignment ids."""
+    return tuple(ids.pairs[x] for x in matching)
+
+
 class TestLocalSearch:
     @pytest.mark.parametrize("start", ["empty", "lap", "greedy"])
     def test_no_improving_move_left(self, start):
         rng = random.Random(101)
         for k in range(40):
             sub = random_qap(rng, max_side=6, forbidden_frac=0.2, quad_frac=0.6)
+            ids = gm._Ids(sub)
             if start == "empty":
-                matching = GmMatching()
+                matching = []
             elif start == "lap":
-                matching = solve_lap(PairwiseCosts(sub.left_size, sub.right_size, sub.linear))
+                lap = solve_lap(PairwiseCosts(sub.left_size, sub.right_size, sub.linear))
+                matching = [ids.pairs.index(pair) for pair in lap]
             else:
-                matching = gm._greedy_candidate(sub, random.Random(k))
-            result = gm._local_search(sub, matching, max_scans=1000, two_swaps=True)
-            assert improving_moves(sub, result.pairs) == []
+                matching = gm._greedy_candidate(ids, random.Random(k))
+            result = gm._local_search(ids, matching, max_scans=1000, two_swaps=True)
+            assert improving_moves(sub, pairs_of(ids, result)) == []
+
+    @pytest.mark.parametrize("two_swaps", [True, False])
+    def test_assignment_ids_match_the_tuple_keyed_search(self, two_swaps):
+        """The id-based search and greedy candidate return the same
+        matchings as the tuple-keyed references from identical starts and
+        rng seeds."""
+        rng = random.Random(303)
+        for k in range(120):
+            sub = random_qap(
+                rng, max_side=rng.choice([4, 7]), forbidden_frac=rng.choice([0.0, 0.3]),
+                quad_frac=rng.choice([0.3, 0.7]),
+            )
+            if k % 3 == 0:  # integer costs: many moves tie
+                sub = PairwiseCosts(
+                    sub.left_size, sub.right_size,
+                    {x: float(round(v)) for x, v in sub.linear.items()},
+                    {x: float(round(v)) for x, v in sub.quadratic.items()},
+                )
+            ids = gm._Ids(sub)
+            greedy = gm._greedy_candidate(ids, random.Random(k))
+            assert pairs_of(ids, greedy) == tuple(
+                reference_greedy_candidate(sub, random.Random(k))
+            )
+            lap = list(solve_lap(PairwiseCosts(sub.left_size, sub.right_size, sub.linear)))
+            for start in ([], [ids.pairs.index(pair) for pair in lap], greedy):
+                scans = rng.choice([1, 2, 60])
+                got = gm._local_search(ids, start, scans, two_swaps)
+                want = reference_gm_local_search(sub, pairs_of(ids, start), scans, two_swaps)
+                assert pairs_of(ids, got) == tuple(want)
 
 
 class TestRegistry:

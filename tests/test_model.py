@@ -298,6 +298,18 @@ class TestPairwiseCosts:
         assert quad_keys.tolist() == [[0], [0], [1], [2]]
         assert quad_values.tolist() == [0.25]
         assert table.arrays() is table.arrays()
+
+    def test_partners_indexed_on_first_use_in_entry_order(self):
+        linear = {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (0, 2): 1.0}
+        quadratic = {((1, 1), (2, 2)): 0.5, ((0, 0), (1, 1)): -0.25, ((0, 2), (1, 1)): 2.0}
+        for table in (
+            PairwiseCosts(3, 3, linear, quadratic),
+            PairwiseCosts._trusted(3, 3, linear, quadratic),
+        ):
+            assert not hasattr(table, "_partners")
+            assert table.partners((1, 1)) == [((2, 2), 0.5), ((0, 0), -0.25), ((0, 2), 2.0)]
+            assert table.partners((2, 2)) == [((1, 1), 0.5)]
+            assert table.partners((2, 0)) == []
         for view in table.arrays():
             with pytest.raises(ValueError):
                 view[...] = 0

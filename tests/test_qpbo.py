@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -64,6 +65,25 @@ class TestEvaluate:
         e = BinaryEnergy(2)
         with pytest.raises(ValueError):
             evaluate(e, (0,))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_user_energy_raises(self, value):
+        with pytest.raises(ValueError, match="unary costs must be finite"):
+            BinaryEnergy(2, [(0.0, 1.0), (value, 0.0)])
+        with pytest.raises(ValueError, match="pairwise costs must be finite"):
+            BinaryEnergy(2, pairwise={(0, 1): (0.0, value, 1.0, 0.0)})
+
+    def test_trusted_energy_equals_the_checked_one(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            checked = random_energy(rng, n)
+            trusted = BinaryEnergy._trusted(n, list(checked.unary), dict(checked.pairwise))
+            assert (trusted.n, trusted.unary, trusted.pairwise) == (
+                checked.n, checked.unary, checked.pairwise
+            )
+            assert minimize(trusted, (0,) * n) == minimize(checked, (0,) * n)
+        assert BinaryEnergy._trusted(3).unary == BinaryEnergy(3).unary
 
     def test_matches_oracle(self):
         rng = random.Random(5)
