@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Callable
 
 from . import qpbo
-from .model import Assignment, PairwiseCosts
+from .model import PairwiseCosts
 
 # Instances whose matching count stays below this are brute-forced under
 # Effort.EXHAUSTIVE; covers 5x5 dense and the skewed shapes local search makes.
@@ -155,12 +155,13 @@ def _count_matchings(left: int, right: int) -> int:
 
 
 def _brute_force(sub: PairwiseCosts) -> GmMatching:
+    ids = _Ids(sub)
     by_left: dict[int, list[int]] = {}
-    for a, b in sorted(sub.linear):
-        by_left.setdefault(a, []).append(b)
+    for x, a in enumerate(ids.left):
+        by_left.setdefault(a, []).append(x)
     lefts = sorted(by_left)
     best_cost = 0.0
-    best: tuple[Assignment, ...] = ()
+    best: tuple[int, ...] = ()
 
     def extend(idx, used_right, current, cost):
         nonlocal best_cost, best
@@ -169,23 +170,23 @@ def _brute_force(sub: PairwiseCosts) -> GmMatching:
             best = tuple(current)
         if idx == len(lefts):
             return
-        a = lefts[idx]
         extend(idx + 1, used_right, current, cost)
-        for b in by_left[a]:
+        for x in by_left[lefts[idx]]:
+            b = ids.right[x]
             if b in used_right:
                 continue
-            delta = sub.linear[(a, b)]
-            for other, value in sub.partners((a, b)):
+            delta = ids.cost[x]
+            for other, value in ids.partners[x]:
                 if other in current:
                     delta += value
             used_right.add(b)
-            current.append((a, b))
+            current.append(x)
             extend(idx + 1, used_right, current, cost + delta)
             current.pop()
             used_right.remove(b)
 
     extend(0, set(), [], 0.0)
-    return GmMatching(best)
+    return GmMatching(ids.pairs[x] for x in best)
 
 
 class _Ids:

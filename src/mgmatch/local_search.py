@@ -8,16 +8,17 @@ only:
   chain construction takes too (MDAP's dimensionwise variation), and
   keeps the merge when the objective drops. A re-match changes only the
   objective terms on object pairs that contain the re-matched object.
-  objective() is the fsum of model.ObjectiveTerms' per-pair groups, so
-  GM local search keeps those groups and prices a candidate by replacing
-  one object's row: the same float objective() returns, bit for bit.
+  objective() is the fsum of model.ObjectiveTerms, the terms read from
+  the problem's slot index and tagged with their object pair, so GM
+  local search keeps those terms and prices a candidate by replacing one
+  object's row: the same float objective() returns, bit for bit.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
   objects into per-object-pair deltas, which turns picking the best joint
   swap into a pairwise binary energy handed to the qpbo module; objects
   joined by a forbidden single swap share one variable. swap_deltas
-  computes the delta matrices of many clique pairs at once from one
+  computes the delta matrices of many clique pairs at once from the same
   problem-wide slot index (MgmProblem.slot_index) and per-solution sums
   of realized quadratic partners (Taillard's delta technique), which are
   recomputed only when the solution changes. Two rules skip work whose
@@ -54,7 +55,9 @@ from .model import (
     Cost,
     MgmProblem,
     ObjectiveTerms,
+    assignment_slots,
     objective,
+    solution_vertices,
     validate,
 )
 
@@ -154,10 +157,10 @@ class SwapDeltaMatrix:
 
 class _SwapView(NamedTuple):
     """What swap_deltas reads of a solution. Per clique: its position, its
-    vertex per object (-1 where it covers none), and _assignments of its
-    own vertex pairs. Per slot of the problem's SlotIndex: the linear cost
-    plus the realized partner sum, the quadratic entries joining the slot
-    to an assignment inside a clique."""
+    vertex per object (model.solution_vertices), and assignment_slots of
+    its own vertex pairs. Per slot of the problem's SlotIndex: the linear
+    cost plus the realized partner sum, the quadratic entries joining the
+    slot to an assignment inside a clique."""
 
     position: dict[Clique, int]
     vertices: np.ndarray
@@ -165,32 +168,11 @@ class _SwapView(NamedTuple):
     values: np.ndarray
 
 
-def _assignments(problem: MgmProblem, x: np.ndarray, y: np.ndarray):
-    """Slots, stored flags and forbidden flags of matching vertices x to
-    vertices y, for the object pairs p < q of np.triu_indices(d, 1) along
-    the last axis; -1 stands for no vertex, which is neither and is given
-    the sentinel slot without a search."""
-    index = problem.slot_index()
-    p, q = np.triu_indices(problem.d, 1)
-    present = (x >= 0) & (y >= 0)
-    code = (index.offsets[p, q] + x * np.array(problem.sizes, np.int64)[q] + y)[present]
-    slots = np.full(present.shape, len(index.codes) - 1)
-    slots[present] = np.searchsorted(index.codes, code)
-    stored = np.zeros_like(present)
-    stored[present] = index.codes[slots[present]] == code
-    return slots, stored, present & ~stored
-
-
 def _swap_view(problem: MgmProblem, solution: CliquePartition) -> _SwapView:
-    columns = solution.columns(problem.sizes)  # validates the solution
     index = problem.slot_index()
-    vertices = np.full((len(solution.cliques), problem.d), -1, np.int64)
-    for p, column in columns.items():
-        for v, k in enumerate(column):
-            if k is not None:
-                vertices[k, p] = v
+    vertices = solution_vertices(problem, solution)
     p, q = np.triu_indices(problem.d, 1)
-    own = _assignments(problem, vertices[:, p], vertices[:, q])
+    own = assignment_slots(problem, p, q, vertices[:, p], vertices[:, q])
     realized = np.zeros(len(index.codes), bool)
     realized[own[0][own[1]]] = True
     low, high = np.divmod(index.quad_keys[:-1], len(index.codes))
@@ -243,8 +225,8 @@ def swap_deltas(
     p, q = np.triu_indices(problem.d, 1)
     a, b = view.vertices[first], view.vertices[second]
     kept_a, kept_b = tuple(own[first] for own in view.own), tuple(own[second] for own in view.own)
-    moved_a = _assignments(problem, b[:, p], a[:, q])  # first after swapping p
-    moved_b = _assignments(problem, a[:, p], b[:, q])
+    moved_a = assignment_slots(problem, p, q, b[:, p], a[:, q])  # first after swapping p
+    moved_b = assignment_slots(problem, p, q, a[:, p], b[:, q])
 
     def value(x):
         return np.where(x[1], view.values[x[0]], 0.0)

@@ -10,16 +10,16 @@ clique holding at most one vertex per object. Cycle consistency of the
 induced multi-matching is automatic in this representation. Unmatched
 vertices are implicit singletons and cost nothing.
 
-The objective has one implementation, ObjectiveTerms: its terms grouped
-by object pair. objective() sums all groups; local search re-prices a
-candidate by replacing one object's row.
+The objective has one implementation, ObjectiveTerms: its terms read from
+the problem's slot index and tagged by object pair. objective() sums them
+all; local search re-prices a candidate by replacing one object's row.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from itertools import combinations
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -95,11 +95,10 @@ class PairwiseCosts:
     The constructor checks every entry, values finite included; _trusted
     skips the checks for tables known to pass them: parsed ones and those
     derived from valid tables (aggregation, transposition, a linear part).
-    Tables are immutable; arrays() views the entries and partners() indexes
-    them by assignment, both built on first use.
+    Tables are immutable; arrays() views the entries, built on first use.
     """
 
-    __slots__ = ("left_size", "right_size", "linear", "quadratic", "_partners", "_arrays")
+    __slots__ = ("left_size", "right_size", "linear", "quadratic", "_arrays")
 
     def __init__(
         self,
@@ -154,16 +153,6 @@ class PairwiseCosts:
             for view in self._arrays:
                 view.flags.writeable = False
         return self._arrays
-
-    def partners(self, pair: Assignment) -> list[tuple[Assignment, float]]:
-        """All entries coupled to the assignment, with their values, in the
-        order of ``quadratic``; the index is built on first use."""
-        if not hasattr(self, "_partners"):
-            self._partners: dict[Assignment, list[tuple[Assignment, float]]] = {}
-            for (x, y), value in self.quadratic.items():
-                self._partners.setdefault(x, []).append((y, value))
-                self._partners.setdefault(y, []).append((x, value))
-        return self._partners.get(pair, [])
 
     def quad_get(self, a: Assignment, b: Assignment) -> float:
         return self.quadratic.get(_canonical_quad_key(a, b), 0.0)
@@ -326,17 +315,6 @@ class MgmProblem:
             a = (a[1], a[0])
             b = (b[1], b[0])
         return table.quad_get(a, b)
-
-    def quad_partners_pair(
-        self, p: int, q: int, i: int, s: int
-    ) -> Iterator[tuple[Assignment, float]]:
-        """Entries coupled to matching i of p with s of q, oriented p-first."""
-        table, swapped = self.table(p, q)
-        if swapped:
-            for (a, b), value in table.partners((s, i)):
-                yield (b, a), value
-        else:
-            yield from table.partners((i, s))
 
     def restrict(self, objects: Sequence[int]) -> "MgmProblem":
         """Sub-problem over the given objects, renumbered to 0..len(objects)-1."""
@@ -543,83 +521,112 @@ def validate(problem, solution: CliquePartition) -> None:
     solution.columns(problem.sizes)
 
 
-class ObjectiveTerms:
-    """The objective's terms grouped by object pair, for one solution.
+def solution_vertices(problem: MgmProblem, solution: CliquePartition) -> np.ndarray:
+    """The vertex of each clique on each object, cliques x d, -1 where the
+    clique covers none. Building the solution's columns validates it."""
+    vertices = np.full((len(solution.cliques), problem.d), -1, np.int64)
+    for p, column in solution.columns(problem.sizes).items():
+        for v, k in enumerate(column):
+            if k is not None:
+                vertices[k, p] = v
+    return vertices
 
-    A pair's group holds the linear terms of the cliques covering both
-    objects and the realized quadratic entries of its table, or is
-    Forbidden when one of those linear entries is. objective() is value()
-    of a fresh instance. Re-matching object p (split, then merge) changes
-    only the groups on pairs that contain p, so local search prices a
-    candidate as math.fsum over the unchanged groups plus p's new row:
-    the same terms, and since fsum rounds the exact sum correctly, the
-    same float objective() returns for the candidate.
+
+def assignment_slots(problem: MgmProblem, p, q, x: np.ndarray, y: np.ndarray):
+    """Slots, stored flags and forbidden flags of matching vertices x of
+    objects p to vertices y of objects q, for object pairs p < q along the
+    last axis; -1 stands for no vertex, which is neither and is given the
+    sentinel slot without a search."""
+    index = problem.slot_index()
+    present = (x >= 0) & (y >= 0)
+    code = (index.offsets[p, q] + x * np.array(problem.sizes, np.int64)[q] + y)[present]
+    slots = np.full(present.shape, len(index.codes) - 1)
+    slots[present] = np.searchsorted(index.codes, code)
+    stored = np.zeros_like(present)
+    stored[present] = index.codes[slots[present]] == code
+    return slots, stored, present & ~stored
+
+
+class ObjectiveTerms:
+    """The objective's terms for one solution, as flat arrays: ``pairs``
+    tags each of the ``values`` with its object pair p < q as p * d + q.
+
+    A pair's terms are the slot-index costs of the assignments stored
+    among the cliques covering both objects, and the slot-index quadratic
+    entries whose two slots are both realized; a present assignment that
+    is not stored adds +inf, which makes the pair and the objective
+    Forbidden. objective() is value() of a fresh instance. Re-matching
+    object p (split, then merge) changes only the terms on pairs that
+    contain p, so local search prices a candidate as math.fsum over the
+    unchanged terms plus p's new row: the same terms, and since fsum
+    rounds the exact sum correctly in any order, the same float
+    objective() returns for the candidate.
     """
 
     def __init__(self, problem: MgmProblem, solution: CliquePartition):
+        index = problem.slot_index()
         self.problem = problem
-        self.groups: dict[tuple[int, int], list[float] | Forbidden] = {}
-        for p in range(problem.d):
-            for q, terms in self.row(p, solution, range(p + 1, problem.d)).items():
-                self.groups[(p, q)] = terms
+        self._ends = np.divmod(index.quad_keys[:-1], len(index.codes))
+        self.pairs, self.values = self._terms(solution, *np.triu_indices(problem.d, 1))
 
-    def row(
-        self, p: int, solution: CliquePartition, others: Iterable[int] | None = None
-    ) -> dict[int, list[float] | Forbidden]:
-        """Groups of the pairs (p, q), q in others (default: all q != p)."""
-        problem = self.problem
-        if others is None:
-            others = (q for q in range(problem.d) if q != p)
-        row: dict[int, list[float] | Forbidden] = {q: [] for q in others}
-        columns = solution.columns(problem.sizes)
-        for clique in solution.cliques:
-            vp = clique.get(p)
-            if vp is None:
-                continue
-            for q, vq in clique.pairs:
-                terms = row.get(q)
-                if terms is None or terms is FORBIDDEN:
-                    continue
-                cost = problem.linear_cost(p, q, vp, vq)
-                if cost is FORBIDDEN:
-                    row[q] = FORBIDDEN
-                    continue
-                terms.append(cost)
-                for (j, t), value in problem.quad_partners_pair(p, q, vp, vq):
-                    # Each realized entry is seen from both of its
-                    # assignments; count it from the lower p vertex.
-                    if j > vp:
-                        k = columns[p][j]
-                        if k is not None and columns[q][t] == k:
-                            terms.append(value)
-        return row
+    def _terms(self, solution, p: np.ndarray, q: np.ndarray):
+        """Tags and values of the terms on the object pairs p < q."""
+        problem, index = self.problem, self.problem.slot_index()
+        vertices = solution_vertices(problem, solution)
+        slots, stored, forbidden = assignment_slots(
+            problem, p, q, vertices[:, p], vertices[:, q]
+        )
+        pair = np.broadcast_to(p * problem.d + q, slots.shape)
+        tag = np.full(len(index.codes), -1)
+        tag[slots[stored]] = pair[stored]
+        # An entry's two slots lie in one table, so either slot's tag names
+        # its pair; it is realized when both slots are.
+        low, high = self._ends
+        realized = np.where(tag[high] >= 0, tag[low], -1)
+        both = realized >= 0
+        return (
+            np.concatenate((pair[stored], pair[forbidden], realized[both])),
+            np.concatenate((
+                index.linear[slots[stored]],
+                np.full(np.count_nonzero(forbidden), math.inf),
+                index.quad_values[:-1][both],
+            )),
+        )
+
+    def row(self, p: int, solution: CliquePartition) -> tuple[np.ndarray, np.ndarray]:
+        """The tags and values of the solution's terms on the pairs that
+        contain object p."""
+        others = np.array([q for q in range(self.problem.d) if q != p], np.int64)
+        return self._terms(solution, np.minimum(others, p), np.maximum(others, p))
+
+    def _kept(self, p: int) -> np.ndarray:
+        d = self.problem.d
+        return (self.pairs // d != p) & (self.pairs % d != p)
 
     def value(self, p: int | None = None, row=None) -> Cost:
         """The objective, or the candidate's with object p's row replaced."""
-        groups = [
-            terms for pair, terms in self.groups.items() if p is None or p not in pair
-        ]
+        values = self.values
         if p is not None:
-            groups.extend(row.values())
-        if any(terms is FORBIDDEN for terms in groups):
-            return FORBIDDEN
-        return math.fsum(chain.from_iterable(groups))
+            values = np.concatenate((values[self._kept(p)], row[1]))
+        total = math.fsum(values.tolist())
+        return FORBIDDEN if total == math.inf else total
 
     def replace(self, p: int, row) -> None:
-        for q, terms in row.items():
-            self.groups[(p, q) if p < q else (q, p)] = terms
+        kept = self._kept(p)
+        self.pairs = np.concatenate((self.pairs[kept], row[0]))
+        self.values = np.concatenate((self.values[kept], row[1]))
 
 
-def objective(problem, solution: CliquePartition) -> Cost:
-    """Total cost of a feasible solution.
+def objective(problem: MgmProblem, solution: CliquePartition) -> Cost:
+    """Total cost of a feasible solution of an MgmProblem.
 
     Linear costs are summed within each clique over its covered object
     pairs; quadratic costs once per unordered pair of distinct cliques over
     their shared object pairs. Any forbidden within-clique match makes the
     whole objective Forbidden. The value is math.fsum over the
-    ObjectiveTerms per-pair groups, independent of clique order. The
-    problem needs ``d``, ``sizes``, ``linear_cost`` and
-    ``quad_partners_pair`` (MgmProblem or reduction.CompleteProblem).
+    ObjectiveTerms, independent of clique order. A solution of a padded
+    reduction.CompleteProblem is priced on its base problem, as
+    objective(complete.base, complete_to_incomplete(complete, padded)).
     """
     validate(problem, solution)
     return ObjectiveTerms(problem, solution).value()

@@ -11,7 +11,6 @@ the reduction impractical as an actual solution strategy.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from .model import (
     Assignment,
@@ -35,10 +34,10 @@ class CompleteProblem:
     Lookups fall through to the base for all-real indices and are zero
     otherwise; real-real forbidden entries stay forbidden.
 
-    It serves the problem interface that model.validate and
-    model.objective read (``d``, ``sizes``, ``linear_cost``,
-    ``quad_partners_pair``), plus ``quad_cost`` for pointwise lookups, so
-    objective(complete, padded) walks the same term groups as the base.
+    It serves ``d`` and ``sizes``, which model.validate reads, and the
+    pointwise lookups ``linear_cost`` and ``quad_cost``. model.objective
+    takes an MgmProblem: a padded solution is priced as
+    objective(complete.base, complete_to_incomplete(complete, padded)).
     """
 
     __slots__ = ("base", "total")
@@ -75,18 +74,6 @@ class CompleteProblem:
         ):
             return 0.0
         return self.base.quad_cost(p, q, a, b)
-
-    def quad_partners_pair(
-        self, p: int, q: int, i: int, s: int
-    ) -> Iterator[tuple[Assignment, float]]:
-        """The base problem's partners of (i, s); none when either is a dummy.
-
-        Every base entry has real vertices only, so a dummy-free
-        assignment has the same partners as in the base problem.
-        """
-        if self.is_dummy(p, i) or self.is_dummy(q, s):
-            return iter(())
-        return self.base.quad_partners_pair(p, q, i, s)
 
     def __repr__(self):
         return f"CompleteProblem(d={self.d}, size={self.total}, base={self.base!r})"

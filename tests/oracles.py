@@ -59,6 +59,16 @@ def dict_clique_clique_costs(problem, a, b):
     return linear, quadratic
 
 
+def partner_lists(table):
+    """Each assignment's quadratic entries as (partner, value), in the order
+    of table.quadratic, which gm._Ids(table).partners keeps too."""
+    partners = {}
+    for (x, y), value in table.quadratic.items():
+        partners.setdefault(x, []).append((y, value))
+        partners.setdefault(y, []).append((x, value))
+    return partners
+
+
 def reference_swap_deltas(problem, solution, first, second):
     """Swap deltas of one clique pair as a d x d list of lists, +inf where
     forbidden: per object pair, the terms that involve the four affected
@@ -71,16 +81,16 @@ def reference_swap_deltas(problem, solution, first, second):
     d = problem.d
     entries = [[0.0] * d for _ in range(d)]
 
-    def assignment(table, p, q, vp, vq):
+    def assignment(table, partners, p, q, vp, vq):
         """(linear cost, [(quadratic value, clique of its p end, clique of
         its q end)]) of matching vp to vq, or None without both vertices."""
         if vp is None or vq is None:
             return None
-        partners = [
+        coupled = [
             (value, columns[p][i2], columns[q][s2])
-            for (i2, s2), value in table.partners((vp, vq))
+            for (i2, s2), value in partners.get((vp, vq), [])
         ]
-        return table.linear.get((vp, vq), FORBIDDEN), partners
+        return table.linear.get((vp, vq), FORBIDDEN), coupled
 
     def contrib(x, y, flip_p, interaction):
         """Objective terms on the object pair that involve assignments x, y;
@@ -105,17 +115,18 @@ def reference_swap_deltas(problem, solution, first, second):
     involved = sorted(set(first.objects()) | set(second.objects()))
     for p, q in combinations(involved, 2):
         table = problem.costs[(p, q)]
+        partners = partner_lists(table)
         ap, aq, bp, bq = first.get(p), first.get(q), second.get(p), second.get(q)
         full = None not in (ap, aq, bp, bq)
         before = contrib(
-            assignment(table, p, q, ap, aq),
-            assignment(table, p, q, bp, bq),
+            assignment(table, partners, p, q, ap, aq),
+            assignment(table, partners, p, q, bp, bq),
             False,
             table.quad_get((ap, aq), (bp, bq)) if full else None,
         )
         after = contrib(
-            assignment(table, p, q, bp, aq),
-            assignment(table, p, q, ap, bq),
+            assignment(table, partners, p, q, bp, aq),
+            assignment(table, partners, p, q, ap, bq),
             True,
             table.quad_get((bp, aq), (ap, bq)) if full else None,
         )
@@ -153,20 +164,40 @@ def enumerate_partitions(sizes):
 
 
 def reference_objective(problem, partition):
-    """Plain re-statement of the objective, independent of the library path."""
-    total = 0.0
+    """Plain re-statement of the objective from pointwise lookups, summed
+    with math.fsum, so it equals objective() bit for bit. It reads only
+    linear_cost and quad_cost, so it also prices a solution of a
+    reduction.CompleteProblem."""
+    terms = []
     cliques = [dict(c.pairs) for c in partition.cliques]
     for c in cliques:
         for p, q in combinations(sorted(c), 2):
             cost = problem.linear_cost(p, q, c[p], c[q])
             if cost is FORBIDDEN:
                 return FORBIDDEN
-            total += cost
+            terms.append(cost)
     for a, b in combinations(cliques, 2):
         shared = sorted(set(a) & set(b))
         for p, q in combinations(shared, 2):
-            total += problem.quad_cost(p, q, (a[p], a[q]), (b[p], b[q]))
-    return total
+            terms.append(problem.quad_cost(p, q, (a[p], a[q]), (b[p], b[q])))
+    return math.fsum(terms)
+
+
+def reference_pair_terms(problem, partition, p, q):
+    """The objective's terms on the object pair p < q, entry by entry: the
+    linear cost of each clique's (p, q) assignment, and every stored
+    quadratic entry joining two of those assignments, exact zeros
+    included; FORBIDDEN when an assignment is not allowed."""
+    table = problem.costs[(p, q)]
+    pairs = [(c.get(p), c.get(q)) for c in partition.cliques if c.covers(p) and c.covers(q)]
+    if any(a not in table.linear for a in pairs):
+        return FORBIDDEN
+    terms = [table.linear[a] for a in pairs]
+    for a, b in combinations(pairs, 2):
+        key = (a, b) if a <= b else (b, a)
+        if key in table.quadratic:
+            terms.append(table.quadratic[key])
+    return terms
 
 
 def brute_force_mgm(problem):
@@ -310,9 +341,10 @@ def reference_gm_local_search(sub, pairs, max_scans, two_swaps):
     right_used = {b: a for a, b in pairs}
     allowed = sorted(lin)
     gain = dict.fromkeys(allowed, 0.0)
+    partners = partner_lists(sub)
 
     def update(pair, sign):
-        for other, value in sub.partners(pair):
+        for other, value in partners.get(pair, []):
             gain[other] += sign * value
 
     for pair in sorted(pairs):
@@ -376,6 +408,7 @@ def reference_greedy_candidate(sub, rng):
     rng.shuffle(order)
     left_used, right_used = {}, set()
     gain = dict.fromkeys(order, 0.0)
+    partners = partner_lists(sub)
     for pair in order:
         a, b = pair
         if a in left_used or b in right_used:
@@ -383,7 +416,7 @@ def reference_greedy_candidate(sub, rng):
         if sub.linear[pair] + gain[pair] < 0:
             left_used[a] = b
             right_used.add(b)
-            for other, value in sub.partners(pair):
+            for other, value in partners.get(pair, []):
                 gain[other] += value
     return sorted(left_used.items())
 

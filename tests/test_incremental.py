@@ -4,8 +4,8 @@ best_multiswap returns no-swap early when no joint swap can win, and
 swap local search reuses each pair's best joint swap while its delta
 matrix is byte-equal; GM local search prices candidates with
 ObjectiveTerms instead of objective(). Each is checked against a fresh
-computation on small random problems, and the searches' outputs are
-pinned.
+computation on small random problems, ObjectiveTerms pair by pair
+against an entry-by-entry oracle, and the searches' outputs are pinned.
 """
 
 import hashlib
@@ -40,7 +40,12 @@ from mgmatch.model import (
 )
 
 from conftest import part
-from oracles import random_partition, random_problem, reference_objective
+from oracles import (
+    random_partition,
+    random_problem,
+    reference_objective,
+    reference_pair_terms,
+)
 
 
 @st.composite
@@ -216,7 +221,54 @@ class TestDeltaCache:
         assert computed == []  # every matrix is unchanged
 
 
+def with_zero_entries(problem, rng):
+    """The problem with about a third of its quadratic entries set to
+    exactly 0.0: stored entries that are terms, unlike absent ones."""
+    return MgmProblem(
+        problem.sizes,
+        {
+            pair: PairwiseCosts(
+                table.left_size,
+                table.right_size,
+                table.linear,
+                {key: 0.0 if rng.random() < 1 / 3 else v for key, v in table.quadratic.items()},
+            )
+            for pair, table in problem.costs.items()
+        },
+    )
+
+
+def assert_terms_match(problem, solution, pairs, values, objects):
+    """The tagged terms on each object pair that holds one of objects equal
+    the oracle's as a multiset; a Forbidden pair holds an +inf term; no
+    other pair has terms."""
+    d = problem.d
+    for p, q in combinations(range(d), 2):
+        got = sorted(values[pairs == p * d + q].tolist())
+        if p not in objects and q not in objects:
+            assert got == []
+            continue
+        want = reference_pair_terms(problem, solution, p, q)
+        if want is FORBIDDEN:
+            assert math.inf in got
+        else:
+            assert got == sorted(want)
+
+
 class TestObjectiveTerms:
+    @given(problems())
+    def test_terms_equal_the_pointwise_oracle(self, case):
+        problem, rng = case
+        problem = with_zero_entries(problem, rng)
+        solution = random_partition(rng, problem)
+        terms = ObjectiveTerms(problem, solution)
+        assert_terms_match(problem, solution, terms.pairs, terms.values, range(problem.d))
+        for p in range(problem.d):
+            candidate = random_partition(rng, problem)
+            assert_terms_match(problem, candidate, *terms.row(p, candidate), [p])
+        # reference_objective is math.fsum too: equal floats, bit for bit
+        assert objective(problem, solution) == reference_objective(problem, solution)
+
     @given(problems())
     def test_rematch_value_is_objective(self, case):
         problem, rng = case
