@@ -257,22 +257,19 @@ def run(config: RunConfig) -> int:
         return 2
     value, _, solution, trace, metrics = _best_restart(results)
     if config.mode == "sync":
+        value = metrics.mgm_objective  # the objective of ``solution``
         if config.sync_post_ls:
             # The restart's trace holds projection objectives; the post-LS
             # entries that follow are objectives of the original problem.
-            start_value = objective(problem, solution)
-            if start_value is not FORBIDDEN:
-                trace.record("sync-post-ls", start_value)
-            improved = alternate(
+            if value is not FORBIDDEN:
+                trace.record("sync-post-ls", value)
+            solution = alternate(
                 problem, solution, gm=gm, seed=derive_seed(config.seed, 777),
                 deadline=deadline, trace=trace,
             )
-            metadata["mgm_objective_post_ls"] = mgm_io._cost_to_json(
-                objective(problem, improved)
-            )
-            solution = improved
+            value = objective(problem, solution)
+            metadata["mgm_objective_post_ls"] = mgm_io._cost_to_json(value)
         metadata["sync_metrics"] = metrics.to_dict()
-        value = objective(problem, solution)
 
     metadata["objective"] = value
     metadata["wall_time_ms"] = (time.monotonic() - started) * 1000.0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -197,33 +198,22 @@ class ConstructionTree:
         tree this numbering matches the step numbering of sequential
         construction.
         """
-        by_height: dict[int, list] = {}
         heights: dict[int, int] = {}  # id(internal node) -> height
-
-        def height_of(node) -> int:
-            return 0 if isinstance(node, int) else heights[id(node)]
-
-        # Post-order (left subtree, right subtree, node) without recursion.
+        post: list[tuple[int, tuple]] = []  # (height, node) in post-order
         stack = [(self.root, False)]
         while stack:
             node, children_done = stack.pop()
             if isinstance(node, int):
                 continue
             if children_done:
-                height = 1 + max(height_of(node[0]), height_of(node[1]))
+                height = 1 + max(0 if isinstance(c, int) else heights[id(c)] for c in node)
                 heights[id(node)] = height
-                by_height.setdefault(height, []).append(node)
+                post.append((height, node))
             else:
                 stack += [(node, True), (node[1], False), (node[0], False)]
-        levels = []
-        counter = 1
-        for height in sorted(by_height):
-            level = []
-            for node in by_height[height]:
-                level.append((counter, node))
-                counter += 1
-            levels.append(level)
-        return levels
+        post.sort(key=lambda entry: entry[0])  # stable: post-order within a level
+        levels = groupby(enumerate(post, 1), key=lambda item: item[1][0])
+        return [[(counter, node) for counter, (_, node) in level] for _, level in levels]
 
 
 def _permutation(problem: MgmProblem, order: Sequence[int]) -> list[int]:

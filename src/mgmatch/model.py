@@ -569,8 +569,9 @@ class ObjectiveTerms:
         self._ends = np.divmod(index.quad_keys[:-1], len(index.codes))
         self.pairs, self.values = self._terms(solution, *np.triu_indices(problem.d, 1))
 
-    def _terms(self, solution, p: np.ndarray, q: np.ndarray):
-        """Tags and values of the terms on the object pairs p < q."""
+    def _terms(self, solution, p: np.ndarray, q: np.ndarray, keys=slice(None)):
+        """Tags and values of the terms on the object pairs p < q, whose
+        quadratic entries lie at the positions ``keys`` of the index."""
         problem, index = self.problem, self.problem.slot_index()
         vertices = solution_vertices(problem, solution)
         slots, stored, forbidden = assignment_slots(
@@ -581,7 +582,7 @@ class ObjectiveTerms:
         tag[slots[stored]] = pair[stored]
         # An entry's two slots lie in one table, so either slot's tag names
         # its pair; it is realized when both slots are.
-        low, high = self._ends
+        low, high = self._ends[0][keys], self._ends[1][keys]
         realized = np.where(tag[high] >= 0, tag[low], -1)
         both = realized >= 0
         return (
@@ -589,15 +590,24 @@ class ObjectiveTerms:
             np.concatenate((
                 index.linear[slots[stored]],
                 np.full(np.count_nonzero(forbidden), math.inf),
-                index.quad_values[:-1][both],
+                index.quad_values[:-1][keys][both],
             )),
         )
 
     def row(self, p: int, solution: CliquePartition) -> tuple[np.ndarray, np.ndarray]:
         """The tags and values of the solution's terms on the pairs that
-        contain object p."""
-        others = np.array([q for q in range(self.problem.d) if q != p], np.int64)
-        return self._terms(solution, np.minimum(others, p), np.maximum(others, p))
+        contain object p. A table's slots are one range of codes and its
+        keys the range [lo * N, hi * N) of its slots lo..hi, so only the
+        quadratic entries of p's d - 1 tables are read, in index order."""
+        problem, index = self.problem, self.problem.slot_index()
+        others = np.array([q for q in range(problem.d) if q != p], np.int64)
+        low, high = np.minimum(others, p), np.maximum(others, p)
+        sizes = np.array(problem.sizes, np.int64)
+        start = index.offsets[low, high]
+        slots = np.searchsorted(index.codes, (start, start + sizes[low] * sizes[high]))
+        ends = np.searchsorted(index.quad_keys, slots * len(index.codes))
+        keys = np.concatenate([np.arange(a, b) for a, b in zip(*ends)])
+        return self._terms(solution, low, high, keys)
 
     def _kept(self, p: int) -> np.ndarray:
         d = self.problem.d

@@ -6,10 +6,13 @@ Provides the multi-swap optimizer: energies of the form
 
 ``minimize`` never returns a labeling worse than its initializer. Up to 16
 variables it enumerates the energy as a quadratic form; beyond, submodular
-instances are cut exactly by one max-flow and the general case gets greedy
-improve sweeps from the initializer. Swap energies come contracted over
-forbidden swaps, with no penalty terms. Roof duality is not used: on these
-frustrated energies it finds no persistent labels (Rother et al. 2007).
+instances are cut exactly by one max flow (Dinic's) and the general case
+gets greedy improve sweeps from the initializer. Swap energies come
+contracted over forbidden swaps, with no penalty terms; any that reaches
+``minimize`` has a negative table and is not submodular, so the cut serves
+library callers and gm fusion energies of more than 16 components. Roof
+duality is not used: on these frustrated energies it finds no persistent
+labels (Rother et al. 2007).
 """
 
 from __future__ import annotations
@@ -91,95 +94,16 @@ def evaluate(energy: BinaryEnergy, x: Sequence[int]) -> float:
     return total
 
 
-class _FlowNetwork:
-    """Dinic max-flow on floats; small graphs only."""
-
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[list]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: float) -> None:
-        if cap <= _EPS:
-            return
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0.0, len(self.adj[u]) - 1])
-
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * len(self.adj)
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for edge in self.adj[u]:
-                v, cap, _ = edge
-                if cap > _EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _dfs(self, s: int, t: int, level, it) -> float:
-        """Push flow along one s-t path of the level graph; 0 if none is left.
-
-        Iterative depth-first search: ``path`` holds the edges from s to
-        the current node. A dead end advances its parent's edge pointer,
-        so every edge is tried in adjacency order, as a recursive search
-        would.
-        """
-        path: list[list] = []
-        u = s
-        while u != t:
-            adj = self.adj[u]
-            while it[u] < len(adj):
-                edge = adj[it[u]]
-                if edge[1] > _EPS and level[edge[0]] == level[u] + 1:
-                    break
-                it[u] += 1
-            else:
-                if not path:
-                    return 0.0
-                edge = path.pop()
-                u = self.adj[edge[0]][edge[2]][0]  # the edge's tail
-                it[u] += 1
-                continue
-            path.append(edge)
-            u = edge[0]
-        flow = min(edge[1] for edge in path)
-        for edge in path:
-            edge[1] -= flow
-            self.adj[edge[0]][edge[2]][1] += flow
-        return flow
-
-    def max_flow(self, s: int, t: int) -> float:
-        total = 0.0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return total
-            it = [0] * len(self.adj)
-            while True:
-                flow = self._dfs(s, t, level, it)
-                if flow <= _EPS:
-                    break
-                total += flow
-
-    def reachable(self, s: int) -> list[bool]:
-        seen = [False] * len(self.adj)
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in self.adj[u]:
-                if cap > _EPS and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
-
-
 def _solve_submodular(energy: BinaryEnergy) -> list[int]:
     """Exact minimizer of a submodular energy via one s-t min cut.
 
     Each table (A, B, C, D) becomes A + (C-A) x_p + (B-A) x_q + g x_p x_q
     with g = A + D - B - C <= 0, rewritten as g x_p + (-g) x_p (1-x_q), an
-    edge q -> p; constants are dropped throughout.
+    edge q -> p; constants are dropped throughout. Dinic's max flow: each
+    phase levels the residual graph by breadth-first search, then saturates
+    it by iterative depth-first search. The nodes the last level search
+    reaches form the minimal minimum cut, which every maximum flow leaves;
+    they take label 0.
     """
     n = energy.n
     u0 = [a for a, _ in energy.unary]
@@ -192,18 +116,53 @@ def _solve_submodular(energy: BinaryEnergy) -> list[int]:
         u1[q] += t01 - t00
         edges.append((q, p, -g))
     source, sink = n, n + 1
-    net = _FlowNetwork(n + 2)
+    terminal = []
     for p in range(n):
         base = min(u0[p], u1[p])
-        if u1[p] - base > 0:
-            net.add_edge(source, p, u1[p] - base)
-        if u0[p] - base > 0:
-            net.add_edge(p, sink, u0[p] - base)
-    for edge in edges:
-        net.add_edge(*edge)
-    net.max_flow(source, sink)
-    seen = net.reachable(source)
-    return [0 if seen[p] else 1 for p in range(n)]
+        terminal += [(source, p, u1[p] - base), (p, sink, u0[p] - base)]
+    # adj[u] holds residual edges [v, capacity, position of the reverse in adj[v]].
+    adj: list[list[list]] = [[] for _ in range(n + 2)]
+    for u, v, cap in chain(terminal, edges):
+        if cap > _EPS:
+            adj[u].append([v, cap, len(adj[v])])
+            adj[v].append([u, 0.0, len(adj[u]) - 1])
+    while True:
+        level = [-1] * (n + 2)
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v, cap, _ in adj[u]:
+                if cap > _EPS and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        if level[sink] < 0:
+            return [0 if level[p] >= 0 else 1 for p in range(n)]
+        # ``path`` holds the edges from the source to u and it[u] is u's
+        # next edge to try; a dead end advances its parent's pointer.
+        it = [0] * (n + 2)
+        path: list[list] = []
+        u = source
+        while True:
+            if u == sink:
+                flow = min(edge[1] for edge in path)
+                for edge in path:
+                    edge[1] -= flow
+                    adj[edge[0]][edge[2]][1] += flow
+                path, u = [], source
+            elif it[u] < len(adj[u]):
+                edge = adj[u][it[u]]
+                if edge[1] > _EPS and level[edge[0]] == level[u] + 1:
+                    path.append(edge)
+                    u = edge[0]
+                else:
+                    it[u] += 1
+            elif path:
+                edge = path.pop()
+                u = adj[edge[0]][edge[2]][0]  # the edge's tail
+                it[u] += 1
+            else:
+                break
 
 
 @functools.cache

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mgmatch import local_search
+from mgmatch import local_search, qpbo
 from mgmatch.gm import Effort, solve_gm
 from mgmatch.local_search import (
     SwapDeltaMatrix,
@@ -407,6 +407,38 @@ class TestSwapLocalSearch:
                 continue
             result = swap_local_search(problem, start, seed=7)
             assert objective(problem, result) <= objective(problem, start)
+
+    def test_swap_energies_never_reach_the_cut(self, monkeypatch):
+        """Every energy best_multiswap hands to qpbo.minimize has a table
+        (0, w, w, 0) with w < 0, so it is not submodular and never takes
+        the exact cut. Wide random cliques over up to 30 objects give
+        energies of more than EXACT_ENUMERATION_LIMIT groups as well."""
+        rng = random.Random(53)
+        energies = []
+        real_minimize = qpbo.minimize
+
+        def recording_minimize(energy, init, seed=0):
+            energies.append(energy)
+            return real_minimize(energy, init, seed=seed)
+
+        def no_cut(energy):
+            raise AssertionError("a swap energy reached the submodular cut")
+
+        monkeypatch.setattr(qpbo, "minimize", recording_minimize)
+        monkeypatch.setattr(qpbo, "_solve_submodular", no_cut)
+        for d in (6, 18, 24, 30):
+            problem = random_problem(rng, d, 3, forbidden_frac=0.01, min_size=2)
+            wide = [{}, {}]
+            for p in range(d):
+                for clique, v in zip(wide, rng.sample(range(problem.sizes[p]), 2)):
+                    clique[p] = v
+            start = split_conflicts(problem, [Clique(c) for c in wide])
+            result = swap_local_search(problem, start, seed=d)
+            assert objective(problem, result) <= objective(problem, start)
+        assert max(energy.n for energy in energies) > EXACT_ENUMERATION_LIMIT
+        for energy in energies:
+            assert min(table[1] for table in energy.pairwise.values()) < 0.0
+            assert not energy.is_submodular()
 
     @pytest.mark.parametrize("deadline", [3, local_search._CHUNK])
     @pytest.mark.parametrize("start", ["singletons", "optimum"])

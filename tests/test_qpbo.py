@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from mgmatch.qpbo import (
     EXACT_ENUMERATION_LIMIT,
     BinaryEnergy,
+    _solve_submodular,
     evaluate,
     minimize,
 )
@@ -28,18 +30,21 @@ def swap_pair_energy(deltas):
     return BinaryEnergy(n, pairwise=pairwise)
 
 
-def random_energy(rng, n, density=0.5, submodular=False):
-    unary = [(round(rng.uniform(-3, 3), 3), round(rng.uniform(-3, 3), 3)) for _ in range(n)]
+def random_energy(rng, n, density=0.5, submodular=False, integer=False):
+    def draw(lo, hi):
+        return rng.randint(lo, hi) if integer else round(rng.uniform(lo, hi), 3)
+
+    unary = [(draw(-3, 3), draw(-3, 3)) for _ in range(n)]
     pairwise = {}
     for p in range(n):
         for q in range(p + 1, n):
             if rng.random() < density:
-                t = [round(rng.uniform(-3, 3), 3) for _ in range(4)]
+                t = [draw(-3, 3) for _ in range(4)]
                 if submodular:
                     # force t00 + t11 <= t01 + t10
                     gap = t[0] + t[3] - t[1] - t[2]
                     if gap > 0:
-                        t[0] -= gap + round(rng.uniform(0, 1), 3)
+                        t[0] -= gap + draw(0, 1)
                 pairwise[(p, q)] = tuple(t)
     return BinaryEnergy(n, unary, pairwise)
 
@@ -156,13 +161,15 @@ class TestMinimize:
         assert minimize(agree, (1,) * n, seed=0) == (1,) * n
 
     def test_submodular_exact_above_limit(self):
+        """The cut is exact from the enumeration limit up to n = 20, with
+        float costs and integer costs (many ties)."""
         rng = random.Random(17)
-        for _ in range(9):
-            n = rng.randint(EXACT_ENUMERATION_LIMIT + 1, EXACT_ENUMERATION_LIMIT + 3)
-            e = random_energy(rng, n, density=0.4, submodular=True)
-            init = tuple(rng.randint(0, 1) for _ in range(n))
-            x = minimize(e, init, seed=0)
-            assert evaluate(e, x) == pytest.approx(brute_force_energy_min(e), abs=1e-9)
+        for n in range(EXACT_ENUMERATION_LIMIT + 1, 21):
+            for k in range(3):
+                e = random_energy(rng, n, density=0.4, submodular=True, integer=k == 1)
+                init = tuple(rng.randint(0, 1) for _ in range(n))
+                x = minimize(e, init, seed=0)
+                assert evaluate(e, x) == pytest.approx(brute_force_energy_min(e), abs=1e-9)
 
     def test_deterministic(self):
         rng = random.Random(19)
@@ -170,6 +177,29 @@ class TestMinimize:
         e = random_energy(rng, n)
         init = tuple(rng.randint(0, 1) for _ in range(n))
         assert minimize(e, init, seed=7) == minimize(e, init, seed=7)
+
+
+class TestSubmodularCut:
+    def test_labels_pinned(self):
+        """The cut labels of 600 seeded submodular energies (n 17-60,
+        pairwise density 0.05-0.5, integer costs on even draws) hash to the
+        digest recorded from the earlier implementation, a max-flow class
+        and a separate reachability search. Integer costs tie minimum cuts;
+        the labels are those of the minimal one, and labels read off the
+        maximal one fail this test."""
+        rng = random.Random(43)
+        digest = hashlib.sha256()
+        split = 0
+        for k in range(600):
+            n = rng.randint(17, 60)
+            e = random_energy(rng, n, rng.uniform(0.05, 0.5), submodular=True, integer=k % 2 == 0)
+            labels = _solve_submodular(e)
+            split += 0 < sum(labels) < n
+            digest.update(bytes(labels))
+        assert split == 293
+        assert digest.hexdigest() == (
+            "8b0dde5a44722b580ddf5bf6a9850b7ba4d50dac3399c46c73c028b426a6045f"
+        )
 
 
 class TestLongChains:
