@@ -55,7 +55,8 @@ def clique_clique_costs(
     is allowed, and then carries the sum of those costs. A quadratic
     entry's two vertices of one object lie in distinct cliques, so every
     summed entry joins two assignments that share no node. Sums add terms
-    from 0.0 in table, then arrays() order; keys keep first-term order.
+    from 0.0 in table, then arrays() order; the table's arrays are built
+    directly, keys in first-term order.
     """
     columns_a = a.columns(problem.sizes)
     columns_b = b.columns(problem.sizes)
@@ -86,8 +87,7 @@ def clique_clique_costs(
     sizes = np.array([len(c) for c in a.cliques + b.cliques], dtype=np.int64)
     complete = counts == sizes[codes // nb] * sizes[na + codes % nb]
     order = order[complete[order]]
-    key = list(zip((codes // nb).tolist(), (codes % nb).tolist())).__getitem__
-    linear = dict(zip(map(key, order.tolist()), sums[order].tolist()))
+    lin_keys, lin_sums = np.stack((codes[order] // nb, codes[order] % nb)), sums[order]
     # Quadratic entries pair linear keys; code those by slot in sorted codes.
     covered = (xa >= 0) & (xb >= 0) & (ya >= 0) & (yb >= 0)
     x = np.searchsorted(codes, xa[covered] * nb + xb[covered])
@@ -96,8 +96,9 @@ def clique_clique_costs(
     kept = complete[low] & complete[high]
     n = len(codes)
     pairs, order, sums, _ = _sum_by_code(low[kept] * n + high[kept], quad_v[covered][kept])
-    keys = zip(map(key, (pairs[order] // n).tolist()), map(key, (pairs[order] % n).tolist()))
-    return PairwiseCosts._trusted(na, nb, linear, dict(zip(keys, sums[order].tolist())))
+    low, high = codes[pairs[order] // n], codes[pairs[order] % n]
+    quad_keys = np.stack((low // nb, low % nb, high // nb, high % nb))
+    return PairwiseCosts._trusted(na, nb, lin_keys, lin_sums, quad_keys, sums[order])
 
 
 def _sum_by_code(codes, values):

@@ -21,9 +21,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from enum import Enum
 from itertools import combinations
 from typing import Callable
+
+import numpy as np
 
 from . import qpbo
 from .model import PairwiseCosts
@@ -89,11 +92,12 @@ def solve_lap(sub: PairwiseCosts) -> GmMatching:
     lexicographically, so the minimum-cost matching with the fewest pairs
     wins: no zero-gain path is taken.
     """
-    if sub.quadratic:
+    (rows, cols), costs, _, quad_values = sub.arrays()
+    if len(quad_values):
         raise ValueError("solve_lap requires an instance without quadratic costs")
     offset = sub.right_size
     arcs: dict[int, list[tuple[int, float, int]]] = {}
-    for (a, b), cost in sub.linear.items():
+    for a, b, cost in zip(rows.tolist(), cols.tolist(), costs.tolist()):
         arcs.setdefault(a, []).append((b, cost, 1))
     size = offset + sub.left_size
     v_cost, v_pairs = [0.0] * size, [0] * size
@@ -190,28 +194,68 @@ def _brute_force(sub: PairwiseCosts) -> GmMatching:
 
 
 class _Ids:
-    """A quadratic instance on integer assignment ids: id k is the k-th of
-    sorted(sub.linear), with linear cost ``cost[k]``, nodes ``left[k]`` and
+    """A quadratic instance on integer assignment ids, read from
+    sub.arrays(): id k is the k-th assignment (a, b) = ``pairs[k]`` in
+    sorted order, with linear cost ``cost[k]``, nodes ``left[k]`` and
     ``right[k]``, and quadratic entries ``partners[k]`` as (id, value) in
-    the order of sub.quadratic; ``at[a * right_size + b]`` is the id of
-    (a, b), -1 where forbidden."""
+    entry order; ``at[a * right_size + b]`` is the id of (a, b), -1 where
+    forbidden. An entry joins ids x < y, which quad() looks up."""
 
-    __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at")
+    __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at", "_keys", "_values")
 
     def __init__(self, sub: PairwiseCosts):
         self.sub = sub
-        self.pairs = pairs = sorted(sub.linear)
-        self.cost = [sub.linear[pair] for pair in pairs]
-        self.left, self.right = [a for a, _ in pairs], [b for _, b in pairs]
-        width = sub.right_size
-        self.at = at = [-1] * (sub.left_size * width)
-        for k, (a, b) in enumerate(pairs):
-            at[a * width + b] = k
-        self.partners = partners = [[] for _ in pairs]
-        for ((a, b), (c, d)), value in sub.quadratic.items():
-            x, y = at[a * width + b], at[c * width + d]
-            partners[x].append((y, value))
-            partners[y].append((x, value))
+        (a, b), lin_v, (qa, qb, qc, qd), quad_v = sub.arrays()
+        width, n = sub.right_size, len(lin_v)
+        codes = a * width + b
+        order = np.argsort(codes)
+        codes = codes[order]
+        self.left, self.right = a[order].tolist(), b[order].tolist()
+        self.pairs = list(zip(self.left, self.right))
+        self.cost = lin_v[order].tolist()
+        at = np.full(sub.left_size * width, -1)
+        at[codes] = np.arange(n)
+        self.at = at.tolist()
+        # Keys are canonical and ids ordered like assignments, so x < y.
+        x = np.searchsorted(codes, qa * width + qb)
+        y = np.searchsorted(codes, qc * width + qd)
+        self.partners = partners = [[] for _ in range(n)]
+        for xk, yk, value in zip(x.tolist(), y.tolist(), quad_v.tolist()):
+            partners[xk].append((yk, value))
+            partners[yk].append((xk, value))
+        keys = x * n + y
+        by_key = np.argsort(keys)
+        self._keys = keys[by_key].tolist() + [n * n]  # a sentinel above every key
+        self._values = quad_v[by_key].tolist()
+
+    def quad(self, x: int, y: int) -> float:
+        """The quadratic entry joining ids x < y, 0.0 where there is none."""
+        key = x * len(self.cost) + y
+        k = bisect_left(self._keys, key)
+        return self._values[k] if self._keys[k] == key else 0.0
+
+
+def _pair_terms(ids: _Ids, chosen: list[int]):
+    """The stored quadratic entries among the ascending ids chosen, in the
+    order of combinations(chosen, 2). Adding the 0.0 of an absent entry
+    leaves a sum that is not -0.0 unchanged, so these are the terms."""
+    member = set(chosen)
+    for x in chosen:
+        for _, value in sorted((y, v) for y, v in ids.partners[x] if y > x and y in member):
+            yield value
+
+
+def _matching_cost(ids: _Ids, pairs) -> float:
+    """sub.matching_cost(pairs) on ids: the linear terms in the order of
+    set(pairs), then _pair_terms, added one by one from 0.0."""
+    width = ids.sub.right_size
+    chosen = [ids.at[a * width + b] for a, b in set(pairs)]
+    total = 0.0
+    for x in chosen:
+        total += ids.cost[x]
+    for value in _pair_terms(ids, sorted(chosen)):
+        total += value
+    return total
 
 
 def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: bool) -> list[int]:
@@ -263,8 +307,8 @@ def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: boo
                 apply((x,), ())
                 improved = True
         if two_swaps:
-            # Left nodes a1 < a2 make (a1, b2) < (a2, b1): both keys are canonical.
-            quad, pairs, at, width = ids.sub.quadratic, ids.pairs, ids.at, ids.sub.right_size
+            # Left nodes a1 < a2 make ids x1 < x2 and r1 < r2.
+            quad, at, width = ids.quad, ids.at, ids.sub.right_size
             for r1, r2 in combinations([x for x in by_left if x >= 0], 2):
                 if by_left[left[r1]] != r1 or by_left[left[r2]] != r2:
                     continue  # replaced by an earlier swap this scan
@@ -274,7 +318,7 @@ def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: boo
                 delta = (
                     cost[x1] + gain[x1] + cost[x2] + gain[x2]
                     - (cost[r1] + gain[r1]) - (cost[r2] + gain[r2])
-                    + quad.get((pairs[x1], pairs[x2]), 0.0) + quad.get((pairs[r1], pairs[r2]), 0.0)
+                    + quad(x1, x2) + quad(r1, r2)
                 )
                 if delta < -1e-12:
                     apply((r1, r2), (x1, x2))
@@ -330,8 +374,8 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
     def side_cost(k, label):
         chosen = component_pairs(k, label)  # ascending, so keys are canonical
         value = sum((ids.cost[x] for x in chosen), 0.0)
-        for x, y in combinations(chosen, 2):
-            value += ids.sub.quadratic.get((ids.pairs[x], ids.pairs[y]), 0.0)
+        for term in _pair_terms(ids, chosen):
+            value += term
         for x in chosen:
             for other, v in ids.partners[x]:
                 if other in common:
@@ -355,9 +399,8 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
     fused = {ids.pairs[x] for x in common}
     for k in range(n_comp):
         fused.update(ids.pairs[x] for x in component_pairs(k, labels[k]))
-    sub = ids.sub
-    if sub.matching_cost(fused) < sub.matching_cost(ids.pairs[x] for x in first) - 1e-12:
-        return sorted(ids.at[a * sub.right_size + b] for a, b in fused)
+    if _matching_cost(ids, fused) < _matching_cost(ids, (ids.pairs[x] for x in first)) - 1e-12:
+        return sorted(ids.at[a * ids.sub.right_size + b] for a, b in fused)
     return first
 
 
@@ -389,16 +432,15 @@ def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT)
     effort brute-forces instances whose matching count fits the limit.
     """
     effort = Effort(effort)
-    if not sub.quadratic:
+    if not len(sub.arrays()[3]):
         return solve_lap(sub)
     if effort is Effort.EXHAUSTIVE:
         if _count_matchings(sub.left_size, sub.right_size) <= EXHAUSTIVE_MATCHING_LIMIT:
             return _brute_force(sub)
-    linear_only = PairwiseCosts._trusted(sub.left_size, sub.right_size, sub.linear)
-    matching = solve_lap(linear_only)
-    if sub.matching_cost(matching.pairs) > 0:
-        matching = GmMatching()
     ids = _Ids(sub)
+    matching = solve_lap(PairwiseCosts._trusted(sub.left_size, sub.right_size, *sub.arrays()[:2]))
+    if _matching_cost(ids, matching.pairs) > 0:
+        matching = GmMatching()
     two_swaps = effort is not Effort.FAST
     max_scans = 30 if effort is Effort.FAST else 60
     start = [ids.at[a * sub.right_size + b] for a, b in matching]

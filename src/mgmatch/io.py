@@ -33,6 +33,7 @@ from .model import (
     FeasibilityError,
     MgmProblem,
     PairwiseCosts,
+    entry_arrays,
     objective,
     validate,
 )
@@ -69,15 +70,22 @@ def _as_text(source: TextSource) -> str:
 
 
 def parse_problem(source: TextSource) -> MgmProblem:
-    """Parse a dd-format problem; see the module docstring for the grammar."""
+    """Parse a dd-format problem; see the module docstring for the grammar.
+
+    Lines are split as str.splitlines() splits them, a chunk of the text
+    at a time. A block is checked against dicts of its own entries, which
+    become its table's arrays (PairwiseCosts.arrays(), 24 bytes per 'a'
+    and 40 per 'e' line) when the block closes, so the dicts of one block
+    at most are alive. The tables' dict views are not built.
+    """
     text = _as_text(source)
-    blocks: dict[tuple[int, int], dict] = {}
+    tables: dict[tuple[int, int], tuple | None] = {}  # None: the open block
     current: dict | None = None
     max_object = -1
     sizes: dict[int, int] = {}
     linear = quad = ids = shape = None  # the current block's
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         fields = raw.split()
         if not fields:
             continue
@@ -132,15 +140,15 @@ def parse_problem(source: TextSource) -> MgmProblem:
             p, q = _ints(fields[1:3], lineno)
             if not 0 <= p < q:
                 raise ParseError(lineno, f"need 0 <= p < q, got ({p},{q})")
-            if (p, q) in blocks:
+            if (p, q) in tables:
                 raise DuplicateEntryError(lineno, f"duplicate block for pair ({p},{q})")
-            _check_counts(current)
+            _close(current, tables)
             linear, quad, ids, shape = {}, {}, {}, None
             current = {
                 "pair": (p, q), "line": lineno, "declared": None,
                 "linear": linear, "quad": quad,
             }
-            blocks[(p, q)] = current
+            tables[(p, q)] = None
             max_object = max(max_object, q)
         elif tag == "p":
             if current is None:
@@ -162,22 +170,35 @@ def parse_problem(source: TextSource) -> MgmProblem:
         else:
             raise ParseError(lineno, f"unknown line tag {tag!r}")
 
-    _check_counts(current)
+    _close(current, tables)
     if max_object < 1:
         raise ParseError(1, "no 'gm' blocks found")
     d = max_object + 1
     size_list = [sizes.get(p, 0) for p in range(d)]
     # The checks above cover every check of the PairwiseCosts constructor.
     costs = {
-        (p, q): PairwiseCosts._trusted(size_list[p], size_list[q], block["linear"], block["quad"])
-        for (p, q), block in blocks.items()
+        (p, q): PairwiseCosts._trusted(size_list[p], size_list[q], *arrays)
+        for (p, q), arrays in tables.items()
     }
     return MgmProblem(size_list, costs)
 
 
-def _check_counts(block: dict | None) -> None:
+def _lines(text: str, chunk: int = 1 << 16):
+    """text.splitlines(), a chunk of the text at a time, each line with its
+    line break. A chunk's last line may be cut, or end in a carriage return
+    that a line feed in the next chunk joins, so it moves to the next one."""
+    carry = ""
+    for start in range(0, len(text), chunk):
+        lines = (carry + text[start:start + chunk]).splitlines(True)
+        carry = lines.pop()
+        yield from lines
+    if carry:
+        yield carry
+
+
+def _close(block: dict | None, tables: dict) -> None:
     """A finished block must have a 'p' line and hold the 'a' and 'e' lines
-    it declares."""
+    it declares; its entries become arrays."""
     if block is None:
         return
     if block["declared"] is None:
@@ -192,6 +213,7 @@ def _check_counts(block: dict | None) -> None:
                 lineno,
                 f"block {block['pair']} declares {declared} '{kind}' lines, has {found}",
             )
+    tables[block["pair"]] = entry_arrays(block["linear"], block["quad"])
 
 
 def _ints(fields, lineno):

@@ -18,7 +18,7 @@ all; local search re-prices a candidate by replacing one object's row.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -92,13 +92,20 @@ class PairwiseCosts:
     object pair (left p, right q, p < q), and construction and local
     search build the GM instances they solve as tables of this type.
 
+    The entries are stored as four read-only numpy arrays in entry order,
+    arrays(): 24 bytes per linear and 40 per quadratic entry. ``linear``
+    and ``quadratic`` are dict views of them, equal key for key and bit for
+    bit, built on first access (about 200 bytes per entry) and kept.
+    write_problem, linear_cost, quad_get, matching_cost, equality, the
+    reduction's lookups and perfbench's probe build them; the solvers read
+    the arrays or the problem's slot index instead. Tables are immutable.
+
     The constructor checks every entry, values finite included; _trusted
-    skips the checks for tables known to pass them: parsed ones and those
+    skips the checks for arrays known to pass them: parsed ones and those
     derived from valid tables (aggregation, transposition, a linear part).
-    Tables are immutable; arrays() views the entries, built on first use.
     """
 
-    __slots__ = ("left_size", "right_size", "linear", "quadratic", "_arrays")
+    __slots__ = ("left_size", "right_size", "_arrays", "_dicts")
 
     def __init__(
         self,
@@ -107,10 +114,8 @@ class PairwiseCosts:
         linear: Mapping[Assignment, float] | None = None,
         quadratic: Mapping[QuadKey, float] | None = None,
     ):
-        self.left_size = left_size
-        self.right_size = right_size
-        self.linear: dict[Assignment, float] = dict(linear or {})
-        for (i, s), value in self.linear.items():
+        linear = dict(linear or {})
+        for (i, s), value in linear.items():
             if not (0 <= i < left_size and 0 <= s < right_size):
                 raise IndexError(
                     f"assignment ({i},{s}) out of range for a {left_size}x{right_size} table"
@@ -126,33 +131,55 @@ class PairwiseCosts:
                 raise ValueError(f"duplicate quadratic entry {key}")
             if a[0] == b[0] or a[1] == b[1]:
                 raise ValueError(f"quadratic entry {key} shares a vertex")
-            if a not in self.linear or b not in self.linear:
+            if a not in linear or b not in linear:
                 raise ValueError(f"quadratic entry {key} references a forbidden assignment")
             quad[key] = float(value)
-        self.quadratic = quad
+        self._store(left_size, right_size, entry_arrays(linear, quad))
 
     @classmethod
-    def _trusted(cls, left_size, right_size, linear, quadratic=None) -> "PairwiseCosts":
-        """A table over dicts that pass every check of the constructor
-        (canonical keys, float values); the dicts are used, not copied."""
+    def _trusted(
+        cls, left_size, right_size, lin_keys, lin_values, quad_keys=None, quad_values=None
+    ) -> "PairwiseCosts":
+        """A table over arrays() that pass every check of the constructor
+        (canonical keys, int64 keys, float64 values); the arrays are used,
+        not copied, and made read-only."""
         table = cls.__new__(cls)
-        table.left_size, table.right_size = left_size, right_size
-        table.linear, table.quadratic = linear, quadratic or {}
+        if quad_keys is None:
+            quad_keys, quad_values = np.empty((4, 0), np.int64), np.empty(0)
+        table._store(left_size, right_size, (lin_keys, lin_values, quad_keys, quad_values))
         return table
 
+    def _store(self, left_size, right_size, arrays) -> None:
+        self.left_size, self.right_size = left_size, right_size
+        self._arrays, self._dicts = arrays, None
+        for view in arrays:
+            view.flags.writeable = False
+
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """Read-only entries in dict order, built on first use: linear key
-        rows (i, s) and values, quadratic key rows (i, s, j, t) and values."""
-        if not hasattr(self, "_arrays"):
-            self._arrays = (
-                np.array(list(self.linear), np.int64).reshape(-1, 2).T.copy(),
-                np.array(list(self.linear.values()), np.float64),
-                np.array(list(self.quadratic), np.int64).reshape(-1, 4).T.copy(),
-                np.array(list(self.quadratic.values()), np.float64),
-            )
-            for view in self._arrays:
-                view.flags.writeable = False
+        """The read-only entries in entry order: linear key rows (i, s) and
+        values, quadratic key rows (i, s, j, t) and values."""
         return self._arrays
+
+    @property
+    def linear(self) -> dict[Assignment, float]:
+        return self._views()[0]
+
+    @property
+    def quadratic(self) -> dict[QuadKey, float]:
+        return self._views()[1]
+
+    def _views(self) -> tuple[dict, dict]:
+        """The dict views of arrays(), in entry order, built on first use."""
+        if self._dicts is None:
+            (i, s), lin_v, (qi, qs, qj, qt), quad_v = self._arrays
+            self._dicts = (
+                dict(zip(zip(i.tolist(), s.tolist()), lin_v.tolist())),
+                dict(zip(
+                    zip(zip(qi.tolist(), qs.tolist()), zip(qj.tolist(), qt.tolist())),
+                    quad_v.tolist(),
+                )),
+            )
+        return self._dicts
 
     def quad_get(self, a: Assignment, b: Assignment) -> float:
         return self.quadratic.get(_canonical_quad_key(a, b), 0.0)
@@ -168,14 +195,17 @@ class PairwiseCosts:
 
     def transposed(self) -> "PairwiseCosts":
         """The same table with the left and right sets swapped."""
+        (i, s), lin_v, (qi, qs, qj, qt), quad_v = self._arrays
+        # An entry's assignments have distinct right vertices, which lead
+        # the swapped keys: the one with the larger goes second.
+        swap = qs > qt
         return PairwiseCosts._trusted(
             self.right_size,
             self.left_size,
-            {(s, i): v for (i, s), v in self.linear.items()},
-            {
-                _canonical_quad_key((s, i), (t, j)): v
-                for ((i, s), (j, t)), v in self.quadratic.items()
-            },
+            np.stack((s, i)),
+            lin_v,
+            np.where(swap, (qt, qj, qs, qi), (qs, qi, qt, qj)),
+            quad_v,
         )
 
     def __eq__(self, other):
@@ -190,8 +220,21 @@ class PairwiseCosts:
     def __repr__(self):
         return (
             f"PairwiseCosts({self.left_size}x{self.right_size}, "
-            f"{len(self.linear)} linear, {len(self.quadratic)} quadratic)"
+            f"{len(self._arrays[1])} linear, {len(self._arrays[3])} quadratic)"
         )
+
+
+def entry_arrays(linear: Mapping, quadratic: Mapping) -> tuple[np.ndarray, ...]:
+    """PairwiseCosts.arrays() of checked entry dicts, in their order."""
+    n, m = len(linear), len(quadratic)
+    return (
+        np.fromiter(chain.from_iterable(linear), np.int64, 2 * n).reshape(n, 2).T.copy(),
+        np.fromiter(linear.values(), np.float64, n),
+        np.fromiter(
+            chain.from_iterable(chain.from_iterable(quadratic)), np.int64, 4 * m
+        ).reshape(m, 4).T.copy(),
+        np.fromiter(quadratic.values(), np.float64, m),
+    )
 
 
 class SlotIndex(NamedTuple):
@@ -521,15 +564,26 @@ def validate(problem, solution: CliquePartition) -> None:
     solution.columns(problem.sizes)
 
 
-def solution_vertices(problem: MgmProblem, solution: CliquePartition) -> np.ndarray:
+def solution_vertices(
+    problem: MgmProblem, solution: CliquePartition, cliques: Sequence[int] | None = None
+) -> np.ndarray:
     """The vertex of each clique on each object, cliques x d, -1 where the
-    clique covers none. Building the solution's columns validates it."""
-    vertices = np.full((len(solution.cliques), problem.d), -1, np.int64)
-    for p, column in solution.columns(problem.sizes).items():
-        for v, k in enumerate(column):
-            if k is not None:
-                vertices[k, p] = v
-    return vertices
+    clique covers none; ``cliques`` picks the rows by clique index, all by
+    default. Building the solution's columns validates it."""
+    solution.columns(problem.sizes)
+    picked = solution.cliques if cliques is None else [solution.cliques[k] for k in cliques]
+    d = problem.d
+    flat = [-1] * (len(picked) * d)
+    for row, clique in enumerate(picked):
+        for p, v in clique.pairs:
+            flat[row * d + p] = v
+    return np.array(flat, np.int64).reshape(len(picked), d)
+
+
+def _ranges(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The ranges first[k]..last[k] - 1, one after another."""
+    counts = last - first
+    return np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
 
 
 def assignment_slots(problem: MgmProblem, p, q, x: np.ndarray, y: np.ndarray):
@@ -567,22 +621,34 @@ class ObjectiveTerms:
         index = problem.slot_index()
         self.problem = problem
         self._ends = np.divmod(index.quad_keys[:-1], len(index.codes))
-        self.pairs, self.values = self._terms(solution, *np.triu_indices(problem.d, 1))
-
-    def _terms(self, solution, p: np.ndarray, q: np.ndarray, keys=slice(None)):
-        """Tags and values of the terms on the object pairs p < q, whose
-        quadratic entries lie at the positions ``keys`` of the index."""
-        problem, index = self.problem, self.problem.slot_index()
         vertices = solution_vertices(problem, solution)
+        self.pairs, self.values = self._terms(vertices, *np.triu_indices(problem.d, 1))
+
+    def _terms(self, vertices: np.ndarray, p: np.ndarray, q: np.ndarray):
+        """Tags and values of the terms on the object pairs p < q among the
+        cliques whose vertices are the rows of ``vertices``. A table's slots
+        are one range lo..hi - 1 of codes and its quadratic keys the range
+        [lo * N, hi * N), so only the slots and entries of the pairs' tables
+        are read, in index order."""
+        problem, index = self.problem, self.problem.slot_index()
+        sizes = np.array(problem.sizes, np.int64)
+        start = index.offsets[p, q]
+        lo, hi = np.searchsorted(index.codes, (start, start + sizes[p] * sizes[q]))
+        first, last = np.searchsorted(index.quad_keys, np.stack((lo, hi)) * len(index.codes))
+        keys = _ranges(first, last)
+        # Slot x of pair k's table is tagged at x - shift[k], in a window
+        # that holds the pairs' slot ranges one after another.
+        shift = lo - (np.cumsum(hi - lo) - (hi - lo))
         slots, stored, forbidden = assignment_slots(
             problem, p, q, vertices[:, p], vertices[:, q]
         )
         pair = np.broadcast_to(p * problem.d + q, slots.shape)
-        tag = np.full(len(index.codes), -1)
-        tag[slots[stored]] = pair[stored]
+        tag = np.full(np.sum(hi - lo), -1)
+        tag[(slots - shift)[stored]] = pair[stored]
         # An entry's two slots lie in one table, so either slot's tag names
         # its pair; it is realized when both slots are.
-        low, high = self._ends[0][keys], self._ends[1][keys]
+        key_shift = np.repeat(shift, last - first)
+        low, high = self._ends[0][keys] - key_shift, self._ends[1][keys] - key_shift
         realized = np.where(tag[high] >= 0, tag[low], -1)
         both = realized >= 0
         return (
@@ -590,24 +656,19 @@ class ObjectiveTerms:
             np.concatenate((
                 index.linear[slots[stored]],
                 np.full(np.count_nonzero(forbidden), math.inf),
-                index.quad_values[:-1][keys][both],
+                index.quad_values[keys[both]],
             )),
         )
 
     def row(self, p: int, solution: CliquePartition) -> tuple[np.ndarray, np.ndarray]:
         """The tags and values of the solution's terms on the pairs that
-        contain object p. A table's slots are one range of codes and its
-        keys the range [lo * N, hi * N) of its slots lo..hi, so only the
-        quadratic entries of p's d - 1 tables are read, in index order."""
-        problem, index = self.problem, self.problem.slot_index()
+        contain object p, read from the cliques that cover p and from p's
+        d - 1 tables."""
+        problem = self.problem
+        column = solution.columns(problem.sizes).get(p, ())
+        vertices = solution_vertices(problem, solution, sorted(k for k in column if k is not None))
         others = np.array([q for q in range(problem.d) if q != p], np.int64)
-        low, high = np.minimum(others, p), np.maximum(others, p)
-        sizes = np.array(problem.sizes, np.int64)
-        start = index.offsets[low, high]
-        slots = np.searchsorted(index.codes, (start, start + sizes[low] * sizes[high]))
-        ends = np.searchsorted(index.quad_keys, slots * len(index.codes))
-        keys = np.concatenate([np.arange(a, b) for a, b in zip(*ends)])
-        return self._terms(solution, low, high, keys)
+        return self._terms(vertices, np.minimum(others, p), np.maximum(others, p))
 
     def _kept(self, p: int) -> np.ndarray:
         d = self.problem.d

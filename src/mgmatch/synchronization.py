@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any
 
+import numpy as np
+
 from .construction import construct_sequential, derive_seed
 from .gm import GmMatching, GmSolver, solve_gm
 from .local_search import TraceRecorder, alternate
@@ -37,6 +39,7 @@ from .model import (
     Cost,
     MgmProblem,
     PairwiseCosts,
+    assignment_slots,
     objective,
 )
 
@@ -98,12 +101,14 @@ def build_sync_problem(
     costs = {}
     for p in range(problem.d):
         for q in range(p + 1, problem.d):
-            table = problem.costs[(p, q)]
-            linear: dict[tuple[int, int], float] = {}
+            (i, s), *_ = problem.costs[(p, q)].arrays()
+            # A set built from a dict of the table's keys iterates as one
+            # built from its linear view, so the support keeps its order.
+            allowed = set(dict.fromkeys(zip(i.tolist(), s.tolist())))
             if mode == "sparse":
-                support = set(table.linear)
+                support = allowed
             elif mode == "dense":
-                support = set(table.linear) | {
+                support = allowed | {
                     (i, s) for ((pp, i), (qq, s)) in matched if (pp, qq) == (p, q)
                 }
             else:
@@ -112,14 +117,18 @@ def build_sync_problem(
                     for i in range(problem.sizes[p])
                     for s in range(problem.sizes[q])
                 }
-            for i, s in support:
-                if mode == "soft" and (i, s) not in table.linear:
-                    linear[(i, s)] = alpha
-                elif ((p, i), (q, s)) in matched:
-                    linear[(i, s)] = -1.0
-                else:
-                    linear[(i, s)] = 0.0
-            costs[(p, q)] = PairwiseCosts(problem.sizes[p], problem.sizes[q], linear)
+            values = [
+                alpha if mode == "soft" and key not in allowed
+                else -1.0 if ((p, key[0]), (q, key[1])) in matched
+                else 0.0
+                for key in support
+            ]
+            costs[(p, q)] = PairwiseCosts._trusted(
+                problem.sizes[p],
+                problem.sizes[q],
+                np.array(list(support), np.int64).reshape(-1, 2).T.copy(),
+                np.array(values, np.float64),
+            )
     return MgmProblem(problem.sizes, costs)
 
 
@@ -158,11 +167,9 @@ def sync_metrics(
     recovered = solution_pairs(solution)
     shared = len(target & recovered)
     hamming = len(target) + len(recovered) - 2 * shared
-    forbidden = sum(
-        1
-        for ((p, i), (q, s)) in recovered
-        if problem.linear_cost(p, q, i, s) is FORBIDDEN
-    )
+    members = np.array([(p, i, q, s) for (p, i), (q, s) in recovered], np.int64)
+    p, i, q, s = members.reshape(-1, 4).T
+    forbidden = int(np.count_nonzero(assignment_slots(problem, p, q, i, s)[2]))
     return SyncMetrics(
         mlap_objective=-float(shared),
         hamming=hamming,

@@ -17,11 +17,16 @@ from mgmatch.gm import (
     solver_names,
 )
 
-from mgmatch.model import PairwiseCosts
+from mgmatch.construction import clique_clique_costs
+from mgmatch.io import parse_problem, write_problem
+from mgmatch.model import Clique, CliquePartition, MgmProblem, PairwiseCosts
 
 from oracles import (
     brute_force_gm,
     gm_matching_cost,
+    partner_lists,
+    random_partition,
+    random_problem,
     reference_gm_local_search,
     reference_greedy_candidate,
     reference_solve_lap,
@@ -324,6 +329,65 @@ class TestLocalSearch:
                 got = gm._local_search(ids, start, scans, two_swaps)
                 want = reference_gm_local_search(sub, pairs_of(ids, start), scans, two_swaps)
                 assert pairs_of(ids, got) == tuple(want)
+
+
+def with_zero_entries(table, rng):
+    """The table with about a third of its quadratic entries exactly 0.0."""
+    quadratic = {key: 0.0 if rng.random() < 1 / 3 else v for key, v in table.quadratic.items()}
+    return PairwiseCosts(table.left_size, table.right_size, table.linear, quadratic)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["parsed", "aggregated", "user"]))
+def test_ids_equal_the_tuple_reference(seed, source):
+    """_Ids reads a table's arrays; its ids, costs, nodes, ``at``, partner
+    lists, quad() lookups and matching costs equal those read from the
+    dict views, on parsed, aggregated and user-built tables whose
+    quadratic entries include exact zeros."""
+    rng = random.Random(seed)
+    problem = random_problem(
+        rng, rng.randint(2, 4), 4, forbidden_frac=rng.choice([0.0, 0.3]), quad_frac=0.5
+    )
+    problem = MgmProblem(
+        problem.sizes, {pair: with_zero_entries(t, rng) for pair, t in problem.costs.items()}
+    )
+    if source == "parsed":
+        tables = list(parse_problem(write_problem(problem)).costs.values())
+    elif source == "aggregated":
+        objects = list(range(problem.d))
+        rng.shuffle(objects)
+        cut = rng.randint(1, problem.d - 1)
+        cliques = random_partition(rng, problem)
+        a, b = (
+            CliquePartition(Clique({p: v for p, v in c.pairs if p in side}) for c in cliques)
+            for side in (set(objects[:cut]), set(objects[cut:]))
+        )
+        tables = [clique_clique_costs(problem, a, b), clique_clique_costs(problem, b, a)]
+    else:
+        tables = [with_zero_entries(random_qap(rng, max_side=6, quad_frac=0.6), rng)]
+    for table in tables:
+        ids = gm._Ids(table)
+        pairs = sorted(table.linear)
+        assert ids.pairs == pairs
+        assert ids.left == [a for a, _ in pairs] and ids.right == [b for _, b in pairs]
+        assert [v.hex() for v in ids.cost] == [table.linear[x].hex() for x in pairs]
+        at = [-1] * (table.left_size * table.right_size)
+        for k, (a, b) in enumerate(pairs):
+            at[a * table.right_size + b] = k
+        assert ids.at == at
+        partners = partner_lists(table)
+        assert ids.partners == [
+            [(pairs.index(y), value) for y, value in partners.get(x, [])] for x in pairs
+        ]
+        for x, y in combinations(range(len(pairs)), 2):
+            want = table.quadratic.get((pairs[x], pairs[y]), 0.0)
+            assert ids.quad(x, y).hex() == want.hex()
+        shuffled = pairs[:]
+        rng.shuffle(shuffled)
+        left, right, matching = set(), set(), []
+        for a, b in shuffled:
+            if a not in left and b not in right:
+                left.add(a), right.add(b), matching.append((a, b))
+        assert gm._matching_cost(ids, matching).hex() == table.matching_cost(matching).hex()
 
 
 class TestRegistry:

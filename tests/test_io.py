@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mgmatch import io as mgm_io
 from mgmatch.io import (
     DanglingReferenceError,
     DuplicateEntryError,
@@ -127,6 +128,11 @@ class TestParseProblem:
 
 
 BLOCK = "gm 0 1\np 2 2 2 1\na 0 0 0 1.0\na 1 1 1 1.0\n"
+FIRST = BLOCK + "e 0 1 0.5\n"  # a complete first block
+# Line 3 ends in a CR LF whose CR is the last character of the parser's
+# first 64 KiB chunk; the two characters still end one line.
+CHUNK_EDGE = "gm 0 1\r\np 1 1 0 0\r\n"
+CHUNK_EDGE += "$" * ((1 << 16) - 1 - len(CHUNK_EDGE)) + "\r\n"
 
 
 @pytest.mark.parametrize(
@@ -160,6 +166,25 @@ BLOCK = "gm 0 1\np 2 2 2 1\na 0 0 0 1.0\na 1 1 1 1.0\n"
          "quadratic entry (0, 0),(0, 1) shares a vertex"),
         (BLOCK + "e 0 1 0.5\ne 1 0 0.5\n", DuplicateEntryError, 6,
          "duplicate quadratic entry ((0, 0), (1, 1))"),
+        # Errors in a later block: its checks see only its own entries.
+        (FIRST + "gm 0 2\np 2 2 2 2\na 0 0 0 1.0\na 1 1 1 1.0\ne 0 1 0.5\ne 1 0 0.5\n",
+         DuplicateEntryError, 11, "duplicate quadratic entry ((0, 0), (1, 1))"),
+        (FIRST + "gm 1 2\np 2 2 1 1\na 5 0 0 1.0\ne 5 0 1.0\n", DanglingReferenceError, 9,
+         "assignment id 0 not declared"),
+        # Count mismatches found at the end of the file.
+        (BLOCK, ParseError, 2, "block (0, 1) declares 1 'e' lines, has 0"),
+        (FIRST + "gm 0 2\np 2 2 1 0\n", ParseError, 7,
+         "block (0, 2) declares 1 'a' lines, has 0"),
+        # Line breaks are those of str.splitlines().
+        (BLOCK.replace("\n", "\r\n") + "e 0 1 abc\r\n", ParseError, 5,
+         "expected a real number, got 'abc'"),
+        ("gm 0 1\x0cp 2 2 1 0\x0ca 0 0 0 abc\n", ParseError, 3,
+         "expected a real number, got 'abc'"),
+        ("gm 0 1\u2028p 2 2 1 0\u2028a 9 9 0 1.0\n", ParseError, 3,
+         "assignment (9,0) outside declared sizes (2, 2)"),
+        ("gm 0 1\r\np 1 1 0 0\r\n\x1c\x85 a 0 0 0 1.0\n", ParseError, 2,
+         "block (0, 1) declares 0 'a' lines, has 1"),
+        (CHUNK_EDGE + "p 1 1 0 0\n", ParseError, 4, "second 'p' line in block (0, 1)"),
     ],
 )
 def test_malformed_entry_line(text, error, line, message):
@@ -168,6 +193,11 @@ def test_malformed_entry_line(text, error, line, message):
     assert type(err.value) is error
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+@given(st.text(st.sampled_from("a \n\r\x0b\x0c\x1c\x85\u2028"), max_size=40), st.integers(1, 8))
+def test_lines_split_like_splitlines(text, chunk):
+    assert list(mgm_io._lines(text, chunk)) == text.splitlines(True)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([0.0, 0.3, 0.6]))

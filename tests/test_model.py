@@ -12,6 +12,7 @@ from mgmatch.model import (
     DuplicateVertexError,
     MgmProblem,
     PairwiseCosts,
+    entry_arrays,
     lookup_linear,
     objective,
     singleton_partition,
@@ -301,7 +302,7 @@ class TestPairwiseCosts:
         quadratic = {((1, 1), (2, 2)): 0.5, ((0, 0), (1, 1)): -0.25, ((0, 2), (1, 1)): 2.0}
         for table in (
             PairwiseCosts(3, 3, linear, quadratic),
-            PairwiseCosts._trusted(3, 3, linear, quadratic),
+            PairwiseCosts._trusted(3, 3, *entry_arrays(linear, quadratic)),
         ):
             # ids follow sorted(linear): (0, 0), (0, 2), (1, 1), (2, 2)
             assert _Ids(table).partners == [
