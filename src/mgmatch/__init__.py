@@ -36,7 +36,6 @@ from .io import (
     write_solution,
 )
 from .local_search import (
-    SwapDeltaMatrix,
     TraceRecorder,
     alternate,
     apply_multiswap,
@@ -47,13 +46,10 @@ from .local_search import (
     swap_local_search,
 )
 from .model import (
-    FORBIDDEN,
     Clique,
     CliquePartition,
-    Cost,
     DuplicateVertexError,
     FeasibilityError,
-    Forbidden,
     MgmProblem,
     PairwiseCosts,
     lookup_linear,

@@ -41,7 +41,7 @@ from .local_search import (
     gm_local_search,
     swap_local_search,
 )
-from .model import FORBIDDEN, CliquePartition, objective
+from .model import CliquePartition, objective
 from .reduction import size_report
 from .synchronization import synchronize
 
@@ -142,7 +142,7 @@ def _construct(problem, config: RunConfig, gm, seed: int, deadline, trace) -> Cl
         )
     if trace is not None:
         value = objective(problem, solution)
-        if value is not FORBIDDEN:
+        if value < math.inf:
             trace.record("construct", value)
     return solution
 
@@ -192,14 +192,6 @@ def run_restart(problem, config: RunConfig, gm, run_index: int, deadline, initia
     return objective(problem, solution), run_index, solution, trace, None
 
 
-def _best_restart(results):
-    def key(item):
-        value = item[0]
-        return (float("inf") if value is FORBIDDEN else value, item[1])
-
-    return min(results, key=key)
-
-
 def run(config: RunConfig) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     started = time.monotonic()
@@ -244,24 +236,29 @@ def run(config: RunConfig) -> int:
         "runs": config.runs,
         "solver": _solver_tag(config),
     }
-    results = []
     try:
         gm = functools.partial(get_solver(config.gm_solver), effort=config.effort)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    results = []
+    try:
         for run_index in range(config.runs):
             # The first restart always runs; later ones only before the deadline.
             if results and deadline is not None and time.monotonic() >= deadline:
                 break
             results.append(run_restart(problem, config, gm, run_index, deadline, initial))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    value, _, solution, trace, metrics = _best_restart(results)
+    # The lowest rank wins, ties going to the earliest restart.
+    value, _, solution, trace, metrics = min(results, key=lambda result: result[:2])
     if config.mode == "sync":
         value = metrics.mgm_objective  # the objective of ``solution``
         if config.sync_post_ls:
             # The restart's trace holds projection objectives; the post-LS
             # entries that follow are objectives of the original problem.
-            if value is not FORBIDDEN:
+            if value < math.inf:
                 trace.record("sync-post-ls", value)
             solution = alternate(
                 problem, solution, gm=gm, seed=derive_seed(config.seed, 777),

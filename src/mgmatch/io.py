@@ -14,7 +14,13 @@ object, and each block must hold as many 'a' and 'e' lines as its 'p'
 line declares.
 
 Solutions use a small JSON document (schema version 1) listing cliques in
-a deterministic order plus free-form metadata; see write_solution.
+a deterministic order plus free-form metadata; see write_solution. In the
+program a forbidden objective is the float math.inf; a document stores it
+as the string "forbidden" (_cost_to_json, _cost_from_json), so documents
+are plain JSON and never hold Infinity.
+
+Both formats are UTF-8; a byte that does not decode raises ParseError on
+its line.
 """
 
 from __future__ import annotations
@@ -26,10 +32,8 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Union
 
 from .model import (
-    FORBIDDEN,
     Clique,
     CliquePartition,
-    Cost,
     FeasibilityError,
     MgmProblem,
     PairwiseCosts,
@@ -61,12 +65,15 @@ class DuplicateEntryError(ParseError):
 
 
 def _as_text(source: TextSource) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are counted as parse_problem counts them, by str.splitlines().
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
 
 
 def parse_problem(source: TextSource) -> MgmProblem:
@@ -268,20 +275,17 @@ class SolutionDocument:
     warnings: list[str] = field(default_factory=list)
 
     @property
-    def objective(self) -> Cost | None:
+    def objective(self) -> float | None:
         return _cost_from_json(self.metadata.get("objective"))
 
 
 def _cost_to_json(value):
-    if value is FORBIDDEN:
-        return "forbidden"
-    return value
+    """A cost as a document stores it: "forbidden" for math.inf."""
+    return "forbidden" if value == math.inf else value
 
 
 def _cost_from_json(value):
-    if value == "forbidden":
-        return FORBIDDEN
-    return value
+    return math.inf if value == "forbidden" else value
 
 
 def write_solution(solution: CliquePartition, metadata: dict[str, Any] | None = None) -> str:
@@ -352,15 +356,11 @@ def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> Sol
     except (IndexError, FeasibilityError) as exc:
         raise ParseError(1, f"solution does not fit the problem: {exc}") from None
     if "objective" in document.metadata:
-        stored = _cost_from_json(document.metadata["objective"])
-        actual = objective(problem, document.partition)
-        if stored is FORBIDDEN or actual is FORBIDDEN:
-            if stored is not actual:
-                document.warnings.append(
-                    f"stored objective {stored!r} does not match recomputed {actual!r}"
-                )
-        elif abs(stored - actual) > 1e-9:
+        stored, actual = document.objective, objective(problem, document.partition)
+        # Both forbidden gives inf - inf, nan, which compares false.
+        if abs(stored - actual) > 1e-9:
             document.warnings.append(
-                f"stored objective {stored!r} does not match recomputed {actual!r}"
+                f"stored objective {_cost_to_json(stored)!r} does not match "
+                f"recomputed {_cost_to_json(actual)!r}"
             )
     return document

@@ -17,11 +17,11 @@ only:
   their vertices on any subset of objects. The change decomposes over
   objects into per-object-pair deltas, which turns picking the best joint
   swap into a pairwise binary energy handed to the qpbo module; objects
-  joined by a forbidden single swap share one variable. swap_deltas
-  computes the delta matrices of many clique pairs at once from the same
-  problem-wide slot index (MgmProblem.slot_index) and per-solution sums
-  of realized quadratic partners (Taillard's delta technique), which are
-  recomputed only when the solution changes. Two rules skip work whose
+  joined by a forbidden single swap (a delta of math.inf) share one
+  variable. swap_deltas computes the delta matrices of many clique pairs
+  at once from the same problem-wide slot index (MgmProblem.slot_index)
+  and per-solution sums of realized quadratic partners (Taillard's delta
+  technique), which are recomputed only when the solution changes. Two rules skip work whose
   outcome is already known:
 
   - best_multiswap returns no-swap without an energy when contraction
@@ -32,6 +32,10 @@ only:
     a pair's outcome is kept, across passes and alternate rounds, and
     reused while the pair's freshly computed matrix is byte-equal to the
     one it came from.
+
+Objectives are floats, math.inf for a solution holding a forbidden match:
+a forbidden candidate never improves, and every allowed candidate
+improves on a forbidden start.
 """
 
 from __future__ import annotations
@@ -49,10 +53,8 @@ from . import qpbo
 from .construction import derive_seed, rematch
 from .gm import GmSolver, solve_gm
 from .model import (
-    FORBIDDEN,
     Clique,
     CliquePartition,
-    Cost,
     MgmProblem,
     ObjectiveTerms,
     assignment_slots,
@@ -129,32 +131,6 @@ def _replace(solution: CliquePartition, replacements: dict[int, Clique]) -> Cliq
     return CliquePartition(cliques)
 
 
-@dataclass
-class SwapDeltaMatrix:
-    """One clique pair's swap deltas: a matrix of swap_deltas, d x d.
-
-    get(p, q) is the change restricted to objects p and q when the swap
-    fixing p is performed alone; Forbidden marks swaps that would create
-    a disallowed match. The matrix is symmetric: swapping q alone puts the
-    same two assignments into the two cliques, in the other clique order.
-    Row sums equal the exact objective change of the corresponding single
-    swap.
-    """
-
-    entries: np.ndarray
-
-    def get(self, p: int, q: int) -> Cost:
-        value = float(self.entries[p, q])
-        return FORBIDDEN if value == math.inf else value
-
-    def row_sum(self, p: int) -> Cost:
-        total: Cost = 0.0
-        for q in range(len(self.entries)):
-            if q != p:
-                total = total + self.get(p, q)
-        return total
-
-
 class _SwapView(NamedTuple):
     """What swap_deltas reads of a solution. Per clique: its position, its
     vertex per object (model.solution_vertices), and assignment_slots of
@@ -196,8 +172,12 @@ def swap_deltas(
 ) -> np.ndarray:
     """Swap delta matrices of clique pairs (first, second) of a solution.
 
-    Returns an array of shape (len(pairs), d, d), each matrix as described
-    in SwapDeltaMatrix, with +inf for Forbidden. For objects p < q and a
+    Returns an array of shape (len(pairs), d, d). Entry (p, q) of a pair's
+    matrix is the change on object pair (p, q) when the swap of object p is
+    made alone, math.inf if the swap would create a forbidden match. The
+    matrix is symmetric (swapping q alone puts the same two assignments
+    into the two cliques, in the other clique order), and row p sums to
+    the objective change of swapping p alone. For objects p < q and a
     pair with vertices a_p, a_q (first) and b_p, b_q (second), the terms
     that involve the pair's assignments are, with v = linear cost plus
     realized partner sum (_SwapView.values):
@@ -208,7 +188,7 @@ def swap_deltas(
       the only partner the swap realizes.
 
     Absent vertices contribute nothing, so entries of objects neither
-    clique covers are 0; the entry is +inf if any present assignment is
+    clique covers are 0; the entry is math.inf if any present assignment is
     forbidden. ``view`` is _swap_view(problem, solution) when the caller
     has it.
     """

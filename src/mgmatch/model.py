@@ -3,7 +3,9 @@
 An MGM problem consists of d objects (finite vertex sets) and sparse
 pairwise cost tables. Linear costs price vertex-to-vertex matches, with
 absent entries meaning the match is forbidden. Quadratic costs price
-pairs of simultaneous matches, with absent entries meaning zero.
+pairs of simultaneous matches, with absent entries meaning zero. Costs,
+deltas and objectives are floats, math.inf for a forbidden match: a
+solution holding one has objective math.inf, above every allowed one.
 
 A feasible solution is a partition of the vertices into cliques, each
 clique holding at most one vertex per object. Cycle consistency of the
@@ -19,51 +21,9 @@ from __future__ import annotations
 
 import math
 from itertools import chain, combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-
-class Forbidden:
-    """Sentinel for a disallowed match. Absorbs addition, compares as +inf."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __neg__(self):
-        return self
-
-    def __repr__(self):
-        return "Forbidden"
-
-    def __reduce__(self):
-        return (Forbidden, ())
-
-
-FORBIDDEN = Forbidden()
-
-Cost = Union[float, Forbidden]
 
 
 class FeasibilityError(ValueError):
@@ -346,11 +306,12 @@ class MgmProblem:
         table, swapped = self.table(p, q)
         return table.transposed() if swapped else table
 
-    def linear_cost(self, p: int, q: int, i: int, s: int) -> Cost:
+    def linear_cost(self, p: int, q: int, i: int, s: int) -> float:
+        """The stored cost, math.inf for a forbidden match."""
         table, swapped = self.table(p, q)
         if swapped:
             i, s = s, i
-        return table.linear.get((i, s), FORBIDDEN)
+        return table.linear.get((i, s), math.inf)
 
     def quad_cost(self, p: int, q: int, a: Assignment, b: Assignment) -> float:
         table, swapped = self.table(p, q)
@@ -542,8 +503,9 @@ def singleton_partition(size: int, p: int) -> CliquePartition:
     return CliquePartition(Clique({p: v}) for v in range(size))
 
 
-def lookup_linear(problem: MgmProblem, p: int, q: int, i: int, s: int) -> Cost:
-    """Linear cost of matching vertex i of object p to vertex s of object q."""
+def lookup_linear(problem: MgmProblem, p: int, q: int, i: int, s: int) -> float:
+    """Linear cost of matching vertex i of object p to vertex s of object q,
+    math.inf if the match is forbidden."""
     if p == q:
         raise ValueError("linear costs are defined between distinct objects")
     if not (0 <= p < problem.d and 0 <= q < problem.d):
@@ -608,9 +570,9 @@ class ObjectiveTerms:
     A pair's terms are the slot-index costs of the assignments stored
     among the cliques covering both objects, and the slot-index quadratic
     entries whose two slots are both realized; a present assignment that
-    is not stored adds +inf, which makes the pair and the objective
-    Forbidden. objective() is value() of a fresh instance. Re-matching
-    object p (split, then merge) changes only the terms on pairs that
+    is not stored adds math.inf, which makes the objective math.inf.
+    objective() is value() of a fresh instance. Re-matching object p
+    (split, then merge) changes only the terms on pairs that
     contain p, so local search prices a candidate as math.fsum over the
     unchanged terms plus p's new row: the same terms, and since fsum
     rounds the exact sum correctly in any order, the same float
@@ -674,13 +636,12 @@ class ObjectiveTerms:
         d = self.problem.d
         return (self.pairs // d != p) & (self.pairs % d != p)
 
-    def value(self, p: int | None = None, row=None) -> Cost:
+    def value(self, p: int | None = None, row=None) -> float:
         """The objective, or the candidate's with object p's row replaced."""
         values = self.values
         if p is not None:
             values = np.concatenate((values[self._kept(p)], row[1]))
-        total = math.fsum(values.tolist())
-        return FORBIDDEN if total == math.inf else total
+        return math.fsum(values.tolist())
 
     def replace(self, p: int, row) -> None:
         kept = self._kept(p)
@@ -688,13 +649,13 @@ class ObjectiveTerms:
         self.values = np.concatenate((self.values[kept], row[1]))
 
 
-def objective(problem: MgmProblem, solution: CliquePartition) -> Cost:
+def objective(problem: MgmProblem, solution: CliquePartition) -> float:
     """Total cost of a feasible solution of an MgmProblem.
 
     Linear costs are summed within each clique over its covered object
     pairs; quadratic costs once per unordered pair of distinct cliques over
     their shared object pairs. Any forbidden within-clique match makes the
-    whole objective Forbidden. The value is math.fsum over the
+    whole objective math.inf. The value is math.fsum over the
     ObjectiveTerms, independent of clique order. A solution of a padded
     reduction.CompleteProblem is priced on its base problem, as
     objective(complete.base, complete_to_incomplete(complete, padded)).

@@ -16,7 +16,6 @@ from .model import (
     Assignment,
     Clique,
     CliquePartition,
-    Cost,
     FeasibilityError,
     MgmProblem,
 )
@@ -32,7 +31,7 @@ class CompleteProblem:
     Object p keeps its real vertices 0..|V^p|-1 and gains dummies
     |V^p|..|V|-1, where |V| is the total vertex count of the base problem.
     Lookups fall through to the base for all-real indices and are zero
-    otherwise; real-real forbidden entries stay forbidden.
+    otherwise; real-real forbidden entries stay forbidden, at math.inf.
 
     It serves ``d`` and ``sizes``, which model.validate reads, and the
     pointwise lookups ``linear_cost`` and ``quad_cost``. model.objective
@@ -60,7 +59,7 @@ class CompleteProblem:
     def is_dummy(self, p: int, v: int) -> bool:
         return v >= self.base.sizes[p]
 
-    def linear_cost(self, p: int, q: int, i: int, s: int) -> Cost:
+    def linear_cost(self, p: int, q: int, i: int, s: int) -> float:
         if self.is_dummy(p, i) or self.is_dummy(q, s):
             return 0.0
         return self.base.linear_cost(p, q, i, s)

@@ -9,7 +9,7 @@ multi-matching sharing the most pairs with E, and solved with the
 regular construction plus local search pipeline. Because that problem is
 linear, every GM subproblem along the way is a LAP and is solved exactly.
 
-Cost modes for the synchronization problem:
+The synchronization problem's costs depend on the mode:
 
 * sparse: entries only where the original problem allows the match (-1 on
   E, 0 otherwise). Solutions can never contain a forbidden match.
@@ -32,11 +32,10 @@ import numpy as np
 
 from .construction import construct_sequential, derive_seed
 from .gm import GmMatching, GmSolver, solve_gm
+from .io import _cost_to_json
 from .local_search import TraceRecorder, alternate
 from .model import (
-    FORBIDDEN,
     CliquePartition,
-    Cost,
     MgmProblem,
     PairwiseCosts,
     assignment_slots,
@@ -134,19 +133,21 @@ def build_sync_problem(
 
 @dataclass
 class SyncMetrics:
-    """Agreement and feasibility statistics of a synchronized solution."""
+    """Agreement and feasibility statistics of a synchronized solution;
+    mgm_objective is math.inf when the solution holds a forbidden match,
+    and to_dict writes it as a document stores a cost."""
 
     mlap_objective: float
     hamming: int
     forbidden_count: int
-    mgm_objective: Cost
+    mgm_objective: float
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "mlap_objective": self.mlap_objective,
             "hamming": self.hamming,
             "forbidden_count": self.forbidden_count,
-            "mgm_objective": "forbidden" if self.mgm_objective is FORBIDDEN else self.mgm_objective,
+            "mgm_objective": _cost_to_json(self.mgm_objective),
         }
 
 
@@ -203,7 +204,7 @@ def synchronize(
     solution = construct_sequential(sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2))
     if trace is not None:
         value = objective(sync_problem, solution)
-        if value is not FORBIDDEN:
+        if value < math.inf:
             trace.record("sync-construct", value)
     solution = alternate(
         sync_problem,

@@ -34,6 +34,14 @@ def t3() -> MgmProblem:
     return MgmProblem([2, 2, 1], {(0, 1): c01, (0, 2): c02, (1, 2): c12})
 
 
+@pytest.fixture
+def chain3() -> MgmProblem:
+    """Three one-vertex objects: 0-1 and 1-2 may match (cost -1 each), 0-2
+    may not, so a clique of all three is forbidden."""
+    link = PairwiseCosts(1, 1, linear={(0, 0): -1.0})
+    return MgmProblem([1, 1, 1], {(0, 1): link, (1, 2): link})
+
+
 def part(*cliques) -> CliquePartition:
     """Shorthand: each clique given as a dict {object: vertex}, 0-based."""
     return CliquePartition(Clique(c) for c in cliques)

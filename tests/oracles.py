@@ -13,7 +13,6 @@ import random
 from itertools import combinations, permutations, product
 
 from mgmatch.model import (
-    FORBIDDEN,
     Clique,
     CliquePartition,
     MgmProblem,
@@ -90,7 +89,7 @@ def reference_swap_deltas(problem, solution, first, second):
             (value, columns[p][i2], columns[q][s2])
             for (i2, s2), value in partners.get((vp, vq), [])
         ]
-        return table.linear.get((vp, vq), FORBIDDEN), coupled
+        return table.linear.get((vp, vq), math.inf), coupled
 
     def contrib(x, y, flip_p, interaction):
         """Objective terms on the object pair that involve assignments x, y;
@@ -98,8 +97,8 @@ def reference_swap_deltas(problem, solution, first, second):
         total = 0.0
         for side in (x, y):
             if side is not None:
-                if side[0] is FORBIDDEN:
-                    return FORBIDDEN
+                if side[0] == math.inf:
+                    return math.inf
                 total += side[0]
         for side in (x, y):
             if side is not None:
@@ -130,7 +129,7 @@ def reference_swap_deltas(problem, solution, first, second):
             True,
             table.quad_get((bp, aq), (ap, bq)) if full else None,
         )
-        if before is FORBIDDEN or after is FORBIDDEN:
+        if before == math.inf or after == math.inf:
             entries[p][q] = entries[q][p] = math.inf
         else:
             entries[p][q] = entries[q][p] = after - before
@@ -173,8 +172,8 @@ def reference_objective(problem, partition):
     for c in cliques:
         for p, q in combinations(sorted(c), 2):
             cost = problem.linear_cost(p, q, c[p], c[q])
-            if cost is FORBIDDEN:
-                return FORBIDDEN
+            if cost == math.inf:
+                return math.inf
             terms.append(cost)
     for a, b in combinations(cliques, 2):
         shared = sorted(set(a) & set(b))
@@ -187,11 +186,11 @@ def reference_pair_terms(problem, partition, p, q):
     """The objective's terms on the object pair p < q, entry by entry: the
     linear cost of each clique's (p, q) assignment, and every stored
     quadratic entry joining two of those assignments, exact zeros
-    included; FORBIDDEN when an assignment is not allowed."""
+    included; math.inf when an assignment is not allowed."""
     table = problem.costs[(p, q)]
     pairs = [(c.get(p), c.get(q)) for c in partition.cliques if c.covers(p) and c.covers(q)]
     if any(a not in table.linear for a in pairs):
-        return FORBIDDEN
+        return math.inf
     terms = [table.linear[a] for a in pairs]
     for a, b in combinations(pairs, 2):
         key = (a, b) if a <= b else (b, a)
@@ -206,7 +205,7 @@ def brute_force_mgm(problem):
     best = CliquePartition()
     for partition in enumerate_partitions(problem.sizes):
         value = reference_objective(problem, partition)
-        if value is FORBIDDEN:
+        if value == math.inf:
             continue
         if value < best_value - 1e-12:
             best_value = value

@@ -190,6 +190,43 @@ class TestSyncMode:
         assert values[-1] == metadata["mgm_objective_post_ls"]
 
 
+class TestForbiddenInDocuments:
+    """A forbidden objective is written as the string "forbidden", never as
+    a JSON number, and is not traced."""
+
+    def test_ls_none_keeps_a_forbidden_initial_solution(self, t3_file, tmp_path):
+        from mgmatch.io import write_solution
+
+        initial = tmp_path / "init.json"
+        initial.write_text(write_solution(part({0: 1, 1: 0})))  # forbidden in t3
+        out, trace = tmp_path / "sol.json", tmp_path / "trace.csv"
+        code = main(
+            [str(t3_file), "--mode", "ls", "--ls", "none", "--initial", str(initial),
+             "--output", str(out), "--trace", str(trace)]
+        )
+        assert code == 0
+        text = out.read_text()
+        assert '"objective": "forbidden"' in text
+        assert "Infinity" not in text
+        assert trace.read_text() == "elapsed_ms,phase,objective\n"
+
+    @pytest.mark.parametrize("post_ls", [False, True])
+    def test_soft_sync_keeps_a_forbidden_match(self, chain3, tmp_path, post_ls):
+        path = tmp_path / "chain3.dd"
+        path.write_text(write_problem(chain3))
+        out = tmp_path / "sol.json"
+        code = main(
+            [str(path), "--mode", "sync", "--sync-mode", "soft:0.5", "--output", str(out)]
+            + ["--sync-post-ls"] * post_ls
+        )
+        assert code == 0
+        text = out.read_text()
+        assert "Infinity" not in text
+        metrics = json.loads(text)["metadata"]["sync_metrics"]
+        assert metrics["forbidden_count"] == 1
+        assert metrics["mgm_objective"] == "forbidden"
+
+
 class TestSolverTag:
     @pytest.mark.parametrize(
         "flags, tag",

@@ -1,3 +1,4 @@
+import math
 import random
 from functools import partial
 from itertools import combinations
@@ -20,7 +21,6 @@ from mgmatch.construction import (
 )
 from mgmatch.gm import Effort, GmMatching, _Ids, solve_gm
 from mgmatch.model import (
-    FORBIDDEN,
     Clique,
     CliquePartition,
     PairwiseCosts,
@@ -128,7 +128,7 @@ def reference_costs(problem, a, b):
     for k, ca in enumerate(a.cliques):
         for l, cb in enumerate(b.cliques):
             costs = [problem.linear_cost(p, q, i, s) for p, i in ca.pairs for q, s in cb.pairs]
-            if FORBIDDEN not in costs:
+            if math.inf not in costs:
                 linear[(k, l)] = sum(costs)
     quadratic = {}
     for x, y in combinations(sorted(linear), 2):

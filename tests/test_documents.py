@@ -1,0 +1,110 @@
+"""Pinned digests of the documents and traces the command line writes.
+
+Each configuration runs main() on a small deterministic problem and hashes
+the solution document without its wall_time_ms line, and the trace CSV
+without its elapsed-time column. Neither changes unless a result, or the
+way it is written, changes: a refactoring of the solve path must leave
+every digest as it is. After a deliberate change of results, the failing
+assertion shows the new digests.
+"""
+
+import hashlib
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from mgmatch.cli import main
+from mgmatch.io import write_problem, write_solution
+
+from conftest import part
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import instances  # noqa: E402
+
+# A worms-like model (sparse, incomplete, with quadratic entries) that
+# solves in well under a second, and on which a full solve accepts both GM
+# and swap moves.
+WORMS_SMALL = {"d": 8, "n": 10, "candidates": 6, "quadratic": 40}
+
+CONFIGS = {
+    "worms-full": ("worms", ["--mode", "full"]),
+    "worms-sync": ("worms", ["--mode", "sync", "--sync-mode", "sparse"]),
+    "worms-par": ("worms", ["--mode", "full", "--construction", "par"]),
+    "worms-dense-post-ls": (
+        "worms", ["--mode", "sync", "--sync-mode", "dense", "--sync-post-ls"]
+    ),
+    "t3-forbidden-initial": ("t3", ["--mode", "ls", "--ls", "none"]),
+    "chain3-soft-post-ls": (
+        "chain3", ["--mode", "sync", "--sync-mode", "soft:0.5", "--sync-post-ls"]
+    ),
+}
+
+DIGESTS = {
+    "worms-full": (
+        "19ff2dfcfb6e90e52585474c70d8f5c4e1f44e42e6e6404f5096bc3a24b96871",
+        "3df0bc790978f5934ba716ba6f3f5cc7b19f57ccacfe4ce6a0a0a332a4516a33",
+    ),
+    "worms-sync": (
+        "125a1ece3ab2d32537596fec9cadceabe85d7a80b4e97b598cd2c88a447e4716",
+        "44ce0cbd1238b4f93d5d6091350f82b31f8f9b1b88da643cd6bd5d44914b3926",
+    ),
+    "worms-par": (
+        "451431955d160715bd4e86e93fba322d363e7edda141cafa5b46aa5219434624",
+        "aa49ac2d55937509e2ec9c0a5c18b0c2b52c6eee9c27951f016776847adbbb0b",
+    ),
+    "worms-dense-post-ls": (
+        "cce088d13f5fae448c590836fe9612cd0ff71798959bc8f5b081a976cb8b4c99",
+        "a57821e770994db19b05043cf5bc24feeefc91951b87997b3bb75d97a6e6443c",
+    ),
+    "t3-forbidden-initial": (
+        "07785ad1a3ab4386194b39427b17190966732ae548b36b5cf8926dda54b1bea7",
+        "5fcbad0f460c0d02a8c9474d01512778dec71417f8d9166f74eafdf7407e9c14",
+    ),
+    "chain3-soft-post-ls": (
+        "b8142838c9a0ab196dae8ec3ae7e4091a1a27f40790a51d0f9328c849f8ae8ff",
+        "2c89ae2003d0480b27d153bf6aa28075306513b5872b722fe3c01ab81668cdad",
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def document_digest(text: str) -> str:
+    return sha256(re.sub(r'\n *"wall_time_ms": [^\n]*', "", text))
+
+
+def trace_digest(text: str) -> str:
+    return sha256("".join(line.partition(",")[2] + "\n" for line in text.splitlines()))
+
+
+def run_config(name, fixtures, tmp_path) -> tuple[str, str]:
+    """The written document and trace of one configuration; ``fixtures``
+    maps the names of the conftest problems to their values."""
+    model, flags = CONFIGS[name]
+    problem = tmp_path / "problem.dd"
+    if model == "worms":
+        instance = instances.worms_like(4, **WORMS_SMALL)
+        problem.write_text(instances.write_dd(instance, layout_seed=1))
+    else:
+        problem.write_text(write_problem(fixtures[model]))
+    if model == "t3":
+        # Vertex 1 of object 0 with vertex 0 of object 1 is forbidden in t3.
+        initial = tmp_path / "initial.json"
+        initial.write_text(write_solution(part({0: 1, 1: 0})))
+        flags = flags + ["--initial", str(initial)]
+    out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+    argv = [str(problem), *flags, "--seed", "1", "--output", str(out), "--trace", str(trace)]
+    assert main(argv) == 0
+    return out.read_text(), trace.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_document_and_trace_digests(name, t3, chain3, tmp_path):
+    document, trace = run_config(name, {"t3": t3, "chain3": chain3}, tmp_path)
+    assert "Infinity" not in document
+    assert (document_digest(document), trace_digest(trace)) == DIGESTS[name]
+

@@ -8,8 +8,8 @@ import pytest
 
 from mgmatch.cli import main
 from mgmatch.construction import construct_sequential
-from mgmatch.gm import GmMatching, solve_lap
-from mgmatch.io import ParseError, parse_problem, write_problem
+from mgmatch.gm import GmMatching, solve_lap, solver_names
+from mgmatch.io import ParseError, parse_problem, write_problem, write_solution
 from mgmatch.local_search import alternate, gm_local_search
 from mgmatch.model import CliquePartition, PairwiseCosts, objective, validate
 
@@ -67,10 +67,14 @@ class TestParserFuzz:
 
 
 class TestCliMisconfiguration:
-    def test_unknown_solver_exits_2(self, t3, tmp_path):
+    def test_unknown_solver_exits_2(self, t3, tmp_path, capsys):
         path = tmp_path / "t3.dd"
         path.write_text(write_problem(t3))
         assert main([str(path), "--gm-solver", "does-not-exist"]) == 2
+        known = solver_names()
+        assert capsys.readouterr().err == (
+            f"error: unknown GM solver 'does-not-exist'; known: {known}\n"
+        )
 
     def test_sync_trace_has_entries(self, t3, tmp_path):
         path = tmp_path / "t3.dd"
@@ -84,6 +88,31 @@ class TestCliMisconfiguration:
         assert code == 0
         lines = trace.read_text().strip().splitlines()
         assert len(lines) >= 2  # header plus at least the construction entry
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a parse error on its line, reported by
+    the command line with exit code 2."""
+
+    def test_problem_file(self, tmp_path, capsys):
+        path = tmp_path / "t3.dd"
+        path.write_bytes(b"gm 0 1\np 2 2 1 0\na 0 0 0 -2.0\xff\n")
+        assert main([str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read problem: line 3: invalid UTF-8 byte 0xff\n"
+        )
+
+    def test_initial_solution(self, t3, tmp_path, capsys):
+        problem = tmp_path / "t3.dd"
+        problem.write_text(write_problem(t3))
+        text = write_solution(part({0: 0, 1: 0}), {"note": "x"})
+        line = 1 + next(k for k, row in enumerate(text.splitlines()) if '"note"' in row)
+        initial = tmp_path / "init.json"
+        initial.write_bytes(text.encode().replace(b'"x"', b'"\xff"'))
+        assert main([str(problem), "--mode", "ls", "--initial", str(initial)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read initial solution: line {line}: invalid UTF-8 byte 0xff\n"
+        )
 
 
 class TestDegenerateMatchingInstances:

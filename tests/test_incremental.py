@@ -31,7 +31,6 @@ from mgmatch.local_search import (
 )
 from mgmatch.qpbo import BinaryEnergy, evaluate, minimize
 from mgmatch.model import (
-    FORBIDDEN,
     Clique,
     CliquePartition,
     MgmProblem,
@@ -240,7 +239,7 @@ def with_zero_entries(problem, rng):
 
 def assert_terms_match(problem, solution, pairs, values, objects):
     """The tagged terms on each object pair that holds one of objects equal
-    the oracle's as a multiset; a Forbidden pair holds an +inf term; no
+    the oracle's as a multiset; a forbidden pair holds an +inf term; no
     other pair has terms."""
     d = problem.d
     for p, q in combinations(range(d), 2):
@@ -249,7 +248,7 @@ def assert_terms_match(problem, solution, pairs, values, objects):
             assert got == []
             continue
         want = reference_pair_terms(problem, solution, p, q)
-        if want is FORBIDDEN:
+        if want == math.inf:
             assert math.inf in got
         else:
             assert got == sorted(want)
@@ -281,8 +280,8 @@ class TestObjectiveTerms:
             row = terms.row(p, candidate)
             value = terms.value(p, row)
             want = objective(problem, candidate)
-            if want is FORBIDDEN:
-                assert value is FORBIDDEN
+            if want == math.inf:
+                assert value == math.inf
             else:
                 assert value == want  # fsum of the same terms: equal floats
                 assert value == pytest.approx(

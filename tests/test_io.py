@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from mgmatch.io import (
     write_problem,
     write_solution,
 )
-from mgmatch.model import FORBIDDEN, MgmProblem, PairwiseCosts, objective
+from mgmatch.model import MgmProblem, PairwiseCosts, objective
 
 from conftest import part
 from oracles import random_partition, random_problem
@@ -124,7 +125,7 @@ class TestParseProblem:
         # objects 0..2 but only the (0,2) block present
         problem = parse_problem("gm 0 2\np 1 1 1 0\na 0 0 0 -1.0\n")
         assert problem.d == 3
-        assert problem.linear_cost(0, 1, 0, 0) is FORBIDDEN
+        assert problem.linear_cost(0, 1, 0, 0) == math.inf
 
 
 BLOCK = "gm 0 1\np 2 2 2 1\na 0 0 0 1.0\na 1 1 1 1.0\n"
@@ -249,6 +250,22 @@ class TestWriteProblem:
         assert write_problem(t3) == write_problem(t3)
 
 
+class TestNonUtf8:
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r", b"\x0c"])
+    def test_error_names_the_line_of_the_first_bad_byte(self, newline):
+        lines = [b"gm 0 1", b"p 1 1 1 0", b"a 0 0 0 -1.0 \xe9", b"\xff"]
+        with pytest.raises(ParseError) as info:
+            parse_problem(newline.join(lines) + newline)
+        assert info.value.line == 3
+        assert str(info.value) == "line 3: invalid UTF-8 byte 0xe9"
+
+    def test_a_file_reads_as_its_bytes(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        with open(path, "rb") as handle, pytest.raises(ParseError, match="line 1: invalid"):
+            parse_solution(handle)
+
+
 class TestSolutionDocuments:
     def test_roundtrip(self, t3):
         solution = part({0: 0, 1: 0}, {2: 0})
@@ -280,10 +297,25 @@ class TestSolutionDocuments:
 
     def test_forbidden_objective_roundtrip(self, t3):
         solution = part({0: 1, 1: 0})
-        text = write_solution(solution, {"objective": FORBIDDEN})
+        text = write_solution(solution, {"objective": math.inf})
         doc = parse_solution(text, problem=t3)
-        assert doc.objective is FORBIDDEN
+        assert doc.objective == math.inf
         assert not doc.warnings
+
+    @pytest.mark.parametrize(
+        "clique, stored, warns",
+        [
+            ({0: 0, 1: 0}, "forbidden", True),  # the solution costs -2.0
+            ({0: 1, 1: 0}, -2.0, True),  # (1, 0) of pair (0, 1) is forbidden
+            ({0: 1, 1: 0}, "forbidden", False),
+            ({0: 0, 1: 0}, -2.0, False),
+        ],
+        ids=["forbidden-vs-finite", "finite-vs-forbidden", "both-forbidden", "equal-finite"],
+    )
+    def test_stored_objective_against_recomputed(self, t3, clique, stored, warns):
+        text = write_solution(part(clique), {"objective": stored})
+        doc = parse_solution(text, problem=t3)
+        assert len(doc.warnings) == int(warns)
 
     @pytest.mark.parametrize("stored", [None, -1.0])
     @pytest.mark.parametrize(

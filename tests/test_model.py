@@ -6,7 +6,6 @@ import pytest
 from mgmatch.construction import clique_clique_costs
 from mgmatch.gm import _Ids
 from mgmatch.model import (
-    FORBIDDEN,
     Clique,
     CliquePartition,
     DuplicateVertexError,
@@ -24,21 +23,11 @@ from oracles import random_partition, random_problem, reference_objective
 
 
 class TestForbidden:
-    def test_absorbs_addition(self):
-        assert FORBIDDEN + 3.0 is FORBIDDEN
-        assert 3.0 + FORBIDDEN is FORBIDDEN
-        assert sum([1.0, FORBIDDEN, 2.0]) is FORBIDDEN
-
-    def test_compares_as_plus_infinity(self):
-        assert not (FORBIDDEN < 1e300)
-        assert 1e300 < FORBIDDEN
-        assert FORBIDDEN <= FORBIDDEN
-        assert not (FORBIDDEN < FORBIDDEN)
-
-    def test_singleton(self):
-        from mgmatch.model import Forbidden
-
-        assert Forbidden() is FORBIDDEN
+    def test_compares_as_plus_infinity(self, t3):
+        # (1, 0) of pair (0, 1) is forbidden in t3.
+        forbidden = objective(t3, part({0: 1, 1: 0}))
+        assert forbidden == math.inf
+        assert objective(t3, part({0: 0, 1: 0})) < forbidden
 
 
 class TestLookupLinear:
@@ -49,7 +38,7 @@ class TestLookupLinear:
         assert lookup_linear(t3, 1, 0, 0, 0) == -2.0
 
     def test_absent_is_forbidden(self, t3):
-        assert lookup_linear(t3, 0, 1, 1, 0) is FORBIDDEN
+        assert lookup_linear(t3, 0, 1, 1, 0) == math.inf
 
     def test_out_of_range(self, t3):
         with pytest.raises(IndexError):
@@ -73,7 +62,7 @@ class TestObjective:
 
     def test_forbidden_pair(self, t3):
         solution = part({0: 1, 1: 0})
-        assert objective(t3, solution) is FORBIDDEN
+        assert objective(t3, solution) == math.inf
 
     def test_infeasible_raises(self, t3):
         bad = part({0: 0, 1: 0}, {0: 0, 1: 1})
@@ -190,8 +179,8 @@ class TestInvariants:
             )
             a = objective(problem, solution)
             b = objective(relabeled_problem, relabeled_solution)
-            if a is FORBIDDEN:
-                assert b is FORBIDDEN
+            if a == math.inf:
+                assert b == math.inf
             else:
                 assert b == pytest.approx(a, abs=1e-12)
 

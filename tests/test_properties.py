@@ -9,6 +9,7 @@ one matches no forbidden pair. Each property is checked on every drawn
 instance.
 """
 
+import math
 import random
 
 from hypothesis import given
@@ -21,7 +22,7 @@ from mgmatch.construction import (
     construct_sequential,
 )
 from mgmatch.local_search import alternate, gm_local_search, swap_local_search
-from mgmatch.model import FORBIDDEN, Clique, CliquePartition, objective, validate
+from mgmatch.model import Clique, CliquePartition, objective, validate
 from mgmatch.reduction import complete_to_incomplete, incomplete_to_complete, to_complete
 from mgmatch.synchronization import synchronize
 
@@ -44,7 +45,7 @@ def allowed_start(rng, problem):
     for clique in random_partition(rng, problem):
         kept = {}
         for p, v in clique.pairs:
-            if all(problem.linear_cost(q, p, w, v) is not FORBIDDEN for q, w in kept.items()):
+            if all(problem.linear_cost(q, p, w, v) != math.inf for q, w in kept.items()):
                 kept[p] = v
         cliques.append(Clique(kept))
     return CliquePartition(cliques).normalized(problem.sizes)
@@ -67,7 +68,7 @@ def test_every_construction_is_feasible(case):
     ]
     for solution in solutions:
         validate(problem, solution)
-        assert objective(problem, solution) is not FORBIDDEN
+        assert objective(problem, solution) != math.inf
 
 
 @given(problems())
@@ -75,7 +76,7 @@ def test_local_search_never_ends_above_its_start(case):
     problem, rng = case
     start = allowed_start(rng, problem)
     start_value = objective(problem, start)
-    assert start_value is not FORBIDDEN
+    assert start_value != math.inf
     seed = rng.randrange(100)
     for search in (gm_local_search, swap_local_search, alternate):
         result = search(problem, start, seed=seed)
@@ -103,7 +104,7 @@ def test_sparse_sync_matches_no_forbidden_pair(case):
     solution, metrics = synchronize(problem, mode="sparse", seed=rng.randrange(100))
     validate(problem, solution)
     assert metrics.forbidden_count == 0
-    assert objective(problem, solution) is not FORBIDDEN
+    assert objective(problem, solution) != math.inf
 
 
 @given(problems())

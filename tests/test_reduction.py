@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from mgmatch.model import FORBIDDEN, Clique, CliquePartition, objective, validate
+from mgmatch.model import Clique, CliquePartition, objective, validate
 from mgmatch.reduction import (
     CompletenessError,
     complete_to_incomplete,
@@ -44,7 +45,7 @@ class TestToComplete:
         assert complete.linear_cost(0, 1, 0, 4) == 0.0
         assert complete.linear_cost(0, 1, 2, 0) == 0.0
         assert complete.linear_cost(0, 1, 0, 0) == -2.0
-        assert complete.linear_cost(0, 1, 1, 0) is FORBIDDEN  # real-real stays forbidden
+        assert complete.linear_cost(0, 1, 1, 0) == math.inf  # real-real stays forbidden
 
     def test_size_report(self, t3):
         report = size_report(t3)
@@ -102,8 +103,8 @@ class TestTranslation:
             assert len(translated.cliques) == complete.total
             incomplete_value = objective(problem, solution)
             complete_value = reference_objective(complete, translated)
-            if incomplete_value is FORBIDDEN:
-                assert complete_value is FORBIDDEN
+            if incomplete_value == math.inf:
+                assert complete_value == math.inf
             else:
                 assert complete_value == incomplete_value  # exact, not approximate
             back = complete_to_incomplete(complete, translated)
@@ -122,7 +123,7 @@ class TestOptimumTransfer:
             best_partition = None
             for partition in enumerate_complete_partitions(complete.total, problem.d):
                 value = reference_objective(complete, partition)
-                if value is FORBIDDEN:
+                if value == math.inf:
                     continue
                 if complete_best is None or value < complete_best:
                     complete_best = value
