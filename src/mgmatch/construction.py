@@ -13,7 +13,7 @@ their members, so a single forbidden member pair forbids the whole entry.
 Quadratic costs aggregate likewise over shared objects. Entries with no
 contributing term stay absent, which keeps instances sparse and guarantees
 the GM solver can never produce a forbidden match. np.bincount sums in
-entry order from 0.0, and keys keep first-occurrence order.
+entry order from 0.0; quadratic keys keep first-occurrence order.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def clique_clique_costs(
     entry's two vertices of one object lie in distinct cliques, so every
     summed entry joins two assignments that share no node. Sums add terms
     from 0.0 in table, then arrays() order; the table's arrays are built
-    directly, keys in first-term order.
+    directly, linear keys sorted, quadratic keys in first-term order.
     """
     columns_a = a.columns(problem.sizes)
     columns_b = b.columns(problem.sizes)
@@ -82,12 +82,11 @@ def clique_clique_costs(
     ka, kb, lin_v, xa, xb, ya, yb, quad_v = map(np.concatenate, zip(*parts))
     # Linear keys coded k * nb + l, which keeps tuple order.
     covered = (ka >= 0) & (kb >= 0)
-    codes, order, sums, counts = _sum_by_code(ka[covered] * nb + kb[covered], lin_v[covered])
+    codes, _, sums, counts = _sum_by_code(ka[covered] * nb + kb[covered], lin_v[covered])
     # A forbidden member pair leaves an entry with fewer terms than pairs.
     sizes = np.array([len(c) for c in a.cliques + b.cliques], dtype=np.int64)
     complete = counts == sizes[codes // nb] * sizes[na + codes % nb]
-    order = order[complete[order]]
-    lin_keys, lin_sums = np.stack((codes[order] // nb, codes[order] % nb)), sums[order]
+    lin_keys, lin_sums = np.stack(np.divmod(codes[complete], nb)), sums[complete]
     # Quadratic entries pair linear keys; code those by slot in sorted codes.
     covered = (xa >= 0) & (xb >= 0) & (ya >= 0) & (yb >= 0)
     x = np.searchsorted(codes, xa[covered] * nb + xb[covered])
@@ -95,17 +94,19 @@ def clique_clique_costs(
     low, high = np.minimum(x, y), np.maximum(x, y)
     kept = complete[low] & complete[high]
     n = len(codes)
-    pairs, order, sums, _ = _sum_by_code(low[kept] * n + high[kept], quad_v[covered][kept])
+    pairs, first, sums, _ = _sum_by_code(low[kept] * n + high[kept], quad_v[covered][kept])
+    order = np.argsort(first)
     low, high = codes[pairs[order] // n], codes[pairs[order] % n]
     quad_keys = np.stack((low // nb, low % nb, high // nb, high % nb))
     return PairwiseCosts._trusted(na, nb, lin_keys, lin_sums, quad_keys, sums[order])
 
 
 def _sum_by_code(codes, values):
-    """Sorted distinct codes, their first-occurrence order, sums and counts."""
+    """Sorted distinct codes, the position of each one's first occurrence,
+    sums and counts."""
     keys, first, slot = np.unique(codes, return_index=True, return_inverse=True)
     sums, counts = np.bincount(slot, values, len(keys)), np.bincount(slot, None, len(keys))
-    return keys, np.argsort(first, kind="stable"), sums, counts
+    return keys, first, sums, counts
 
 
 def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> CliquePartition:

@@ -103,7 +103,7 @@ def solve_lap(sub: PairwiseCosts) -> GmMatching:
     v_cost, v_pairs = [0.0] * size, [0] * size
     u_cost, u_pairs = [0.0] * sub.left_size, [0] * sub.left_size
     owner, column = [-1] * size, [-1] * sub.left_size  # row of a column, column of a row
-    for root in sorted(arcs):
+    for root in arcs:  # ascending, as the table stores its linear entries
         arcs[root].append((offset + root, 0.0, 0))
         # Ties go to free, then lower columns: the entries' order is irrelevant.
         heap = [(c - v_cost[j], k - v_pairs[j], owner[j] >= 0, j) for j, c, k in arcs[root]]
@@ -113,7 +113,7 @@ def solve_lap(sub: PairwiseCosts) -> GmMatching:
             owner[j], column[root] = root, j
             continue
         dist = {j: (c, k) for c, k, _, j in heap}
-        via = dict.fromkeys(dist, root)
+        via = {j: root for j in dist}
         settled: set[int] = set()
         heapq.heapify(heap)
         while True:
@@ -163,7 +163,7 @@ def _brute_force(sub: PairwiseCosts) -> GmMatching:
     by_left: dict[int, list[int]] = {}
     for x, a in enumerate(ids.left):
         by_left.setdefault(a, []).append(x)
-    lefts = sorted(by_left)
+    lefts = list(by_left)  # ascending, as ids follow sorted order
     best_cost = 0.0
     best: tuple[int, ...] = ()
 
@@ -195,11 +195,12 @@ def _brute_force(sub: PairwiseCosts) -> GmMatching:
 
 class _Ids:
     """A quadratic instance on integer assignment ids, read from
-    sub.arrays(): id k is the k-th assignment (a, b) = ``pairs[k]`` in
-    sorted order, with linear cost ``cost[k]``, nodes ``left[k]`` and
-    ``right[k]``, and quadratic entries ``partners[k]`` as (id, value) in
-    entry order; ``at[a * right_size + b]`` is the id of (a, b), -1 where
-    forbidden. An entry joins ids x < y, which quad() looks up."""
+    sub.arrays(): id k is the k-th stored assignment (a, b) = ``pairs[k]``,
+    so ids follow sorted order, with linear cost ``cost[k]``, nodes
+    ``left[k]`` and ``right[k]``, and quadratic entries ``partners[k]`` as
+    (id, value) in entry order; ``at[a * right_size + b]`` is the id of
+    (a, b), -1 where forbidden. An entry joins ids x < y, which quad()
+    looks up."""
 
     __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at", "_keys", "_values")
 
@@ -208,11 +209,9 @@ class _Ids:
         (a, b), lin_v, (qa, qb, qc, qd), quad_v = sub.arrays()
         width, n = sub.right_size, len(lin_v)
         codes = a * width + b
-        order = np.argsort(codes)
-        codes = codes[order]
-        self.left, self.right = a[order].tolist(), b[order].tolist()
+        self.left, self.right = a.tolist(), b.tolist()
         self.pairs = list(zip(self.left, self.right))
-        self.cost = lin_v[order].tolist()
+        self.cost = lin_v.tolist()
         at = np.full(sub.left_size * width, -1)
         at[codes] = np.arange(n)
         self.at = at.tolist()
@@ -246,8 +245,8 @@ def _pair_terms(ids: _Ids, chosen: list[int]):
 
 
 def _matching_cost(ids: _Ids, pairs) -> float:
-    """sub.matching_cost(pairs) on ids: the linear terms in the order of
-    set(pairs), then _pair_terms, added one by one from 0.0."""
+    """The cost of the matching ``pairs`` of sub: the linear terms in the
+    order of set(pairs), then _pair_terms, added one by one from 0.0."""
     width = ids.sub.right_size
     chosen = [ids.at[a * width + b] for a, b in set(pairs)]
     total = 0.0

@@ -31,6 +31,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import IO, Any, Union
 
+import numpy as np
+
 from .model import (
     Clique,
     CliquePartition,
@@ -244,25 +246,25 @@ def _number_error(lineno, ints, cost) -> ParseError:
 def write_problem(problem: MgmProblem) -> str:
     """Serialize a problem so that parse_problem returns an equal one.
 
-    Assignment ids are assigned in lexicographic (i, s) order, so output is
-    deterministic and every 'e' line references earlier 'a' lines.
+    Assignment ids are positions in the table's linear entries, which are
+    stored in (i, s) order, and 'e' lines are sorted by their id pair, so
+    output is deterministic and every 'e' line references earlier 'a' lines.
     """
     lines = []
-    for p in range(problem.d):
-        for q in range(p + 1, problem.d):
-            table = problem.costs[(p, q)]
-            lines.append(f"gm {p} {q}")
-            lines.append(
-                f"p {problem.sizes[p]} {problem.sizes[q]} "
-                f"{len(table.linear)} {len(table.quadratic)}"
-            )
-            ids = {}
-            for aid, (i, s) in enumerate(sorted(table.linear)):
-                ids[(i, s)] = aid
-                lines.append(f"a {aid} {i} {s} {table.linear[(i, s)]!r}")
-            for key in sorted(table.quadratic):
-                (a1, a2) = key
-                lines.append(f"e {ids[a1]} {ids[a2]} {table.quadratic[key]!r}")
+    for (p, q), table in problem.costs.items():
+        (i, s), lin_v, (qi, qs, qj, qt), quad_v = table.arrays()
+        width = problem.sizes[q]
+        codes = i * width + s
+        # A canonical key's first assignment is the lower, so x < y.
+        x = np.searchsorted(codes, qi * width + qs)
+        y = np.searchsorted(codes, qj * width + qt)
+        order = np.lexsort((y, x))
+        lines.append(f"gm {p} {q}")
+        lines.append(f"p {problem.sizes[p]} {width} {len(lin_v)} {len(quad_v)}")
+        for aid, (a, b, cost) in enumerate(zip(i.tolist(), s.tolist(), lin_v.tolist())):
+            lines.append(f"a {aid} {a} {b} {cost!r}")
+        for id1, id2, cost in zip(x[order].tolist(), y[order].tolist(), quad_v[order].tolist()):
+            lines.append(f"e {id1} {id2} {cost!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,7 @@ all; local search re-prices a candidate by replacing one object's row.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -52,13 +52,16 @@ class PairwiseCosts:
     object pair (left p, right q, p < q), and construction and local
     search build the GM instances they solve as tables of this type.
 
-    The entries are stored as four read-only numpy arrays in entry order,
-    arrays(): 24 bytes per linear and 40 per quadratic entry. ``linear``
-    and ``quadratic`` are dict views of them, equal key for key and bit for
-    bit, built on first access (about 200 bytes per entry) and kept.
-    write_problem, linear_cost, quad_get, matching_cost, equality, the
-    reduction's lookups and perfbench's probe build them; the solvers read
-    the arrays or the problem's slot index instead. Tables are immutable.
+    The entries are stored as four read-only numpy arrays, arrays(): 24
+    bytes per linear and 40 per quadratic entry. Linear entries are stored
+    ascending in (i, s), whatever order they were given in; quadratic ones
+    keep their entry order, along which the GM heuristic sums. ``linear``
+    and ``quadratic`` are dict views of them in the same order, equal key
+    for key and bit for bit, built on first access (about 200 bytes per
+    entry) and kept. linear_cost, quad_get, equality, the reduction's
+    lookups and perfbench's probe build them; the solvers and write_problem
+    read the arrays or the problem's slot index instead. Tables are
+    immutable.
 
     The constructor checks every entry, values finite included; _trusted
     skips the checks for arrays known to pass them: parsed ones and those
@@ -101,8 +104,9 @@ class PairwiseCosts:
         cls, left_size, right_size, lin_keys, lin_values, quad_keys=None, quad_values=None
     ) -> "PairwiseCosts":
         """A table over arrays() that pass every check of the constructor
-        (canonical keys, int64 keys, float64 values); the arrays are used,
-        not copied, and made read-only."""
+        and are stored as it stores them (canonical keys, linear keys
+        ascending in (i, s), int64 keys, float64 values); the arrays are
+        used, not copied, and made read-only."""
         table = cls.__new__(cls)
         if quad_keys is None:
             quad_keys, quad_values = np.empty((4, 0), np.int64), np.empty(0)
@@ -116,8 +120,9 @@ class PairwiseCosts:
             view.flags.writeable = False
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """The read-only entries in entry order: linear key rows (i, s) and
-        values, quadratic key rows (i, s, j, t) and values."""
+        """The read-only entries: linear key rows (i, s) and values,
+        ascending in (i, s), then quadratic key rows (i, s, j, t) and
+        values in entry order."""
         return self._arrays
 
     @property
@@ -129,7 +134,7 @@ class PairwiseCosts:
         return self._views()[1]
 
     def _views(self) -> tuple[dict, dict]:
-        """The dict views of arrays(), in entry order, built on first use."""
+        """The dict views of arrays(), in their order, built on first use."""
         if self._dicts is None:
             (i, s), lin_v, (qi, qs, qj, qt), quad_v = self._arrays
             self._dicts = (
@@ -144,17 +149,9 @@ class PairwiseCosts:
     def quad_get(self, a: Assignment, b: Assignment) -> float:
         return self.quadratic.get(_canonical_quad_key(a, b), 0.0)
 
-    def matching_cost(self, pairs) -> float:
-        total = 0.0
-        chosen = set(pairs)
-        for pair in chosen:
-            total += self.linear[pair]
-        for x, y in combinations(sorted(chosen), 2):
-            total += self.quadratic.get((x, y), 0.0)
-        return total
-
     def transposed(self) -> "PairwiseCosts":
-        """The same table with the left and right sets swapped."""
+        """The same table with the left and right sets swapped; the linear
+        entries are sorted again, the quadratic ones keep their order."""
         (i, s), lin_v, (qi, qs, qj, qt), quad_v = self._arrays
         # An entry's assignments have distinct right vertices, which lead
         # the swapped keys: the one with the larger goes second.
@@ -162,8 +159,7 @@ class PairwiseCosts:
         return PairwiseCosts._trusted(
             self.right_size,
             self.left_size,
-            np.stack((s, i)),
-            lin_v,
+            *_sorted_linear(s, i, lin_v),
             np.where(swap, (qt, qj, qs, qi), (qs, qi, qt, qj)),
             quad_v,
         )
@@ -185,16 +181,23 @@ class PairwiseCosts:
 
 
 def entry_arrays(linear: Mapping, quadratic: Mapping) -> tuple[np.ndarray, ...]:
-    """PairwiseCosts.arrays() of checked entry dicts, in their order."""
+    """PairwiseCosts.arrays() of checked entry dicts: the linear entries
+    sorted, the quadratic ones in their order."""
     n, m = len(linear), len(quadratic)
+    lin_keys = np.fromiter(chain.from_iterable(linear), np.int64, 2 * n).reshape(n, 2)
     return (
-        np.fromiter(chain.from_iterable(linear), np.int64, 2 * n).reshape(n, 2).T.copy(),
-        np.fromiter(linear.values(), np.float64, n),
+        *_sorted_linear(*lin_keys.T, np.fromiter(linear.values(), np.float64, n)),
         np.fromiter(
             chain.from_iterable(chain.from_iterable(quadratic)), np.int64, 4 * m
         ).reshape(m, 4).T.copy(),
         np.fromiter(quadratic.values(), np.float64, m),
     )
+
+
+def _sorted_linear(i: np.ndarray, s: np.ndarray, values: np.ndarray):
+    """Linear key rows (i, s) and their values, ascending in (i, s)."""
+    order = np.lexsort((s, i))
+    return np.stack((i[order], s[order])), values[order]
 
 
 class SlotIndex(NamedTuple):
@@ -271,16 +274,15 @@ class MgmProblem:
             offsets = np.zeros((self.d, self.d), np.int64)
             codes, linear = np.empty(n_lin + 1, np.int64), np.empty(n_lin + 1)
             keys, quad_values = np.empty(n_quad + 1, np.int64), np.empty(n_quad + 1)
-            # Tables fill consecutive code and slot ranges, so sorting within
-            # each table sorts codes and keys globally.
+            # Tables fill consecutive code and slot ranges and store their
+            # linear entries sorted, so sorting each table's quadratic keys
+            # sorts codes and keys globally.
             base = lin_at = quad_at = 0
             for (p, q), ((i, s), lin_v, (qi, qs, qj, qt), quad_v) in tables:
                 offsets[p, q] = base
                 local = i * sizes[q] + s
-                order = np.argsort(local)
-                local = local[order]
-                lin = slice(lin_at, lin_at + len(order))
-                codes[lin], linear[lin] = base + local, lin_v[order]
+                lin = slice(lin_at, lin_at + len(local))
+                codes[lin], linear[lin] = base + local, lin_v
                 x = lin_at + np.searchsorted(local, qi * sizes[q] + qs)
                 y = lin_at + np.searchsorted(local, qj * sizes[q] + qt)
                 table_keys = np.minimum(x, y) * (n_lin + 1) + np.maximum(x, y)

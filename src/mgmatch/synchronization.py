@@ -37,8 +37,8 @@ from .local_search import TraceRecorder, alternate
 from .model import (
     CliquePartition,
     MgmProblem,
+    ObjectiveTerms,
     PairwiseCosts,
-    assignment_slots,
     objective,
 )
 
@@ -89,45 +89,33 @@ def build_sync_problem(
     Matched pairs cost -1, other candidate pairs 0. The candidate set per
     mode is described in the module docstring; zero-cost pairs never help
     the objective, so restricting dense mode to the support union does not
-    change optima.
+    change optima. Each table is built from sorted entry codes, so its
+    linear entries are stored in (i, s) order without a sort of their own.
     """
     if mode not in ("dense", "sparse", "soft"):
         raise ValueError(f"unknown synchronization mode {mode!r}")
     if mode == "soft":
         if alpha is None or not 0 < alpha < math.inf:
             raise ValueError("soft mode needs a finite alpha > 0")
-    matched = matchings.pairs()
     costs = {}
-    for p in range(problem.d):
-        for q in range(p + 1, problem.d):
-            (i, s), *_ = problem.costs[(p, q)].arrays()
-            # A set built from a dict of the table's keys iterates as one
-            # built from its linear view, so the support keeps its order.
-            allowed = set(dict.fromkeys(zip(i.tolist(), s.tolist())))
-            if mode == "sparse":
-                support = allowed
-            elif mode == "dense":
-                support = allowed | {
-                    (i, s) for ((pp, i), (qq, s)) in matched if (pp, qq) == (p, q)
-                }
-            else:
-                support = {
-                    (i, s)
-                    for i in range(problem.sizes[p])
-                    for s in range(problem.sizes[q])
-                }
-            values = [
-                alpha if mode == "soft" and key not in allowed
-                else -1.0 if ((p, key[0]), (q, key[1])) in matched
-                else 0.0
-                for key in support
-            ]
-            costs[(p, q)] = PairwiseCosts._trusted(
-                problem.sizes[p],
-                problem.sizes[q],
-                np.array(list(support), np.int64).reshape(-1, 2).T.copy(),
-                np.array(values, np.float64),
-            )
+    for (p, q), table in problem.costs.items():
+        width = problem.sizes[q]
+        (i, s), *_ = table.arrays()
+        allowed = i * width + s
+        pairs = np.array(list(matchings.matchings.get((p, q), ())), np.int64).reshape(-1, 2)
+        matched = pairs[:, 0] * width + pairs[:, 1]
+        if mode == "sparse":
+            codes = allowed
+        elif mode == "dense":
+            codes = np.union1d(allowed, matched)
+        else:
+            codes = np.arange(problem.sizes[p] * width)
+        values = np.where(np.isin(codes, matched), -1.0, 0.0)
+        if mode == "soft":
+            values[~np.isin(codes, allowed)] = alpha
+        costs[(p, q)] = PairwiseCosts._trusted(
+            problem.sizes[p], width, np.stack(np.divmod(codes, width)), values
+        )
     return MgmProblem(problem.sizes, costs)
 
 
@@ -163,19 +151,19 @@ def solution_pairs(solution: CliquePartition) -> set[VertexPair]:
 def sync_metrics(
     problem: MgmProblem, matchings: PairwiseMatchingSet, solution: CliquePartition
 ) -> SyncMetrics:
-    """Recompute all metrics independently of the optimization path."""
+    """Recompute all metrics independently of the optimization path. The
+    objective's terms give the forbidden matches, each a math.inf term, and
+    the MGM objective."""
     target = matchings.pairs()
     recovered = solution_pairs(solution)
     shared = len(target & recovered)
     hamming = len(target) + len(recovered) - 2 * shared
-    members = np.array([(p, i, q, s) for (p, i), (q, s) in recovered], np.int64)
-    p, i, q, s = members.reshape(-1, 4).T
-    forbidden = int(np.count_nonzero(assignment_slots(problem, p, q, i, s)[2]))
+    terms = ObjectiveTerms(problem, solution)
     return SyncMetrics(
         mlap_objective=-float(shared),
         hamming=hamming,
-        forbidden_count=forbidden,
-        mgm_objective=objective(problem, solution),
+        forbidden_count=int(np.count_nonzero(terms.values == math.inf)),
+        mgm_objective=terms.value(),
     )
 
 

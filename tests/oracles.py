@@ -23,7 +23,8 @@ from mgmatch.model import (
 def dict_clique_clique_costs(problem, a, b):
     """construction.clique_clique_costs as dict loops, for bitwise checks of
     the array kernel: (linear, quadratic) with the same keys, key order and
-    float summation order."""
+    float summation order; linear keys are sorted, as every table stores
+    them, and quadratic keys come in first-term order."""
     columns_a = a.columns(problem.sizes)
     columns_b = b.columns(problem.sizes)
     lin_sum, lin_cnt, quad_sum = {}, {}, {}
@@ -48,7 +49,7 @@ def dict_clique_clique_costs(problem, a, b):
     size_a = [len(c) for c in a.cliques]
     size_b = [len(c) for c in b.cliques]
     linear = {
-        key: lin_sum[key] for key, count in lin_cnt.items()
+        key: lin_sum[key] for key, count in sorted(lin_cnt.items())
         if count == size_a[key[0]] * size_b[key[1]]
     }
     quadratic = {
@@ -231,6 +232,20 @@ def enumerate_matchings(left_size, right_size, allowed):
                 used_right.remove(b)
 
     yield from extend(0, set(), [])
+
+
+def matching_cost(sub, pairs):
+    """The cost of the matching ``pairs`` of table sub: its linear costs in
+    the order of set(pairs), then the quadratic entries of
+    combinations(sorted(set(pairs)), 2), added one by one from 0.0. The
+    bit-for-bit reference for gm._matching_cost."""
+    total = 0.0
+    chosen = set(pairs)
+    for pair in chosen:
+        total += sub.linear[pair]
+    for x, y in combinations(sorted(chosen), 2):
+        total += sub.quadratic.get((x, y), 0.0)
+    return total
 
 
 def gm_matching_cost(sub, pairs):

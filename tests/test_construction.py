@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mgmatch import construction
+from mgmatch import construction, gm
 from mgmatch.construction import (
     ConstructionTree,
     OverlapError,
@@ -19,15 +19,18 @@ from mgmatch.construction import (
     merge,
     rematch,
 )
-from mgmatch.gm import Effort, GmMatching, _Ids, solve_gm
+from mgmatch.gm import Effort, GmMatching, _Ids, solve_gm, solve_lap
+from mgmatch.io import parse_problem
 from mgmatch.model import (
     Clique,
     CliquePartition,
+    MgmProblem,
     PairwiseCosts,
     objective,
     singleton_partition,
     validate,
 )
+from mgmatch.synchronization import build_sync_problem, solve_all_pairwise
 
 from conftest import part
 from oracles import brute_force_mgm, dict_clique_clique_costs, random_partition, random_problem
@@ -144,9 +147,11 @@ def reference_costs(problem, a, b):
 
 def assert_passes_checks(table):
     """table equals the validating constructor's rebuild of it, entry
-    order and partner lists included."""
+    order and partner lists included: the rebuild stores the linear
+    entries sorted, so the table must too."""
     rebuilt = PairwiseCosts(table.left_size, table.right_size, table.linear, table.quadratic)
     assert table == rebuilt
+    assert list(table.linear) == list(rebuilt.linear)
     assert list(table.quadratic) == list(rebuilt.quadratic)
     assert _Ids(table).partners == _Ids(rebuilt).partners
 
@@ -193,6 +198,71 @@ class TestTrustedTables:
         for table in problem.costs.values():
             assert_passes_checks(table.transposed())
             assert table.transposed().transposed() == table
+
+    @given(split_problems())
+    def test_parsed(self, case):
+        problem, _, rng = case
+        parsed = parse_problem(shuffled_dd(problem, rng))
+        assert parsed == problem
+        for table in parsed.costs.values():
+            assert_passes_checks(table)
+
+    @given(split_problems())
+    def test_restricted(self, case):
+        # A restriction transposes the tables of the object pairs it reverses.
+        problem, _, rng = case
+        objects = list(range(problem.d))
+        rng.shuffle(objects)
+        for table in problem.restrict(objects).costs.values():
+            assert_passes_checks(table)
+
+    @given(split_problems())
+    def test_linear_part_of_solve_gm(self, case):
+        problem, _, _ = case
+        checked = []
+
+        def checking_lap(sub):
+            assert_passes_checks(sub)
+            checked.append(sub)
+            return solve_lap(sub)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gm, "solve_lap", checking_lap)
+            for table in problem.costs.values():
+                solve_gm(table)
+        assert len(checked) == len(problem.costs)
+
+    @pytest.mark.parametrize("mode", ["sparse", "dense", "soft"])
+    @given(case=split_problems(), at=st.integers(0, 5))
+    def test_sync_problem(self, mode, case, at):
+        # An object of size 0 gives tables of width 0 and of height 0.
+        problem = with_empty_object(case[0], min(at, case[0].d))
+        sync = build_sync_problem(problem, solve_all_pairwise(problem), mode=mode, alpha=0.5)
+        for table in sync.costs.values():
+            assert_passes_checks(table)
+
+
+def shuffled_dd(problem, rng):
+    """The problem in dd format, each block's 'a' lines in random order."""
+    lines = []
+    for (p, q), table in problem.costs.items():
+        entries = list(table.linear.items())
+        rng.shuffle(entries)
+        ids = {key: aid for aid, (key, _) in enumerate(entries)}
+        lines.append(f"gm {p} {q}")
+        lines.append(f"p {table.left_size} {table.right_size} {len(ids)} {len(table.quadratic)}")
+        lines += [f"a {ids[i, s]} {i} {s} {value!r}" for (i, s), value in entries]
+        lines += [f"e {ids[x]} {ids[y]} {value!r}" for (x, y), value in table.quadratic.items()]
+    return "\n".join(lines) + "\n"
+
+
+def with_empty_object(problem, at):
+    """The problem with an object of size 0 inserted before object ``at``."""
+    def shift(p):
+        return p + (p >= at)
+
+    sizes = [*problem.sizes[:at], 0, *problem.sizes[at:]]
+    return MgmProblem(sizes, {(shift(p), shift(q)): t for (p, q), t in problem.costs.items()})
 
 
 def assert_matches_dict_loops(problem, a, b):

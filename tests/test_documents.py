@@ -32,6 +32,7 @@ CONFIGS = {
     "worms-full": ("worms", ["--mode", "full"]),
     "worms-sync": ("worms", ["--mode", "sync", "--sync-mode", "sparse"]),
     "worms-par": ("worms", ["--mode", "full", "--construction", "par"]),
+    "worms-inc": ("worms", ["--mode", "full", "--construction", "inc:3"]),
     "worms-dense-post-ls": (
         "worms", ["--mode", "sync", "--sync-mode", "dense", "--sync-post-ls"]
     ),
@@ -53,6 +54,10 @@ DIGESTS = {
     "worms-par": (
         "451431955d160715bd4e86e93fba322d363e7edda141cafa5b46aa5219434624",
         "aa49ac2d55937509e2ec9c0a5c18b0c2b52c6eee9c27951f016776847adbbb0b",
+    ),
+    "worms-inc": (
+        "5e40143422127d11a53a6d8a8ed6114633e0b1c14e35eacf39f2244f21b41caa",
+        "aaff4a842ee0edb85bc4507e90d8a8e95077c13e07476fbf22deedfec65f123c",
     ),
     "worms-dense-post-ls": (
         "cce088d13f5fae448c590836fe9612cd0ff71798959bc8f5b081a976cb8b4c99",

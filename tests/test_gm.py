@@ -24,6 +24,7 @@ from mgmatch.model import Clique, CliquePartition, MgmProblem, PairwiseCosts
 from oracles import (
     brute_force_gm,
     gm_matching_cost,
+    matching_cost,
     partner_lists,
     random_partition,
     random_problem,
@@ -61,7 +62,7 @@ class TestSolveLap:
         sub = PairwiseCosts(2, 2, {(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0})
         matching = solve_lap(sub)
         assert matching == GmMatching([(0, 0), (1, 1)])
-        assert sub.matching_cost(matching.pairs) == -3.0
+        assert matching_cost(sub, matching.pairs) == -3.0
 
     def test_all_positive_leaves_unmatched(self):
         sub = PairwiseCosts(2, 2, {(0, 0): 2.0, (1, 1): 1.0})
@@ -91,7 +92,7 @@ class TestSolveLap:
             matching = solve_lap(sub)
             assert all(pair in sub.linear for pair in matching)
             want, _ = brute_force_gm(sub)
-            assert sub.matching_cost(matching.pairs) == pytest.approx(want, abs=1e-9)
+            assert matching_cost(sub, matching.pairs) == pytest.approx(want, abs=1e-9)
 
     def test_never_uses_forbidden_pairs(self):
         rng = random.Random(1)
@@ -143,7 +144,7 @@ def test_lap_reaches_the_exact_cost_with_the_fewest_pairs(sub):
     want_cost, want_pairs = brute_force_gm(sub)
     matching = solve_lap(sub)
     assert all(pair in sub.linear for pair in matching)
-    assert sub.matching_cost(matching.pairs) == want_cost
+    assert matching_cost(sub, matching.pairs) == want_cost
     assert len(matching) == len(want_pairs)
 
 
@@ -165,7 +166,7 @@ class TestSolveGm:
             sub = random_qap(rng, max_side=4)
             matching = solve_gm(sub, seed=3, effort=Effort.EXHAUSTIVE)
             want, _ = brute_force_gm(sub)
-            assert sub.matching_cost(matching.pairs) == pytest.approx(want, abs=1e-9)
+            assert matching_cost(sub, matching.pairs) == pytest.approx(want, abs=1e-9)
 
     def test_cost_never_positive(self):
         rng = random.Random(15)
@@ -173,7 +174,7 @@ class TestSolveGm:
             for _ in range(40):
                 sub = random_qap(rng, max_side=5)
                 matching = solve_gm(sub, seed=11, effort=effort)
-                assert sub.matching_cost(matching.pairs) <= 1e-12
+                assert matching_cost(sub, matching.pairs) <= 1e-12
                 for pair in matching:
                     assert pair in sub.linear
 
@@ -387,17 +388,20 @@ def test_ids_equal_the_tuple_reference(seed, source):
         for a, b in shuffled:
             if a not in left and b not in right:
                 left.add(a), right.add(b), matching.append((a, b))
-        assert gm._matching_cost(ids, matching).hex() == table.matching_cost(matching).hex()
+        assert gm._matching_cost(ids, matching).hex() == matching_cost(table, matching).hex()
 
 
 class TestRegistry:
     def test_known_solvers(self):
         assert "default" in solver_names()
 
-    def test_custom_registration(self):
+    def test_custom_registration(self, monkeypatch):
+        # A private copy of the registry, so no other test sees "null".
+        monkeypatch.setattr(gm, "_REGISTRY", dict(gm._REGISTRY))
         register_solver("null", lambda sub, seed=0, effort=Effort.DEFAULT: GmMatching())
         sub = PairwiseCosts(1, 1, {(0, 0): -1.0})
         assert get_solver("null")(sub, 0, Effort.DEFAULT) == GmMatching()
+        assert "null" in solver_names()
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

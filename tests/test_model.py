@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mgmatch.construction import clique_clique_costs
 from mgmatch.gm import _Ids
@@ -275,16 +277,33 @@ class TestPairwiseCosts:
         with pytest.raises(ValueError):
             MgmProblem([2, 3], {(0, 1): PairwiseCosts(3, 2)})
 
-    def test_arrays_view_entries_in_dict_order(self):
+    def test_arrays_sort_linear_entries_and_keep_quadratic_order(self):
         table = PairwiseCosts(
-            2, 3, linear={(1, 2): -1.5, (0, 0): 2.0}, quadratic={((1, 2), (0, 0)): 0.25}
+            2,
+            3,
+            linear={(1, 2): -1.5, (0, 0): 2.0, (1, 0): 1.0, (0, 2): 3.0},
+            quadratic={((1, 2), (0, 0)): 0.25, ((0, 2), (1, 0)): -0.5},
         )
         lin_keys, lin_values, quad_keys, quad_values = table.arrays()
-        assert lin_keys.tolist() == [[1, 0], [2, 0]]
-        assert lin_values.tolist() == [-1.5, 2.0]
-        assert quad_keys.tolist() == [[0], [0], [1], [2]]
-        assert quad_values.tolist() == [0.25]
+        assert lin_keys.tolist() == [[0, 0, 1, 1], [0, 2, 0, 2]]
+        assert lin_values.tolist() == [2.0, 3.0, 1.0, -1.5]
+        assert list(table.linear) == [(0, 0), (0, 2), (1, 0), (1, 2)]
+        assert quad_keys.tolist() == [[0, 0], [0, 2], [1, 1], [2, 0]]
+        assert quad_values.tolist() == [0.25, -0.5]
         assert table.arrays() is table.arrays()
+
+    def test_transposed_sorts_linear_entries_and_keeps_quadratic_order(self):
+        table = PairwiseCosts(
+            2,
+            3,
+            linear={(0, 1): 1.0, (1, 0): 2.0, (1, 2): 3.0},
+            quadratic={((0, 1), (1, 2)): 0.5, ((0, 1), (1, 0)): -0.5},
+        ).transposed()
+        lin_keys, lin_values, quad_keys, quad_values = table.arrays()
+        assert lin_keys.tolist() == [[0, 1, 2], [1, 0, 1]]
+        assert lin_values.tolist() == [2.0, 1.0, 3.0]
+        assert quad_keys.tolist() == [[1, 0], [0, 1], [2, 1], [1, 0]]
+        assert quad_values.tolist() == [0.5, -0.5]
 
     def test_partner_lists_in_entry_order(self):
         linear = {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (0, 2): 1.0}
@@ -300,6 +319,21 @@ class TestPairwiseCosts:
         for view in table.arrays():
             with pytest.raises(ValueError):
                 view[...] = 0
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_arrays_do_not_depend_on_linear_entry_order(self, seed):
+        rng = random.Random(seed)
+        table = random_problem(rng, 2, 5, quad_frac=0.5).costs[(0, 1)]
+        shape, linear = (table.left_size, table.right_size), list(table.linear.items())
+        rng.shuffle(linear)
+        ordered = PairwiseCosts(*shape, dict(sorted(linear)), table.quadratic)
+        for shuffled in (
+            PairwiseCosts(*shape, dict(linear), table.quadratic),
+            PairwiseCosts._trusted(*shape, *entry_arrays(dict(linear), table.quadratic)),
+        ):
+            for got, want in zip(shuffled.arrays(), ordered.arrays()):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_arrays_of_an_empty_table(self):
         lin_keys, lin_values, quad_keys, quad_values = PairwiseCosts(2, 2).arrays()
