@@ -56,7 +56,8 @@ def clique_clique_costs(
     entry's two vertices of one object lie in distinct cliques, so every
     summed entry joins two assignments that share no node. Sums add terms
     from 0.0 in table, then arrays() order; the table's arrays are built
-    directly, linear keys sorted, quadratic keys in first-term order.
+    directly, linear keys sorted, quadratic entries in first-term order as
+    the positions of their two linear entries.
     """
     columns_a = a.columns(problem.sizes)
     columns_b = b.columns(problem.sizes)
@@ -67,46 +68,49 @@ def clique_clique_costs(
         p: np.array([-1 if k is None else k for k in column], dtype=np.int64)
         for p, column in (*columns_a.items(), *columns_b.items())
     }
-    # Per stored entry, the cliques holding its vertices (-1: uncovered);
-    # one empty row, so that concatenation works without tables.
-    parts = [(np.empty(0, np.int64),) * 8]
+    # Per stored linear entry, the cliques holding its vertices (-1:
+    # uncovered), per quadratic one the positions of its linear entries in
+    # the concatenation; one empty row, so that concatenation works without
+    # tables.
+    parts, at = [(np.empty(0, np.int64),) * 6], 0
     for p in sorted(columns_a):
         for q in sorted(columns_b):
             table, swapped = problem.table(p, q)
-            (i, s), lin_v, (qi, qs, qj, qt), quad_v = table.arrays()
+            (i, s), lin_v, (x, y), quad_v = table.arrays()
             if swapped:  # the stored left object is q
-                i, s, qi, qs, qj, qt = s, i, qs, qi, qt, qj
-            ca, cb = cols[p], cols[q]
-            parts.append((ca[i], cb[s], lin_v, ca[qi], cb[qs], ca[qj], cb[qt], quad_v))
+                i, s = s, i
+            parts.append((cols[p][i], cols[q][s], lin_v, at + x, at + y, quad_v))
+            at += len(lin_v)
     na, nb = len(a.cliques), len(b.cliques)
-    ka, kb, lin_v, xa, xb, ya, yb, quad_v = map(np.concatenate, zip(*parts))
-    # Linear keys coded k * nb + l, which keeps tuple order.
-    covered = (ka >= 0) & (kb >= 0)
-    codes, _, sums, counts = _sum_by_code(ka[covered] * nb + kb[covered], lin_v[covered])
+    ka, kb, lin_v, x, y, quad_v = map(np.concatenate, zip(*parts))
+    # Linear keys coded k * nb + l, which keeps tuple order; -1 codes an
+    # uncovered entry, whose slot is never complete.
+    codes = np.where((ka >= 0) & (kb >= 0), ka * nb + kb, -1)
+    codes, _, slot, sums, counts = _sum_by_code(codes, lin_v)
     # A forbidden member pair leaves an entry with fewer terms than pairs.
     sizes = np.array([len(c) for c in a.cliques + b.cliques], dtype=np.int64)
-    complete = counts == sizes[codes // nb] * sizes[na + codes % nb]
+    complete = (codes >= 0) & (counts == sizes[codes // nb] * sizes[na + codes % nb])
     lin_keys, lin_sums = np.stack(np.divmod(codes[complete], nb)), sums[complete]
-    # Quadratic entries pair linear keys; code those by slot in sorted codes.
-    covered = (xa >= 0) & (xb >= 0) & (ya >= 0) & (yb >= 0)
-    x = np.searchsorted(codes, xa[covered] * nb + xb[covered])
-    y = np.searchsorted(codes, ya[covered] * nb + yb[covered])
+    # A quadratic entry pairs the slots of its linear entries in codes.
+    x, y = slot[x], slot[y]
     low, high = np.minimum(x, y), np.maximum(x, y)
     kept = complete[low] & complete[high]
     n = len(codes)
-    pairs, first, sums, _ = _sum_by_code(low[kept] * n + high[kept], quad_v[covered][kept])
+    pairs, first, _, sums, _ = _sum_by_code(low[kept] * n + high[kept], quad_v[kept])
     order = np.argsort(first)
-    low, high = codes[pairs[order] // n], codes[pairs[order] % n]
-    quad_keys = np.stack((low // nb, low % nb, high // nb, high % nb))
-    return PairwiseCosts._trusted(na, nb, lin_keys, lin_sums, quad_keys, sums[order])
+    # A complete slot's position among the linear keys is its rank.
+    position = np.cumsum(complete) - 1
+    quad_pos = position[np.stack(np.divmod(pairs[order], n))]
+    return PairwiseCosts._trusted(na, nb, lin_keys, lin_sums, quad_pos, sums[order])
 
 
 def _sum_by_code(codes, values):
     """Sorted distinct codes, the position of each one's first occurrence,
-    sums and counts."""
+    each code's slot among them, sums and counts."""
     keys, first, slot = np.unique(codes, return_index=True, return_inverse=True)
-    sums, counts = np.bincount(slot, values, len(keys)), np.bincount(slot, None, len(keys))
-    return keys, first, sums, counts
+    # The weighted bincount of no codes is int64.
+    sums = np.bincount(slot, values, len(keys)).astype(np.float64, copy=False)
+    return keys, first, slot, sums, np.bincount(slot, None, len(keys))
 
 
 def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> CliquePartition:

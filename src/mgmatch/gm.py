@@ -199,25 +199,21 @@ class _Ids:
     so ids follow sorted order, with linear cost ``cost[k]``, nodes
     ``left[k]`` and ``right[k]``, and quadratic entries ``partners[k]`` as
     (id, value) in entry order; ``at[a * right_size + b]`` is the id of
-    (a, b), -1 where forbidden. An entry joins ids x < y, which quad()
-    looks up."""
+    (a, b), -1 where forbidden. An entry joins the ids x < y that the
+    table stores as its positions, which quad() looks up."""
 
     __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at", "_keys", "_values")
 
     def __init__(self, sub: PairwiseCosts):
         self.sub = sub
-        (a, b), lin_v, (qa, qb, qc, qd), quad_v = sub.arrays()
+        (a, b), lin_v, (x, y), quad_v = sub.arrays()
         width, n = sub.right_size, len(lin_v)
-        codes = a * width + b
         self.left, self.right = a.tolist(), b.tolist()
         self.pairs = list(zip(self.left, self.right))
         self.cost = lin_v.tolist()
         at = np.full(sub.left_size * width, -1)
-        at[codes] = np.arange(n)
+        at[a * width + b] = np.arange(n)
         self.at = at.tolist()
-        # Keys are canonical and ids ordered like assignments, so x < y.
-        x = np.searchsorted(codes, qa * width + qb)
-        y = np.searchsorted(codes, qc * width + qd)
         self.partners = partners = [[] for _ in range(n)]
         for xk, yk, value in zip(x.tolist(), y.tolist(), quad_v.tolist()):
             partners[xk].append((yk, value))

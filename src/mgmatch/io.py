@@ -84,7 +84,7 @@ def parse_problem(source: TextSource) -> MgmProblem:
     Lines are split as str.splitlines() splits them, a chunk of the text
     at a time. A block is checked against dicts of its own entries, which
     become its table's arrays (PairwiseCosts.arrays(), 24 bytes per 'a'
-    and 40 per 'e' line) when the block closes, so the dicts of one block
+    and 24 per 'e' line) when the block closes, so the dicts of one block
     at most are alive. The tables' dict views are not built.
     """
     text = _as_text(source)
@@ -247,20 +247,16 @@ def write_problem(problem: MgmProblem) -> str:
     """Serialize a problem so that parse_problem returns an equal one.
 
     Assignment ids are positions in the table's linear entries, which are
-    stored in (i, s) order, and 'e' lines are sorted by their id pair, so
-    output is deterministic and every 'e' line references earlier 'a' lines.
+    stored in (i, s) order, so an 'e' line's ids are the positions its
+    entry stores. 'e' lines are sorted by their id pair, so output is
+    deterministic and every 'e' line references earlier 'a' lines.
     """
     lines = []
     for (p, q), table in problem.costs.items():
-        (i, s), lin_v, (qi, qs, qj, qt), quad_v = table.arrays()
-        width = problem.sizes[q]
-        codes = i * width + s
-        # A canonical key's first assignment is the lower, so x < y.
-        x = np.searchsorted(codes, qi * width + qs)
-        y = np.searchsorted(codes, qj * width + qt)
+        (i, s), lin_v, (x, y), quad_v = table.arrays()
         order = np.lexsort((y, x))
         lines.append(f"gm {p} {q}")
-        lines.append(f"p {problem.sizes[p]} {width} {len(lin_v)} {len(quad_v)}")
+        lines.append(f"p {problem.sizes[p]} {problem.sizes[q]} {len(lin_v)} {len(quad_v)}")
         for aid, (a, b, cost) in enumerate(zip(i.tolist(), s.tolist(), lin_v.tolist())):
             lines.append(f"a {aid} {a} {b} {cost!r}")
         for id1, id2, cost in zip(x[order].tolist(), y[order].tolist(), quad_v[order].tolist()):

@@ -53,15 +53,16 @@ class PairwiseCosts:
     search build the GM instances they solve as tables of this type.
 
     The entries are stored as four read-only numpy arrays, arrays(): 24
-    bytes per linear and 40 per quadratic entry. Linear entries are stored
-    ascending in (i, s), whatever order they were given in; quadratic ones
-    keep their entry order, along which the GM heuristic sums. ``linear``
-    and ``quadratic`` are dict views of them in the same order, equal key
-    for key and bit for bit, built on first access (about 200 bytes per
-    entry) and kept. linear_cost, quad_get, equality, the reduction's
-    lookups and perfbench's probe build them; the solvers and write_problem
-    read the arrays or the problem's slot index instead. Tables are
-    immutable.
+    bytes per linear and 24 per quadratic entry. Linear entries are stored
+    ascending in (i, s), whatever order they were given in; a quadratic
+    entry is stored as the positions x < y of its two assignments among
+    them, and quadratic entries keep their entry order, along which the GM
+    heuristic sums. ``linear`` and ``quadratic`` are dict views of them in
+    the same order, equal key for key and bit for bit, built on first
+    access (about 200 bytes per entry) and kept. linear_cost, quad_get,
+    equality, the reduction's lookups and perfbench's probe build them;
+    the solvers and write_problem read the arrays or the problem's slot
+    index instead. Tables are immutable.
 
     The constructor checks every entry, values finite included; _trusted
     skips the checks for arrays known to pass them: parsed ones and those
@@ -101,16 +102,16 @@ class PairwiseCosts:
 
     @classmethod
     def _trusted(
-        cls, left_size, right_size, lin_keys, lin_values, quad_keys=None, quad_values=None
+        cls, left_size, right_size, lin_keys, lin_values, quad_pos=None, quad_values=None
     ) -> "PairwiseCosts":
         """A table over arrays() that pass every check of the constructor
-        and are stored as it stores them (canonical keys, linear keys
-        ascending in (i, s), int64 keys, float64 values); the arrays are
-        used, not copied, and made read-only."""
+        and are stored as it stores them (linear keys ascending in (i, s),
+        quadratic positions x < y, int64 keys and positions, float64
+        values); the arrays are used, not copied, and made read-only."""
         table = cls.__new__(cls)
-        if quad_keys is None:
-            quad_keys, quad_values = np.empty((4, 0), np.int64), np.empty(0)
-        table._store(left_size, right_size, (lin_keys, lin_values, quad_keys, quad_values))
+        if quad_pos is None:
+            quad_pos, quad_values = np.empty((2, 0), np.int64), np.empty(0)
+        table._store(left_size, right_size, (lin_keys, lin_values, quad_pos, quad_values))
         return table
 
     def _store(self, left_size, right_size, arrays) -> None:
@@ -121,8 +122,9 @@ class PairwiseCosts:
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """The read-only entries: linear key rows (i, s) and values,
-        ascending in (i, s), then quadratic key rows (i, s, j, t) and
-        values in entry order."""
+        ascending in (i, s), then quadratic position rows (x, y) and values
+        in entry order, where x < y are the positions of the entry's two
+        assignments among the linear entries."""
         return self._arrays
 
     @property
@@ -136,13 +138,12 @@ class PairwiseCosts:
     def _views(self) -> tuple[dict, dict]:
         """The dict views of arrays(), in their order, built on first use."""
         if self._dicts is None:
-            (i, s), lin_v, (qi, qs, qj, qt), quad_v = self._arrays
+            (i, s), lin_v, (x, y), quad_v = self._arrays
+            keys = list(zip(i.tolist(), s.tolist()))
+            key = keys.__getitem__
             self._dicts = (
-                dict(zip(zip(i.tolist(), s.tolist()), lin_v.tolist())),
-                dict(zip(
-                    zip(zip(qi.tolist(), qs.tolist()), zip(qj.tolist(), qt.tolist())),
-                    quad_v.tolist(),
-                )),
+                dict(zip(keys, lin_v.tolist())),
+                dict(zip(zip(map(key, x.tolist()), map(key, y.tolist())), quad_v.tolist())),
             )
         return self._dicts
 
@@ -152,16 +153,11 @@ class PairwiseCosts:
     def transposed(self) -> "PairwiseCosts":
         """The same table with the left and right sets swapped; the linear
         entries are sorted again, the quadratic ones keep their order."""
-        (i, s), lin_v, (qi, qs, qj, qt), quad_v = self._arrays
-        # An entry's assignments have distinct right vertices, which lead
-        # the swapped keys: the one with the larger goes second.
-        swap = qs > qt
+        (i, s), lin_v, quad_pos, quad_v = self._arrays
+        lin_keys, lin_values, rank = _sorted_linear(s, i, lin_v)
+        quad_pos = np.sort(rank[quad_pos], axis=0)
         return PairwiseCosts._trusted(
-            self.right_size,
-            self.left_size,
-            *_sorted_linear(s, i, lin_v),
-            np.where(swap, (qt, qj, qs, qi), (qs, qi, qt, qj)),
-            quad_v,
+            self.right_size, self.left_size, lin_keys, lin_values, quad_pos, quad_v
         )
 
     def __eq__(self, other):
@@ -181,23 +177,24 @@ class PairwiseCosts:
 
 
 def entry_arrays(linear: Mapping, quadratic: Mapping) -> tuple[np.ndarray, ...]:
-    """PairwiseCosts.arrays() of checked entry dicts: the linear entries
-    sorted, the quadratic ones in their order."""
+    """PairwiseCosts.arrays() of checked entry dicts with canonical
+    quadratic keys: the linear entries sorted, each quadratic key mapped to
+    the positions of its two assignments among them, and the quadratic
+    entries in their order."""
     n, m = len(linear), len(quadratic)
     lin_keys = np.fromiter(chain.from_iterable(linear), np.int64, 2 * n).reshape(n, 2)
-    return (
-        *_sorted_linear(*lin_keys.T, np.fromiter(linear.values(), np.float64, n)),
-        np.fromiter(
-            chain.from_iterable(chain.from_iterable(quadratic)), np.int64, 4 * m
-        ).reshape(m, 4).T.copy(),
-        np.fromiter(quadratic.values(), np.float64, m),
-    )
+    keys, values, rank = _sorted_linear(*lin_keys.T, np.fromiter(linear.values(), np.float64, n))
+    position = dict(zip(linear, rank.tolist())).__getitem__
+    quad_pos = np.fromiter(map(position, chain.from_iterable(quadratic)), np.int64, 2 * m)
+    quad_values = np.fromiter(quadratic.values(), np.float64, m)
+    return keys, values, quad_pos.reshape(m, 2).T.copy(), quad_values
 
 
 def _sorted_linear(i: np.ndarray, s: np.ndarray, values: np.ndarray):
-    """Linear key rows (i, s) and their values, ascending in (i, s)."""
+    """Linear key rows (i, s) and their values, ascending in (i, s), and
+    the position each given entry takes among them."""
     order = np.lexsort((s, i))
-    return np.stack((i[order], s[order])), values[order]
+    return np.stack((i[order], s[order])), values[order], np.argsort(order)
 
 
 class SlotIndex(NamedTuple):
@@ -278,14 +275,11 @@ class MgmProblem:
             # linear entries sorted, so sorting each table's quadratic keys
             # sorts codes and keys globally.
             base = lin_at = quad_at = 0
-            for (p, q), ((i, s), lin_v, (qi, qs, qj, qt), quad_v) in tables:
+            for (p, q), ((i, s), lin_v, (x, y), quad_v) in tables:
                 offsets[p, q] = base
-                local = i * sizes[q] + s
-                lin = slice(lin_at, lin_at + len(local))
-                codes[lin], linear[lin] = base + local, lin_v
-                x = lin_at + np.searchsorted(local, qi * sizes[q] + qs)
-                y = lin_at + np.searchsorted(local, qj * sizes[q] + qt)
-                table_keys = np.minimum(x, y) * (n_lin + 1) + np.maximum(x, y)
+                lin = slice(lin_at, lin_at + len(lin_v))
+                codes[lin], linear[lin] = base + i * sizes[q] + s, lin_v
+                table_keys = (lin_at + x) * (n_lin + 1) + lin_at + y
                 by_key = np.argsort(table_keys)
                 quad = slice(quad_at, quad_at + len(by_key))
                 keys[quad], quad_values[quad] = table_keys[by_key], quad_v[by_key]

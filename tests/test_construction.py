@@ -147,12 +147,16 @@ def reference_costs(problem, a, b):
 
 def assert_passes_checks(table):
     """table equals the validating constructor's rebuild of it, entry
-    order and partner lists included: the rebuild stores the linear
-    entries sorted, so the table must too."""
+    order, stored arrays and partner lists included: the rebuild stores
+    the linear entries sorted and each quadratic entry as the positions
+    x < y of its assignments among them, so the table must too."""
     rebuilt = PairwiseCosts(table.left_size, table.right_size, table.linear, table.quadratic)
     assert table == rebuilt
     assert list(table.linear) == list(rebuilt.linear)
     assert list(table.quadratic) == list(rebuilt.quadratic)
+    for got, want in zip(table.arrays(), rebuilt.arrays(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     assert _Ids(table).partners == _Ids(rebuilt).partners
 
 
@@ -196,8 +200,16 @@ class TestTrustedTables:
     def test_transposed(self, case):
         problem, _, _ = case
         for table in problem.costs.values():
-            assert_passes_checks(table.transposed())
-            assert table.transposed().transposed() == table
+            transposed = table.transposed()
+            assert_passes_checks(transposed)
+            assert transposed.linear == {(s, i): v for (i, s), v in table.linear.items()}
+            # The keys swapped and made canonical again, in entry order.
+            swapped = {
+                tuple(sorted(((b, a), (d, c)))): v
+                for ((a, b), (c, d)), v in table.quadratic.items()
+            }
+            assert list(transposed.quadratic.items()) == list(swapped.items())
+            assert transposed.transposed() == table
 
     @given(split_problems())
     def test_parsed(self, case):

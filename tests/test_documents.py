@@ -5,7 +5,8 @@ the solution document without its wall_time_ms line, and the trace CSV
 without its elapsed-time column. Neither changes unless a result, or the
 way it is written, changes: a refactoring of the solve path must leave
 every digest as it is. After a deliberate change of results, the failing
-assertion shows the new digests.
+assertion shows the new digests. One more digest pins the text
+write_problem makes of a parsed model.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from mgmatch.cli import main
-from mgmatch.io import write_problem, write_solution
+from mgmatch.io import parse_problem, write_problem, write_solution
 
 from conftest import part
 
@@ -27,12 +28,20 @@ import instances  # noqa: E402
 # solves in well under a second, and on which a full solve accepts both GM
 # and swap moves.
 WORMS_SMALL = {"d": 8, "n": 10, "candidates": 6, "quadratic": 40}
+# A smaller one, whose GM instances are small enough for exhaustive effort
+# to solve every construction step by brute force.
+WORMS_TINY = {"d": 6, "n": 5, "candidates": 3, "quadratic": 8}
+WORMS_MODELS = {"worms": WORMS_SMALL, "worms-tiny": WORMS_TINY}
 
 CONFIGS = {
     "worms-full": ("worms", ["--mode", "full"]),
     "worms-sync": ("worms", ["--mode", "sync", "--sync-mode", "sparse"]),
     "worms-par": ("worms", ["--mode", "full", "--construction", "par"]),
     "worms-inc": ("worms", ["--mode", "full", "--construction", "inc:3"]),
+    "worms-fast": ("worms", ["--mode", "full", "--gm-effort", "fast"]),
+    "worms-tiny-exhaustive": (
+        "worms-tiny", ["--mode", "construct", "--gm-effort", "exhaustive"]
+    ),
     "worms-dense-post-ls": (
         "worms", ["--mode", "sync", "--sync-mode", "dense", "--sync-post-ls"]
     ),
@@ -59,6 +68,14 @@ DIGESTS = {
         "5e40143422127d11a53a6d8a8ed6114633e0b1c14e35eacf39f2244f21b41caa",
         "aaff4a842ee0edb85bc4507e90d8a8e95077c13e07476fbf22deedfec65f123c",
     ),
+    "worms-fast": (
+        "14b879a74f7ec761be4e3a46c58a7924a16f5545e4ebac05e6610fb089ef2cf1",
+        "a5d898ae8abe8e29f8c5faa3e9c41cdc9b3141055bbc9ce076d47509b228c7b6",
+    ),
+    "worms-tiny-exhaustive": (
+        "df52af4703e2c86e5f27af3094364ccc0009c0cefdf621f0773e9165df45ae7c",
+        "2d64edfe8b4715f82a3df38d3a83cbf35bd20ce1b2766a1372ed2871d82c31b0",
+    ),
     "worms-dense-post-ls": (
         "cce088d13f5fae448c590836fe9612cd0ff71798959bc8f5b081a976cb8b4c99",
         "a57821e770994db19b05043cf5bc24feeefc91951b87997b3bb75d97a6e6443c",
@@ -74,6 +91,10 @@ DIGESTS = {
 }
 
 
+# The sha256 of write_problem's text of the parsed "worms" model.
+WRITTEN_WORMS_DIGEST = "ed121f5188f629b297986670ee50323d31387ceb13f748fcfa65cbbe6e3c0ac9"
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -86,14 +107,18 @@ def trace_digest(text: str) -> str:
     return sha256("".join(line.partition(",")[2] + "\n" for line in text.splitlines()))
 
 
+def worms_text(model: str) -> str:
+    instance = instances.worms_like(4, **WORMS_MODELS[model])
+    return instances.write_dd(instance, layout_seed=1)
+
+
 def run_config(name, fixtures, tmp_path) -> tuple[str, str]:
     """The written document and trace of one configuration; ``fixtures``
     maps the names of the conftest problems to their values."""
     model, flags = CONFIGS[name]
     problem = tmp_path / "problem.dd"
-    if model == "worms":
-        instance = instances.worms_like(4, **WORMS_SMALL)
-        problem.write_text(instances.write_dd(instance, layout_seed=1))
+    if model in WORMS_MODELS:
+        problem.write_text(worms_text(model))
     else:
         problem.write_text(write_problem(fixtures[model]))
     if model == "t3":
@@ -113,3 +138,9 @@ def test_document_and_trace_digests(name, t3, chain3, tmp_path):
     assert "Infinity" not in document
     assert (document_digest(document), trace_digest(trace)) == DIGESTS[name]
 
+
+def test_written_problem_digest():
+    """write_problem's text of the parsed worms model: its assignment ids
+    and the id pairs of its 'e' lines are read from the stored tables."""
+    text = write_problem(parse_problem(worms_text("worms")))
+    assert sha256(text) == WRITTEN_WORMS_DIGEST

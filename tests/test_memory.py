@@ -47,7 +47,7 @@ def test_solves_build_no_dict_views(problem_text, tmp_path, monkeypatch, argv):
 
 
 def test_parsed_entries_are_compact():
-    """A parsed entry holds 24 (linear) or 40 (quadratic) bytes of arrays, far
+    """A parsed entry holds 24 bytes of arrays, linear or quadratic, far
     below the ~190 bytes of dict tables."""
     rng = random.Random(3)
     sizes = [30, 30, 30, 30]
@@ -74,4 +74,4 @@ def test_parsed_entries_are_compact():
     finally:
         tracemalloc.stop()
     assert first == second
-    assert live / entries < 40
+    assert live / entries < 28

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -284,12 +285,16 @@ class TestPairwiseCosts:
             linear={(1, 2): -1.5, (0, 0): 2.0, (1, 0): 1.0, (0, 2): 3.0},
             quadratic={((1, 2), (0, 0)): 0.25, ((0, 2), (1, 0)): -0.5},
         )
-        lin_keys, lin_values, quad_keys, quad_values = table.arrays()
+        lin_keys, lin_values, quad_pos, quad_values = table.arrays()
         assert lin_keys.tolist() == [[0, 0, 1, 1], [0, 2, 0, 2]]
         assert lin_values.tolist() == [2.0, 3.0, 1.0, -1.5]
         assert list(table.linear) == [(0, 0), (0, 2), (1, 0), (1, 2)]
-        assert quad_keys.tolist() == [[0, 0], [0, 2], [1, 1], [2, 0]]
+        # The positions of the two assignments among the sorted linear
+        # entries, lower first.
+        assert quad_pos.dtype == np.int64
+        assert quad_pos.tolist() == [[0, 1], [3, 2]]
         assert quad_values.tolist() == [0.25, -0.5]
+        assert list(table.quadratic) == [((0, 0), (1, 2)), ((0, 2), (1, 0))]
         assert table.arrays() is table.arrays()
 
     def test_transposed_sorts_linear_entries_and_keeps_quadratic_order(self):
@@ -299,11 +304,14 @@ class TestPairwiseCosts:
             linear={(0, 1): 1.0, (1, 0): 2.0, (1, 2): 3.0},
             quadratic={((0, 1), (1, 2)): 0.5, ((0, 1), (1, 0)): -0.5},
         ).transposed()
-        lin_keys, lin_values, quad_keys, quad_values = table.arrays()
+        lin_keys, lin_values, quad_pos, quad_values = table.arrays()
         assert lin_keys.tolist() == [[0, 1, 2], [1, 0, 1]]
         assert lin_values.tolist() == [2.0, 1.0, 3.0]
-        assert quad_keys.tolist() == [[1, 0], [0, 1], [2, 1], [1, 0]]
+        # Re-ranked to the new linear order, lower position first.
+        assert quad_pos.dtype == np.int64
+        assert quad_pos.tolist() == [[1, 0], [2, 1]]
         assert quad_values.tolist() == [0.5, -0.5]
+        assert table.quadratic == {((1, 0), (2, 1)): 0.5, ((0, 1), (1, 0)): -0.5}
 
     def test_partner_lists_in_entry_order(self):
         linear = {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (0, 2): 1.0}
@@ -336,8 +344,8 @@ class TestPairwiseCosts:
                 assert got.tobytes() == want.tobytes()
 
     def test_arrays_of_an_empty_table(self):
-        lin_keys, lin_values, quad_keys, quad_values = PairwiseCosts(2, 2).arrays()
-        assert lin_keys.shape == (2, 0) and quad_keys.shape == (4, 0)
+        lin_keys, lin_values, quad_pos, quad_values = PairwiseCosts(2, 2).arrays()
+        assert lin_keys.shape == quad_pos.shape == (2, 0)
         assert lin_values.shape == quad_values.shape == (0,)
 
 
