@@ -64,10 +64,7 @@ def clique_clique_costs(
     common = columns_a.keys() & columns_b.keys()
     if common:
         raise OverlapError(f"partial solutions share objects {sorted(common)}")
-    cols = {
-        p: np.array([-1 if k is None else k for k in column], dtype=np.int64)
-        for p, column in (*columns_a.items(), *columns_b.items())
-    }
+    cols = {**columns_a, **columns_b}
     # Per stored linear entry, the cliques holding its vertices (-1:
     # uncovered), per quadratic one the positions of its linear entries in
     # the concatenation; one empty row, so that concatenation works without

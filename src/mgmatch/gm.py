@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect_left
 from enum import Enum
 from itertools import combinations
 from typing import Callable
@@ -200,9 +199,9 @@ class _Ids:
     ``left[k]`` and ``right[k]``, and quadratic entries ``partners[k]`` as
     (id, value) in entry order; ``at[a * right_size + b]`` is the id of
     (a, b), -1 where forbidden. An entry joins the ids x < y that the
-    table stores as its positions, which quad() looks up."""
+    table stores as its positions; quad() looks it up by x * n + y."""
 
-    __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at", "_keys", "_values")
+    __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at", "_quad")
 
     def __init__(self, sub: PairwiseCosts):
         self.sub = sub
@@ -218,16 +217,11 @@ class _Ids:
         for xk, yk, value in zip(x.tolist(), y.tolist(), quad_v.tolist()):
             partners[xk].append((yk, value))
             partners[yk].append((xk, value))
-        keys = x * n + y
-        by_key = np.argsort(keys)
-        self._keys = keys[by_key].tolist() + [n * n]  # a sentinel above every key
-        self._values = quad_v[by_key].tolist()
+        self._quad = dict(zip((x * n + y).tolist(), quad_v.tolist()))
 
     def quad(self, x: int, y: int) -> float:
         """The quadratic entry joining ids x < y, 0.0 where there is none."""
-        key = x * len(self.cost) + y
-        k = bisect_left(self._keys, key)
-        return self._values[k] if self._keys[k] == key else 0.0
+        return self._quad.get(x * len(self.cost) + y, 0.0)
 
 
 def _pair_terms(ids: _Ids, chosen: list[int]):

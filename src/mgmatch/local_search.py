@@ -59,7 +59,6 @@ from .model import (
     ObjectiveTerms,
     assignment_slots,
     objective,
-    solution_vertices,
     validate,
 )
 
@@ -132,21 +131,20 @@ def _replace(solution: CliquePartition, replacements: dict[int, Clique]) -> Cliq
 
 
 class _SwapView(NamedTuple):
-    """What swap_deltas reads of a solution. Per clique: its position, its
-    vertex per object (model.solution_vertices), and assignment_slots of
-    its own vertex pairs. Per slot of the problem's SlotIndex: the linear
-    cost plus the realized partner sum, the quadratic entries joining the
-    slot to an assignment inside a clique."""
+    """What swap_deltas reads of a solution besides its vertex index
+    (CliquePartition.vertices). Per clique: its position and
+    assignment_slots of its own vertex pairs. Per slot of the problem's
+    SlotIndex: the linear cost plus the realized partner sum, the
+    quadratic entries joining the slot to an assignment inside a clique."""
 
     position: dict[Clique, int]
-    vertices: np.ndarray
     own: tuple[np.ndarray, np.ndarray, np.ndarray]
     values: np.ndarray
 
 
 def _swap_view(problem: MgmProblem, solution: CliquePartition) -> _SwapView:
     index = problem.slot_index()
-    vertices = solution_vertices(problem, solution)
+    vertices = solution.vertices(problem.sizes)
     p, q = np.triu_indices(problem.d, 1)
     own = assignment_slots(problem, p, q, vertices[:, p], vertices[:, q])
     realized = np.zeros(len(index.codes), bool)
@@ -161,7 +159,7 @@ def _swap_view(problem: MgmProblem, solution: CliquePartition) -> _SwapView:
         len(index.codes),
     )
     position = {clique: k for k, clique in enumerate(solution.cliques)}
-    return _SwapView(position, vertices, own, index.linear + partner_sums)
+    return _SwapView(position, own, index.linear + partner_sums)
 
 
 def swap_deltas(
@@ -203,7 +201,8 @@ def swap_deltas(
         raise ValueError("swap deltas need two distinct cliques")
     index = problem.slot_index()
     p, q = np.triu_indices(problem.d, 1)
-    a, b = view.vertices[first], view.vertices[second]
+    vertices = solution.vertices(problem.sizes)
+    a, b = vertices[first], vertices[second]
     kept_a, kept_b = tuple(own[first] for own in view.own), tuple(own[second] for own in view.own)
     moved_a = assignment_slots(problem, p, q, b[:, p], a[:, q])  # first after swapping p
     moved_b = assignment_slots(problem, p, q, a[:, p], b[:, q])

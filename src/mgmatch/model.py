@@ -418,40 +418,58 @@ class CliquePartition:
     implicit; equality ignores the difference. The stored clique order is
     deterministic and meaningful to callers that build matching instances
     against it.
+
+    One index answers which clique holds which vertex, built by one loop
+    over the members for the sizes asked and cached for the last sizes,
+    compared by value. It has two read-only int64 views: columns(sizes),
+    the clique of each vertex per covered object, and vertices(sizes), the
+    vertex of each clique on each object; -1 marks no clique or no vertex.
+    Building it raises IndexError for an object or vertex outside sizes
+    and DuplicateVertexError for a vertex in two cliques.
     """
 
-    __slots__ = ("cliques", "_columns", "_canonical")
+    __slots__ = ("cliques", "_index", "_canonical")
 
     def __init__(self, cliques: Iterable[Clique] = ()):
         self.cliques = tuple(c for c in cliques if len(c) > 0)
-        self._columns = None
+        self._index = None
         self._canonical = None
 
-    def columns(self, sizes: Sequence[int]) -> dict[int, list[int | None]]:
+    def columns(self, sizes: Sequence[int]) -> dict[int, np.ndarray]:
         """Per covered object p, the index of the clique holding each of its
-        sizes[p] vertices, None where no clique does.
+        sizes[p] vertices, -1 where no clique does."""
+        return self._vertex_index(sizes)[1]
 
-        Raises IndexError for an object or vertex outside sizes and
-        DuplicateVertexError for a vertex in two cliques. Cached for the
-        last sizes asked, compared by value; callers must not mutate it.
-        """
+    def vertices(self, sizes: Sequence[int]) -> np.ndarray:
+        """The vertex of each clique on each object, cliques x len(sizes),
+        -1 where the clique covers none of the object's vertices."""
+        return self._vertex_index(sizes)[2]
+
+    def _vertex_index(self, sizes: Sequence[int]):
         sizes = tuple(sizes)
-        if self._columns is None or self._columns[0] != sizes:
-            columns: dict[int, list[int | None]] = {}
+        if self._index is None or self._index[0] != sizes:
+            d = len(sizes)
+            columns: dict[int, list[int]] = {}
+            flat = [-1] * (len(self.cliques) * d)
             for idx, clique in enumerate(self.cliques):
                 for p, v in clique.pairs:
                     column = columns.get(p)
                     if column is None:
-                        if not 0 <= p < len(sizes):
+                        if not 0 <= p < d:
                             raise IndexError(f"object index {p} out of range")
-                        column = columns[p] = [None] * sizes[p]
+                        column = columns[p] = [-1] * sizes[p]
                     if not 0 <= v < len(column):
                         raise IndexError(f"vertex {v} out of range for object {p}")
-                    if column[v] is not None:
+                    if column[v] >= 0:
                         raise DuplicateVertexError(f"vertex ({p},{v}) appears in two cliques")
                     column[v] = idx
-            self._columns = sizes, columns
-        return self._columns[1]
+                    flat[idx * d + p] = v
+            arrays = {p: np.array(column, np.int64) for p, column in columns.items()}
+            vertices = np.array(flat, np.int64).reshape(len(self.cliques), d)
+            for view in (*arrays.values(), vertices):
+                view.flags.writeable = False
+            self._index = sizes, arrays, vertices
+        return self._index
 
     def canonical(self) -> frozenset:
         """Cliques of size >= 2; singletons are normalization noise."""
@@ -472,7 +490,7 @@ class CliquePartition:
             Clique({p: v})
             for p in range(len(sizes))
             for v in range(sizes[p])
-            if p not in columns or columns[p][v] is None
+            if p not in columns or columns[p][v] < 0
         ]
         return CliquePartition(list(self.cliques) + extra)
 
@@ -516,26 +534,10 @@ def lookup_linear(problem: MgmProblem, p: int, q: int, i: int, s: int) -> float:
 def validate(problem, solution: CliquePartition) -> None:
     """Raise unless the partition is feasible for the problem.
 
-    Building the solution's columns checks index ranges and global
+    Building the solution's vertex index checks index ranges and global
     disjointness; the one-vertex-per-object rule is structural in Clique.
     """
     solution.columns(problem.sizes)
-
-
-def solution_vertices(
-    problem: MgmProblem, solution: CliquePartition, cliques: Sequence[int] | None = None
-) -> np.ndarray:
-    """The vertex of each clique on each object, cliques x d, -1 where the
-    clique covers none; ``cliques`` picks the rows by clique index, all by
-    default. Building the solution's columns validates it."""
-    solution.columns(problem.sizes)
-    picked = solution.cliques if cliques is None else [solution.cliques[k] for k in cliques]
-    d = problem.d
-    flat = [-1] * (len(picked) * d)
-    for row, clique in enumerate(picked):
-        for p, v in clique.pairs:
-            flat[row * d + p] = v
-    return np.array(flat, np.int64).reshape(len(picked), d)
 
 
 def _ranges(first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -566,20 +568,19 @@ class ObjectiveTerms:
     A pair's terms are the slot-index costs of the assignments stored
     among the cliques covering both objects, and the slot-index quadratic
     entries whose two slots are both realized; a present assignment that
-    is not stored adds math.inf, which makes the objective math.inf.
-    objective() is value() of a fresh instance. Re-matching object p
-    (split, then merge) changes only the terms on pairs that
-    contain p, so local search prices a candidate as math.fsum over the
-    unchanged terms plus p's new row: the same terms, and since fsum
-    rounds the exact sum correctly in any order, the same float
-    objective() returns for the candidate.
+    is not stored adds math.inf, which makes the objective math.inf. The
+    cliques' vertices are read from the solution's vertex index
+    (CliquePartition.vertices). objective() is value() of a fresh
+    instance. Re-matching object p (split, then merge) changes only the
+    terms on pairs that contain p, so local search prices a candidate as
+    math.fsum over the unchanged terms plus p's new row: the same terms,
+    and since fsum rounds the exact sum correctly in any order, the same
+    float objective() returns for the candidate.
     """
 
     def __init__(self, problem: MgmProblem, solution: CliquePartition):
-        index = problem.slot_index()
         self.problem = problem
-        self._ends = np.divmod(index.quad_keys[:-1], len(index.codes))
-        vertices = solution_vertices(problem, solution)
+        vertices = solution.vertices(problem.sizes)
         self.pairs, self.values = self._terms(vertices, *np.triu_indices(problem.d, 1))
 
     def _terms(self, vertices: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -594,23 +595,18 @@ class ObjectiveTerms:
         lo, hi = np.searchsorted(index.codes, (start, start + sizes[p] * sizes[q]))
         first, last = np.searchsorted(index.quad_keys, np.stack((lo, hi)) * len(index.codes))
         keys = _ranges(first, last)
-        # Slot x of pair k's table is tagged at x - shift[k], in a window
-        # that holds the pairs' slot ranges one after another.
-        shift = lo - (np.cumsum(hi - lo) - (hi - lo))
         slots, stored, forbidden = assignment_slots(
             problem, p, q, vertices[:, p], vertices[:, q]
         )
-        pair = np.broadcast_to(p * problem.d + q, slots.shape)
-        tag = np.full(np.sum(hi - lo), -1)
-        tag[(slots - shift)[stored]] = pair[stored]
-        # An entry's two slots lie in one table, so either slot's tag names
-        # its pair; it is realized when both slots are.
-        key_shift = np.repeat(shift, last - first)
-        low, high = self._ends[0][keys] - key_shift, self._ends[1][keys] - key_shift
-        realized = np.where(tag[high] >= 0, tag[low], -1)
-        both = realized >= 0
+        tag = p * problem.d + q
+        pair = np.broadcast_to(tag, slots.shape)
+        marked = np.zeros(len(index.codes), bool)
+        marked[slots[stored]] = True
+        # An entry's two slots lie in its table; it is realized when both are.
+        low, high = np.divmod(index.quad_keys[keys], len(index.codes))
+        both = marked[low] & marked[high]
         return (
-            np.concatenate((pair[stored], pair[forbidden], realized[both])),
+            np.concatenate((pair[stored], pair[forbidden], np.repeat(tag, last - first)[both])),
             np.concatenate((
                 index.linear[slots[stored]],
                 np.full(np.count_nonzero(forbidden), math.inf),
@@ -623,10 +619,11 @@ class ObjectiveTerms:
         contain object p, read from the cliques that cover p and from p's
         d - 1 tables."""
         problem = self.problem
-        column = solution.columns(problem.sizes).get(p, ())
-        vertices = solution_vertices(problem, solution, sorted(k for k in column if k is not None))
+        vertices = solution.vertices(problem.sizes)
         others = np.array([q for q in range(problem.d) if q != p], np.int64)
-        return self._terms(vertices, np.minimum(others, p), np.maximum(others, p))
+        return self._terms(
+            vertices[vertices[:, p] >= 0], np.minimum(others, p), np.maximum(others, p)
+        )
 
     def _kept(self, p: int) -> np.ndarray:
         d = self.problem.d

@@ -20,13 +20,22 @@ from mgmatch.model import (
 )
 
 
+def none_columns(solution, sizes):
+    """CliquePartition.columns as lists, with None where it has -1 (no
+    clique holds the vertex), as the references below read them."""
+    return {
+        p: [None if k < 0 else k for k in column.tolist()]
+        for p, column in solution.columns(sizes).items()
+    }
+
+
 def dict_clique_clique_costs(problem, a, b):
     """construction.clique_clique_costs as dict loops, for bitwise checks of
     the array kernel: (linear, quadratic) with the same keys, key order and
     float summation order; linear keys are sorted, as every table stores
     them, and quadratic keys come in first-term order."""
-    columns_a = a.columns(problem.sizes)
-    columns_b = b.columns(problem.sizes)
+    columns_a = none_columns(a, problem.sizes)
+    columns_b = none_columns(b, problem.sizes)
     lin_sum, lin_cnt, quad_sum = {}, {}, {}
     for p in sorted(columns_a):
         for q in sorted(columns_b):
@@ -74,7 +83,7 @@ def reference_swap_deltas(problem, solution, first, second):
     forbidden: per object pair, the terms that involve the four affected
     assignments, looked up along their partner lists before and after
     swapping p alone."""
-    columns = solution.columns(problem.sizes)
+    columns = none_columns(solution, problem.sizes)
     idx_first = solution.cliques.index(first)
     idx_second = solution.cliques.index(second)
     exchanged = {idx_first: idx_second, idx_second: idx_first}

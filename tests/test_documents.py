@@ -39,6 +39,8 @@ CONFIGS = {
     "worms-par": ("worms", ["--mode", "full", "--construction", "par"]),
     "worms-inc": ("worms", ["--mode", "full", "--construction", "inc:3"]),
     "worms-fast": ("worms", ["--mode", "full", "--gm-effort", "fast"]),
+    "worms-ls-swap": ("worms", ["--mode", "full", "--ls", "swap"]),
+    "worms-ls-gm": ("worms", ["--mode", "full", "--ls", "gm", "--runs", "2"]),
     "worms-tiny-exhaustive": (
         "worms-tiny", ["--mode", "construct", "--gm-effort", "exhaustive"]
     ),
@@ -71,6 +73,14 @@ DIGESTS = {
     "worms-fast": (
         "14b879a74f7ec761be4e3a46c58a7924a16f5545e4ebac05e6610fb089ef2cf1",
         "a5d898ae8abe8e29f8c5faa3e9c41cdc9b3141055bbc9ce076d47509b228c7b6",
+    ),
+    "worms-ls-swap": (
+        "b06aea70f7ad7e1f56696f54c11b765347c67593ac767bba4a3ec97c9217f68b",
+        "ce5589de55ac0dd2bba9c238c88f3933bff938615849add43c762d3988a8e98b",
+    ),
+    "worms-ls-gm": (
+        "244cb9713e7e524667cf3b83a059cde7bc8b481c317e049f1d7641dbe226970a",
+        "63596719a7181c8149516f0dcf70a87e1b4c2ccb2099c7e788c1d88a40c6ecdd",
     ),
     "worms-tiny-exhaustive": (
         "df52af4703e2c86e5f27af3094364ccc0009c0cefdf621f0773e9165df45ae7c",

@@ -53,7 +53,9 @@ def problems(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(2, 5))
     forbidden = draw(st.sampled_from([0.0, 0.3, 0.6, 0.85]))
-    return random_problem(rng, d, 3, forbidden_frac=forbidden), rng
+    # Objects of size 0 are covered by no clique.
+    min_size = draw(st.sampled_from([0, 1]))
+    return random_problem(rng, d, 3, forbidden_frac=forbidden, min_size=min_size), rng
 
 
 def rematch(problem, solution, p, seed):

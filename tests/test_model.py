@@ -98,15 +98,89 @@ class TestValidate:
     def test_columns_follow_the_sizes_asked(self):
         partition = part({0: 1, 1: 0})
         columns = partition.columns((2, 1))
-        assert columns == {0: [None, 0], 1: [0]}
+        assert as_lists(columns) == {0: [-1, 0], 1: [0]}
+        assert all(column.dtype == np.int64 for column in columns.values())
         assert partition.columns([2, 1]) is columns  # equal sizes: the cached index
-        assert partition.columns((3, 1)) == {0: [None, 0, None], 1: [0]}
+        assert as_lists(partition.columns((3, 1))) == {0: [-1, 0, -1], 1: [0]}
         with pytest.raises(IndexError):
             partition.columns((1, 1))
 
     def test_clique_rejects_two_per_object(self):
         with pytest.raises(DuplicateVertexError):
             Clique([(0, 0), (0, 1)])
+
+
+def as_lists(columns):
+    return {p: column.tolist() for p, column in columns.items()}
+
+
+class TestVertexIndex:
+    @given(st.integers(0, 2**32 - 1))
+    def test_views_agree(self, seed):
+        """vertices[columns[p][v], p] == v for every covered vertex, and
+        every other entry of the vertex table is -1; objects of size 0
+        and uncovered vertices included."""
+        rng = random.Random(seed)
+        problem = random_problem(rng, rng.randint(2, 5), 3, min_size=0)
+        full = random_partition(rng, problem)
+        partition = CliquePartition(c for c in full if rng.random() < 0.7)
+        columns, vertices = partition.columns(problem.sizes), partition.vertices(problem.sizes)
+        assert vertices.shape == (len(partition.cliques), problem.d)
+        assert vertices.dtype == np.int64
+        assert sorted(columns) == sorted(partition.objects())
+        expected = np.full(vertices.shape, -1)
+        for p, column in columns.items():
+            assert len(column) == problem.sizes[p]
+            for v, k in enumerate(column.tolist()):
+                if k >= 0:
+                    assert vertices[k, p] == v
+                    expected[k, p] = v
+        assert np.array_equal(vertices, expected)
+        for k, clique in enumerate(partition.cliques):
+            assert dict(clique.pairs) == {p: v for p, v in enumerate(vertices[k]) if v >= 0}
+
+    def test_views_are_read_only(self):
+        partition = part({0: 1, 1: 0}, {0: 0})
+        with pytest.raises(ValueError):
+            partition.vertices((2, 1))[0, 0] = 5
+        with pytest.raises(ValueError):
+            partition.columns((2, 1))[0][0] = 5
+
+    def test_views_are_cached_together(self):
+        partition = part({0: 1, 1: 0}, {0: 0})
+        vertices = partition.vertices((2, 1))
+        columns = partition.columns([2, 1])
+        assert partition.vertices([2, 1]) is vertices  # equal sizes, by value
+        assert partition.columns((2, 1)) is columns
+        wider = partition.vertices((3, 2, 1))
+        assert wider is not vertices
+        assert wider.tolist() == [[1, 0, -1], [0, -1, -1]]
+        assert partition.columns((3, 2, 1)) is not columns
+        assert as_lists(partition.columns((3, 2, 1))) == {0: [1, 0, -1], 1: [0, -1]}
+        again = partition.vertices((2, 1))  # the last sizes asked are the cached ones
+        assert again is not vertices and again.tolist() == [[1, 0], [0, -1]]
+
+    def test_empty_partition(self):
+        assert CliquePartition().vertices((2, 3)).shape == (0, 2)
+        assert CliquePartition().columns((2, 3)) == {}
+
+    @pytest.mark.parametrize(
+        "cliques, error",
+        [
+            (({0: 0}, {0: 0, 1: 0}), DuplicateVertexError),
+            (({0: 2},), IndexError),
+            (({3: 0},), IndexError),
+            (({0: -1},), IndexError),
+            (({-1: 0},), IndexError),
+        ],
+    )
+    def test_vertices_alone_raises_as_validate(self, t3, cliques, error):
+        with pytest.raises(error):
+            validate(t3, part(*cliques))
+        partition = part(*cliques)
+        for _ in range(2):  # a failed build caches nothing
+            with pytest.raises(error):
+                partition.vertices(t3.sizes)
 
 
 class TestNormalization:
