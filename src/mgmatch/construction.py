@@ -12,8 +12,9 @@ Aggregated costs: matching clique I to clique S prices every cross pair of
 their members, so a single forbidden member pair forbids the whole entry.
 Quadratic costs aggregate likewise over shared objects. Entries with no
 contributing term stay absent, which keeps instances sparse and guarantees
-the GM solver can never produce a forbidden match. np.bincount sums in
-entry order from 0.0; quadratic keys keep first-occurrence order.
+the GM solver can never produce a forbidden match. np.bincount sums the
+terms from 0.0 in the order they are read; the entries come out sorted,
+as every table stores them.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def clique_clique_costs(
     entry's two vertices of one object lie in distinct cliques, so every
     summed entry joins two assignments that share no node. Sums add terms
     from 0.0 in table, then arrays() order; the table's arrays are built
-    directly, linear keys sorted, quadratic entries in first-term order as
-    the positions of their two linear entries.
+    directly, in the order np.unique gives their codes: linear keys sorted,
+    quadratic entries as the positions x < y of their two linear entries,
+    sorted by (x, y).
     """
     columns_a = a.columns(problem.sizes)
     columns_b = b.columns(problem.sizes)
@@ -83,7 +85,7 @@ def clique_clique_costs(
     # Linear keys coded k * nb + l, which keeps tuple order; -1 codes an
     # uncovered entry, whose slot is never complete.
     codes = np.where((ka >= 0) & (kb >= 0), ka * nb + kb, -1)
-    codes, _, slot, sums, counts = _sum_by_code(codes, lin_v)
+    codes, slot, sums, counts = _sum_by_code(codes, lin_v)
     # A forbidden member pair leaves an entry with fewer terms than pairs.
     sizes = np.array([len(c) for c in a.cliques + b.cliques], dtype=np.int64)
     complete = (codes >= 0) & (counts == sizes[codes // nb] * sizes[na + codes % nb])
@@ -93,21 +95,19 @@ def clique_clique_costs(
     low, high = np.minimum(x, y), np.maximum(x, y)
     kept = complete[low] & complete[high]
     n = len(codes)
-    pairs, first, _, sums, _ = _sum_by_code(low[kept] * n + high[kept], quad_v[kept])
-    order = np.argsort(first)
+    pairs, _, sums, _ = _sum_by_code(low[kept] * n + high[kept], quad_v[kept])
     # A complete slot's position among the linear keys is its rank.
     position = np.cumsum(complete) - 1
-    quad_pos = position[np.stack(np.divmod(pairs[order], n))]
-    return PairwiseCosts._trusted(na, nb, lin_keys, lin_sums, quad_pos, sums[order])
+    quad_pos = position[np.stack(np.divmod(pairs, n))]
+    return PairwiseCosts._trusted(na, nb, lin_keys, lin_sums, quad_pos, sums)
 
 
 def _sum_by_code(codes, values):
-    """Sorted distinct codes, the position of each one's first occurrence,
-    each code's slot among them, sums and counts."""
-    keys, first, slot = np.unique(codes, return_index=True, return_inverse=True)
+    """Sorted distinct codes, each code's slot among them, sums and counts."""
+    keys, slot = np.unique(codes, return_inverse=True)
     # The weighted bincount of no codes is int64.
     sums = np.bincount(slot, values, len(keys)).astype(np.float64, copy=False)
-    return keys, first, slot, sums, np.bincount(slot, None, len(keys))
+    return keys, slot, sums, np.bincount(slot, None, len(keys))
 
 
 def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> CliquePartition:

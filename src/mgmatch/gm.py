@@ -197,9 +197,10 @@ class _Ids:
     sub.arrays(): id k is the k-th stored assignment (a, b) = ``pairs[k]``,
     so ids follow sorted order, with linear cost ``cost[k]``, nodes
     ``left[k]`` and ``right[k]``, and quadratic entries ``partners[k]`` as
-    (id, value) in entry order; ``at[a * right_size + b]`` is the id of
-    (a, b), -1 where forbidden. An entry joins the ids x < y that the
-    table stores as its positions; quad() looks it up by x * n + y."""
+    (id, value) ascending by id, as the table stores its entries sorted;
+    ``at[a * right_size + b]`` is the id of (a, b), -1 where forbidden. An
+    entry joins the ids x < y that the table stores as its positions;
+    quad() looks it up by x * n + y."""
 
     __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at", "_quad")
 
@@ -226,12 +227,14 @@ class _Ids:
 
 def _pair_terms(ids: _Ids, chosen: list[int]):
     """The stored quadratic entries among the ascending ids chosen, in the
-    order of combinations(chosen, 2). Adding the 0.0 of an absent entry
-    leaves a sum that is not -0.0 unchanged, so these are the terms."""
+    order of combinations(chosen, 2), since partner lists are ascending.
+    Adding the 0.0 of an absent entry leaves a sum that is not -0.0
+    unchanged, so these are the terms."""
     member = set(chosen)
     for x in chosen:
-        for _, value in sorted((y, v) for y, v in ids.partners[x] if y > x and y in member):
-            yield value
+        for y, value in ids.partners[x]:
+            if y > x and y in member:
+                yield value
 
 
 def _matching_cost(ids: _Ids, pairs) -> float:

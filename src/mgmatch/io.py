@@ -31,8 +31,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import IO, Any, Union
 
-import numpy as np
-
 from .model import (
     Clique,
     CliquePartition,
@@ -248,18 +246,18 @@ def write_problem(problem: MgmProblem) -> str:
 
     Assignment ids are positions in the table's linear entries, which are
     stored in (i, s) order, so an 'e' line's ids are the positions its
-    entry stores. 'e' lines are sorted by their id pair, so output is
-    deterministic and every 'e' line references earlier 'a' lines.
+    entry stores, and 'e' lines come in the stored order, sorted by their
+    id pair. So output is deterministic and every 'e' line references
+    earlier 'a' lines.
     """
     lines = []
     for (p, q), table in problem.costs.items():
         (i, s), lin_v, (x, y), quad_v = table.arrays()
-        order = np.lexsort((y, x))
         lines.append(f"gm {p} {q}")
         lines.append(f"p {problem.sizes[p]} {problem.sizes[q]} {len(lin_v)} {len(quad_v)}")
         for aid, (a, b, cost) in enumerate(zip(i.tolist(), s.tolist(), lin_v.tolist())):
             lines.append(f"a {aid} {a} {b} {cost!r}")
-        for id1, id2, cost in zip(x[order].tolist(), y[order].tolist(), quad_v[order].tolist()):
+        for id1, id2, cost in zip(x.tolist(), y.tolist(), quad_v.tolist()):
             lines.append(f"e {id1} {id2} {cost!r}")
     return "\n".join(lines) + "\n"
 

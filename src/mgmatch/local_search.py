@@ -91,14 +91,8 @@ def single_swap(
     does, its vertex moves to the other clique; if neither does, the
     solution is returned unchanged. Emptied cliques are dropped.
     """
-    idx_first = _index_of(solution, first)
-    idx_second = _index_of(solution, second)
-    if idx_first == idx_second:
-        raise ValueError("single swap needs two distinct cliques")
-    if not first.covers(p) and not second.covers(p):
-        return solution
-    new_first, new_second = _swap_cliques(first, second, (p,))
-    return _replace(solution, {idx_first: new_first, idx_second: new_second})
+    swapped = apply_multiswap(solution, first, second, [0] * p + [1])
+    return swapped if first.covers(p) or second.covers(p) else solution
 
 
 def _index_of(solution: CliquePartition, clique: Clique) -> int:
@@ -228,9 +222,12 @@ def swap_deltas(
 def apply_multiswap(
     solution: CliquePartition, first: Clique, second: Clique, bits: Sequence[int]
 ) -> CliquePartition:
-    """Perform the single swaps selected by the bit vector jointly."""
+    """Perform the single swaps selected by the bit vector jointly on two
+    distinct cliques of the solution."""
     idx_first = _index_of(solution, first)
     idx_second = _index_of(solution, second)
+    if idx_first == idx_second:
+        raise ValueError("a swap needs two distinct cliques")
     objects = [p for p, bit in enumerate(bits) if bit]
     new_first, new_second = _swap_cliques(first, second, objects)
     return _replace(solution, {idx_first: new_first, idx_second: new_second})

@@ -54,15 +54,15 @@ class PairwiseCosts:
 
     The entries are stored as four read-only numpy arrays, arrays(): 24
     bytes per linear and 24 per quadratic entry. Linear entries are stored
-    ascending in (i, s), whatever order they were given in; a quadratic
-    entry is stored as the positions x < y of its two assignments among
-    them, and quadratic entries keep their entry order, along which the GM
-    heuristic sums. ``linear`` and ``quadratic`` are dict views of them in
-    the same order, equal key for key and bit for bit, built on first
-    access (about 200 bytes per entry) and kept. linear_cost, quad_get,
-    equality, the reduction's lookups and perfbench's probe build them;
-    the solvers and write_problem read the arrays or the problem's slot
-    index instead. Tables are immutable.
+    ascending in (i, s); a quadratic entry is stored as the positions
+    x < y of its two assignments among them, and quadratic entries
+    ascending in (x, y). So the arrays depend on the entries alone, not on
+    the order they were given in. ``linear`` and ``quadratic`` are dict
+    views of them in the same order, equal key for key and bit for bit,
+    built on first access (about 200 bytes per entry) and kept.
+    linear_cost, quad_get, the reduction's lookups and perfbench's probe
+    build them; the solvers, equality and write_problem read the arrays or
+    the problem's slot index instead. Tables are immutable.
 
     The constructor checks every entry, values finite included; _trusted
     skips the checks for arrays known to pass them: parsed ones and those
@@ -105,9 +105,9 @@ class PairwiseCosts:
         cls, left_size, right_size, lin_keys, lin_values, quad_pos=None, quad_values=None
     ) -> "PairwiseCosts":
         """A table over arrays() that pass every check of the constructor
-        and are stored as it stores them (linear keys ascending in (i, s),
-        quadratic positions x < y, int64 keys and positions, float64
-        values); the arrays are used, not copied, and made read-only."""
+        and are stored as it stores them (both kinds of entries sorted,
+        positions x < y, int64 keys and positions, float64 values); the
+        arrays are used, not copied, and made read-only."""
         table = cls.__new__(cls)
         if quad_pos is None:
             quad_pos, quad_values = np.empty((2, 0), np.int64), np.empty(0)
@@ -122,9 +122,9 @@ class PairwiseCosts:
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """The read-only entries: linear key rows (i, s) and values,
-        ascending in (i, s), then quadratic position rows (x, y) and values
-        in entry order, where x < y are the positions of the entry's two
-        assignments among the linear entries."""
+        ascending in (i, s), then quadratic position rows (x, y) and values,
+        ascending in (x, y), where x < y are the positions of the entry's
+        two assignments among the linear entries."""
         return self._arrays
 
     @property
@@ -151,22 +151,18 @@ class PairwiseCosts:
         return self.quadratic.get(_canonical_quad_key(a, b), 0.0)
 
     def transposed(self) -> "PairwiseCosts":
-        """The same table with the left and right sets swapped; the linear
-        entries are sorted again, the quadratic ones keep their order."""
-        (i, s), lin_v, quad_pos, quad_v = self._arrays
-        lin_keys, lin_values, rank = _sorted_linear(s, i, lin_v)
-        quad_pos = np.sort(rank[quad_pos], axis=0)
+        """The same table with the left and right sets swapped."""
+        (i, s), lin_v, (x, y), quad_v = self._arrays
         return PairwiseCosts._trusted(
-            self.right_size, self.left_size, lin_keys, lin_values, quad_pos, quad_v
+            self.right_size, self.left_size, *_canonical(s, i, lin_v, x, y, quad_v)
         )
 
     def __eq__(self, other):
         if not isinstance(other, PairwiseCosts):
             return NotImplemented
-        return (
-            (self.left_size, self.right_size) == (other.left_size, other.right_size)
-            and self.linear == other.linear
-            and self.quadratic == other.quadratic
+        # Equal entries are stored alike, and values are finite.
+        return (self.left_size, self.right_size) == (other.left_size, other.right_size) and all(
+            np.array_equal(mine, theirs) for mine, theirs in zip(self._arrays, other._arrays)
         )
 
     def __repr__(self):
@@ -178,23 +174,27 @@ class PairwiseCosts:
 
 def entry_arrays(linear: Mapping, quadratic: Mapping) -> tuple[np.ndarray, ...]:
     """PairwiseCosts.arrays() of checked entry dicts with canonical
-    quadratic keys: the linear entries sorted, each quadratic key mapped to
-    the positions of its two assignments among them, and the quadratic
-    entries in their order."""
+    quadratic keys."""
     n, m = len(linear), len(quadratic)
-    lin_keys = np.fromiter(chain.from_iterable(linear), np.int64, 2 * n).reshape(n, 2)
-    keys, values, rank = _sorted_linear(*lin_keys.T, np.fromiter(linear.values(), np.float64, n))
-    position = dict(zip(linear, rank.tolist())).__getitem__
+    i, s = np.fromiter(chain.from_iterable(linear), np.int64, 2 * n).reshape(n, 2).T
+    position = dict(zip(linear, range(n))).__getitem__
     quad_pos = np.fromiter(map(position, chain.from_iterable(quadratic)), np.int64, 2 * m)
-    quad_values = np.fromiter(quadratic.values(), np.float64, m)
-    return keys, values, quad_pos.reshape(m, 2).T.copy(), quad_values
+    lin_v, quad_v = (np.fromiter(d.values(), np.float64, len(d)) for d in (linear, quadratic))
+    return _canonical(i, s, lin_v, *quad_pos.reshape(m, 2).T, quad_v)
 
 
-def _sorted_linear(i: np.ndarray, s: np.ndarray, values: np.ndarray):
-    """Linear key rows (i, s) and their values, ascending in (i, s), and
-    the position each given entry takes among them."""
+def _canonical(i, s, lin_values, x, y, quad_values) -> tuple[np.ndarray, ...]:
+    """PairwiseCosts.arrays() of linear entries (i, s) and quadratic ones
+    joining the given linear entries at positions x and y, all in any
+    order: the linear entries sorted ascending in (i, s), the quadratic
+    ones re-ranked to positions x < y among them and sorted by (x, y)."""
     order = np.lexsort((s, i))
-    return np.stack((i[order], s[order])), values[order], np.argsort(order)
+    rank = np.argsort(order)
+    x, y = rank[x], rank[y]
+    low, high = np.minimum(x, y), np.maximum(x, y)
+    by_pos = np.argsort(low * len(order) + high)
+    quad_pos = np.stack((low[by_pos], high[by_pos]))
+    return np.stack((i[order], s[order])), lin_values[order], quad_pos, quad_values[by_pos]
 
 
 class SlotIndex(NamedTuple):
@@ -272,17 +272,14 @@ class MgmProblem:
             codes, linear = np.empty(n_lin + 1, np.int64), np.empty(n_lin + 1)
             keys, quad_values = np.empty(n_quad + 1, np.int64), np.empty(n_quad + 1)
             # Tables fill consecutive code and slot ranges and store their
-            # linear entries sorted, so sorting each table's quadratic keys
-            # sorts codes and keys globally.
+            # entries sorted, so codes and keys are sorted globally.
             base = lin_at = quad_at = 0
             for (p, q), ((i, s), lin_v, (x, y), quad_v) in tables:
                 offsets[p, q] = base
                 lin = slice(lin_at, lin_at + len(lin_v))
                 codes[lin], linear[lin] = base + i * sizes[q] + s, lin_v
-                table_keys = (lin_at + x) * (n_lin + 1) + lin_at + y
-                by_key = np.argsort(table_keys)
-                quad = slice(quad_at, quad_at + len(by_key))
-                keys[quad], quad_values[quad] = table_keys[by_key], quad_v[by_key]
+                quad = slice(quad_at, quad_at + len(quad_v))
+                keys[quad], quad_values[quad] = (lin_at + x) * (n_lin + 1) + lin_at + y, quad_v
                 base, lin_at, quad_at = base + sizes[p] * sizes[q], lin.stop, quad.stop
             codes[-1], linear[-1] = base, 0.0
             keys[-1], quad_values[-1] = (n_lin + 1) ** 2, 0.0

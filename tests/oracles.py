@@ -32,8 +32,8 @@ def none_columns(solution, sizes):
 def dict_clique_clique_costs(problem, a, b):
     """construction.clique_clique_costs as dict loops, for bitwise checks of
     the array kernel: (linear, quadratic) with the same keys, key order and
-    float summation order; linear keys are sorted, as every table stores
-    them, and quadratic keys come in first-term order."""
+    float summation order; both kinds of keys are sorted, as every table
+    stores them."""
     columns_a = none_columns(a, problem.sizes)
     columns_b = none_columns(b, problem.sizes)
     lin_sum, lin_cnt, quad_sum = {}, {}, {}
@@ -62,7 +62,7 @@ def dict_clique_clique_costs(problem, a, b):
         if count == size_a[key[0]] * size_b[key[1]]
     }
     quadratic = {
-        key: value for key, value in quad_sum.items()
+        key: value for key, value in sorted(quad_sum.items())
         if key[0] in linear and key[1] in linear
     }
     return linear, quadratic

@@ -117,18 +117,19 @@ def trace_digest(text: str) -> str:
     return sha256("".join(line.partition(",")[2] + "\n" for line in text.splitlines()))
 
 
-def worms_text(model: str) -> str:
+def worms_text(model: str, layout_seed: int | None = 1) -> str:
     instance = instances.worms_like(4, **WORMS_MODELS[model])
-    return instances.write_dd(instance, layout_seed=1)
+    return instances.write_dd(instance, layout_seed=layout_seed)
 
 
-def run_config(name, fixtures, tmp_path) -> tuple[str, str]:
+def run_config(name, fixtures, tmp_path, layout_seed=1) -> tuple[str, str]:
     """The written document and trace of one configuration; ``fixtures``
-    maps the names of the conftest problems to their values."""
+    maps the names of the conftest problems to their values, and a worms
+    model is written in the dd layout of ``layout_seed``."""
     model, flags = CONFIGS[name]
     problem = tmp_path / "problem.dd"
     if model in WORMS_MODELS:
-        problem.write_text(worms_text(model))
+        problem.write_text(worms_text(model, layout_seed))
     else:
         problem.write_text(write_problem(fixtures[model]))
     if model == "t3":
@@ -154,3 +155,20 @@ def test_written_problem_digest():
     and the id pairs of its 'e' lines are read from the stored tables."""
     text = write_problem(parse_problem(worms_text("worms")))
     assert sha256(text) == WRITTEN_WORMS_DIGEST
+
+
+def test_layout_does_not_change_tables_or_results(tmp_path):
+    """Dd files that list the same entries in different orders parse to
+    byte-equal tables, which write_problem writes alike and which solve to
+    the pinned worms-full document and trace."""
+    layouts = (1, 2, None)
+    problems = [parse_problem(worms_text("worms", seed)) for seed in layouts]
+    for problem in problems[1:]:
+        for pair, table in problem.costs.items():
+            for got, want in zip(table.arrays(), problems[0].costs[pair].arrays()):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    assert len({write_problem(problem) for problem in problems}) == 1
+    for seed in layouts:
+        document, trace = run_config("worms-full", {}, tmp_path, seed)
+        assert (document_digest(document), trace_digest(trace)) == DIGESTS["worms-full"]

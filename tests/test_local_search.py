@@ -99,6 +99,14 @@ class TestSingleSwap:
         with pytest.raises(ValueError):
             single_swap(solution, Clique({0: 1}), Clique({0: 0, 1: 0}), 0)
 
+    def test_same_clique_rejected(self, t3):
+        solution = part({0: 0, 1: 0}, {2: 0})
+        first = solution.cliques[0]
+        with pytest.raises(ValueError):
+            single_swap(solution, first, first, 0)
+        with pytest.raises(ValueError):
+            apply_multiswap(solution, first, first, [1, 0, 0])
+
 
 class TestSwapDeltas:
     def test_t3_move_row(self, t3):

@@ -348,30 +348,49 @@ class TestPairwiseCosts:
         assert PairwiseCosts(2, 2) == PairwiseCosts(2, 2)
         assert PairwiseCosts(2, 2) != PairwiseCosts(2, 3)
 
+    def test_equality_compares_entries_not_their_order(self):
+        linear = {(0, 0): 1.0, (0, 2): 2.0, (1, 0): 3.0, (1, 1): 4.0, (1, 2): 5.0}
+        quadratic = {((0, 0), (1, 2)): 0.5, ((0, 2), (1, 0)): -0.5}
+        table = PairwiseCosts(2, 3, linear, quadratic)
+        others = {
+            "reordered": PairwiseCosts(
+                2, 3, dict(reversed(linear.items())), dict(reversed(quadratic.items()))
+            ),
+            "linear value": PairwiseCosts(2, 3, {**linear, (1, 1): 4.5}, quadratic),
+            "quadratic value": PairwiseCosts(
+                2, 3, linear, {**quadratic, ((0, 2), (1, 0)): -0.25}
+            ),
+            "extra entry": PairwiseCosts(2, 3, linear, {**quadratic, ((0, 0), (1, 1)): 0.25}),
+            "shape": PairwiseCosts(2, 4, linear, quadratic),
+        }
+        assert [name for name, other in others.items() if other == table] == ["reordered"]
+        # Equality reads the arrays and builds no dict views.
+        assert all(t._dicts is None for t in (table, *others.values()))
+
     def test_problem_rejects_table_of_wrong_shape(self):
         with pytest.raises(ValueError):
             MgmProblem([2, 3], {(0, 1): PairwiseCosts(3, 2)})
 
-    def test_arrays_sort_linear_entries_and_keep_quadratic_order(self):
+    def test_arrays_sort_linear_and_quadratic_entries(self):
         table = PairwiseCosts(
             2,
             3,
             linear={(1, 2): -1.5, (0, 0): 2.0, (1, 0): 1.0, (0, 2): 3.0},
-            quadratic={((1, 2), (0, 0)): 0.25, ((0, 2), (1, 0)): -0.5},
+            quadratic={((0, 2), (1, 0)): -0.5, ((1, 2), (0, 0)): 0.25},
         )
         lin_keys, lin_values, quad_pos, quad_values = table.arrays()
         assert lin_keys.tolist() == [[0, 0, 1, 1], [0, 2, 0, 2]]
         assert lin_values.tolist() == [2.0, 3.0, 1.0, -1.5]
         assert list(table.linear) == [(0, 0), (0, 2), (1, 0), (1, 2)]
         # The positions of the two assignments among the sorted linear
-        # entries, lower first.
+        # entries, lower first, and the entries sorted by them.
         assert quad_pos.dtype == np.int64
         assert quad_pos.tolist() == [[0, 1], [3, 2]]
         assert quad_values.tolist() == [0.25, -0.5]
         assert list(table.quadratic) == [((0, 0), (1, 2)), ((0, 2), (1, 0))]
         assert table.arrays() is table.arrays()
 
-    def test_transposed_sorts_linear_entries_and_keeps_quadratic_order(self):
+    def test_transposed_sorts_linear_and_quadratic_entries(self):
         table = PairwiseCosts(
             2,
             3,
@@ -381,11 +400,14 @@ class TestPairwiseCosts:
         lin_keys, lin_values, quad_pos, quad_values = table.arrays()
         assert lin_keys.tolist() == [[0, 1, 2], [1, 0, 1]]
         assert lin_values.tolist() == [2.0, 1.0, 3.0]
-        # Re-ranked to the new linear order, lower position first.
+        # Re-ranked to the new linear order, lower position first, and
+        # sorted again.
         assert quad_pos.dtype == np.int64
-        assert quad_pos.tolist() == [[1, 0], [2, 1]]
-        assert quad_values.tolist() == [0.5, -0.5]
-        assert table.quadratic == {((1, 0), (2, 1)): 0.5, ((0, 1), (1, 0)): -0.5}
+        assert quad_pos.tolist() == [[0, 1], [1, 2]]
+        assert quad_values.tolist() == [-0.5, 0.5]
+        assert list(table.quadratic.items()) == [
+            (((0, 1), (1, 0)), -0.5), (((1, 0), (2, 1)), 0.5)
+        ]
 
     def test_partner_lists_in_entry_order(self):
         linear = {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (0, 2): 1.0}
@@ -394,24 +416,30 @@ class TestPairwiseCosts:
             PairwiseCosts(3, 3, linear, quadratic),
             PairwiseCosts._trusted(3, 3, *entry_arrays(linear, quadratic)),
         ):
-            # ids follow sorted(linear): (0, 0), (0, 2), (1, 1), (2, 2)
+            # ids follow sorted(linear): (0, 0), (0, 2), (1, 1), (2, 2), and
+            # each partner list is ascending by id.
             assert _Ids(table).partners == [
-                [(2, -0.25)], [(2, 2.0)], [(3, 0.5), (0, -0.25), (1, 2.0)], [(2, 0.5)]
+                [(2, -0.25)], [(2, 2.0)], [(0, -0.25), (1, 2.0), (3, 0.5)], [(2, 0.5)]
             ]
         for view in table.arrays():
             with pytest.raises(ValueError):
                 view[...] = 0
 
     @given(st.integers(0, 2**32 - 1))
-    def test_arrays_do_not_depend_on_linear_entry_order(self, seed):
+    def test_arrays_do_not_depend_on_entry_order(self, seed):
         rng = random.Random(seed)
         table = random_problem(rng, 2, 5, quad_frac=0.5).costs[(0, 1)]
-        shape, linear = (table.left_size, table.right_size), list(table.linear.items())
+        shape = (table.left_size, table.right_size)
+        linear, quadratic = list(table.linear.items()), list(table.quadratic.items())
         rng.shuffle(linear)
-        ordered = PairwiseCosts(*shape, dict(sorted(linear)), table.quadratic)
+        rng.shuffle(quadratic)
+        linear, quadratic = dict(linear), dict(quadratic)
+        ordered = PairwiseCosts(
+            *shape, dict(sorted(linear.items())), dict(sorted(quadratic.items()))
+        )
         for shuffled in (
-            PairwiseCosts(*shape, dict(linear), table.quadratic),
-            PairwiseCosts._trusted(*shape, *entry_arrays(dict(linear), table.quadratic)),
+            PairwiseCosts(*shape, linear, quadratic),
+            PairwiseCosts._trusted(*shape, *entry_arrays(linear, quadratic)),
         ):
             for got, want in zip(shuffled.arrays(), ordered.arrays()):
                 assert got.dtype == want.dtype and got.shape == want.shape
