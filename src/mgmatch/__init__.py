@@ -25,7 +25,6 @@ from .gm import (
     register_solver,
     solve_gm,
     solve_lap,
-    solver_names,
 )
 from .io import (
     ParseError,

@@ -57,10 +57,9 @@ class RunConfig:
     trace_path: str | None = None
     seed: int = 42
     runs: int = 1
-    time_limit: float | None = None
+    time_limit: float = math.inf
     construction: str = "seq"  # seq | par | inc:<s>
     ls: str = "alternate"  # gm | swap | alternate | none
-    gm_solver: str = "default"
     gm_effort: str = "default"
     sync_mode: str = "sparse"  # dense | sparse | soft:<alpha>
     sync_post_ls: bool = False
@@ -71,7 +70,7 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.time_limit is not None and not self.time_limit > 0:
+        if not self.time_limit > 0:
             raise ValueError("time limit must be > 0 seconds")
         if self.ls not in LS_CHOICES:
             raise ValueError(f"unknown local search {self.ls!r}")
@@ -217,7 +216,7 @@ def run(config: RunConfig) -> int:
             )
             return 2
 
-    deadline = None if config.time_limit is None else started + config.time_limit
+    deadline = started + config.time_limit
     initial = None
     if config.initial_path is not None:
         try:
@@ -236,16 +235,12 @@ def run(config: RunConfig) -> int:
         "runs": config.runs,
         "solver": _solver_tag(config),
     }
-    try:
-        gm = functools.partial(get_solver(config.gm_solver), effort=config.effort)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    gm = functools.partial(get_solver("default"), effort=config.effort)
     results = []
     try:
         for run_index in range(config.runs):
             # The first restart always runs; later ones only before the deadline.
-            if results and deadline is not None and time.monotonic() >= deadline:
+            if results and time.monotonic() >= deadline:
                 break
             results.append(run_restart(problem, config, gm, run_index, deadline, initial))
     except ValueError as exc:
@@ -270,9 +265,7 @@ def run(config: RunConfig) -> int:
 
     metadata["objective"] = value
     metadata["wall_time_ms"] = (time.monotonic() - started) * 1000.0
-    metadata["time_limit_reached"] = bool(
-        deadline is not None and time.monotonic() >= deadline
-    )
+    metadata["time_limit_reached"] = time.monotonic() >= deadline
     document = mgm_io.write_solution(solution, metadata)
     if not config.output_path:
         print(document, end="")
@@ -296,22 +289,23 @@ def _write(path: str, text: str) -> bool:
 
 
 def _solver_tag(config: RunConfig) -> str:
-    """The algorithm flags the mode reads, plus the GM solver."""
+    """The algorithm flags the mode reads, plus the GM effort."""
     algorithm = {
         "construct": config.construction,
         "ls": config.ls,
         "full": f"{config.construction}+{config.ls}",
         "sync": config.sync_mode + ("+post-ls" if config.sync_post_ls else ""),
     }[config.mode]
-    return f"mgmatch/{config.mode}:{algorithm}/gm={config.gm_solver}:{config.gm_effort}"
+    return f"mgmatch/{config.mode}:{algorithm}/gm=default:{config.gm_effort}"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each dest but threads is a RunConfig field."""
     parser = argparse.ArgumentParser(
         prog="mgm",
         description="Incomplete multi-graph matching solver",
     )
-    parser.add_argument("input", help="problem file in dd format")
+    parser.add_argument("input_path", metavar="input", help="problem file in dd format")
     parser.add_argument("--mode", choices=MODES, default="full")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--runs", type=int, default=1, help="randomized restarts, best kept")
@@ -319,12 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1,
         help="accepted for compatibility with older command lines; has no effect",
     )
-    parser.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
+    parser.add_argument("--time-limit", type=float, default=math.inf, metavar="SECONDS")
     parser.add_argument(
         "--construction", default="seq", help="seq, par, or inc:<warm-start-size>"
     )
     parser.add_argument("--ls", choices=LS_CHOICES, default="alternate")
-    parser.add_argument("--gm-solver", default="default")
     parser.add_argument(
         "--gm-effort", choices=[e.value for e in Effort], default="default"
     )
@@ -335,35 +328,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--sync-post-ls", action="store_true",
         help="after sync, run local search on the original problem",
     )
-    parser.add_argument("--initial", default=None, help="warm-start solution (ls mode)")
-    parser.add_argument("--output", default=None, help="solution document path (default stdout)")
-    parser.add_argument("--trace", default=None, help="objective-over-time CSV path")
+    parser.add_argument(
+        "--initial", dest="initial_path", metavar="INITIAL", help="warm-start solution (ls mode)"
+    )
+    parser.add_argument(
+        "--output", dest="output_path", metavar="OUTPUT",
+        help="solution document path (default stdout)",
+    )
+    parser.add_argument(
+        "--trace", dest="trace_path", metavar="TRACE", help="objective-over-time CSV path"
+    )
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        mode=args.mode,
-        input_path=args.input,
-        output_path=args.output,
-        trace_path=args.trace,
-        seed=args.seed,
-        runs=args.runs,
-        time_limit=args.time_limit,
-        construction=args.construction,
-        ls=args.ls,
-        gm_solver=args.gm_solver,
-        gm_effort=args.gm_effort,
-        sync_mode=args.sync_mode,
-        sync_post_ls=args.sync_post_ls,
-        initial_path=args.initial,
-    )
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["threads"]  # parsed for older command lines, then ignored
     try:
-        config = config_from_args(args)
+        config = RunConfig(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ as every table stores them.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from itertools import groupby
 from typing import Callable, Sequence
@@ -233,12 +234,12 @@ def _chain(
     start: int,
     gm: GmSolver,
     seed: int,
-    deadline: float | None,
+    deadline: float,
 ) -> CliquePartition:
     """Match order[start:] onto acc one object at a time; step k is seeded by k.
     Objects not reached by the deadline stay unmatched."""
     for k in range(start, len(order)):
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             break
         _, acc = rematch(problem, order[k], acc, gm, derive_seed(seed, k))
     return acc
@@ -249,7 +250,7 @@ def construct_sequential(
     order: Sequence[int] | None = None,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> CliquePartition:
     """Chain construction: start from one object, match the next one in each step."""
     order = _permutation(problem, range(problem.d) if order is None else order)
@@ -262,7 +263,7 @@ def construct_parallel(
     tree: ConstructionTree,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> CliquePartition:
     """Tree construction: each internal node matches the partial solutions of
     its two subtrees and merges them, lower levels first.
@@ -283,7 +284,7 @@ def construct_parallel(
         for seq, node in level:
             a = solution_of(node[0])
             b = solution_of(node[1])
-            if deadline is not None and time.monotonic() >= deadline:
+            if time.monotonic() >= deadline:
                 matching = GmMatching()
             else:
                 matching = gm(clique_clique_costs(problem, a, b), derive_seed(seed, seq))
@@ -298,7 +299,7 @@ def construct_incremental(
     inner: Callable[[MgmProblem, int], CliquePartition],
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> CliquePartition:
     """Warm-start the chain: solve the first s objects with a full MGM pipeline.
 

@@ -11,9 +11,9 @@ matching moves and fusion of candidate matchings. Moves are priced by
 gains: each allowed assignment's quadratic cost to the current matching,
 kept up to date as moves are applied. The pipeline calls a solver as
 gm(sub, seed) (GmSolver), so the solver carries its effort, as in
-functools.partial(solve_gm, effort=Effort.FAST). Solvers are registered
-by name so stronger implementations can be plugged in; the CLI binds
---gm-effort to the registered one by keyword.
+functools.partial(solve_gm, effort=Effort.FAST). The registry holds one
+solver, under "default"; the CLI looks it up at run time, so a caller may
+replace it, and binds --gm-effort to it by keyword.
 """
 
 from __future__ import annotations
@@ -359,12 +359,12 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
     comp_index = {r: k for k, r in enumerate(comp_ids)}
     n_comp = len(comp_ids)
     side_of = {x: (comp_index[root(i)], int(i >= len(only_first))) for i, x in enumerate(nodes)}
+    # Each component's assignments per side, ascending (so keys are canonical).
+    sides: list[tuple[list[int], list[int]]] = [([], []) for _ in range(n_comp)]
+    for x, (k, label) in side_of.items():
+        sides[k][label].append(x)
 
-    def component_pairs(k, label):
-        return [x for x in nodes if side_of[x] == (k, label)]
-
-    def side_cost(k, label):
-        chosen = component_pairs(k, label)  # ascending, so keys are canonical
+    def side_cost(chosen):
         value = sum((ids.cost[x] for x in chosen), 0.0)
         for term in _pair_terms(ids, chosen):
             value += term
@@ -374,7 +374,7 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
                     value += v
         return value
 
-    unary = [(side_cost(k, 0), side_cost(k, 1)) for k in range(n_comp)]
+    unary = [(side_cost(zero), side_cost(one)) for zero, one in sides]
     pairwise: dict[tuple[int, int], list[float]] = {}
     for x in nodes:
         k1, label1 = side_of[x]
@@ -389,8 +389,8 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
     energy = qpbo.BinaryEnergy._trusted(n_comp, unary, {k: tuple(t) for k, t in pairwise.items()})
     labels = qpbo.minimize(energy, (0,) * n_comp, seed=seed)
     fused = {ids.pairs[x] for x in common}
-    for k in range(n_comp):
-        fused.update(ids.pairs[x] for x in component_pairs(k, labels[k]))
+    for side, label in zip(sides, labels):
+        fused.update(ids.pairs[x] for x in side[label])
     if _matching_cost(ids, fused) < _matching_cost(ids, (ids.pairs[x] for x in first)) - 1e-12:
         return sorted(ids.at[a * ids.sub.right_size + b] for a, b in fused)
     return first
@@ -458,14 +458,7 @@ def register_solver(name: str, solver: Callable[..., GmMatching]) -> None:
 
 
 def get_solver(name: str) -> Callable[..., GmMatching]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown GM solver {name!r}; known: {sorted(_REGISTRY)}") from None
-
-
-def solver_names() -> list[str]:
-    return sorted(_REGISTRY)
+    return _REGISTRY[name]
 
 
 register_solver("default", solve_gm)

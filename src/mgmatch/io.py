@@ -187,7 +187,10 @@ def parse_problem(source: TextSource) -> MgmProblem:
         (p, q): PairwiseCosts._trusted(size_list[p], size_list[q], *arrays)
         for (p, q), arrays in tables.items()
     }
-    return MgmProblem(size_list, costs)
+    try:
+        return MgmProblem(size_list, costs)
+    except ValueError as exc:  # the cost total; the checks above cover the rest
+        raise ParseError(lineno, str(exc)) from None
 
 
 def _lines(text: str, chunk: int = 1 << 16):
@@ -327,6 +330,8 @@ def parse_solution(source: TextSource, problem: MgmProblem | None = None) -> Sol
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(1, "invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != SOLUTION_FORMAT:
         raise ParseError(1, "not an mgm-solution document")
     if doc.get("version") != SOLUTION_VERSION:

@@ -298,14 +298,13 @@ def gm_local_search(
     order: Sequence[int] | None = None,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    max_passes: int | None = None,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     trace: TraceRecorder | None = None,
 ) -> CliquePartition:
     """Split-rematch-merge local search along a cyclic object sequence.
 
     Stops after a full cycle over the objects without an accepted
-    improvement, or when the pass or time budget runs out. Candidates
+    improvement, or at the deadline (a time.monotonic() value). Candidates
     are priced by ObjectiveTerms, which equals objective() exactly.
     """
     validate(problem, solution)
@@ -315,11 +314,7 @@ def gm_local_search(
     current_value = terms.value()
     stale = 0
     step = 0
-    while stale < len(order):
-        if max_passes is not None and step >= max_passes * len(order):
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
+    while stale < len(order) and time.monotonic() < deadline:
         p = order[step % len(order)]
         step += 1
         split = CliquePartition(c.without_object(p) for c in current)
@@ -341,8 +336,7 @@ def swap_local_search(
     problem: MgmProblem,
     solution: CliquePartition,
     seed: int = 0,
-    max_passes: int | None = None,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     trace: TraceRecorder | None = None,
     cache: dict[tuple[Clique, Clique], tuple[bytes, tuple]] | None = None,
 ) -> CliquePartition:
@@ -370,11 +364,7 @@ def swap_local_search(
     view = _swap_view(problem, current)
     upper = np.triu_indices(problem.d, 1)
     passes = 0
-    while True:
-        if max_passes is not None and passes >= max_passes:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
+    while time.monotonic() < deadline:
         ordered = sorted(current.cliques)
         pair_list = list(combinations(ordered, 2))
         Random(derive_seed(seed, passes)).shuffle(pair_list)
@@ -386,7 +376,7 @@ def swap_local_search(
         for at, key in enumerate(pair_list):
             if not live.issuperset(key):
                 continue
-            if deadline is not None and time.monotonic() >= deadline:
+            if time.monotonic() >= deadline:
                 break
             if key not in priced:
                 pending = (pair for pair in islice(pair_list, at, None) if live.issuperset(pair))
@@ -425,25 +415,19 @@ def alternate(
     gm: GmSolver = solve_gm,
     order: Sequence[int] | None = None,
     seed: int = 0,
-    max_rounds: int | None = None,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     trace: TraceRecorder | None = None,
 ) -> CliquePartition:
     """Alternate GM local search and swap local search until neither improves.
 
-    max_rounds bounds the number of alternation rounds (0 returns the
-    input); deadline cuts the search off mid-round, keeping the best
-    solution found so far. One swap cache serves every round.
+    The deadline cuts the search off mid-round, keeping the best solution
+    found so far. One swap cache serves every round.
     """
-    if max_rounds is not None and max_rounds <= 0:
-        return solution
     current = solution.normalized(problem.sizes)
     current_value = objective(problem, current)
     cache: dict = {}
     rounds = 0
-    while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            break
+    while time.monotonic() < deadline:
         current = gm_local_search(
             problem, current, order=order, gm=gm,
             seed=derive_seed(seed, 2 * rounds), deadline=deadline, trace=trace,
@@ -457,6 +441,4 @@ def alternate(
         if not value < current_value:
             break
         current_value = value
-        if max_rounds is not None and rounds >= max_rounds:
-            break
     return current

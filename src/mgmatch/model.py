@@ -37,6 +37,11 @@ class DuplicateVertexError(FeasibilityError):
 Assignment = tuple[int, int]
 QuadKey = tuple[Assignment, Assignment]
 
+# The absolute costs of a problem must sum to less than this. Every sum the
+# solver forms (an objective, a delta, a GM gain, a binary energy) is a
+# small multiple of that total at most, so it stays far from overflow.
+MAX_COST_TOTAL = 1e300
+
 
 def _canonical_quad_key(a: Assignment, b: Assignment) -> QuadKey:
     return (a, b) if a <= b else (b, a)
@@ -222,7 +227,8 @@ class MgmProblem:
 
     Tables are stored once for p < q; lookups with swapped roles are
     transparent. The instance is immutable after construction;
-    slot_index() views all tables at once, built on first use.
+    slot_index() views all tables at once, built on first use. The
+    absolute costs must sum to less than MAX_COST_TOTAL (ValueError).
     """
 
     __slots__ = ("sizes", "costs", "_slot_index")
@@ -255,6 +261,12 @@ class MgmProblem:
                         f"objects have sizes {shape}"
                     )
                 full[(p, q)] = table
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check
+            total = sum(float(np.abs(v).sum()) for t in full.values() for v in t.arrays()[1::2])
+        if not total < MAX_COST_TOTAL:
+            raise ValueError(
+                f"the absolute costs sum to {total:g}; they must sum to less than {MAX_COST_TOTAL:g}"
+            )
         self.costs = full
 
     @property

@@ -66,13 +66,13 @@ def solve_all_pairwise(
     problem: MgmProblem,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> PairwiseMatchingSet:
     """Independently solve all d(d-1)/2 pairwise GM problems; pairs not
     reached by the deadline get no matching."""
     matchings = {}
     for (p, q), table in problem.costs.items():
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             break
         matchings[(p, q)] = gm(table, derive_seed(seed, p * problem.d + q))
     return PairwiseMatchingSet(problem.d, matchings)
@@ -173,8 +173,7 @@ def synchronize(
     alpha: float | None = None,
     gm: GmSolver = solve_gm,
     seed: int = 0,
-    ls_rounds: int | None = None,
-    deadline: float | None = None,
+    deadline: float = math.inf,
     trace: TraceRecorder | None = None,
 ) -> tuple[CliquePartition, SyncMetrics]:
     """Full synchronization pipeline: pairwise solves, projection, metrics.
@@ -200,7 +199,6 @@ def synchronize(
         gm=solve_gm,
         order=order,
         seed=derive_seed(seed, 3),
-        max_rounds=ls_rounds,
         deadline=deadline,
         trace=trace,
     )

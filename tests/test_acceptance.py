@@ -111,15 +111,9 @@ def test_criterion_2_monotone_acceptance():
             if initial == math.inf:
                 continue
             searches = [
-                lambda: gm_local_search(
-                    problem, start, seed=checked, trace=trace, max_passes=4
-                ),
-                lambda: alternate(
-                    problem, start, seed=checked, trace=trace, max_rounds=2
-                ),
-                lambda: swap_local_search(
-                    problem, start, seed=checked, trace=trace, max_passes=4
-                ),
+                lambda: gm_local_search(problem, start, seed=checked, trace=trace),
+                lambda: alternate(problem, start, seed=checked, trace=trace),
+                lambda: swap_local_search(problem, start, seed=checked, trace=trace),
             ]
             for search in searches:
                 trace = TraceRecorder()
@@ -256,9 +250,9 @@ def test_criterion_7_sparse_guarantee():
             rng.shuffle(order)
             constructed = construct_sequential(problem, order, seed=k)
             assert objective(problem, constructed) != math.inf
-            improved = alternate(problem, constructed, order=order, seed=k, max_rounds=2)
+            improved = alternate(problem, constructed, order=order, seed=k)
             assert objective(problem, improved) != math.inf
-            synced, metrics = synchronize(problem, mode="sparse", seed=k, ls_rounds=1)
+            synced, metrics = synchronize(problem, mode="sparse", seed=k)
             assert metrics.forbidden_count == 0
             assert metrics.mgm_objective != math.inf
             for solution in (constructed, improved, synced):

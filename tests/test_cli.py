@@ -1,9 +1,10 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
 
-from mgmatch.cli import RunConfig, main, run
+from mgmatch.cli import RunConfig, build_parser, main, run
 from mgmatch.io import parse_solution, write_problem
 from mgmatch.model import objective
 
@@ -341,6 +342,10 @@ class TestErrors:
         assert main([str(t3_file), "--mode", "ls", "--initial", str(initial)]) == 2
         assert "malformed clique list" in capsys.readouterr().err
 
+    def test_every_option_is_a_config_field(self):
+        dests = {action.dest for action in build_parser()._actions} - {"help", "threads"}
+        assert dests == {field.name for field in fields(RunConfig)}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(mode="nope")
@@ -483,6 +488,22 @@ class TestTimeLimit:
         doc = read_doc(out, t3)
         assert doc.metadata["time_limit_reached"] is True
         assert doc.objective == objective(t3, doc.partition)
+
+    @pytest.mark.parametrize("mode", ["full", "sync"])
+    def test_distant_limit_changes_nothing(self, r21_file, tmp_path, mode):
+        """A limit that is never reached gives the document and trace of a
+        run without one."""
+        runs = {}
+        for name, limit in (("none", []), ("far", ["--time-limit", "1e9"])):
+            out, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            argv = [str(r21_file), "--mode", mode, "--runs", "2", "--seed", "1",
+                    "--output", str(out), "--trace", str(trace), *limit]
+            assert main(argv) == 0
+            rows = [line.split(",", 1)[1] for line in trace.read_text().splitlines()]
+            runs[name] = solution_without_wall_time(out), rows
+        assert runs["far"] == runs["none"]
+        assert len(runs["none"][1]) > 2  # the header and at least two entries
+        assert runs["far"][0]["metadata"]["time_limit_reached"] is False
 
 
 def solution_without_wall_time(path):

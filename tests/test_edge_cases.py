@@ -8,10 +8,17 @@ import pytest
 
 from mgmatch.cli import main
 from mgmatch.construction import construct_sequential
-from mgmatch.gm import GmMatching, solve_lap, solver_names
+from mgmatch.gm import GmMatching, solve_lap
 from mgmatch.io import ParseError, parse_problem, write_problem, write_solution
 from mgmatch.local_search import alternate, gm_local_search
-from mgmatch.model import CliquePartition, PairwiseCosts, objective, validate
+from mgmatch.model import (
+    MAX_COST_TOTAL,
+    CliquePartition,
+    MgmProblem,
+    PairwiseCosts,
+    objective,
+    validate,
+)
 
 from conftest import part
 from oracles import matching_cost
@@ -68,15 +75,6 @@ class TestParserFuzz:
 
 
 class TestCliMisconfiguration:
-    def test_unknown_solver_exits_2(self, t3, tmp_path, capsys):
-        path = tmp_path / "t3.dd"
-        path.write_text(write_problem(t3))
-        assert main([str(path), "--gm-solver", "does-not-exist"]) == 2
-        known = solver_names()
-        assert capsys.readouterr().err == (
-            f"error: unknown GM solver 'does-not-exist'; known: {known}\n"
-        )
-
     def test_sync_trace_has_entries(self, t3, tmp_path):
         path = tmp_path / "t3.dd"
         path.write_text(write_problem(t3))
@@ -113,6 +111,48 @@ class TestNonUtf8Input:
         assert main([str(problem), "--mode", "ls", "--initial", str(initial)]) == 2
         assert capsys.readouterr().err == (
             f"error: cannot read initial solution: line {line}: invalid UTF-8 byte 0xff\n"
+        )
+
+
+class TestCostsTooLargeToSum:
+    """A problem whose absolute costs sum to MAX_COST_TOTAL or more is
+    rejected where it is built, so no sum the solver forms overflows."""
+
+    @pytest.mark.parametrize("mode", ["full", "sync"])
+    def test_problem_file(self, tmp_path, capsys, mode):
+        path = tmp_path / "huge.dd"
+        path.write_text("gm 0 1\np 2 2 2 1\na 0 0 0 -1e308\na 1 1 1 -1e308\ne 0 1 -1e308\n")
+        assert main([str(path), "--mode", mode]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read problem: line 5: the absolute costs sum to inf; "
+            "they must sum to less than 1e+300\n"
+        )
+
+    def test_soft_sync_alpha(self, t3, tmp_path, capsys):
+        # The soft projection prices t3's one forbidden match at alpha.
+        path = tmp_path / "t3.dd"
+        path.write_text(write_problem(t3))
+        assert main([str(path), "--mode", "sync", "--sync-mode", "soft:1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the absolute costs sum to 1e+308; they must sum to less than 1e+300\n"
+        )
+
+    def test_bound_is_exclusive(self):
+        half = PairwiseCosts(1, 1, {(0, 0): -MAX_COST_TOTAL / 2})
+        assert MgmProblem([1, 1], {(0, 1): half}).costs[(0, 1)] is half
+        with pytest.raises(ValueError, match="sum to 1e\\+300;"):
+            MgmProblem([1, 1, 1], {(0, 1): half, (1, 2): half})
+
+
+class TestDeeplyNestedInitialSolution:
+    def test_exits_2(self, t3, tmp_path, capsys):
+        problem = tmp_path / "t3.dd"
+        problem.write_text(write_problem(t3))
+        initial = tmp_path / "init.json"
+        initial.write_text("[" * 100000)
+        assert main([str(problem), "--mode", "ls", "--initial", str(initial)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read initial solution: line 1: invalid JSON: nested too deeply\n"
         )
 
 

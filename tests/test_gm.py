@@ -14,7 +14,6 @@ from mgmatch.gm import (
     register_solver,
     solve_gm,
     solve_lap,
-    solver_names,
 )
 
 from mgmatch.construction import clique_clique_costs
@@ -393,7 +392,7 @@ def test_ids_equal_the_tuple_reference(seed, source):
 
 class TestRegistry:
     def test_known_solvers(self):
-        assert "default" in solver_names()
+        assert get_solver("default") is solve_gm
 
     def test_custom_registration(self, monkeypatch):
         # A private copy of the registry, so no other test sees "null".
@@ -401,7 +400,6 @@ class TestRegistry:
         register_solver("null", lambda sub, seed=0, effort=Effort.DEFAULT: GmMatching())
         sub = PairwiseCosts(1, 1, {(0, 0): -1.0})
         assert get_solver("null")(sub, 0, Effort.DEFAULT) == GmMatching()
-        assert "null" in solver_names()
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

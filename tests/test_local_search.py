@@ -481,14 +481,17 @@ class TestSwapLocalSearch:
 
 
 class TestAlternate:
-    def test_zero_budget_returns_input(self, t3):
+    def test_t3_reaches_optimum_in_one_round(self, t3, monkeypatch):
         singles = CliquePartition().normalized(t3.sizes)
-        assert alternate(t3, singles, max_rounds=0) is singles
+        round_ends = []
 
-    def test_t3_reaches_optimum_in_one_round(self, t3):
-        singles = CliquePartition().normalized(t3.sizes)
-        result = alternate(t3, singles, gm=exhaustive, seed=0, max_rounds=1)
-        assert objective(t3, result) == pytest.approx(-3.5)
+        def recorded(*args, **kwargs):
+            round_ends.append(swap_local_search(*args, **kwargs))
+            return round_ends[-1]
+
+        monkeypatch.setattr(local_search, "swap_local_search", recorded)
+        alternate(t3, singles, gm=exhaustive, seed=0)
+        assert objective(t3, round_ends[0]) == pytest.approx(-3.5)
 
     def test_fixed_point_terminates_quickly(self, t3):
         optimum = part({0: 0, 1: 0}, {0: 1, 1: 1}, {2: 0})
