@@ -196,11 +196,11 @@ class ConstructionTree:
     def schedule(self) -> list[list[tuple[int, tuple]]]:
         """Internal nodes grouped by height, bottom-up.
 
-        Nodes within one level have disjoint subtrees, so their combine
-        steps do not depend on each other. Each entry is (sequence index,
-        node); the sequence index seeds the node's GM solve. On a chain
-        tree this numbering matches the step numbering of sequential
-        construction.
+        Each entry is (sequence index, node), numbered level by level and
+        in post-order within a level, so every node follows its children.
+        The sequence index seeds the node's GM solve; the levels fix only
+        that numbering. On a chain tree this numbering matches the step
+        numbering of sequential construction.
         """
         heights: dict[int, int] = {}  # id(internal node) -> height
         post: list[tuple[int, tuple]] = []  # (height, node) in post-order

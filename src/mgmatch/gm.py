@@ -237,15 +237,13 @@ def _pair_terms(ids: _Ids, chosen: list[int]):
                 yield value
 
 
-def _matching_cost(ids: _Ids, pairs) -> float:
-    """The cost of the matching ``pairs`` of sub: the linear terms in the
-    order of set(pairs), then _pair_terms, added one by one from 0.0."""
-    width = ids.sub.right_size
-    chosen = [ids.at[a * width + b] for a, b in set(pairs)]
+def _cost(ids: _Ids, chosen: list[int]) -> float:
+    """The cost of the ascending ids chosen: their linear costs in that
+    order, then _pair_terms, added one by one from 0.0."""
     total = 0.0
     for x in chosen:
         total += ids.cost[x]
-    for value in _pair_terms(ids, sorted(chosen)):
+    for value in _pair_terms(ids, chosen):
         total += value
     return total
 
@@ -326,8 +324,10 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
     Conflicting assignments of the symmetric difference are grouped into
     components; one binary variable per component selects a side and the
     induced pairwise binary energy is minimized starting from the first
-    matching (the all-zeros labeling), so the result never loses to it.
-    Matchings are ascending assignment ids.
+    matching (the all-zeros labeling). Matchings are ascending assignment
+    ids. The fused matching (the common ids and each component's chosen
+    side) is returned when its _cost is below first's by more than 1e-12,
+    else first itself.
     """
     common = set(first) & set(second)
     only_first = [x for x in first if x not in common]
@@ -365,9 +365,7 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
         sides[k][label].append(x)
 
     def side_cost(chosen):
-        value = sum((ids.cost[x] for x in chosen), 0.0)
-        for term in _pair_terms(ids, chosen):
-            value += term
+        value = _cost(ids, chosen)
         for x in chosen:
             for other, v in ids.partners[x]:
                 if other in common:
@@ -388,12 +386,8 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
             table[2 * label1 + label2] += value
     energy = qpbo.BinaryEnergy._trusted(n_comp, unary, {k: tuple(t) for k, t in pairwise.items()})
     labels = qpbo.minimize(energy, (0,) * n_comp, seed=seed)
-    fused = {ids.pairs[x] for x in common}
-    for side, label in zip(sides, labels):
-        fused.update(ids.pairs[x] for x in side[label])
-    if _matching_cost(ids, fused) < _matching_cost(ids, (ids.pairs[x] for x in first)) - 1e-12:
-        return sorted(ids.at[a * ids.sub.right_size + b] for a, b in fused)
-    return first
+    fused = sorted(common.union(*(side[label] for side, label in zip(sides, labels))))
+    return fused if _cost(ids, fused) < _cost(ids, first) - 1e-12 else first
 
 
 def _greedy_candidate(ids: _Ids, rng: random.Random) -> list[int]:
@@ -430,12 +424,12 @@ def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT)
         if _count_matchings(sub.left_size, sub.right_size) <= EXHAUSTIVE_MATCHING_LIMIT:
             return _brute_force(sub)
     ids = _Ids(sub)
-    matching = solve_lap(PairwiseCosts._trusted(sub.left_size, sub.right_size, *sub.arrays()[:2]))
-    if _matching_cost(ids, matching.pairs) > 0:
-        matching = GmMatching()
+    lap = solve_lap(PairwiseCosts._trusted(sub.left_size, sub.right_size, *sub.arrays()[:2]))
+    start = [ids.at[a * sub.right_size + b] for a, b in lap]
+    if _cost(ids, start) > 0:
+        start = []
     two_swaps = effort is not Effort.FAST
     max_scans = 30 if effort is Effort.FAST else 60
-    start = [ids.at[a * sub.right_size + b] for a, b in matching]
     current = _local_search(ids, start, max_scans, two_swaps)
     if effort is not Effort.FAST:
         rng = random.Random(seed)

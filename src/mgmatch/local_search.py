@@ -95,13 +95,6 @@ def single_swap(
     return swapped if first.covers(p) or second.covers(p) else solution
 
 
-def _index_of(solution: CliquePartition, clique: Clique) -> int:
-    for idx, candidate in enumerate(solution.cliques):
-        if candidate == clique:
-            return idx
-    raise ValueError(f"{clique!r} is not part of the solution")
-
-
 def _swap_cliques(first: Clique, second: Clique, objects) -> tuple[Clique, Clique]:
     a = dict(first.pairs)
     b = dict(second.pairs)
@@ -113,15 +106,6 @@ def _swap_cliques(first: Clique, second: Clique, objects) -> tuple[Clique, Cliqu
         if va is not None:
             b[p] = va
     return Clique(a), Clique(b)
-
-
-def _replace(solution: CliquePartition, replacements: dict[int, Clique]) -> CliquePartition:
-    cliques = []
-    for idx, clique in enumerate(solution.cliques):
-        clique = replacements.get(idx, clique)
-        if len(clique) > 0:
-            cliques.append(clique)
-    return CliquePartition(cliques)
 
 
 class _SwapView(NamedTuple):
@@ -223,14 +207,17 @@ def apply_multiswap(
     solution: CliquePartition, first: Clique, second: Clique, bits: Sequence[int]
 ) -> CliquePartition:
     """Perform the single swaps selected by the bit vector jointly on two
-    distinct cliques of the solution."""
-    idx_first = _index_of(solution, first)
-    idx_second = _index_of(solution, second)
-    if idx_first == idx_second:
+    distinct cliques of the solution. Emptied cliques are dropped."""
+    cliques = list(solution.cliques)
+    for clique in (first, second):
+        if clique not in cliques:
+            raise ValueError(f"{clique!r} is not part of the solution")
+    at_first, at_second = cliques.index(first), cliques.index(second)
+    if at_first == at_second:
         raise ValueError("a swap needs two distinct cliques")
     objects = [p for p, bit in enumerate(bits) if bit]
-    new_first, new_second = _swap_cliques(first, second, objects)
-    return _replace(solution, {idx_first: new_first, idx_second: new_second})
+    cliques[at_first], cliques[at_second] = _swap_cliques(first, second, objects)
+    return CliquePartition(cliques)
 
 
 def best_multiswap(

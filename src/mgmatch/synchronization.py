@@ -116,7 +116,10 @@ def build_sync_problem(
         costs[(p, q)] = PairwiseCosts._trusted(
             problem.sizes[p], width, np.stack(np.divmod(codes, width)), values
         )
-    return MgmProblem(problem.sizes, costs)
+    try:
+        return MgmProblem(problem.sizes, costs)
+    except ValueError as error:  # costs of -1 and 0 stay far below the bound
+        raise ValueError(f"soft synchronization alpha {alpha:g} is too large: {error}") from None
 
 
 @dataclass

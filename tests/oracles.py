@@ -245,14 +245,14 @@ def enumerate_matchings(left_size, right_size, allowed):
 
 def matching_cost(sub, pairs):
     """The cost of the matching ``pairs`` of table sub: its linear costs in
-    the order of set(pairs), then the quadratic entries of
-    combinations(sorted(set(pairs)), 2), added one by one from 0.0. The
-    bit-for-bit reference for gm._matching_cost."""
+    ascending pair order, then the quadratic entries of
+    combinations(sorted(pairs), 2), added one by one from 0.0. The
+    bit-for-bit reference for gm._cost."""
     total = 0.0
-    chosen = set(pairs)
+    chosen = sorted(pairs)
     for pair in chosen:
         total += sub.linear[pair]
-    for x, y in combinations(sorted(chosen), 2):
+    for x, y in combinations(chosen, 2):
         total += sub.quadratic.get((x, y), 0.0)
     return total
 

@@ -31,10 +31,18 @@ WORMS_SMALL = {"d": 8, "n": 10, "candidates": 6, "quadratic": 40}
 # A smaller one, whose GM instances are small enough for exhaustive effort
 # to solve every construction step by brute force.
 WORMS_TINY = {"d": 6, "n": 5, "candidates": 3, "quadratic": 8}
-WORMS_MODELS = {"worms": WORMS_SMALL, "worms-tiny": WORMS_TINY}
+# A dense, complete hotel-like model, the shape of the benchmark's
+# hotel-full, on which a full solve accepts fused GM matchings.
+HOTEL_SMALL = {"d": 8, "n": 8}
+GENERATED = {
+    "worms": lambda: instances.worms_like(4, **WORMS_SMALL),
+    "worms-tiny": lambda: instances.worms_like(4, **WORMS_TINY),
+    "hotel": lambda: instances.hotel_like(2, **HOTEL_SMALL),
+}
 
 CONFIGS = {
     "worms-full": ("worms", ["--mode", "full"]),
+    "hotel-full": ("hotel", ["--mode", "full"]),
     "worms-sync": ("worms", ["--mode", "sync", "--sync-mode", "sparse"]),
     "worms-par": ("worms", ["--mode", "full", "--construction", "par"]),
     "worms-inc": ("worms", ["--mode", "full", "--construction", "inc:3"]),
@@ -57,6 +65,10 @@ DIGESTS = {
     "worms-full": (
         "19ff2dfcfb6e90e52585474c70d8f5c4e1f44e42e6e6404f5096bc3a24b96871",
         "3df0bc790978f5934ba716ba6f3f5cc7b19f57ccacfe4ce6a0a0a332a4516a33",
+    ),
+    "hotel-full": (
+        "88199f8123667cc5fd8a38324e32b6e04dd5029a4f2c5570adea72ec86c922cb",
+        "f2b54de685d8ed61389186aa1cc5fd7da1a330c5484640c576ca57ba54062255",
     ),
     "worms-sync": (
         "125a1ece3ab2d32537596fec9cadceabe85d7a80b4e97b598cd2c88a447e4716",
@@ -117,19 +129,18 @@ def trace_digest(text: str) -> str:
     return sha256("".join(line.partition(",")[2] + "\n" for line in text.splitlines()))
 
 
-def worms_text(model: str, layout_seed: int | None = 1) -> str:
-    instance = instances.worms_like(4, **WORMS_MODELS[model])
-    return instances.write_dd(instance, layout_seed=layout_seed)
+def generated_text(model: str, layout_seed: int | None = 1) -> str:
+    return instances.write_dd(GENERATED[model](), layout_seed=layout_seed)
 
 
 def run_config(name, fixtures, tmp_path, layout_seed=1) -> tuple[str, str]:
     """The written document and trace of one configuration; ``fixtures``
-    maps the names of the conftest problems to their values, and a worms
-    model is written in the dd layout of ``layout_seed``."""
+    maps the names of the conftest problems to their values, and a
+    generated model is written in the dd layout of ``layout_seed``."""
     model, flags = CONFIGS[name]
     problem = tmp_path / "problem.dd"
-    if model in WORMS_MODELS:
-        problem.write_text(worms_text(model, layout_seed))
+    if model in GENERATED:
+        problem.write_text(generated_text(model, layout_seed))
     else:
         problem.write_text(write_problem(fixtures[model]))
     if model == "t3":
@@ -153,7 +164,7 @@ def test_document_and_trace_digests(name, t3, chain3, tmp_path):
 def test_written_problem_digest():
     """write_problem's text of the parsed worms model: its assignment ids
     and the id pairs of its 'e' lines are read from the stored tables."""
-    text = write_problem(parse_problem(worms_text("worms")))
+    text = write_problem(parse_problem(generated_text("worms")))
     assert sha256(text) == WRITTEN_WORMS_DIGEST
 
 
@@ -162,7 +173,7 @@ def test_layout_does_not_change_tables_or_results(tmp_path):
     byte-equal tables, which write_problem writes alike and which solve to
     the pinned worms-full document and trace."""
     layouts = (1, 2, None)
-    problems = [parse_problem(worms_text("worms", seed)) for seed in layouts]
+    problems = [parse_problem(generated_text("worms", seed)) for seed in layouts]
     for problem in problems[1:]:
         for pair, table in problem.costs.items():
             for got, want in zip(table.arrays(), problems[0].costs[pair].arrays()):

@@ -134,7 +134,8 @@ class TestCostsTooLargeToSum:
         path.write_text(write_problem(t3))
         assert main([str(path), "--mode", "sync", "--sync-mode", "soft:1e308"]) == 2
         assert capsys.readouterr().err == (
-            "error: the absolute costs sum to 1e+308; they must sum to less than 1e+300\n"
+            "error: soft synchronization alpha 1e+308 is too large: the absolute costs "
+            "sum to 1e+308; they must sum to less than 1e+300\n"
         )
 
     def test_bound_is_exclusive(self):

@@ -387,7 +387,40 @@ def test_ids_equal_the_tuple_reference(seed, source):
         for a, b in shuffled:
             if a not in left and b not in right:
                 left.add(a), right.add(b), matching.append((a, b))
-        assert gm._matching_cost(ids, matching).hex() == matching_cost(table, matching).hex()
+        chosen = sorted(ids.pairs.index(pair) for pair in matching)
+        assert gm._cost(ids, chosen).hex() == matching_cost(table, matching).hex()
+
+
+def fusion_inputs(rng):
+    """Assignment ids of a random quadratic table with exact-zero entries,
+    and two matchings of it from greedy candidates and local search."""
+    table = random_qap(rng, max_side=7, forbidden_frac=rng.choice([0.0, 0.3]), quad_frac=0.6)
+    ids = gm._Ids(with_zero_entries(table, rng))
+    first, second = (
+        gm._local_search(ids, gm._greedy_candidate(ids, rng), rng.choice([1, 30]), True)
+        for _ in range(2)
+    )
+    return ids, first, second
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_fuse_returns_first_or_a_cheaper_matching(seed):
+    """_fuse returns first itself, or ascending ids that use each node at
+    most once and cost less than first by more than 1e-12."""
+    rng = random.Random(seed)
+    ids, first, second = fusion_inputs(rng)
+    fused = gm._fuse(ids, first, second, rng.randrange(2**31))
+    if fused is not first:
+        assert fused == sorted(set(fused))
+        assert len({ids.left[x] for x in fused}) == len({ids.right[x] for x in fused}) == len(fused)
+        assert gm._cost(ids, fused) < gm._cost(ids, first) - 1e-12
+
+
+def test_fusing_a_matching_with_itself_returns_it():
+    rng = random.Random(5)
+    for seed in range(40):
+        ids, first, _ = fusion_inputs(rng)
+        assert gm._fuse(ids, first, first, seed) is first
 
 
 class TestRegistry:
