@@ -40,7 +40,6 @@ from .local_search import (
     apply_multiswap,
     best_multiswap,
     gm_local_search,
-    single_swap,
     swap_deltas,
     swap_local_search,
 )
@@ -51,7 +50,6 @@ from .model import (
     FeasibilityError,
     MgmProblem,
     PairwiseCosts,
-    lookup_linear,
     objective,
     singleton_partition,
     validate,

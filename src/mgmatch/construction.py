@@ -135,17 +135,19 @@ def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> Cliqu
 
 def rematch(
     problem: MgmProblem, p: int, partial: CliquePartition, gm: GmSolver, seed: int
-) -> tuple[GmMatching, CliquePartition]:
+) -> tuple[PairwiseCosts, GmMatching, CliquePartition]:
     """Match object p's vertices to the cliques of a partial solution, then merge.
 
     Object p is lifted to singleton cliques, so the matching pairs (vertex
     of p, index into partial.cliques). The instance comes from the module
     attribute clique_clique_costs, which raises OverlapError when partial
-    already covers p. Returns the matching and the merged partition.
+    already covers p. Returns the instance, the matching and the merged
+    partition.
     """
     lifted = singleton_partition(problem.sizes[p], p)
-    matching = gm(clique_clique_costs(problem, lifted, partial), seed)
-    return matching, merge(lifted, partial, matching)
+    sub = clique_clique_costs(problem, lifted, partial)
+    matching = gm(sub, seed)
+    return sub, matching, merge(lifted, partial, matching)
 
 
 class ConstructionTree:
@@ -241,7 +243,7 @@ def _chain(
     for k in range(start, len(order)):
         if time.monotonic() >= deadline:
             break
-        _, acc = rematch(problem, order[k], acc, gm, derive_seed(seed, k))
+        *_, acc = rematch(problem, order[k], acc, gm, derive_seed(seed, k))
     return acc
 
 

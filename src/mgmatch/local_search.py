@@ -3,15 +3,17 @@
 Two neighborhoods are searched, both accepting strictly improving moves
 only:
 
-* GM local search splits one object out of the solution, re-matches it
+* GM local search splits one object p out of the solution, re-matches it
   against the remaining cliques with construction.rematch, the step
   chain construction takes too (MDAP's dimensionwise variation), and
-  keeps the merge when the objective drops. A re-match changes only the
-  objective terms on object pairs that contain the re-matched object.
-  objective() is the fsum of model.ObjectiveTerms, the terms read from
-  the problem's slot index and tagged with their object pair, so GM
-  local search keeps those terms and prices a candidate by replacing one
-  object's row: the same float objective() returns, bit for bit.
+  keeps the merge when it is cheaper. The re-match's table holds exactly
+  the objective terms that involve p, and the solution itself matches
+  p's vertices to the remaining cliques in that table, so the re-match
+  problem prices the move: the merge is kept when its matching costs
+  less there (model.matching_cost) than the incumbent's matching. In
+  exact arithmetic the two costs differ by the objective change; the
+  table's entries are rounded sums, so a near-tie can be decided
+  otherwise than objective() would decide it.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
@@ -33,9 +35,12 @@ only:
     reused while the pair's freshly computed matrix is byte-equal to the
     one it came from.
 
-Objectives are floats, math.inf for a solution holding a forbidden match:
-a forbidden candidate never improves, and every allowed candidate
-improves on a forbidden start.
+Objectives are floats, math.inf for a solution holding a forbidden match.
+Swap local search never accepts a forbidden candidate. GM local search
+never creates a forbidden match, and it removes those of a forbidden
+start: an incumbent matching with a forbidden pair costs math.inf, so
+any re-match of that object is accepted, and a cycle over all objects
+leaves the solution allowed.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ from .model import (
     Clique,
     CliquePartition,
     MgmProblem,
-    ObjectiveTerms,
     assignment_slots,
+    matching_cost,
     objective,
     validate,
 )
@@ -80,19 +85,6 @@ class TraceRecorder:
 
     def lines(self) -> list[str]:
         return [f"{ms:.3f},{phase},{value!r}" for ms, phase, value in self.entries]
-
-
-def single_swap(
-    solution: CliquePartition, first: Clique, second: Clique, p: int
-) -> CliquePartition:
-    """Exchange the object-p vertices of two cliques.
-
-    If both cliques cover p their vertices are interchanged; if only one
-    does, its vertex moves to the other clique; if neither does, the
-    solution is returned unchanged. Emptied cliques are dropped.
-    """
-    swapped = apply_multiswap(solution, first, second, [0] * p + [1])
-    return swapped if first.covers(p) or second.covers(p) else solution
 
 
 def _swap_cliques(first: Clique, second: Clique, objects) -> tuple[Clique, Clique]:
@@ -290,30 +282,37 @@ def gm_local_search(
 ) -> CliquePartition:
     """Split-rematch-merge local search along a cyclic object sequence.
 
-    Stops after a full cycle over the objects without an accepted
-    improvement, or at the deadline (a time.monotonic() value). Candidates
-    are priced by ObjectiveTerms, which equals objective() exactly.
+    Stops after a full cycle over the objects without an accepted move, or
+    at the deadline (a time.monotonic() value). A move re-matches object p
+    and is accepted when its matching costs less in the re-match's table
+    than the incumbent's: vertex v of p matched to the clique that held it,
+    without p, and unmatched where that clique held v alone. objective()
+    runs only to trace an accepted move.
     """
     validate(problem, solution)
     order = list(order) if order is not None else list(range(problem.d))
     current = solution.normalized(problem.sizes)
-    terms = ObjectiveTerms(problem, current)
-    current_value = terms.value()
     stale = 0
     step = 0
     while stale < len(order) and time.monotonic() < deadline:
         p = order[step % len(order)]
         step += 1
-        split = CliquePartition(c.without_object(p) for c in current)
-        _, candidate = rematch(problem, p, split, gm, derive_seed(seed, step))
-        row = terms.row(p, candidate)
-        value = terms.value(p, row)
-        if value < current_value:
-            current, current_value = candidate, value
-            terms.replace(p, row)
+        cliques, incumbent = [], []
+        for clique in current:
+            rest = clique.without_object(p)
+            if len(rest):
+                if clique.covers(p):
+                    incumbent.append((clique.get(p), len(cliques)))
+                cliques.append(rest)
+        split = CliquePartition(cliques)
+        sub, matching, candidate = rematch(problem, p, split, gm, derive_seed(seed, step))
+        if matching_cost(sub, matching) < matching_cost(sub, incumbent):
+            current = candidate
             stale = 0
             if trace is not None:
-                trace.record("gm-ls", value)
+                value = objective(problem, current)
+                if value < math.inf:
+                    trace.record("gm-ls", value)
         else:
             stale += 1
     return current

@@ -12,9 +12,10 @@ clique holding at most one vertex per object. Cycle consistency of the
 induced multi-matching is automatic in this representation. Unmatched
 vertices are implicit singletons and cost nothing.
 
-The objective has one implementation, ObjectiveTerms: its terms read from
-the problem's slot index and tagged by object pair. objective() sums them
-all; local search re-prices a candidate by replacing one object's row.
+The objective has one implementation: objective() is math.fsum over
+objective_terms, read from the problem's slot index. matching_cost prices
+a matching of one table the same way; GM local search compares two
+matchings of a re-match's table with it.
 """
 
 from __future__ import annotations
@@ -526,20 +527,6 @@ def singleton_partition(size: int, p: int) -> CliquePartition:
     return CliquePartition(Clique({p: v}) for v in range(size))
 
 
-def lookup_linear(problem: MgmProblem, p: int, q: int, i: int, s: int) -> float:
-    """Linear cost of matching vertex i of object p to vertex s of object q,
-    math.inf if the match is forbidden."""
-    if p == q:
-        raise ValueError("linear costs are defined between distinct objects")
-    if not (0 <= p < problem.d and 0 <= q < problem.d):
-        raise IndexError(f"object index out of range: ({p},{q})")
-    if not (0 <= i < problem.sizes[p]):
-        raise IndexError(f"vertex {i} out of range for object {p}")
-    if not (0 <= s < problem.sizes[q]):
-        raise IndexError(f"vertex {s} out of range for object {q}")
-    return problem.linear_cost(p, q, i, s)
-
-
 def validate(problem, solution: CliquePartition) -> None:
     """Raise unless the partition is feasible for the problem.
 
@@ -547,12 +534,6 @@ def validate(problem, solution: CliquePartition) -> None:
     disjointness; the one-vertex-per-object rule is structural in Clique.
     """
     solution.columns(problem.sizes)
-
-
-def _ranges(first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """The ranges first[k]..last[k] - 1, one after another."""
-    counts = last - first
-    return np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
 
 
 def assignment_slots(problem: MgmProblem, p, q, x: np.ndarray, y: np.ndarray):
@@ -570,85 +551,24 @@ def assignment_slots(problem: MgmProblem, p, q, x: np.ndarray, y: np.ndarray):
     return slots, stored, present & ~stored
 
 
-class ObjectiveTerms:
-    """The objective's terms for one solution, as flat arrays: ``pairs``
-    tags each of the ``values`` with its object pair p < q as p * d + q.
-
-    A pair's terms are the slot-index costs of the assignments stored
-    among the cliques covering both objects, and the slot-index quadratic
-    entries whose two slots are both realized; a present assignment that
-    is not stored adds math.inf, which makes the objective math.inf. The
-    cliques' vertices are read from the solution's vertex index
-    (CliquePartition.vertices). objective() is value() of a fresh
-    instance. Re-matching object p (split, then merge) changes only the
-    terms on pairs that contain p, so local search prices a candidate as
-    math.fsum over the unchanged terms plus p's new row: the same terms,
-    and since fsum rounds the exact sum correctly in any order, the same
-    float objective() returns for the candidate.
-    """
-
-    def __init__(self, problem: MgmProblem, solution: CliquePartition):
-        self.problem = problem
-        vertices = solution.vertices(problem.sizes)
-        self.pairs, self.values = self._terms(vertices, *np.triu_indices(problem.d, 1))
-
-    def _terms(self, vertices: np.ndarray, p: np.ndarray, q: np.ndarray):
-        """Tags and values of the terms on the object pairs p < q among the
-        cliques whose vertices are the rows of ``vertices``. A table's slots
-        are one range lo..hi - 1 of codes and its quadratic keys the range
-        [lo * N, hi * N), so only the slots and entries of the pairs' tables
-        are read, in index order."""
-        problem, index = self.problem, self.problem.slot_index()
-        sizes = np.array(problem.sizes, np.int64)
-        start = index.offsets[p, q]
-        lo, hi = np.searchsorted(index.codes, (start, start + sizes[p] * sizes[q]))
-        first, last = np.searchsorted(index.quad_keys, np.stack((lo, hi)) * len(index.codes))
-        keys = _ranges(first, last)
-        slots, stored, forbidden = assignment_slots(
-            problem, p, q, vertices[:, p], vertices[:, q]
-        )
-        tag = p * problem.d + q
-        pair = np.broadcast_to(tag, slots.shape)
-        marked = np.zeros(len(index.codes), bool)
-        marked[slots[stored]] = True
-        # An entry's two slots lie in its table; it is realized when both are.
-        low, high = np.divmod(index.quad_keys[keys], len(index.codes))
-        both = marked[low] & marked[high]
-        return (
-            np.concatenate((pair[stored], pair[forbidden], np.repeat(tag, last - first)[both])),
-            np.concatenate((
-                index.linear[slots[stored]],
-                np.full(np.count_nonzero(forbidden), math.inf),
-                index.quad_values[keys[both]],
-            )),
-        )
-
-    def row(self, p: int, solution: CliquePartition) -> tuple[np.ndarray, np.ndarray]:
-        """The tags and values of the solution's terms on the pairs that
-        contain object p, read from the cliques that cover p and from p's
-        d - 1 tables."""
-        problem = self.problem
-        vertices = solution.vertices(problem.sizes)
-        others = np.array([q for q in range(problem.d) if q != p], np.int64)
-        return self._terms(
-            vertices[vertices[:, p] >= 0], np.minimum(others, p), np.maximum(others, p)
-        )
-
-    def _kept(self, p: int) -> np.ndarray:
-        d = self.problem.d
-        return (self.pairs // d != p) & (self.pairs % d != p)
-
-    def value(self, p: int | None = None, row=None) -> float:
-        """The objective, or the candidate's with object p's row replaced."""
-        values = self.values
-        if p is not None:
-            values = np.concatenate((values[self._kept(p)], row[1]))
-        return math.fsum(values.tolist())
-
-    def replace(self, p: int, row) -> None:
-        kept = self._kept(p)
-        self.pairs = np.concatenate((self.pairs[kept], row[0]))
-        self.values = np.concatenate((self.values[kept], row[1]))
+def objective_terms(problem: MgmProblem, solution: CliquePartition) -> np.ndarray:
+    """The objective's terms, read from the problem's slot index and the
+    solution's vertex index (CliquePartition.vertices): the costs of the
+    assignments stored among the cliques, a math.inf for each present
+    assignment that is not stored, then every quadratic entry whose two
+    slots are both realized."""
+    index = problem.slot_index()
+    vertices = solution.vertices(problem.sizes)
+    p, q = np.triu_indices(problem.d, 1)
+    slots, stored, forbidden = assignment_slots(problem, p, q, vertices[:, p], vertices[:, q])
+    marked = np.zeros(len(index.codes), bool)
+    marked[slots[stored]] = True
+    low, high = np.divmod(index.quad_keys[:-1], len(index.codes))
+    return np.concatenate((
+        index.linear[slots[stored]],
+        np.full(np.count_nonzero(forbidden), math.inf),
+        index.quad_values[:-1][marked[low] & marked[high]],
+    ))
 
 
 def objective(problem: MgmProblem, solution: CliquePartition) -> float:
@@ -658,9 +578,24 @@ def objective(problem: MgmProblem, solution: CliquePartition) -> float:
     pairs; quadratic costs once per unordered pair of distinct cliques over
     their shared object pairs. Any forbidden within-clique match makes the
     whole objective math.inf. The value is math.fsum over the
-    ObjectiveTerms, independent of clique order. A solution of a padded
+    objective_terms, independent of clique order. A solution of a padded
     reduction.CompleteProblem is priced on its base problem, as
     objective(complete.base, complete_to_incomplete(complete, padded)).
     """
     validate(problem, solution)
-    return ObjectiveTerms(problem, solution).value()
+    return math.fsum(objective_terms(problem, solution).tolist())
+
+
+def matching_cost(sub: PairwiseCosts, pairs: Iterable[Assignment]) -> float:
+    """The cost of a matching of the table's nodes: math.fsum over the
+    linear costs of its pairs (a, b) and the quadratic entries between two
+    of them, math.inf when a pair is not stored (a forbidden match)."""
+    (i, s), lin_v, (x, y), quad_v = sub.arrays()
+    codes = np.append(i * sub.right_size + s, -1)  # the sentinel stores no pair
+    wanted = np.array([a * sub.right_size + b for a, b in pairs], np.int64)
+    at = np.searchsorted(codes[:-1], wanted)
+    if not np.array_equal(codes[at], wanted):
+        return math.inf
+    chosen = np.zeros(len(lin_v), bool)
+    chosen[at] = True
+    return math.fsum(np.concatenate((lin_v[at], quad_v[chosen[x] & chosen[y]])).tolist())

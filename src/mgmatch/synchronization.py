@@ -37,9 +37,9 @@ from .local_search import TraceRecorder, alternate
 from .model import (
     CliquePartition,
     MgmProblem,
-    ObjectiveTerms,
     PairwiseCosts,
     objective,
+    objective_terms,
 )
 
 VertexPair = tuple[tuple[int, int], tuple[int, int]]  # ((p, i), (q, s)), p < q
@@ -161,12 +161,12 @@ def sync_metrics(
     recovered = solution_pairs(solution)
     shared = len(target & recovered)
     hamming = len(target) + len(recovered) - 2 * shared
-    terms = ObjectiveTerms(problem, solution)
+    terms = objective_terms(problem, solution)
     return SyncMetrics(
         mlap_objective=-float(shared),
         hamming=hamming,
-        forbidden_count=int(np.count_nonzero(terms.values == math.inf)),
-        mgm_objective=terms.value(),
+        forbidden_count=int(np.count_nonzero(terms == math.inf)),
+        mgm_objective=math.fsum(terms.tolist()),
     )
 
 

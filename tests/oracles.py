@@ -2,8 +2,9 @@
 
 Everything here enumerates exhaustively or loops over dicts and stays
 deliberately naive; none of it shares code paths with the solvers under
-test. The reference_* functions are earlier implementations of solver
-layers, kept to check that their replacements return the same results.
+test, except split_rematch, which runs GM local search's move. The
+reference_* functions are earlier implementations of solver layers, kept
+to check that their replacements return the same results.
 """
 
 from __future__ import annotations
@@ -207,6 +208,22 @@ def reference_pair_terms(problem, partition, p, q):
         if key in table.quadratic:
             terms.append(table.quadratic[key])
     return terms
+
+
+def split_rematch(problem, solution, p, gm, seed):
+    """GM local search's move written out: split object p out of the
+    solution and re-match it. Returns construction.rematch's (sub,
+    matching, candidate) and the incumbent: the solution's own matching of
+    p's vertices to the split's cliques, looked up clique by clique."""
+    from mgmatch.construction import rematch
+
+    split = CliquePartition(c.without_object(p) for c in solution)
+    incumbent = [
+        (c.get(p), split.cliques.index(c.without_object(p)))
+        for c in solution.cliques
+        if c.covers(p) and len(c) > 1
+    ]
+    return (*rematch(problem, p, split, gm, seed), incumbent)
 
 
 def brute_force_mgm(problem):

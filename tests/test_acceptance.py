@@ -19,8 +19,8 @@ from mgmatch.gm import Effort, solve_gm, solve_lap
 from mgmatch.local_search import (
     TraceRecorder,
     alternate,
+    apply_multiswap,
     gm_local_search,
-    single_swap,
     swap_deltas,
     swap_local_search,
 )
@@ -143,7 +143,7 @@ def test_criterion_3_swap_delta_exactness():
             first, second = rng.sample(cliques, 2)
             (deltas,) = swap_deltas(problem, solution, [(first, second)])
             for p in range(problem.d):
-                after = objective(problem, single_swap(solution, first, second, p))
+                after = objective(problem, apply_multiswap(solution, first, second, [0] * p + [1]))
                 row = deltas[p].sum()
                 if after == math.inf:
                     assert row == math.inf

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import fields
 
@@ -9,7 +10,7 @@ from mgmatch.io import parse_solution, write_problem
 from mgmatch.model import objective
 
 from conftest import part
-from oracles import random_problem
+from oracles import random_partition, random_problem
 
 
 @pytest.fixture
@@ -127,6 +128,29 @@ class TestLsMode:
         err = capsys.readouterr().err
         assert ("warning: stored objective 5.0" in err) is warns
         assert ("warning" in err) is warns
+
+    def test_forbidden_initial_solution_is_repaired(self, tmp_path):
+        """The start's forbidden matches lie on the object pairs (0, 1),
+        (1, 2) and (2, 3), so no single re-match removes them all; GM local
+        search accepts each re-match of an object that holds one, and the
+        document and the trace hold finite objectives."""
+        from mgmatch.io import write_solution
+
+        rng = random.Random(3)
+        problem = random_problem(rng, 4, 3, forbidden_frac=0.6)
+        start = random_partition(rng, problem)
+        assert objective(problem, start) == math.inf
+        path, initial = tmp_path / "r3.dd", tmp_path / "init.json"
+        path.write_text(write_problem(problem))
+        initial.write_text(write_solution(start))
+        out, trace = tmp_path / "sol.json", tmp_path / "trace.csv"
+        code = main([str(path), "--mode", "ls", "--initial", str(initial),
+                     "--output", str(out), "--trace", str(trace)])
+        assert code == 0
+        doc = read_doc(out, problem)
+        assert doc.objective == objective(problem, doc.partition) < math.inf
+        values = [float(line.split(",")[2]) for line in trace.read_text().splitlines()[1:]]
+        assert values and max(values) < math.inf
 
     def test_from_scratch(self, t3, t3_file, tmp_path):
         out = tmp_path / "sol.json"

@@ -330,7 +330,8 @@ class TestMerge:
     def test_object_merge(self, t3):
         partial_solution = part({0: 0, 1: 0}, {0: 1, 1: 1})
         matching = GmMatching([(0, 1)])
-        found, merged = rematch(t3, 2, partial_solution, lambda sub, seed: matching, 0)
+        sub, found, merged = rematch(t3, 2, partial_solution, lambda sub, seed: matching, 0)
+        assert sub == object_clique_costs(t3, 2, partial_solution)
         assert found == matching
         assert merged == part({0: 0, 1: 0}, {0: 1, 1: 1, 2: 0})
         validate(t3, merged)
@@ -377,7 +378,7 @@ class TestConstructSequential:
         acc = singleton_partition(t3.sizes[0], 0)
         covered = {0}
         for k, p in enumerate([1, 2], start=1):
-            _, acc = rematch(t3, p, acc, exhaustive, 0)
+            *_, acc = rematch(t3, p, acc, exhaustive, 0)
             covered.add(p)
             assert acc.objects() == covered
             validate(t3, acc)

@@ -2,10 +2,11 @@
 
 best_multiswap returns no-swap early when no joint swap can win, and
 swap local search reuses each pair's best joint swap while its delta
-matrix is byte-equal; GM local search prices candidates with
-ObjectiveTerms instead of objective(). Each is checked against a fresh
-computation on small random problems, ObjectiveTerms pair by pair
-against an entry-by-entry oracle, and the searches' outputs are pinned.
+matrix is byte-equal; GM local search prices a re-match in the
+re-match's own table (model.matching_cost) instead of calling
+objective(). Each is checked against a fresh computation on small random
+problems, objective_terms against an entry-by-entry oracle, and the
+searches' outputs are pinned.
 """
 
 import hashlib
@@ -18,11 +19,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mgmatch import construction, local_search, qpbo
+from mgmatch import local_search, qpbo
 from mgmatch.construction import construct_sequential
-from mgmatch.gm import solve_gm
+from mgmatch.gm import GmMatching, solve_gm
 from mgmatch.local_search import (
-    ObjectiveTerms,
     alternate,
     apply_multiswap,
     best_multiswap,
@@ -35,15 +35,19 @@ from mgmatch.model import (
     CliquePartition,
     MgmProblem,
     PairwiseCosts,
+    matching_cost,
     objective,
+    objective_terms,
 )
 
 from conftest import part
 from oracles import (
+    matching_cost as oracle_matching_cost,
     random_partition,
     random_problem,
     reference_objective,
     reference_pair_terms,
+    split_rematch,
 )
 
 
@@ -58,10 +62,21 @@ def problems(draw):
     return random_problem(rng, d, 3, forbidden_frac=forbidden, min_size=min_size), rng
 
 
-def rematch(problem, solution, p, seed):
-    """GM local search's move: split object p out, then re-match it."""
-    split = CliquePartition(c.without_object(p) for c in solution)
-    return construction.rematch(problem, p, split, solve_gm, seed)[1]
+def random_solver(rng):
+    """A GM solver that returns a random matching of the allowed pairs."""
+
+    def solve(sub, seed):
+        pairs = sorted(sub.linear)
+        rng.shuffle(pairs)
+        left, right, chosen = set(), set(), []
+        for a, b in pairs:
+            if a not in left and b not in right and rng.random() < 0.7:
+                left.add(a)
+                right.add(b)
+                chosen.append((a, b))
+        return GmMatching(chosen)
+
+    return solve
 
 
 def contracted_minimum(deltas, involved, d, seed):
@@ -239,21 +254,20 @@ def with_zero_entries(problem, rng):
     )
 
 
-def assert_terms_match(problem, solution, pairs, values, objects):
-    """The tagged terms on each object pair that holds one of objects equal
-    the oracle's as a multiset; a forbidden pair holds an +inf term; no
-    other pair has terms."""
-    d = problem.d
-    for p, q in combinations(range(d), 2):
-        got = sorted(values[pairs == p * d + q].tolist())
-        if p not in objects and q not in objects:
-            assert got == []
-            continue
-        want = reference_pair_terms(problem, solution, p, q)
-        if want == math.inf:
-            assert math.inf in got
-        else:
-            assert got == sorted(want)
+def assert_terms_match(problem, solution, terms):
+    """The terms equal the oracle's over all object pairs as a multiset;
+    each present assignment that is not stored adds one +inf term."""
+    forbidden = sum(
+        problem.linear_cost(p, q, c.get(p), c.get(q)) == math.inf
+        for c in solution.cliques
+        for p, q in combinations(c.objects(), 2)
+    )
+    got = sorted(terms.tolist())
+    assert got.count(math.inf) == forbidden
+    if not forbidden:
+        pairs = combinations(range(problem.d), 2)
+        want = [t for p, q in pairs for t in reference_pair_terms(problem, solution, p, q)]
+        assert got == sorted(want)
 
 
 class TestObjectiveTerms:
@@ -261,38 +275,50 @@ class TestObjectiveTerms:
     def test_terms_equal_the_pointwise_oracle(self, case):
         problem, rng = case
         problem = with_zero_entries(problem, rng)
-        solution = random_partition(rng, problem)
-        terms = ObjectiveTerms(problem, solution)
-        assert_terms_match(problem, solution, terms.pairs, terms.values, range(problem.d))
-        for p in range(problem.d):
-            candidate = random_partition(rng, problem)
-            assert_terms_match(problem, candidate, *terms.row(p, candidate), [p])
-        # reference_objective is math.fsum too: equal floats, bit for bit
-        assert objective(problem, solution) == reference_objective(problem, solution)
+        for _ in range(3):
+            solution = random_partition(rng, problem)
+            assert_terms_match(problem, solution, objective_terms(problem, solution))
+            # reference_objective is math.fsum too: equal floats, bit for bit
+            assert objective(problem, solution) == reference_objective(problem, solution)
 
     @given(problems())
-    def test_rematch_value_is_objective(self, case):
+    def test_sub_cost_differences_are_objective_differences(self, case):
+        """From a finite incumbent, re-matching object p changes the
+        objective by the difference of the new and the incumbent matching's
+        costs in the re-match's table, for solve_gm's matchings and for
+        random ones."""
         problem, rng = case
         current = random_partition(rng, problem)
-        terms = ObjectiveTerms(problem, current)
-        assert terms.value() == objective(problem, current)
-        for _ in range(5):
+        if objective(problem, current) == math.inf:
+            current = construct_sequential(problem, seed=rng.randrange(100))
+        for _ in range(6):
             p = rng.randrange(problem.d)
-            candidate = rematch(problem, current, p, rng.randrange(100))
-            row = terms.row(p, candidate)
-            value = terms.value(p, row)
-            want = objective(problem, candidate)
-            if want == math.inf:
-                assert value == math.inf
-            else:
-                assert value == want  # fsum of the same terms: equal floats
-                assert value == pytest.approx(
-                    reference_objective(problem, candidate), abs=1e-9
-                )
+            gm = solve_gm if rng.random() < 0.5 else random_solver(rng)
+            sub, matching, candidate, incumbent = split_rematch(
+                problem, current, p, gm, rng.randrange(100)
+            )
+            got = matching_cost(sub, matching) - matching_cost(sub, incumbent)
+            want = objective(problem, candidate) - objective(problem, current)
+            assert abs(got - want) <= 1e-9
             if rng.random() < 0.5:
-                terms.replace(p, row)
                 current = candidate
-                assert terms.value() == objective(problem, current)
+
+    @given(problems())
+    def test_matching_cost_equals_the_oracle(self, case):
+        """On the problem's tables, math.inf once a pair is not stored."""
+        problem, rng = case
+        for table in problem.costs.values():
+            pairs = list(random_solver(rng)(table, 0))
+            want = oracle_matching_cost(table, pairs)
+            assert matching_cost(table, pairs) == pytest.approx(want, abs=1e-9)
+            absent = [
+                (a, b)
+                for a in range(table.left_size)
+                for b in range(table.right_size)
+                if (a, b) not in table.linear
+            ]
+            if absent:
+                assert matching_cost(table, [*pairs, rng.choice(absent)]) == math.inf
 
 
 def pinned_instance(seed):

@@ -17,7 +17,6 @@ from mgmatch.local_search import (
     apply_multiswap,
     best_multiswap,
     gm_local_search,
-    single_swap,
     swap_deltas,
     swap_local_search,
 )
@@ -26,6 +25,7 @@ from mgmatch.model import (
     CliquePartition,
     MgmProblem,
     PairwiseCosts,
+    matching_cost,
     objective,
 )
 from mgmatch.qpbo import EXACT_ENUMERATION_LIMIT
@@ -36,6 +36,7 @@ from oracles import (
     random_partition,
     random_problem,
     reference_swap_deltas,
+    split_rematch,
 )
 
 
@@ -74,36 +75,34 @@ def joint_swap_problem():
 
 
 class TestSingleSwap:
+    """A single swap is apply_multiswap with a one-hot bit list."""
+
     def test_both_cover_exchanges(self, t3):
         solution = part({0: 0, 1: 0}, {0: 1, 1: 1}, {2: 0})
-        swapped = single_swap(
-            solution, Clique({0: 0, 1: 0}), Clique({0: 1, 1: 1}), 0
-        )
+        swapped = apply_multiswap(solution, Clique({0: 0, 1: 0}), Clique({0: 1, 1: 1}), [1])
         assert swapped == part({0: 1, 1: 0}, {0: 0, 1: 1}, {2: 0})
 
     def test_one_covers_moves(self, t3):
         solution = part({0: 0, 1: 0}, {2: 0})
-        swapped = single_swap(solution, Clique({0: 0, 1: 0}), Clique({2: 0}), 2)
+        swapped = apply_multiswap(solution, Clique({0: 0, 1: 0}), Clique({2: 0}), [0, 0, 1])
         assert swapped == part({0: 0, 1: 0, 2: 0})
         assert len(swapped.cliques) == 1  # emptied clique dropped
 
     def test_neither_covers_is_identity(self, t3):
         solution = part({0: 0, 1: 0}, {0: 1, 1: 1})
-        swapped = single_swap(
-            solution, Clique({0: 0, 1: 0}), Clique({0: 1, 1: 1}), 2
+        swapped = apply_multiswap(
+            solution, Clique({0: 0, 1: 0}), Clique({0: 1, 1: 1}), [0, 0, 1]
         )
-        assert swapped is solution
+        assert swapped.cliques == solution.cliques
 
     def test_unknown_clique(self, t3):
         solution = part({0: 0, 1: 0})
         with pytest.raises(ValueError):
-            single_swap(solution, Clique({0: 1}), Clique({0: 0, 1: 0}), 0)
+            apply_multiswap(solution, Clique({0: 1}), Clique({0: 0, 1: 0}), [1])
 
     def test_same_clique_rejected(self, t3):
         solution = part({0: 0, 1: 0}, {2: 0})
         first = solution.cliques[0]
-        with pytest.raises(ValueError):
-            single_swap(solution, first, first, 0)
         with pytest.raises(ValueError):
             apply_multiswap(solution, first, first, [1, 0, 0])
 
@@ -116,7 +115,7 @@ class TestSwapDeltas:
         assert deltas[2, 0] == pytest.approx(-1.0)
         assert deltas[2, 1] == pytest.approx(3.0)
         row = deltas[2].sum()
-        after = single_swap(solution, first, second, 2)
+        after = apply_multiswap(solution, first, second, [0, 0, 1])
         assert row == pytest.approx(objective(t3, after) - objective(t3, solution))
         assert row == pytest.approx(2.0)
 
@@ -151,7 +150,7 @@ class TestSwapDeltas:
             first, second = rng.sample(cliques, 2)
             deltas = pair_deltas(problem, solution, first, second)
             for p in range(problem.d):
-                after = single_swap(solution, first, second, p)
+                after = apply_multiswap(solution, first, second, [0] * p + [1])
                 change = objective(problem, after)
                 row = deltas[p].sum()
                 if change == math.inf:
@@ -267,7 +266,7 @@ class TestBestMultiswap:
         first, second = solution.cliques
         base = objective(problem, solution)
         for p in range(4):
-            after = single_swap(solution, first, second, p)
+            after = apply_multiswap(solution, first, second, [0] * p + [1])
             assert objective(problem, after) > base
 
     def test_d2_matches_exhaustive(self):
@@ -370,9 +369,8 @@ class TestGmLocalSearch:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_fixed_point_soundness(self):
-        # at termination, no single-object re-match (solved exactly) improves
-        from mgmatch.construction import rematch
-
+        # at termination, no single-object re-match (solved exactly) improves,
+        # and the incumbent's matching is an optimum of each re-match's table
         rng = random.Random(47)
         for _ in range(10):
             problem = random_problem(rng, 3, 3, forbidden_frac=0.3)
@@ -382,9 +380,28 @@ class TestGmLocalSearch:
             result = gm_local_search(problem, start, gm=exhaustive, seed=1)
             value = objective(problem, result)
             for p in range(problem.d):
-                split = CliquePartition(c.without_object(p) for c in result)
-                _, candidate = rematch(problem, p, split, exhaustive, 0)
+                sub, matching, candidate, incumbent = split_rematch(
+                    problem, result, p, exhaustive, 0
+                )
                 assert objective(problem, candidate) >= value - 1e-9
+                assert matching_cost(sub, matching) >= matching_cost(sub, incumbent) - 1e-9
+
+    def test_forbidden_starts_end_allowed(self):
+        """The incumbent matching of an object with a forbidden match costs
+        math.inf in its re-match's table, so any re-match is accepted, and
+        one that stays within the table removes every forbidden match on
+        that object: starts whose forbidden matches no single object
+        covers end allowed too."""
+        rng = random.Random(53)
+        starts = 0
+        while starts < 20:
+            problem = random_problem(rng, 4, 3, forbidden_frac=0.6)
+            start = random_partition(rng, problem)
+            if objective(problem, start) < math.inf:
+                continue
+            starts += 1
+            result = gm_local_search(problem, start, seed=rng.randrange(100))
+            assert objective(problem, result) < math.inf
 
 
 class TestSwapLocalSearch:

@@ -15,7 +15,6 @@ from mgmatch.model import (
     MgmProblem,
     PairwiseCosts,
     entry_arrays,
-    lookup_linear,
     objective,
     singleton_partition,
     validate,
@@ -35,19 +34,13 @@ class TestForbidden:
 
 class TestLookupLinear:
     def test_direct_read(self, t3):
-        assert lookup_linear(t3, 0, 1, 0, 0) == -2.0
+        assert t3.linear_cost(0, 1, 0, 0) == -2.0
 
     def test_symmetric_read(self, t3):
-        assert lookup_linear(t3, 1, 0, 0, 0) == -2.0
+        assert t3.linear_cost(1, 0, 0, 0) == -2.0
 
     def test_absent_is_forbidden(self, t3):
-        assert lookup_linear(t3, 0, 1, 1, 0) == math.inf
-
-    def test_out_of_range(self, t3):
-        with pytest.raises(IndexError):
-            lookup_linear(t3, 0, 1, 2, 0)
-        with pytest.raises(IndexError):
-            lookup_linear(t3, 0, 3, 0, 0)
+        assert t3.linear_cost(0, 1, 1, 0) == math.inf
 
 
 class TestObjective:
