@@ -20,7 +20,6 @@ from .construction import (
 )
 from .gm import (
     Effort,
-    GmMatching,
     get_solver,
     register_solver,
     solve_gm,
@@ -63,7 +62,6 @@ from .reduction import (
     to_complete,
 )
 from .synchronization import (
-    PairwiseMatchingSet,
     SyncMetrics,
     build_sync_problem,
     solve_all_pairwise,

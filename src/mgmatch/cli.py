@@ -140,9 +140,7 @@ def _construct(problem, config: RunConfig, gm, seed: int, deadline, trace) -> Cl
             problem, order, config.warm_start, inner, gm=gm, seed=seed, deadline=deadline
         )
     if trace is not None:
-        value = objective(problem, solution)
-        if value < math.inf:
-            trace.record("construct", value)
+        trace.record("construct", objective(problem, solution))
     return solution
 
 
@@ -253,8 +251,7 @@ def run(config: RunConfig) -> int:
         if config.sync_post_ls:
             # The restart's trace holds projection objectives; the post-LS
             # entries that follow are objectives of the original problem.
-            if value < math.inf:
-                trace.record("sync-post-ls", value)
+            trace.record("sync-post-ls", value)
             solution = alternate(
                 problem, solution, gm=gm, seed=derive_seed(config.seed, 777),
                 deadline=deadline, trace=trace,

@@ -1,7 +1,9 @@
 """Feasible solution construction.
 
 Solutions are built by repeatedly matching two partial solutions with a
-pairwise GM solver, called as gm(sub, seed), and merging matched cliques.
+pairwise GM solver, called as gm(sub, seed), and merging matched cliques:
+merge takes the solver's tuple of (left clique, right clique) index pairs
+and is the one place that checks a matching uses each clique at most once.
 rematch is the one-object step, shared with GM local search. The
 sequential variant chains it along a random object order; the tree
 variant combines partial solutions along a binary construction tree,
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gm import GmMatching, GmSolver, solve_gm
+from .gm import GmSolver, Matching, solve_gm
 from .model import (
     Clique,
     CliquePartition,
@@ -111,18 +113,21 @@ def _sum_by_code(codes, values):
     return keys, slot, sums, np.bincount(slot, None, len(keys))
 
 
-def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> CliquePartition:
+def merge(a: CliquePartition, b: CliquePartition, matching: Matching) -> CliquePartition:
     """Union matched cliques, carry the unmatched ones over.
 
-    Matching pairs index into a.cliques and b.cliques. The result lists a's
-    cliques first (unioned with their partner where matched), then b's
-    unmatched cliques, preserving both input orders.
+    Matching pairs index into a.cliques and b.cliques; a node that appears
+    in two pairs raises ValueError. The result lists a's cliques first
+    (unioned with their partner where matched), then b's unmatched
+    cliques, preserving both input orders.
     """
     for ka, kb in matching:
         if not (0 <= ka < len(a.cliques)) or not (0 <= kb < len(b.cliques)):
             raise IndexError(f"matching references unknown clique pair ({ka},{kb})")
-    partner = matching.left_map()
-    matched_b = set(matching.right_map())
+    partner = dict(matching)
+    matched_b = set(partner.values())
+    if len(partner) != len(matching) or len(matched_b) != len(matching):
+        raise ValueError("matching reuses a node")
     result = []
     for idx, clique in enumerate(a.cliques):
         kb = partner.get(idx)
@@ -135,7 +140,7 @@ def merge(a: CliquePartition, b: CliquePartition, matching: GmMatching) -> Cliqu
 
 def rematch(
     problem: MgmProblem, p: int, partial: CliquePartition, gm: GmSolver, seed: int
-) -> tuple[PairwiseCosts, GmMatching, CliquePartition]:
+) -> tuple[PairwiseCosts, Matching, CliquePartition]:
     """Match object p's vertices to the cliques of a partial solution, then merge.
 
     Object p is lifted to singleton cliques, so the matching pairs (vertex
@@ -287,7 +292,7 @@ def construct_parallel(
             a = solution_of(node[0])
             b = solution_of(node[1])
             if time.monotonic() >= deadline:
-                matching = GmMatching()
+                matching = ()
             else:
                 matching = gm(clique_clique_costs(problem, a, b), derive_seed(seed, seq))
             solutions[id(node)] = merge(a, b, matching)

@@ -9,8 +9,10 @@ shortest augmenting paths, quadratic ones by a heuristic on integer
 assignment ids that starts from the linear optimum and improves with
 matching moves and fusion of candidate matchings. Moves are priced by
 gains: each allowed assignment's quadratic cost to the current matching,
-kept up to date as moves are applied. The pipeline calls a solver as
-gm(sub, seed) (GmSolver), so the solver carries its effort, as in
+kept up to date as moves are applied. A solver returns its matching as
+a tuple of the chosen (left, right) pairs, ascending, each node used at
+most once. The pipeline calls a solver as gm(sub, seed) (GmSolver), so
+the solver carries its effort, as in
 functools.partial(solve_gm, effort=Effort.FAST). The registry holds one
 solver, under "default"; the CLI looks it up at run time, so a caller may
 replace it, and binds --gm-effort to it by keyword.
@@ -28,7 +30,10 @@ from typing import Callable
 import numpy as np
 
 from . import qpbo
-from .model import PairwiseCosts
+from .model import Assignment, PairwiseCosts
+
+# A solver's matching: the chosen pairs (a, b), ascending, no node repeated.
+Matching = tuple[Assignment, ...]
 
 # Instances whose matching count stays below this are brute-forced under
 # Effort.EXHAUSTIVE; covers 5x5 dense and the skewed shapes local search makes.
@@ -41,44 +46,7 @@ class Effort(str, Enum):
     EXHAUSTIVE = "exhaustive"
 
 
-class GmMatching:
-    """Set of assignment pairs using each left and right node at most once."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs=()):
-        pairs = sorted(pairs)
-        left = [a for a, _ in pairs]
-        right = [b for _, b in pairs]
-        if len(set(left)) != len(left) or len(set(right)) != len(right):
-            raise ValueError("matching reuses a node")
-        self.pairs = tuple(pairs)
-
-    def left_map(self) -> dict[int, int]:
-        return {a: b for a, b in self.pairs}
-
-    def right_map(self) -> dict[int, int]:
-        return {b: a for a, b in self.pairs}
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __eq__(self, other):
-        if not isinstance(other, GmMatching):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __repr__(self):
-        return f"GmMatching({list(self.pairs)!r})"
-
-
-def solve_lap(sub: PairwiseCosts) -> GmMatching:
+def solve_lap(sub: PairwiseCosts) -> Matching:
     """Exact minimum-cost incomplete matching of a linear-only instance.
 
     Row-by-row shortest augmenting paths (Jonker and Volgenant 1987) on
@@ -144,7 +112,7 @@ def solve_lap(sub: PairwiseCosts) -> GmMatching:
             column[row], j = j, column[row]
             if row == root:
                 break
-    return GmMatching((a, column[a]) for a in arcs if column[a] < offset)
+    return tuple((a, column[a]) for a in arcs if column[a] < offset)
 
 
 def _count_matchings(left: int, right: int) -> int:
@@ -157,7 +125,7 @@ def _count_matchings(left: int, right: int) -> int:
     return total
 
 
-def _brute_force(sub: PairwiseCosts) -> GmMatching:
+def _brute_force(sub: PairwiseCosts) -> Matching:
     ids = _Ids(sub)
     by_left: dict[int, list[int]] = {}
     for x, a in enumerate(ids.left):
@@ -189,27 +157,26 @@ def _brute_force(sub: PairwiseCosts) -> GmMatching:
             used_right.remove(b)
 
     extend(0, set(), [], 0.0)
-    return GmMatching(ids.pairs[x] for x in best)
+    return tuple((ids.left[x], ids.right[x]) for x in best)
 
 
 class _Ids:
     """A quadratic instance on integer assignment ids, read from
-    sub.arrays(): id k is the k-th stored assignment (a, b) = ``pairs[k]``,
-    so ids follow sorted order, with linear cost ``cost[k]``, nodes
-    ``left[k]`` and ``right[k]``, and quadratic entries ``partners[k]`` as
-    (id, value) ascending by id, as the table stores its entries sorted;
+    sub.arrays(): id k is the k-th stored assignment, so ids follow
+    sorted order, with nodes ``left[k]`` and ``right[k]``, linear cost
+    ``cost[k]``, and quadratic entries ``partners[k]`` as (id, value)
+    ascending by id, as the table stores its entries sorted;
     ``at[a * right_size + b]`` is the id of (a, b), -1 where forbidden. An
     entry joins the ids x < y that the table stores as its positions;
     quad() looks it up by x * n + y."""
 
-    __slots__ = ("sub", "pairs", "cost", "left", "right", "partners", "at", "_quad")
+    __slots__ = ("sub", "cost", "left", "right", "partners", "at", "_quad")
 
     def __init__(self, sub: PairwiseCosts):
         self.sub = sub
         (a, b), lin_v, (x, y), quad_v = sub.arrays()
         width, n = sub.right_size, len(lin_v)
         self.left, self.right = a.tolist(), b.tolist()
-        self.pairs = list(zip(self.left, self.right))
         self.cost = lin_v.tolist()
         at = np.full(sub.left_size * width, -1)
         at[a * width + b] = np.arange(n)
@@ -409,7 +376,7 @@ def _greedy_candidate(ids: _Ids, rng: random.Random) -> list[int]:
     return sorted(left_used.values())
 
 
-def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT) -> GmMatching:
+def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT) -> Matching:
     """Feasible matching with cost at most zero; exact when costs are linear.
 
     Linear-only instances delegate to solve_lap. Otherwise the linear
@@ -437,21 +404,21 @@ def solve_gm(sub: PairwiseCosts, seed: int = 0, effort: Effort = Effort.DEFAULT)
             candidate = _local_search(ids, _greedy_candidate(ids, rng), max_scans // 2, two_swaps)
             current = _fuse(ids, current, candidate, seed=seed + k + 1)
         current = _local_search(ids, current, max_scans, two_swaps)
-    return GmMatching(ids.pairs[x] for x in current)
+    return tuple((ids.left[x], ids.right[x]) for x in current)
 
 
 # The pipeline's GM subroutine, gm(sub, seed); effort is bound in beforehand.
-GmSolver = Callable[[PairwiseCosts, int], GmMatching]
+GmSolver = Callable[[PairwiseCosts, int], Matching]
 
-_REGISTRY: dict[str, Callable[..., GmMatching]] = {}
+_REGISTRY: dict[str, Callable[..., Matching]] = {}
 
 
-def register_solver(name: str, solver: Callable[..., GmMatching]) -> None:
+def register_solver(name: str, solver: Callable[..., Matching]) -> None:
     """Register solver(sub, seed, effort=...) under name."""
     _REGISTRY[name] = solver
 
 
-def get_solver(name: str) -> Callable[..., GmMatching]:
+def get_solver(name: str) -> Callable[..., Matching]:
     return _REGISTRY[name]
 
 

@@ -74,14 +74,17 @@ _CHUNK = 32
 
 @dataclass
 class TraceRecorder:
-    """Objective-over-time log; one entry per accepted improvement."""
+    """Objective-over-time log; one entry per accepted improvement whose
+    objective is finite."""
 
     start: float = field(default_factory=time.monotonic)
     entries: list[tuple[float, str, float]] = field(default_factory=list)
 
     def record(self, phase: str, value: float) -> None:
-        elapsed_ms = (time.monotonic() - self.start) * 1000.0
-        self.entries.append((elapsed_ms, phase, value))
+        """Log value under phase; a non-finite value is dropped."""
+        if math.isfinite(value):
+            elapsed_ms = (time.monotonic() - self.start) * 1000.0
+            self.entries.append((elapsed_ms, phase, value))
 
     def lines(self) -> list[str]:
         return [f"{ms:.3f},{phase},{value!r}" for ms, phase, value in self.entries]
@@ -310,9 +313,7 @@ def gm_local_search(
             current = candidate
             stale = 0
             if trace is not None:
-                value = objective(problem, current)
-                if value < math.inf:
-                    trace.record("gm-ls", value)
+                trace.record("gm-ls", objective(problem, current))
         else:
             stale += 1
     return current

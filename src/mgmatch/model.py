@@ -21,6 +21,7 @@ matchings of a re-match's table with it.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -86,7 +87,9 @@ class PairwiseCosts:
     ):
         linear = dict(linear or {})
         for (i, s), value in linear.items():
-            if not (0 <= i < left_size and 0 <= s < right_size):
+            # operator.index rejects a non-integer index, which the int64 keys
+            # would truncate.
+            if not (0 <= operator.index(i) < left_size and 0 <= operator.index(s) < right_size):
                 raise IndexError(
                     f"assignment ({i},{s}) out of range for a {left_size}x{right_size} table"
                 )

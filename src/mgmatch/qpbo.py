@@ -83,9 +83,15 @@ class BinaryEnergy:
         )
 
 
-def evaluate(energy: BinaryEnergy, x: Sequence[int]) -> float:
+def _check_labeling(energy: BinaryEnergy, x: Sequence[int], name: str) -> None:
     if len(x) != energy.n:
-        raise ValueError(f"labeling length {len(x)} does not match n={energy.n}")
+        raise ValueError(f"{name} length {len(x)} does not match n={energy.n}")
+    if not set(x) <= {0, 1}:
+        raise ValueError(f"{name} holds labels other than 0 and 1")
+
+
+def evaluate(energy: BinaryEnergy, x: Sequence[int]) -> float:
+    _check_labeling(energy, x, "labeling")
     total = 0.0
     for p in range(energy.n):
         total += energy.unary[p][1] if x[p] else energy.unary[p][0]
@@ -220,8 +226,7 @@ def minimize(energy: BinaryEnergy, init: Sequence[int], seed: int = 0) -> tuple[
     (ties resolved toward label 0); only the sweeps read the seed.
     Swap energies arrive contracted, with no penalty tables.
     """
-    if len(init) != energy.n:
-        raise ValueError(f"init length {len(init)} does not match n={energy.n}")
+    _check_labeling(energy, init, "init")
     init = tuple(int(v) for v in init)
     if energy.n == 0:
         return ()

@@ -2,7 +2,8 @@
 consistency.
 
 All object pairs are first matched independently: the GM solver gets the
-problem's own table of each pair (left p, right q, p < q), uncopied. This
+problem's own table of each pair (left p, right q, p < q), uncopied, and
+its matching, a tuple of vertex pairs (i, s), is kept under (p, q). This
 in general yields an inconsistent multi-matching E. A linear-only MGM
 problem is then built whose optimum is the cycle-consistent
 multi-matching sharing the most pairs with E, and solved with the
@@ -24,14 +25,14 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Any
 
 import numpy as np
 
 from .construction import construct_sequential, derive_seed
-from .gm import GmMatching, GmSolver, solve_gm
+from .gm import GmSolver, Matching, solve_gm
 from .io import _cost_to_json
 from .local_search import TraceRecorder, alternate
 from .model import (
@@ -45,42 +46,26 @@ from .model import (
 VertexPair = tuple[tuple[int, int], tuple[int, int]]  # ((p, i), (q, s)), p < q
 
 
-@dataclass
-class PairwiseMatchingSet:
-    """One independent matching per object pair; the union need not be
-    cycle-consistent."""
-
-    d: int
-    matchings: dict[tuple[int, int], GmMatching] = field(default_factory=dict)
-
-    def pairs(self) -> set[VertexPair]:
-        """The induced multi-matching as canonical vertex pairs."""
-        union: set[VertexPair] = set()
-        for (p, q), matching in self.matchings.items():
-            for i, s in matching:
-                union.add(((p, i), (q, s)))
-        return union
-
-
 def solve_all_pairwise(
     problem: MgmProblem,
     gm: GmSolver = solve_gm,
     seed: int = 0,
     deadline: float = math.inf,
-) -> PairwiseMatchingSet:
-    """Independently solve all d(d-1)/2 pairwise GM problems; pairs not
-    reached by the deadline get no matching."""
+) -> dict[tuple[int, int], Matching]:
+    """Independently solve all d(d-1)/2 pairwise GM problems, keyed by
+    object pair (p, q), p < q; pairs not reached by the deadline are
+    absent. The union of the matchings need not be cycle-consistent."""
     matchings = {}
     for (p, q), table in problem.costs.items():
         if time.monotonic() >= deadline:
             break
         matchings[(p, q)] = gm(table, derive_seed(seed, p * problem.d + q))
-    return PairwiseMatchingSet(problem.d, matchings)
+    return matchings
 
 
 def build_sync_problem(
     problem: MgmProblem,
-    matchings: PairwiseMatchingSet,
+    matchings: dict[tuple[int, int], Matching],
     mode: str = "sparse",
     alpha: float | None = None,
 ) -> MgmProblem:
@@ -102,7 +87,7 @@ def build_sync_problem(
         width = problem.sizes[q]
         (i, s), *_ = table.arrays()
         allowed = i * width + s
-        pairs = np.array(list(matchings.matchings.get((p, q), ())), np.int64).reshape(-1, 2)
+        pairs = np.array(matchings.get((p, q), ()), np.int64).reshape(-1, 2)
         matched = pairs[:, 0] * width + pairs[:, 1]
         if mode == "sparse":
             codes = allowed
@@ -152,12 +137,12 @@ def solution_pairs(solution: CliquePartition) -> set[VertexPair]:
 
 
 def sync_metrics(
-    problem: MgmProblem, matchings: PairwiseMatchingSet, solution: CliquePartition
+    problem: MgmProblem, matchings: dict[tuple[int, int], Matching], solution: CliquePartition
 ) -> SyncMetrics:
     """Recompute all metrics independently of the optimization path. The
     objective's terms give the forbidden matches, each a math.inf term, and
     the MGM objective."""
-    target = matchings.pairs()
+    target = {((p, i), (q, s)) for (p, q), matching in matchings.items() for i, s in matching}
     recovered = solution_pairs(solution)
     shared = len(target & recovered)
     hamming = len(target) + len(recovered) - 2 * shared
@@ -193,9 +178,7 @@ def synchronize(
     random.Random(derive_seed(seed, 1)).shuffle(order)
     solution = construct_sequential(sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2))
     if trace is not None:
-        value = objective(sync_problem, solution)
-        if value < math.inf:
-            trace.record("sync-construct", value)
+        trace.record("sync-construct", objective(sync_problem, solution))
     solution = alternate(
         sync_problem,
         solution,

@@ -205,7 +205,7 @@ def test_criterion_5_lap_exactness():
             for pair in matching:
                 assert pair in sub.linear
             want, _ = brute_force_gm(sub)
-            assert abs(matching_cost(sub, matching.pairs) - want) <= 1e-9
+            assert abs(matching_cost(sub, matching) - want) <= 1e-9
 
 
 def test_criterion_6_reduction_identities():

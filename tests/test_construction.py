@@ -19,7 +19,7 @@ from mgmatch.construction import (
     merge,
     rematch,
 )
-from mgmatch.gm import Effort, GmMatching, _Ids, solve_gm, solve_lap
+from mgmatch.gm import Effort, _Ids, solve_gm, solve_lap
 from mgmatch.io import parse_problem
 from mgmatch.model import (
     Clique,
@@ -318,18 +318,18 @@ class TestMerge:
     def test_empty_matching_is_disjoint_union(self, t3):
         a = part({0: 0}, {0: 1})
         b = part({1: 0})
-        merged = merge(a, b, GmMatching())
+        merged = merge(a, b, ())
         assert merged.cliques == a.cliques + b.cliques
 
     def test_single_union(self):
         a = part({0: 0})
         b = part({1: 0})
-        merged = merge(a, b, GmMatching([(0, 0)]))
+        merged = merge(a, b, ((0, 0),))
         assert merged.cliques == (Clique({0: 0, 1: 0}),)
 
     def test_object_merge(self, t3):
         partial_solution = part({0: 0, 1: 0}, {0: 1, 1: 1})
-        matching = GmMatching([(0, 1)])
+        matching = ((0, 1),)
         sub, found, merged = rematch(t3, 2, partial_solution, lambda sub, seed: matching, 0)
         assert sub == object_clique_costs(t3, 2, partial_solution)
         assert found == matching
@@ -340,7 +340,15 @@ class TestMerge:
         a = part({0: 0})
         b = part({1: 0})
         with pytest.raises(IndexError):
-            merge(a, b, GmMatching([(0, 5)]))
+            merge(a, b, ((0, 5),))
+
+    def test_uniqueness_enforced(self):
+        a = part({0: 0}, {0: 1})
+        b = part({1: 0}, {1: 1})
+        with pytest.raises(ValueError):
+            merge(a, b, ((0, 0), (0, 1)))
+        with pytest.raises(ValueError):
+            merge(a, b, ((0, 0), (1, 0)))
 
 
 class TestConstructSequential:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mgmatch import gm
 from mgmatch.gm import (
     Effort,
-    GmMatching,
     get_solver,
     register_solver,
     solve_gm,
@@ -60,15 +59,15 @@ class TestSolveLap:
     def test_small_instance(self):
         sub = PairwiseCosts(2, 2, {(0, 0): -2.0, (1, 1): -1.0, (0, 1): 1.0})
         matching = solve_lap(sub)
-        assert matching == GmMatching([(0, 0), (1, 1)])
-        assert matching_cost(sub, matching.pairs) == -3.0
+        assert matching == ((0, 0), (1, 1))
+        assert matching_cost(sub, matching) == -3.0
 
     def test_all_positive_leaves_unmatched(self):
         sub = PairwiseCosts(2, 2, {(0, 0): 2.0, (1, 1): 1.0})
-        assert solve_lap(sub) == GmMatching()
+        assert solve_lap(sub) == ()
 
     def test_empty_table(self):
-        assert solve_lap(PairwiseCosts(3, 3)) == GmMatching()
+        assert solve_lap(PairwiseCosts(3, 3)) == ()
 
     def test_rejects_quadratic(self):
         sub = PairwiseCosts(
@@ -91,7 +90,7 @@ class TestSolveLap:
             matching = solve_lap(sub)
             assert all(pair in sub.linear for pair in matching)
             want, _ = brute_force_gm(sub)
-            assert matching_cost(sub, matching.pairs) == pytest.approx(want, abs=1e-9)
+            assert matching_cost(sub, matching) == pytest.approx(want, abs=1e-9)
 
     def test_never_uses_forbidden_pairs(self):
         rng = random.Random(1)
@@ -107,11 +106,11 @@ class TestSolveLap:
             (1, 0): 0.0, (1, 1): -2.0, (2, 0): 0.0, (2, 1): -2.0,
             (3, 0): 2.0, (3, 1): 0.0, (4, 0): -1.0, (4, 1): -3.0,
         })
-        assert solve_lap(sub) == GmMatching([(4, 1)])
+        assert solve_lap(sub) == ((4, 1),)
 
     def test_zero_cost_arcs_stay_unmatched(self):
         sub = PairwiseCosts(2, 2, {(0, 0): 0.0, (0, 1): -1.0, (1, 1): 0.0, (1, 0): 0.0})
-        assert solve_lap(sub) == GmMatching([(0, 1)])
+        assert solve_lap(sub) == ((0, 1),)
 
     def test_matches_the_previous_lap_on_float_costs(self):
         # Costs with three decimals have no tied optima here, so both
@@ -119,7 +118,24 @@ class TestSolveLap:
         rng = random.Random(5)
         for _ in range(150):
             sub = random_lap(rng, max_side=8, forbidden_frac=rng.choice([0.0, 0.3, 0.7]))
-            assert list(solve_lap(sub).pairs) == reference_solve_lap(sub)
+            assert list(solve_lap(sub)) == reference_solve_lap(sub)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Effort)))
+def test_solvers_return_ascending_stored_pairs(seed, effort):
+    """solve_lap and solve_gm return a strictly ascending tuple of stored
+    pairs (a, b) in which no node repeats."""
+    rng = random.Random(seed)
+    problem = random_problem(
+        rng, 3, 6, forbidden_frac=rng.choice([0.0, 0.4]), quad_frac=rng.choice([0.0, 0.5])
+    )
+    for table in problem.costs.values():
+        linear = PairwiseCosts(table.left_size, table.right_size, table.linear)
+        for matching in (solve_lap(linear), solve_gm(table, rng.randrange(2**31), effort)):
+            assert type(matching) is tuple
+            assert all(x < y for x, y in zip(matching, matching[1:]))
+            assert all(pair in table.linear for pair in matching)
+            assert len({a for a, _ in matching}) == len({b for _, b in matching}) == len(matching)
 
 
 @st.composite
@@ -143,7 +159,7 @@ def test_lap_reaches_the_exact_cost_with_the_fewest_pairs(sub):
     want_cost, want_pairs = brute_force_gm(sub)
     matching = solve_lap(sub)
     assert all(pair in sub.linear for pair in matching)
-    assert matching_cost(sub, matching.pairs) == want_cost
+    assert matching_cost(sub, matching) == want_cost
     assert len(matching) == len(want_pairs)
 
 
@@ -157,7 +173,7 @@ class TestSolveGm:
             2, 2, {(0, 0): -2.0, (1, 1): 0.5}, {((0, 0), (1, 1)): 0.25}
         )
         matching = solve_gm(sub, seed=0)
-        assert matching == GmMatching([(0, 0)])
+        assert matching == ((0, 0),)
 
     def test_exhaustive_matches_brute_force(self):
         rng = random.Random(7)
@@ -165,7 +181,7 @@ class TestSolveGm:
             sub = random_qap(rng, max_side=4)
             matching = solve_gm(sub, seed=3, effort=Effort.EXHAUSTIVE)
             want, _ = brute_force_gm(sub)
-            assert matching_cost(sub, matching.pairs) == pytest.approx(want, abs=1e-9)
+            assert matching_cost(sub, matching) == pytest.approx(want, abs=1e-9)
 
     def test_cost_never_positive(self):
         rng = random.Random(15)
@@ -173,7 +189,7 @@ class TestSolveGm:
             for _ in range(40):
                 sub = random_qap(rng, max_side=5)
                 matching = solve_gm(sub, seed=11, effort=effort)
-                assert matching_cost(sub, matching.pairs) <= 1e-12
+                assert matching_cost(sub, matching) <= 1e-12
                 for pair in matching:
                     assert pair in sub.linear
 
@@ -212,7 +228,7 @@ def pinned_qap(seed):
     return PairwiseCosts(left, right, linear, quadratic)
 
 
-# Digest of solve_gm(pinned_qap(seed), seed, effort).pairs per Effort
+# Digest of solve_gm(pinned_qap(seed), seed, effort) per Effort
 # (fast, default, exhaustive), computed by the implementation that
 # re-summed every move's partner lists and solved LAPs on tuple-keyed dicts.
 PINNED_GM = {
@@ -253,7 +269,7 @@ PINNED_GM = {
 def test_solve_gm_outputs_pinned(seed):
     sub = pinned_qap(seed)
     got = tuple(
-        hashlib.sha256(repr(solve_gm(sub, seed=seed, effort=effort).pairs).encode()).hexdigest()[:12]
+        hashlib.sha256(repr(solve_gm(sub, seed=seed, effort=effort)).encode()).hexdigest()[:12]
         for effort in Effort
     )
     assert got == PINNED_GM[seed]
@@ -281,7 +297,7 @@ def improving_moves(sub, pairs):
 
 def pairs_of(ids, matching):
     """The assignment pairs of ascending assignment ids."""
-    return tuple(ids.pairs[x] for x in matching)
+    return tuple((ids.left[x], ids.right[x]) for x in matching)
 
 
 class TestLocalSearch:
@@ -295,7 +311,7 @@ class TestLocalSearch:
                 matching = []
             elif start == "lap":
                 lap = solve_lap(PairwiseCosts(sub.left_size, sub.right_size, sub.linear))
-                matching = [ids.pairs.index(pair) for pair in lap]
+                matching = [ids.at[a * sub.right_size + b] for a, b in lap]
             else:
                 matching = gm._greedy_candidate(ids, random.Random(k))
             result = gm._local_search(ids, matching, max_scans=1000, two_swaps=True)
@@ -324,7 +340,7 @@ class TestLocalSearch:
                 reference_greedy_candidate(sub, random.Random(k))
             )
             lap = list(solve_lap(PairwiseCosts(sub.left_size, sub.right_size, sub.linear)))
-            for start in ([], [ids.pairs.index(pair) for pair in lap], greedy):
+            for start in ([], [ids.at[a * sub.right_size + b] for a, b in lap], greedy):
                 scans = rng.choice([1, 2, 60])
                 got = gm._local_search(ids, start, scans, two_swaps)
                 want = reference_gm_local_search(sub, pairs_of(ids, start), scans, two_swaps)
@@ -367,7 +383,6 @@ def test_ids_equal_the_tuple_reference(seed, source):
     for table in tables:
         ids = gm._Ids(table)
         pairs = sorted(table.linear)
-        assert ids.pairs == pairs
         assert ids.left == [a for a, _ in pairs] and ids.right == [b for _, b in pairs]
         assert [v.hex() for v in ids.cost] == [table.linear[x].hex() for x in pairs]
         at = [-1] * (table.left_size * table.right_size)
@@ -387,7 +402,7 @@ def test_ids_equal_the_tuple_reference(seed, source):
         for a, b in shuffled:
             if a not in left and b not in right:
                 left.add(a), right.add(b), matching.append((a, b))
-        chosen = sorted(ids.pairs.index(pair) for pair in matching)
+        chosen = sorted(pairs.index(pair) for pair in matching)
         assert gm._cost(ids, chosen).hex() == matching_cost(table, matching).hex()
 
 
@@ -430,23 +445,10 @@ class TestRegistry:
     def test_custom_registration(self, monkeypatch):
         # A private copy of the registry, so no other test sees "null".
         monkeypatch.setattr(gm, "_REGISTRY", dict(gm._REGISTRY))
-        register_solver("null", lambda sub, seed=0, effort=Effort.DEFAULT: GmMatching())
+        register_solver("null", lambda sub, seed=0, effort=Effort.DEFAULT: ())
         sub = PairwiseCosts(1, 1, {(0, 0): -1.0})
-        assert get_solver("null")(sub, 0, Effort.DEFAULT) == GmMatching()
+        assert get_solver("null")(sub, 0, Effort.DEFAULT) == ()
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_solver("no-such-solver")
-
-
-class TestGmMatching:
-    def test_uniqueness_enforced(self):
-        with pytest.raises(ValueError):
-            GmMatching([(0, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            GmMatching([(0, 0), (1, 0)])
-
-    def test_maps(self):
-        m = GmMatching([(1, 2), (0, 3)])
-        assert m.left_map() == {0: 3, 1: 2}
-        assert m.right_map() == {3: 0, 2: 1}

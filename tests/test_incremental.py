@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from mgmatch import local_search, qpbo
 from mgmatch.construction import construct_sequential
-from mgmatch.gm import GmMatching, solve_gm
+from mgmatch.gm import solve_gm
 from mgmatch.local_search import (
     alternate,
     apply_multiswap,
@@ -74,7 +74,7 @@ def random_solver(rng):
                 left.add(a)
                 right.add(b)
                 chosen.append((a, b))
-        return GmMatching(chosen)
+        return tuple(sorted(chosen))
 
     return solve
 

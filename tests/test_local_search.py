@@ -338,6 +338,15 @@ class TestBestMultiswap:
             assert predicted <= 0.0
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_trace_drops_non_finite_values(value):
+    trace = TraceRecorder()
+    trace.record("x", value)
+    assert trace.entries == []
+    trace.record("x", -1.5)
+    assert [entry[1:] for entry in trace.entries] == [("x", -1.5)]
+
+
 class TestGmLocalSearch:
     def test_optimum_is_fixed_point(self, t3):
         optimum = part({0: 0, 1: 0}, {0: 1, 1: 1}, {2: 0})

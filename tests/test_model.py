@@ -328,6 +328,15 @@ class TestPairwiseCosts:
         with pytest.raises(IndexError):
             PairwiseCosts(2, 3, linear={(0, -1): 1.0})
 
+    def test_non_integer_index_rejected(self):
+        # int64 keys would truncate 0.5 to 0 and store (0, 1) twice.
+        with pytest.raises(TypeError):
+            PairwiseCosts(2, 2, linear={(0.5, 1): 1.0, (0, 1): 2.0})
+        with pytest.raises(TypeError):
+            PairwiseCosts(2, 2, linear={(0, 1.0): 1.0})
+        table = PairwiseCosts(2, 2, linear={(np.int64(1), np.int32(0)): 1.0})
+        assert table.linear == {(1, 0): 1.0}
+
     def test_duplicate_quadratic_key_rejected(self):
         with pytest.raises(ValueError):
             PairwiseCosts(

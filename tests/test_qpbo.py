@@ -71,6 +71,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(e, (0,))
 
+    @pytest.mark.parametrize("labels", [(0, 2), (2, 0), (-1, 0)])
+    def test_labels_other_than_0_and_1_rejected(self, labels):
+        # (0, 2) would read t10 of the table, (2, 0) an index past it.
+        e = BinaryEnergy(2, [(0, 1), (0, 0)], {(0, 1): (0, 5, 7, 0)})
+        with pytest.raises(ValueError, match="labels other than 0 and 1"):
+            evaluate(e, labels)
+        with pytest.raises(ValueError, match="labels other than 0 and 1"):
+            minimize(e, labels)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_user_energy_raises(self, value):
         with pytest.raises(ValueError, match="unary costs must be finite"):

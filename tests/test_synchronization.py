@@ -6,10 +6,9 @@ from types import SimpleNamespace
 import pytest
 
 from mgmatch import local_search, synchronization
-from mgmatch.gm import Effort, GmMatching, solve_gm
+from mgmatch.gm import Effort, solve_gm
 from mgmatch.model import objective, validate
 from mgmatch.synchronization import (
-    PairwiseMatchingSet,
     build_sync_problem,
     solution_pairs,
     solve_all_pairwise,
@@ -27,9 +26,7 @@ exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
 class TestSolveAllPairwise:
     def test_t3_matchings(self, t3):
         result = solve_all_pairwise(t3, gm=exhaustive, seed=0)
-        assert result.matchings[(0, 1)] == GmMatching([(0, 0), (1, 1)])
-        assert result.matchings[(0, 2)] == GmMatching([(0, 0)])
-        assert result.matchings[(1, 2)] == GmMatching([(1, 0)])
+        assert result == {(0, 1): ((0, 0), (1, 1)), (0, 2): ((0, 0),), (1, 2): ((1, 0),)}
 
     def test_pairs_after_the_deadline_get_no_matching(self, monkeypatch):
         problem = random_problem(random.Random(4), 5, 3)
@@ -43,24 +40,25 @@ class TestSolveAllPairwise:
         result = solve_all_pairwise(problem, gm=gm, seed=3, deadline=3.5)
         full = solve_all_pairwise(problem, seed=3)
         solved = list(problem.costs)[:4]
-        assert result.matchings == {pair: full.matchings[pair] for pair in solved}
+        assert result == {pair: full[pair] for pair in solved}
 
     def test_two_objects(self, t3):
         sub = t3.restrict([0, 1])
         result = solve_all_pairwise(sub, gm=exhaustive)
-        assert len(result.matchings) == 1
+        assert len(result) == 1
 
     def test_empty_tables(self):
         from mgmatch.model import MgmProblem
 
         problem = MgmProblem([2, 2, 2])
         result = solve_all_pairwise(problem)
-        assert all(len(m) == 0 for m in result.matchings.values())
+        assert all(len(m) == 0 for m in result.values())
 
     def test_union_pairs(self, t3):
         result = solve_all_pairwise(t3, gm=exhaustive, seed=0)
-        assert ((0, 0), (1, 0)) in result.pairs()
-        assert ((1, 1), (2, 0)) in result.pairs()
+        # Both pairs of this solution are in the union sync_metrics reads.
+        metrics = sync_metrics(t3, result, part({0: 0, 1: 0}, {1: 1, 2: 0}))
+        assert metrics.mlap_objective == -2.0
 
 
 class TestBuildSyncProblem:
@@ -120,14 +118,7 @@ class TestSynchronize:
 
     def test_consistent_input_recovered_exactly(self, t3):
         # hand the synchronizer an already cycle-consistent matching set
-        matchings = PairwiseMatchingSet(
-            3,
-            {
-                (0, 1): GmMatching([(0, 0)]),
-                (0, 2): GmMatching([(0, 0)]),
-                (1, 2): GmMatching([(0, 0)]),
-            },
-        )
+        matchings = {(0, 1): ((0, 0),), (0, 2): ((0, 0),), (1, 2): ((0, 0),)}
         sync_problem = build_sync_problem(t3, matchings, mode="sparse")
         # optimum of the sync problem: the clique {0:0, 1:0, 2:0}
         target = part({0: 0, 1: 0, 2: 0})
@@ -153,7 +144,9 @@ class TestSynchronize:
             problem = random_problem(rng, 3, 3, forbidden_frac=0.2)
             matchings = solve_all_pairwise(problem, seed=2)
             solution, metrics = synchronize(problem, mode="sparse", seed=2)
-            target = matchings.pairs()
+            target = {
+                ((p, i), (q, s)) for (p, q), pairs in matchings.items() for i, s in pairs
+            }
             recovered = solution_pairs(solution)
             assert metrics.hamming == len(target | recovered) - len(target & recovered)
 
@@ -172,8 +165,8 @@ class TestSynchronize:
         validate(problem, solution)
         # four pairs were solved before the deadline, and their matched
         # pairs are projected rather than dropped
-        solved = solve_all_pairwise(problem, seed=3).matchings
-        partial = PairwiseMatchingSet(problem.d, {pair: solved[pair] for pair in list(solved)[:4]})
+        solved = solve_all_pairwise(problem, seed=3)
+        partial = {pair: solved[pair] for pair in list(solved)[:4]}
         assert metrics == sync_metrics(problem, partial, solution)
         assert metrics.mlap_objective < 0
         assert any(len(clique) > 1 for clique in solution.cliques)
