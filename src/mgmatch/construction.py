@@ -323,6 +323,6 @@ def construct_incremental(
     inner_solution = inner(restricted, derive_seed(seed, 0))
     inner_solution = inner_solution.normalized(restricted.sizes)
     acc = CliquePartition(
-        Clique({head[p]: v for p, v in clique.pairs}) for clique in inner_solution
+        Clique((head[p], v) for p, v in clique) for clique in inner_solution
     )
     return _chain(problem, acc, order, s, gm, seed, deadline)

@@ -168,9 +168,9 @@ class _Ids:
     ascending by id, as the table stores its entries sorted;
     ``at[a * right_size + b]`` is the id of (a, b), -1 where forbidden. An
     entry joins the ids x < y that the table stores as its positions;
-    quad() looks it up by x * n + y."""
+    ``quad`` maps x * n + y to its value, n the number of ids."""
 
-    __slots__ = ("sub", "cost", "left", "right", "partners", "at", "_quad")
+    __slots__ = ("sub", "cost", "left", "right", "partners", "at", "quad")
 
     def __init__(self, sub: PairwiseCosts):
         self.sub = sub
@@ -185,11 +185,7 @@ class _Ids:
         for xk, yk, value in zip(x.tolist(), y.tolist(), quad_v.tolist()):
             partners[xk].append((yk, value))
             partners[yk].append((xk, value))
-        self._quad = dict(zip((x * n + y).tolist(), quad_v.tolist()))
-
-    def quad(self, x: int, y: int) -> float:
-        """The quadratic entry joining ids x < y, 0.0 where there is none."""
-        return self._quad.get(x * len(self.cost) + y, 0.0)
+        self.quad = dict(zip((x * n + y).tolist(), quad_v.tolist()))
 
 
 def _pair_terms(ids: _Ids, chosen: list[int]):
@@ -265,7 +261,8 @@ def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: boo
                 improved = True
         if two_swaps:
             # Left nodes a1 < a2 make ids x1 < x2 and r1 < r2.
-            quad, at, width = ids.quad, ids.at, ids.sub.right_size
+            quad, n = ids.quad.get, len(cost)
+            at, width = ids.at, ids.sub.right_size
             for r1, r2 in combinations([x for x in by_left if x >= 0], 2):
                 if by_left[left[r1]] != r1 or by_left[left[r2]] != r2:
                     continue  # replaced by an earlier swap this scan
@@ -275,7 +272,7 @@ def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: boo
                 delta = (
                     cost[x1] + gain[x1] + cost[x2] + gain[x2]
                     - (cost[r1] + gain[r1]) - (cost[r2] + gain[r2])
-                    + quad(x1, x2) + quad(r1, r2)
+                    + quad(x1 * n + x2, 0.0) + quad(r1 * n + r2, 0.0)
                 )
                 if delta < -1e-12:
                     apply((r1, r2), (x1, x2))

@@ -19,8 +19,8 @@ program a forbidden objective is the float math.inf; a document stores it
 as the string "forbidden" (_cost_to_json, _cost_from_json), so documents
 are plain JSON and never hold Infinity.
 
-Both formats are UTF-8; a byte that does not decode raises ParseError on
-its line.
+Both formats are UTF-8, with or without a leading byte-order mark; a
+byte that does not decode raises ParseError on its line.
 """
 
 from __future__ import annotations
@@ -69,11 +69,13 @@ def _as_text(source: TextSource) -> str:
     if isinstance(data, str):
         return data
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
-        # Lines are counted as parse_problem counts them, by str.splitlines().
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+        # The offsets count in exc.object, the bytes after a BOM. Lines are
+        # counted as parse_problem counts them, by str.splitlines().
+        rest = exc.object
+        line = len((rest[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(line, f"invalid UTF-8 byte 0x{rest[exc.start]:02x}") from None
 
 
 def parse_problem(source: TextSource) -> MgmProblem:
@@ -294,14 +296,14 @@ def write_solution(solution: CliquePartition, metadata: dict[str, Any] | None = 
     each clique's members are sorted, so identical solutions always produce
     identical documents.
     """
-    cliques = sorted(solution.cliques, key=lambda c: c.pairs[0])
+    cliques = sorted(solution.cliques, key=lambda c: c[0])
     meta = dict(metadata or {})
     if "objective" in meta:
         meta["objective"] = _cost_to_json(meta["objective"])
     doc = {
         "format": SOLUTION_FORMAT,
         "version": SOLUTION_VERSION,
-        "cliques": [[[p, v] for p, v in clique.pairs] for clique in cliques],
+        "cliques": [[[p, v] for p, v in clique] for clique in cliques],
         "metadata": meta,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -10,10 +10,11 @@ only:
   the objective terms that involve p, and the solution itself matches
   p's vertices to the remaining cliques in that table, so the re-match
   problem prices the move: the merge is kept when its matching costs
-  less there (model.matching_cost) than the incumbent's matching. In
-  exact arithmetic the two costs differ by the objective change; the
-  table's entries are rounded sums, so a near-tie can be decided
-  otherwise than objective() would decide it.
+  less there (model.matching_cost) than the incumbent's matching by more
+  than 1e-12, the GM heuristic's threshold. In exact arithmetic the two
+  costs differ by the objective change; the table's entries are rounded
+  sums, so a smaller gain may be rounding alone, and the margin keeps
+  such a move from being accepted without lowering the objective.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
@@ -91,16 +92,11 @@ class TraceRecorder:
 
 
 def _swap_cliques(first: Clique, second: Clique, objects) -> tuple[Clique, Clique]:
-    a = dict(first.pairs)
-    b = dict(second.pairs)
-    for p in objects:
-        va = a.pop(p, None)
-        vb = b.pop(p, None)
-        if vb is not None:
-            a[p] = vb
-        if va is not None:
-            b[p] = va
-    return Clique(a), Clique(b)
+    moved = set(objects)
+    return tuple(
+        Clique([m for m in mine if m[0] not in moved] + [m for m in theirs if m[0] in moved])
+        for mine, theirs in ((first, second), (second, first))
+    )
 
 
 class _SwapView(NamedTuple):
@@ -288,8 +284,10 @@ def gm_local_search(
     Stops after a full cycle over the objects without an accepted move, or
     at the deadline (a time.monotonic() value). A move re-matches object p
     and is accepted when its matching costs less in the re-match's table
-    than the incumbent's: vertex v of p matched to the clique that held it,
-    without p, and unmatched where that clique held v alone. objective()
+    than the incumbent's by more than 1e-12: vertex v of p matched to the
+    clique that held it, without p, and unmatched where that clique held v
+    alone. A forbidden incumbent costs math.inf, and math.inf - 1e-12 is
+    math.inf, so every allowed re-match of it is accepted. objective()
     runs only to trace an accepted move.
     """
     validate(problem, solution)
@@ -309,7 +307,7 @@ def gm_local_search(
                 cliques.append(rest)
         split = CliquePartition(cliques)
         sub, matching, candidate = rematch(problem, p, split, gm, derive_seed(seed, step))
-        if matching_cost(sub, matching) < matching_cost(sub, incumbent):
+        if matching_cost(sub, matching) < matching_cost(sub, incumbent) - 1e-12:
             current = candidate
             stale = 0
             if trace is not None:

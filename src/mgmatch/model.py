@@ -8,9 +8,11 @@ deltas and objectives are floats, math.inf for a forbidden match: a
 solution holding one has objective math.inf, above every allowed one.
 
 A feasible solution is a partition of the vertices into cliques, each
-clique holding at most one vertex per object. Cycle consistency of the
-induced multi-matching is automatic in this representation. Unmatched
-vertices are implicit singletons and cost nothing.
+clique holding at most one vertex per object. A Clique is the ascending
+tuple of its (object, vertex) members, so cliques hash, compare and sort
+as those tuples do. Cycle consistency of the induced multi-matching is
+automatic in this representation. Unmatched vertices are implicit
+singletons and cost nothing.
 
 The objective has one implementation: objective() is math.fsum over
 objective_terms, read from the problem's slot index. matching_cost prices
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -352,75 +355,47 @@ class MgmProblem:
         return f"MgmProblem(d={self.d}, sizes={self.sizes})"
 
 
-class Clique:
-    """Immutable set of mutually matched vertices, at most one per object."""
+class Clique(tuple):
+    """Immutable set of mutually matched vertices, at most one per object:
+    the tuple of its (object, vertex) members in ascending order.
 
-    __slots__ = ("_pairs", "_map")
+    The constructor takes a mapping {object: vertex} or an iterable of
+    members, sorts them and raises DuplicateVertexError when two share an
+    object. Equality, hashing, order, len, iteration and membership are
+    the tuple's.
+    """
 
-    def __init__(self, members: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    __slots__ = ()
+
+    def __new__(cls, members: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         if isinstance(members, Mapping):
-            items = list(members.items())
-        else:
-            items = list(members)
-        mapping: dict[int, int] = {}
-        for p, v in items:
-            if p in mapping:
+            members = members.items()
+        clique = tuple.__new__(cls, sorted((p, v) for p, v in members))
+        for (p, _), (q, _) in zip(clique, clique[1:]):
+            if p == q:
                 raise DuplicateVertexError(f"clique holds two vertices of object {p}")
-            mapping[p] = v
-        self._pairs = tuple(sorted(mapping.items()))
-        self._map = mapping
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return self._pairs
+        return clique
 
     def objects(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self._pairs)
+        return tuple(p for p, _ in self)
 
     def get(self, p: int) -> int | None:
-        return self._map.get(p)
+        at = bisect_left(self, (p,))
+        return self[at][1] if at < len(self) and self[at][0] == p else None
 
     def covers(self, p: int) -> bool:
-        return p in self._map
+        return self.get(p) is not None
 
     def union(self, other: "Clique") -> "Clique":
-        merged = dict(self._map)
-        for p, v in other._pairs:
-            if p in merged:
-                raise DuplicateVertexError(f"union would cover object {p} twice")
-            merged[p] = v
-        return Clique(merged)
+        return Clique(self + other)
 
     def without_object(self, p: int) -> "Clique":
-        if p not in self._map:
+        if not self.covers(p):
             return self
-        remaining = dict(self._map)
-        del remaining[p]
-        return Clique(remaining)
-
-    def __len__(self):
-        return len(self._pairs)
-
-    def __iter__(self):
-        return iter(self._pairs)
-
-    def __contains__(self, pair):
-        p, v = pair
-        return self._map.get(p) == v
-
-    def __eq__(self, other):
-        if not isinstance(other, Clique):
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __lt__(self, other: "Clique"):
-        return self._pairs < other._pairs
-
-    def __hash__(self):
-        return hash(self._pairs)
+        return tuple.__new__(Clique, (m for m in self if m[0] != p))
 
     def __repr__(self):
-        inner = ", ".join(f"{p}:{v}" for p, v in self._pairs)
+        inner = ", ".join(f"{p}:{v}" for p, v in self)
         return "Clique{" + inner + "}"
 
 
@@ -465,7 +440,7 @@ class CliquePartition:
             columns: dict[int, list[int]] = {}
             flat = [-1] * (len(self.cliques) * d)
             for idx, clique in enumerate(self.cliques):
-                for p, v in clique.pairs:
+                for p, v in clique:
                     column = columns.get(p)
                     if column is None:
                         if not 0 <= p < d:

@@ -95,7 +95,7 @@ def incomplete_to_complete(
     """
     base = complete.base
     full = solution.normalized(base.sizes)
-    cliques = [dict(c.pairs) for c in full.cliques]
+    cliques = [dict(c) for c in full.cliques]
     rng = random.Random(seed)
     rng.shuffle(cliques)
     while len(cliques) < complete.total:
@@ -129,7 +129,7 @@ def complete_to_incomplete(
         if len(clique) != complete.d:
             raise CompletenessError(f"{clique!r} does not cover every object")
     stripped = [
-        Clique({p: v for p, v in clique.pairs if not complete.is_dummy(p, v)})
+        Clique((p, v) for p, v in clique if not complete.is_dummy(p, v))
         for clique in solution.cliques
     ]
     return CliquePartition(stripped)

@@ -131,7 +131,7 @@ def solution_pairs(solution: CliquePartition) -> set[VertexPair]:
     """The multi-matching induced by a partition, as canonical vertex pairs."""
     pairs: set[VertexPair] = set()
     for clique in solution.cliques:
-        for (p, i), (q, s) in combinations(clique.pairs, 2):
+        for (p, i), (q, s) in combinations(clique, 2):
             pairs.add(((p, i), (q, s)))
     return pairs
 

@@ -179,7 +179,7 @@ def reference_objective(problem, partition):
     linear_cost and quad_cost, so it also prices a solution of a
     reduction.CompleteProblem."""
     terms = []
-    cliques = [dict(c.pairs) for c in partition.cliques]
+    cliques = [dict(c) for c in partition.cliques]
     for c in cliques:
         for p, q in combinations(sorted(c), 2):
             cost = problem.linear_cost(p, q, c[p], c[q])

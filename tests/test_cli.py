@@ -111,6 +111,17 @@ class TestLsMode:
         doc = read_doc(out, t3)
         assert doc.objective <= objective(t3, part({0: 0, 1: 1}))
 
+    def test_inputs_with_a_byte_order_mark(self, t3, tmp_path):
+        from mgmatch.io import write_solution
+
+        problem, initial = tmp_path / "bom.dd", tmp_path / "bom.json"
+        problem.write_text(write_problem(t3), encoding="utf-8-sig")
+        initial.write_text(write_solution(part({0: 0, 1: 1})), encoding="utf-8-sig")
+        out = tmp_path / "sol.json"
+        code = main([str(problem), "--mode", "ls", "--initial", str(initial), "--output", str(out)])
+        assert code == 0
+        assert read_doc(out, t3).objective <= objective(t3, part({0: 0, 1: 1}))
+
     @pytest.mark.parametrize("stored, warns", [(5.0, True), (-2.0, False)])
     def test_initial_objective_mismatch_warns(
         self, t3, t3_file, tmp_path, capsys, stored, warns

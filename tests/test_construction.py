@@ -121,7 +121,7 @@ def split_problems(draw):
 
 
 def restricted(cliques, objects):
-    return CliquePartition(Clique({p: v for p, v in c.pairs if p in objects}) for c in cliques)
+    return CliquePartition(Clique({p: v for p, v in c if p in objects}) for c in cliques)
 
 
 def reference_costs(problem, a, b):
@@ -130,7 +130,7 @@ def reference_costs(problem, a, b):
     linear = {}
     for k, ca in enumerate(a.cliques):
         for l, cb in enumerate(b.cliques):
-            costs = [problem.linear_cost(p, q, i, s) for p, i in ca.pairs for q, s in cb.pairs]
+            costs = [problem.linear_cost(p, q, i, s) for p, i in ca for q, s in cb]
             if math.inf not in costs:
                 linear[(k, l)] = sum(costs)
     quadratic = {}
@@ -509,7 +509,7 @@ class TestDeadline:
         head = set(order[:4])
         assert cut.objects() == head
         assert cut == CliquePartition(
-            Clique({p: v for p, v in c.pairs if p in head}) for c in full
+            Clique({p: v for p, v in c if p in head}) for c in full
         )
 
     def test_tree_merges_unmatched_after_the_deadline(self, clocked_gm):

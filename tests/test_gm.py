@@ -374,7 +374,7 @@ def test_ids_equal_the_tuple_reference(seed, source):
         cut = rng.randint(1, problem.d - 1)
         cliques = random_partition(rng, problem)
         a, b = (
-            CliquePartition(Clique({p: v for p, v in c.pairs if p in side}) for c in cliques)
+            CliquePartition(Clique({p: v for p, v in c if p in side}) for c in cliques)
             for side in (set(objects[:cut]), set(objects[cut:]))
         )
         tables = [clique_clique_costs(problem, a, b), clique_clique_costs(problem, b, a)]
@@ -395,7 +395,7 @@ def test_ids_equal_the_tuple_reference(seed, source):
         ]
         for x, y in combinations(range(len(pairs)), 2):
             want = table.quadratic.get((pairs[x], pairs[y]), 0.0)
-            assert ids.quad(x, y).hex() == want.hex()
+            assert ids.quad.get(x * len(pairs) + y, 0.0).hex() == want.hex()
         shuffled = pairs[:]
         rng.shuffle(shuffled)
         left, right, matching = set(), set(), []

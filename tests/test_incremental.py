@@ -350,7 +350,7 @@ def pinned_instance(seed):
 
 
 def digest(partition):
-    cliques = sorted(c.pairs for c in partition.canonical())
+    cliques = sorted(tuple(c) for c in partition.canonical())
     return hashlib.sha256(repr(cliques).encode()).hexdigest()[:16]
 
 

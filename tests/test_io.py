@@ -250,6 +250,9 @@ class TestWriteProblem:
         assert write_problem(t3) == write_problem(t3)
 
 
+BOM = "\ufeff".encode()
+
+
 class TestNonUtf8:
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r", b"\x0c"])
     def test_error_names_the_line_of_the_first_bad_byte(self, newline):
@@ -258,6 +261,22 @@ class TestNonUtf8:
             parse_problem(newline.join(lines) + newline)
         assert info.value.line == 3
         assert str(info.value) == "line 3: invalid UTF-8 byte 0xe9"
+
+    def test_a_byte_order_mark_is_skipped(self, t3):
+        text = write_problem(t3)
+        assert parse_problem(BOM + text.encode()) == t3
+        solution = part({0: 0, 1: 0}, {2: 0})
+        document = write_solution(solution, {"objective": objective(t3, solution)})
+        parsed = parse_solution(BOM + document.encode(), problem=t3)
+        assert parsed.partition == solution and not parsed.warnings
+
+    def test_a_bad_byte_after_a_byte_order_mark_names_its_line(self):
+        with pytest.raises(ParseError) as info:
+            parse_problem(BOM + b"gm 0 1\np 1 1 1 0\na 0 0 0 -1.0 \xe9\n")
+        assert str(info.value) == "line 3: invalid UTF-8 byte 0xe9"
+        with pytest.raises(ParseError) as info:
+            parse_problem(BOM + b"\xff")
+        assert str(info.value) == "line 1: invalid UTF-8 byte 0xff"
 
     def test_a_file_reads_as_its_bytes(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -344,10 +363,13 @@ class TestSolutionDocuments:
         with pytest.raises(ParseError):
             parse_solution(json.dumps(doc), problem=t3)
 
-    def test_two_vertices_of_one_object_in_a_clique(self):
-        doc = {"format": "mgm-solution", "version": 1, "cliques": [[[0, 0], [0, 1]]]}
-        with pytest.raises(ParseError):
-            parse_solution(json.dumps(doc))
+    def test_two_vertices_of_one_object_in_a_clique(self, t3):
+        for members in ([[0, 0], [0, 1]], [[0, 1], [1, 0], [0, 0]], [[2, 0], [2, 0]]):
+            doc = {"format": "mgm-solution", "version": 1, "cliques": [members]}
+            with pytest.raises(ParseError, match="two vertices of object"):
+                parse_solution(json.dumps(doc))
+            with pytest.raises(ParseError, match="two vertices of object"):
+                parse_solution(json.dumps(doc), problem=t3)
 
     @pytest.mark.parametrize(
         "member",

@@ -42,6 +42,28 @@ from oracles import (
 
 exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
 
+TIED_COSTS = (0.1, 0.2, 0.3, -0.1, -0.2, -0.3, -0.6, 0.7)
+
+
+def tie_problem(rng, d, max_size, forbidden_frac=0.2, quad_frac=0.3):
+    """A random_problem whose costs all come from TIED_COSTS."""
+    sizes = [rng.randint(1, max_size) for _ in range(d)]
+    costs = {}
+    for p, q in combinations(range(d), 2):
+        linear = {
+            (i, s): rng.choice(TIED_COSTS)
+            for i in range(sizes[p])
+            for s in range(sizes[q])
+            if rng.random() >= forbidden_frac
+        }
+        quadratic = {
+            (a, b): rng.choice(TIED_COSTS)
+            for a, b in combinations(sorted(linear), 2)
+            if a[0] != b[0] and a[1] != b[1] and rng.random() < quad_frac
+        }
+        costs[(p, q)] = PairwiseCosts(sizes[p], sizes[q], linear, quadratic)
+    return MgmProblem(sizes, costs)
+
 
 def pair_deltas(problem, solution, first, second):
     """The swap_deltas matrix of one clique pair."""
@@ -169,7 +191,7 @@ class TestSwapDeltas:
         rng = random.Random(seed)
         problem = random_problem(rng, d, 4, forbidden_frac=forbidden, quad_frac=0.5)
         solution = CliquePartition(
-            Clique({p: v for p, v in clique.pairs if rng.random() < 0.8})
+            Clique({p: v for p, v in clique if rng.random() < 0.8})
             for clique in random_partition(rng, problem).cliques
         )
         pairs = list(combinations(solution.cliques, 2))
@@ -209,7 +231,7 @@ def split_conflicts(problem, cliques):
     feasible = []
     for clique in cliques:
         kept = {}
-        for p, v in sorted(clique.pairs):
+        for p, v in clique:
             if all(problem.linear_cost(q, p, w, v) != math.inf for q, w in kept.items()):
                 kept[p] = v
             else:
@@ -376,6 +398,20 @@ class TestGmLocalSearch:
         values = [value for _, _, value in trace.entries]
         assert values
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_trace_strictly_decreasing_under_tied_costs(self):
+        """Costs from a few short decimals tie often, and the re-match's
+        table sums them in another order than objective() does; a move is
+        accepted only when it gains more than 1e-12 there, so no accepted
+        move leaves the objective where it was."""
+        rng = random.Random(2026)
+        for _ in range(300):
+            problem = tie_problem(rng, rng.randint(3, 6), 4)
+            trace = TraceRecorder()
+            start = random_partition(rng, problem)
+            gm_local_search(problem, start, seed=rng.randrange(1000), trace=trace)
+            values = [value for _, _, value in trace.entries]
+            assert all(b < a for a, b in zip(values, values[1:])), values
 
     def test_fixed_point_soundness(self):
         # at termination, no single-object re-match (solved exactly) improves,

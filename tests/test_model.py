@@ -103,6 +103,52 @@ class TestValidate:
             Clique([(0, 0), (0, 1)])
 
 
+class TestClique:
+    def test_members_are_the_sorted_pairs(self):
+        clique = Clique([(2, 0), (0, 1), (1, 1)])
+        assert isinstance(clique, tuple) and clique == ((0, 1), (1, 1), (2, 0))
+        assert Clique({2: 0, 0: 1, 1: 1}) == clique
+        assert repr(clique) == "Clique{0:1, 1:1, 2:0}"
+        with pytest.raises(DuplicateVertexError):
+            Clique([(1, 0), (0, 0), (1, 0)])
+        with pytest.raises(ValueError):
+            Clique([(0, 0, 1)])
+
+    @given(st.lists(st.dictionaries(st.integers(0, 4), st.integers(0, 3)), max_size=6))
+    def test_hashes_compares_and_sorts_like_its_member_tuple(self, members):
+        cliques = [Clique(m) for m in members]
+        pairs = [tuple(sorted(m.items())) for m in members]
+        assert [hash(c) for c in cliques] == [hash(t) for t in pairs]
+        assert [tuple(c) for c in sorted(cliques)] == sorted(pairs)
+        for (a, x), (b, y) in zip(zip(cliques, pairs), zip(cliques[1:], pairs[1:])):
+            assert ((a == b), (a < b), (a <= b)) == ((x == y), (x < y), (x <= y))
+        assert len(set(cliques)) == len(set(pairs))
+
+    def test_lookups(self):
+        clique = Clique({0: 2, 3: 1})
+        assert [clique.get(p) for p in range(5)] == [2, None, None, 1, None]
+        assert [clique.covers(p) for p in range(5)] == [True, False, False, True, False]
+        assert clique.objects() == (0, 3) and len(clique) == 2
+        assert (3, 1) in clique and (3, 0) not in clique and (1, None) not in clique
+
+    def test_without_object(self):
+        clique = Clique({0: 2, 1: 0, 3: 1})
+        rest = clique.without_object(1)
+        assert type(rest) is Clique and rest == Clique({0: 2, 3: 1})
+        assert clique.without_object(2) is clique
+        assert Clique({0: 2}).without_object(0) == Clique()
+
+    def test_union(self):
+        merged = Clique({0: 2, 3: 1}).union(Clique({1: 0}))
+        assert type(merged) is Clique and merged == Clique({0: 2, 1: 0, 3: 1})
+
+    def test_union_rejects_a_shared_object(self):
+        with pytest.raises(DuplicateVertexError):
+            Clique({0: 2, 3: 1}).union(Clique({1: 0, 3: 1}))
+        with pytest.raises(DuplicateVertexError):
+            Clique({0: 2}).union(Clique({0: 1}))
+
+
 def as_lists(columns):
     return {p: column.tolist() for p, column in columns.items()}
 
@@ -130,7 +176,7 @@ class TestVertexIndex:
                     expected[k, p] = v
         assert np.array_equal(vertices, expected)
         for k, clique in enumerate(partition.cliques):
-            assert dict(clique.pairs) == {p: v for p, v in enumerate(vertices[k]) if v >= 0}
+            assert dict(clique) == {p: v for p, v in enumerate(vertices[k]) if v >= 0}
 
     def test_views_are_read_only(self):
         partition = part({0: 1, 1: 0}, {0: 0})
@@ -245,7 +291,7 @@ class TestInvariants:
             relabeled_problem = problem.restrict(perm)
             renum = {p: k for k, p in enumerate(perm)}
             relabeled_solution = CliquePartition(
-                Clique({renum[p]: v for p, v in c.pairs}) for c in solution
+                Clique({renum[p]: v for p, v in c}) for c in solution
             )
             a = objective(problem, solution)
             b = objective(relabeled_problem, relabeled_solution)
@@ -261,7 +307,7 @@ def _restricted_objective(problem, solution, objects):
     renum = {p: k for k, p in enumerate(objects)}
     keep = set(objects)
     restricted = CliquePartition(
-        Clique({renum[p]: v for p, v in c.pairs if p in keep})
+        Clique({renum[p]: v for p, v in c if p in keep})
         for c in solution.cliques
     )
     return objective(problem.restrict(objects), restricted)
@@ -269,7 +315,7 @@ def _restricted_objective(problem, solution, objects):
 
 def _cross_terms(problem, solution, set_a, set_b):
     total = 0.0
-    cliques = [dict(c.pairs) for c in solution.cliques]
+    cliques = [dict(c) for c in solution.cliques]
     for c in cliques:
         for p in sorted(c):
             for q in sorted(c):
@@ -466,4 +512,4 @@ class TestPairTable:
 
 def test_singleton_partition():
     p = singleton_partition(3, 1)
-    assert [c.pairs for c in p.cliques] == [((1, 0),), ((1, 1),), ((1, 2),)]
+    assert list(p.cliques) == [((1, 0),), ((1, 1),), ((1, 2),)]

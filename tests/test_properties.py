@@ -44,7 +44,7 @@ def allowed_start(rng, problem):
     cliques = []
     for clique in random_partition(rng, problem):
         kept = {}
-        for p, v in clique.pairs:
+        for p, v in clique:
             if all(problem.linear_cost(q, p, w, v) != math.inf for q, w in kept.items()):
                 kept[p] = v
         cliques.append(Clique(kept))

@@ -61,7 +61,7 @@ class TestTranslation:
         for clique in translated.cliques:
             assert len(clique) == t3.d
             real = [
-                (p, v) for p, v in clique.pairs if not complete.is_dummy(p, v)
+                (p, v) for p, v in clique if not complete.is_dummy(p, v)
             ]
             assert len(real) <= 1
 
