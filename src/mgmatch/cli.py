@@ -257,7 +257,7 @@ def run(config: RunConfig) -> int:
                 deadline=deadline, trace=trace,
             )
             value = objective(problem, solution)
-            metadata["mgm_objective_post_ls"] = mgm_io._cost_to_json(value)
+            metadata["mgm_objective_post_ls"] = value
         metadata["sync_metrics"] = metrics.to_dict()
 
     metadata["objective"] = value

@@ -39,6 +39,10 @@ Matching = tuple[Assignment, ...]
 # Effort.EXHAUSTIVE; covers 5x5 dense and the skewed shapes local search makes.
 EXHAUSTIVE_MATCHING_LIMIT = 20000
 
+# A move counts as an improvement when it lowers a cost by more than this:
+# costs are rounded sums, and a smaller gain may be rounding alone.
+_MIN_GAIN = 1e-12
+
 
 class Effort(str, Enum):
     FAST = "fast"
@@ -136,7 +140,7 @@ def _brute_force(sub: PairwiseCosts) -> Matching:
 
     def extend(idx, used_right, current, cost):
         nonlocal best_cost, best
-        if cost < best_cost - 1e-12:
+        if cost < best_cost - _MIN_GAIN:
             best_cost = cost
             best = tuple(current)
         if idx == len(lefts):
@@ -252,11 +256,11 @@ def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: boo
             delta = cost[x] + gain[x]
             if r >= 0:
                 delta -= cost[r] + gain[r]
-            if delta < -1e-12:
+            if delta < -_MIN_GAIN:
                 apply(() if r < 0 else (r,), (x,))
                 improved = True
         for x in [x for x in by_left if x >= 0]:
-            if -(cost[x] + gain[x]) < -1e-12:
+            if -(cost[x] + gain[x]) < -_MIN_GAIN:
                 apply((x,), ())
                 improved = True
         if two_swaps:
@@ -274,7 +278,7 @@ def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: boo
                     - (cost[r1] + gain[r1]) - (cost[r2] + gain[r2])
                     + quad(x1 * n + x2, 0.0) + quad(r1 * n + r2, 0.0)
                 )
-                if delta < -1e-12:
+                if delta < -_MIN_GAIN:
                     apply((r1, r2), (x1, x2))
                     improved = True
         if not improved:
@@ -290,7 +294,7 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
     induced pairwise binary energy is minimized starting from the first
     matching (the all-zeros labeling). Matchings are ascending assignment
     ids. The fused matching (the common ids and each component's chosen
-    side) is returned when its _cost is below first's by more than 1e-12,
+    side) is returned when its _cost is below first's by more than _MIN_GAIN,
     else first itself.
     """
     common = set(first) & set(second)
@@ -351,7 +355,7 @@ def _fuse(ids: _Ids, first: list[int], second: list[int], seed: int) -> list[int
     energy = qpbo.BinaryEnergy._trusted(n_comp, unary, {k: tuple(t) for k, t in pairwise.items()})
     labels = qpbo.minimize(energy, (0,) * n_comp, seed=seed)
     fused = sorted(common.union(*(side[label] for side, label in zip(sides, labels))))
-    return fused if _cost(ids, fused) < _cost(ids, first) - 1e-12 else first
+    return fused if _cost(ids, fused) < _cost(ids, first) - _MIN_GAIN else first
 
 
 def _greedy_candidate(ids: _Ids, rng: random.Random) -> list[int]:

@@ -15,12 +15,14 @@ line declares.
 
 Solutions use a small JSON document (schema version 1) listing cliques in
 a deterministic order plus free-form metadata; see write_solution. In the
-program a forbidden objective is the float math.inf; a document stores it
-as the string "forbidden" (_cost_to_json, _cost_from_json), so documents
-are plain JSON and never hold Infinity.
+program a forbidden cost is the float math.inf; a document stores every
+math.inf of its metadata, nested dicts included, as the string
+"forbidden" (_cost_to_json, _cost_from_json), so documents are plain JSON
+and never hold Infinity.
 
-Both formats are UTF-8, with or without a leading byte-order mark; a
-byte that does not decode raises ParseError on its line.
+Both formats are UTF-8, with or without a leading byte-order mark,
+whether read as bytes or as text; a byte that does not decode raises
+ParseError on its line.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class DuplicateEntryError(ParseError):
 def _as_text(source: TextSource) -> str:
     data = source if isinstance(source, (str, bytes)) else source.read()
     if isinstance(data, str):
-        return data
+        return data.removeprefix("\ufeff")
     try:
         return data.decode("utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
@@ -281,7 +283,10 @@ class SolutionDocument:
 
 
 def _cost_to_json(value):
-    """A cost as a document stores it: "forbidden" for math.inf."""
+    """A metadata value as a document stores it: "forbidden" for math.inf,
+    in nested dicts too."""
+    if isinstance(value, dict):
+        return {key: _cost_to_json(item) for key, item in value.items()}
     return "forbidden" if value == math.inf else value
 
 
@@ -297,14 +302,11 @@ def write_solution(solution: CliquePartition, metadata: dict[str, Any] | None = 
     identical documents.
     """
     cliques = sorted(solution.cliques, key=lambda c: c[0])
-    meta = dict(metadata or {})
-    if "objective" in meta:
-        meta["objective"] = _cost_to_json(meta["objective"])
     doc = {
         "format": SOLUTION_FORMAT,
         "version": SOLUTION_VERSION,
         "cliques": [[[p, v] for p, v in clique] for clique in cliques],
-        "metadata": meta,
+        "metadata": _cost_to_json(metadata or {}),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

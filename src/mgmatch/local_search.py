@@ -11,10 +11,10 @@ only:
   p's vertices to the remaining cliques in that table, so the re-match
   problem prices the move: the merge is kept when its matching costs
   less there (model.matching_cost) than the incumbent's matching by more
-  than 1e-12, the GM heuristic's threshold. In exact arithmetic the two
-  costs differ by the objective change; the table's entries are rounded
-  sums, so a smaller gain may be rounding alone, and the margin keeps
-  such a move from being accepted without lowering the objective.
+  than gm._MIN_GAIN, the GM heuristic's margin. In exact arithmetic the
+  two costs differ by the objective change; the table's entries are
+  rounded sums, so a smaller gain may be rounding alone, and the margin
+  keeps such a move from being accepted without lowering the objective.
 
 * Swap local search considers, for a pair of cliques, jointly exchanging
   their vertices on any subset of objects. The change decomposes over
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import qpbo
 from .construction import derive_seed, rematch
-from .gm import GmSolver, solve_gm
+from .gm import _MIN_GAIN, GmSolver, solve_gm
 from .model import (
     Clique,
     CliquePartition,
@@ -284,10 +284,10 @@ def gm_local_search(
     Stops after a full cycle over the objects without an accepted move, or
     at the deadline (a time.monotonic() value). A move re-matches object p
     and is accepted when its matching costs less in the re-match's table
-    than the incumbent's by more than 1e-12: vertex v of p matched to the
-    clique that held it, without p, and unmatched where that clique held v
-    alone. A forbidden incumbent costs math.inf, and math.inf - 1e-12 is
-    math.inf, so every allowed re-match of it is accepted. objective()
+    than the incumbent's by more than _MIN_GAIN: vertex v of p matched to
+    the clique that held it, without p, and unmatched where that clique held
+    v alone. A forbidden incumbent costs math.inf, and math.inf - _MIN_GAIN
+    is math.inf, so every allowed re-match of it is accepted. objective()
     runs only to trace an accepted move.
     """
     validate(problem, solution)
@@ -307,7 +307,7 @@ def gm_local_search(
                 cliques.append(rest)
         split = CliquePartition(cliques)
         sub, matching, candidate = rematch(problem, p, split, gm, derive_seed(seed, step))
-        if matching_cost(sub, matching) < matching_cost(sub, incumbent) - 1e-12:
+        if matching_cost(sub, matching) < matching_cost(sub, incumbent) - _MIN_GAIN:
             current = candidate
             stale = 0
             if trace is not None:

@@ -4,10 +4,11 @@ Provides the multi-swap optimizer: energies of the form
 
     E(x) = sum_p theta_p(x_p) + sum_{p<q} theta_pq(x_p, x_q),  x in {0,1}^n.
 
-``minimize`` never returns a labeling worse than its initializer. Up to 16
-variables it enumerates the energy as a quadratic form; beyond, submodular
-instances are cut exactly by one max flow (Dinic's) and the general case
-gets greedy improve sweeps from the initializer. Swap energies come
+``minimize`` never returns a labeling worse than its initializer. It reads
+the energy as one sparse quadratic form (_quadratic_form), and up to 16
+variables it enumerates the form; beyond, submodular instances are cut
+exactly by one max flow over shortest augmenting paths and the general
+case gets greedy improve sweeps from the initializer. Swap energies come
 contracted over forbidden swaps, with no penalty terms; any that reaches
 ``minimize`` has a negative table and is not submodular, so the cut serves
 library callers and gm fusion energies of more than 16 components. Roof
@@ -100,75 +101,62 @@ def evaluate(energy: BinaryEnergy, x: Sequence[int]) -> float:
     return total
 
 
-def _solve_submodular(energy: BinaryEnergy) -> list[int]:
-    """Exact minimizer of a submodular energy via one s-t min cut.
+def _quadratic_form(energy: BinaryEnergy) -> tuple[list[float], dict[tuple[int, int], float]]:
+    """E(x) as u.x + sum_(p,q) g[p, q] x_p x_q, its constant dropped. Each
+    table (A, B, C, D) is A + (C-A) x_p + (B-A) x_q + g x_p x_q with
+    g = A + D - B - C, one entry per table: the form is as sparse as E."""
+    u = [b - a for a, b in energy.unary]
+    g = {}
+    for key, (t00, t01, t10, t11) in energy.pairwise.items():
+        p, q = key
+        u[p] += t10 - t00
+        u[q] += t01 - t00
+        g[key] = t00 + t11 - t01 - t10
+    return u, g
 
-    Each table (A, B, C, D) becomes A + (C-A) x_p + (B-A) x_q + g x_p x_q
-    with g = A + D - B - C <= 0, rewritten as g x_p + (-g) x_p (1-x_q), an
-    edge q -> p; constants are dropped throughout. Dinic's max flow: each
-    phase levels the residual graph by breadth-first search, then saturates
-    it by iterative depth-first search. The nodes the last level search
-    reaches form the minimal minimum cut, which every maximum flow leaves;
-    they take label 0.
+
+def _solve_submodular(u: list[float], g: dict) -> tuple[int, ...]:
+    """Exact minimizer of a submodular form (every g <= 0) via one s-t min cut.
+
+    g x_p x_q is rewritten as g x_p + (-g) x_p (1-x_q), an arc q -> p. A
+    positive u[p] is an arc source -> p, which label 1 cuts, and a negative
+    one an arc p -> sink, which label 0 cuts. Shortest augmenting paths
+    (Edmonds-Karp) saturate the network. The nodes the last breadth-first
+    search reaches form the minimal minimum cut, which every maximum flow
+    leaves; they take label 0.
     """
-    n = energy.n
-    u0 = [a for a, _ in energy.unary]
-    u1 = [b for _, b in energy.unary]
-    edges = []
-    for (p, q), (t00, t01, t10, t11) in energy.pairwise.items():
-        g = t00 + t11 - t01 - t10
-        u1[p] += t10 - t00
-        u1[p] += g
-        u1[q] += t01 - t00
-        edges.append((q, p, -g))
+    n, u, arcs = len(u), list(u), []
+    for (p, q), w in g.items():
+        u[p] += w
+        arcs.append((q, p, -w))
     source, sink = n, n + 1
-    terminal = []
-    for p in range(n):
-        base = min(u0[p], u1[p])
-        terminal += [(source, p, u1[p] - base), (p, sink, u0[p] - base)]
-    # adj[u] holds residual edges [v, capacity, position of the reverse in adj[v]].
+    for p, c in enumerate(u):
+        arcs += [(source, p, c), (p, sink, -c)]  # the one of no capacity is left out
+    # adj[a] holds residual arcs [b, capacity, position of the reverse in adj[b]].
     adj: list[list[list]] = [[] for _ in range(n + 2)]
-    for u, v, cap in chain(terminal, edges):
+    for a, b, cap in arcs:
         if cap > _EPS:
-            adj[u].append([v, cap, len(adj[v])])
-            adj[v].append([u, 0.0, len(adj[u]) - 1])
+            adj[a].append([b, cap, len(adj[b])])
+            adj[b].append([a, 0.0, len(adj[a]) - 1])
     while True:
-        level = [-1] * (n + 2)
-        level[source] = 0
+        reached = {source: None}  # node -> (its predecessor, the arc between)
         queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v, cap, _ in adj[u]:
-                if cap > _EPS and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[sink] < 0:
-            return [0 if level[p] >= 0 else 1 for p in range(n)]
-        # ``path`` holds the edges from the source to u and it[u] is u's
-        # next edge to try; a dead end advances its parent's pointer.
-        it = [0] * (n + 2)
-        path: list[list] = []
-        u = source
-        while True:
-            if u == sink:
-                flow = min(edge[1] for edge in path)
-                for edge in path:
-                    edge[1] -= flow
-                    adj[edge[0]][edge[2]][1] += flow
-                path, u = [], source
-            elif it[u] < len(adj[u]):
-                edge = adj[u][it[u]]
-                if edge[1] > _EPS and level[edge[0]] == level[u] + 1:
-                    path.append(edge)
-                    u = edge[0]
-                else:
-                    it[u] += 1
-            elif path:
-                edge = path.pop()
-                u = adj[edge[0]][edge[2]][0]  # the edge's tail
-                it[u] += 1
-            else:
-                break
+        while queue and sink not in reached:
+            a = queue.popleft()
+            for arc in adj[a]:
+                if arc[1] > _EPS and arc[0] not in reached:
+                    reached[arc[0]] = a, arc
+                    queue.append(arc[0])
+        if sink not in reached:
+            return tuple(0 if p in reached else 1 for p in range(n))
+        path, b = [], sink
+        while b != source:
+            b, arc = reached[b]
+            path.append(arc)
+        flow = min(arc[1] for arc in path)
+        for arc in path:
+            arc[1] -= flow
+            adj[arc[0]][arc[2]][1] += flow
 
 
 @functools.cache
@@ -179,18 +167,15 @@ def _low_bits(k: int) -> np.ndarray:
     return bits
 
 
-def _enumerate_minimize(energy: BinaryEnergy, init: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact minimizer of E(x) = u.x + x'Gx (_solve_submodular's split,
-    constant dropped) over blocks of the 2^k labelings of the k low bits:
-    their energies once, then one matrix-vector product per high-bit
-    assignment."""
-    n = energy.n
-    u = np.array([b - a for a, b in energy.unary])
+def _enumerate_minimize(u: list[float], g: dict) -> tuple[int, ...]:
+    """Exact minimizer of the form u.x + x'Gx, G the dense g, over blocks of
+    the 2^k labelings of the k low bits: their values once, then one
+    matrix-vector product per high-bit assignment."""
+    n = len(u)
+    u = np.array(u)
     G = np.zeros((n, n))
-    for (p, q), (t00, t01, t10, t11) in energy.pairwise.items():
-        u[p] += t10 - t00
-        u[q] += t01 - t00
-        G[p, q] += t00 + t11 - t01 - t10
+    for (p, q), w in g.items():
+        G[p, q] = w
     k = min(n, 12)  # a block of 2^12 labelings; its matrix is 384 kB
     low = _low_bits(k)
     base = low @ u[:k] + ((low @ G[:k, :k]) * low).sum(axis=1)
@@ -200,56 +185,49 @@ def _enumerate_minimize(energy: BinaryEnergy, init: tuple[int, ...]) -> tuple[in
         i = int(np.argmin(values))
         if values[i] < best_value:
             best, best_value = (high << k) | i, values[i]
-    candidate = tuple((best >> p) & 1 for p in range(n))
-    return candidate if evaluate(energy, candidate) < evaluate(energy, init) else init
+    return tuple((best >> p) & 1 for p in range(n))
 
 
-def _flip_delta(energy: BinaryEnergy, x: list[int], p: int, neighbors) -> float:
-    old = x[p]
-    new = 1 - old
-    delta = energy.unary[p][new] - energy.unary[p][old]
-    for q, table, p_is_first in neighbors[p]:
-        if p_is_first:
-            delta += table[2 * new + x[q]] - table[2 * old + x[q]]
-        else:
-            delta += table[2 * x[q] + new] - table[2 * x[q] + old]
-    return delta
-
-
-def minimize(energy: BinaryEnergy, init: Sequence[int], seed: int = 0) -> tuple[int, ...]:
-    """Labeling with energy at most that of ``init``; exact for n <= 16.
-
-    For n <= EXACT_ENUMERATION_LIMIT every labeling is enumerated, and
-    ``init`` is returned unless a labeling is strictly lower; otherwise
-    submodular energies are cut exactly and general ones get greedy
-    improve sweeps from ``init`` over all variables in a seeded shuffle
-    (ties resolved toward label 0); only the sweeps read the seed.
-    Swap energies arrive contracted, with no penalty tables.
-    """
-    _check_labeling(energy, init, "init")
-    init = tuple(int(v) for v in init)
-    if energy.n == 0:
-        return ()
-    if energy.n <= EXACT_ENUMERATION_LIMIT:
-        return _enumerate_minimize(energy, init)
-    if energy.is_submodular():
-        candidate = tuple(_solve_submodular(energy))
-        return candidate if evaluate(energy, candidate) < evaluate(energy, init) else init
-
+def _improve_sweeps(u: list[float], g: dict, init: tuple[int, ...], seed: int) -> tuple[int, ...]:
+    """Greedy single flips from ``init`` over all variables in a seeded
+    shuffle until a sweep flips none. Setting x_p to 1 changes the form by
+    u[p] + sum_q g[p, q] x_q; x_p takes 1 when that is negative, else 0."""
     x = list(init)
-    neighbors: list[list] = [[] for _ in range(energy.n)]
-    for (p, q), table in energy.pairwise.items():
-        neighbors[p].append((q, table, True))
-        neighbors[q].append((p, table, False))
-    order = list(range(energy.n))
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in u]
+    for (p, q), w in g.items():
+        neighbors[p].append((q, w))
+        neighbors[q].append((p, w))
+    order = list(range(len(u)))
     random.Random(seed).shuffle(order)
     changed = True
     while changed:
         changed = False
         for p in order:
-            delta = _flip_delta(energy, x, p, neighbors)
-            if delta < 0 or (delta == 0 and x[p] == 1):
-                x[p] = 1 - x[p]
-                changed = True
-    candidate = tuple(x)
+            coupling = 0.0
+            for q, w in neighbors[p]:
+                if x[q]:
+                    coupling += w
+            label = 1 if u[p] + coupling < 0 else 0
+            if x[p] != label:
+                x[p], changed = label, True
+    return tuple(x)
+
+
+def minimize(energy: BinaryEnergy, init: Sequence[int], seed: int = 0) -> tuple[int, ...]:
+    """Labeling with energy at most that of ``init``; exact for n <= 16.
+
+    For n <= EXACT_ENUMERATION_LIMIT every labeling is enumerated;
+    otherwise submodular energies are cut exactly and general ones get
+    greedy improve sweeps from ``init`` (only the sweeps read the seed).
+    ``init`` is returned unless the labeling found is strictly lower.
+    """
+    _check_labeling(energy, init, "init")
+    init = tuple(int(v) for v in init)
+    u, g = _quadratic_form(energy)
+    if energy.n <= EXACT_ENUMERATION_LIMIT:
+        candidate = _enumerate_minimize(u, g)
+    elif energy.is_submodular():
+        candidate = _solve_submodular(u, g)
+    else:
+        candidate = _improve_sweeps(u, g, init, seed)
     return candidate if evaluate(energy, candidate) < evaluate(energy, init) else init

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Any
 
@@ -33,7 +33,6 @@ import numpy as np
 
 from .construction import construct_sequential, derive_seed
 from .gm import GmSolver, Matching, solve_gm
-from .io import _cost_to_json
 from .local_search import TraceRecorder, alternate
 from .model import (
     CliquePartition,
@@ -110,8 +109,7 @@ def build_sync_problem(
 @dataclass
 class SyncMetrics:
     """Agreement and feasibility statistics of a synchronized solution;
-    mgm_objective is math.inf when the solution holds a forbidden match,
-    and to_dict writes it as a document stores a cost."""
+    mgm_objective is math.inf when the solution holds a forbidden match."""
 
     mlap_objective: float
     hamming: int
@@ -119,12 +117,7 @@ class SyncMetrics:
     mgm_objective: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "mlap_objective": self.mlap_objective,
-            "hamming": self.hamming,
-            "forbidden_count": self.forbidden_count,
-            "mgm_objective": _cost_to_json(self.mgm_objective),
-        }
+        return asdict(self)
 
 
 def solution_pairs(solution: CliquePartition) -> set[VertexPair]:

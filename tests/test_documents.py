@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from mgmatch import qpbo
 from mgmatch.cli import main
 from mgmatch.io import parse_problem, write_problem, write_solution
 
@@ -34,9 +35,14 @@ WORMS_TINY = {"d": 6, "n": 5, "candidates": 3, "quadratic": 8}
 # A dense, complete hotel-like model, the shape of the benchmark's
 # hotel-full, on which a full solve accepts fused GM matchings.
 HOTEL_SMALL = {"d": 8, "n": 8}
+# Many objects of few vertices: swap local search builds energies of more
+# than qpbo.EXACT_ENUMERATION_LIMIT groups, on which the improve sweeps find
+# swaps that the trace records.
+WORMS_MANY = {"d": 30, "n": 4, "candidates": 3, "quadratic": 10}
 GENERATED = {
     "worms": lambda: instances.worms_like(4, **WORMS_SMALL),
     "worms-tiny": lambda: instances.worms_like(4, **WORMS_TINY),
+    "worms-many": lambda: instances.worms_like(4, **WORMS_MANY),
     "hotel": lambda: instances.hotel_like(2, **HOTEL_SMALL),
 }
 
@@ -46,6 +52,7 @@ CONFIGS = {
     "worms-sync": ("worms", ["--mode", "sync", "--sync-mode", "sparse"]),
     "worms-par": ("worms", ["--mode", "full", "--construction", "par"]),
     "worms-inc": ("worms", ["--mode", "full", "--construction", "inc:3"]),
+    "worms-many-full": ("worms-many", ["--mode", "full"]),
     "worms-fast": ("worms", ["--mode", "full", "--gm-effort", "fast"]),
     "worms-ls-swap": ("worms", ["--mode", "full", "--ls", "swap"]),
     "worms-ls-gm": ("worms", ["--mode", "full", "--ls", "gm", "--runs", "2"]),
@@ -81,6 +88,10 @@ DIGESTS = {
     "worms-inc": (
         "5e40143422127d11a53a6d8a8ed6114633e0b1c14e35eacf39f2244f21b41caa",
         "aaff4a842ee0edb85bc4507e90d8a8e95077c13e07476fbf22deedfec65f123c",
+    ),
+    "worms-many-full": (
+        "31d5662064ee8449d85e8fa2ad9c9c172243225a44fe123c6ca179e07b7eefd6",
+        "f38b6682005d2f6c31cad1d1a3f63484c34c6f94a51c78eb5e5f5f49079d6608",
     ),
     "worms-fast": (
         "14b879a74f7ec761be4e3a46c58a7924a16f5545e4ebac05e6610fb089ef2cf1",
@@ -159,6 +170,24 @@ def test_document_and_trace_digests(name, t3, chain3, tmp_path):
     document, trace = run_config(name, {"t3": t3, "chain3": chain3}, tmp_path)
     assert "Infinity" not in document
     assert (document_digest(document), trace_digest(trace)) == DIGESTS[name]
+
+
+def test_many_objects_reach_the_improve_sweeps(tmp_path, monkeypatch):
+    """worms-many-full hands qpbo.minimize non-submodular energies of more
+    than EXACT_ENUMERATION_LIMIT variables, and the sweeps move some of
+    their labelings off init, so its digests pin the sweeps."""
+    swept = []
+    minimize = qpbo.minimize
+
+    def spy(energy, init, seed=0):
+        labels = minimize(energy, init, seed)
+        if energy.n > qpbo.EXACT_ENUMERATION_LIMIT and not energy.is_submodular():
+            swept.append(labels != tuple(init))
+        return labels
+
+    monkeypatch.setattr(qpbo, "minimize", spy)
+    run_config("worms-many-full", {}, tmp_path)
+    assert swept and any(swept)
 
 
 def test_written_problem_digest():

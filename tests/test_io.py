@@ -270,6 +270,15 @@ class TestNonUtf8:
         parsed = parse_solution(BOM + document.encode(), problem=t3)
         assert parsed.partition == solution and not parsed.warnings
 
+    def test_a_text_source_may_start_with_a_byte_order_mark(self, t3):
+        text = "gm 0 1\np 1 1 1 0\na 0 0 0 1.0\n"
+        assert parse_problem("\ufeff" + text) == parse_problem(text)
+        assert parse_problem("\ufeff" + write_problem(t3)) == t3
+        solution = part({0: 0, 1: 0}, {2: 0})
+        document = write_solution(solution, {"objective": objective(t3, solution)})
+        parsed = parse_solution("\ufeff" + document, problem=t3)
+        assert parsed.partition == solution and not parsed.warnings
+
     def test_a_bad_byte_after_a_byte_order_mark_names_its_line(self):
         with pytest.raises(ParseError) as info:
             parse_problem(BOM + b"gm 0 1\np 1 1 1 0\na 0 0 0 -1.0 \xe9\n")
@@ -320,6 +329,21 @@ class TestSolutionDocuments:
         doc = parse_solution(text, problem=t3)
         assert doc.objective == math.inf
         assert not doc.warnings
+
+    def test_every_infinite_metadata_value_is_written_forbidden(self):
+        metadata = {
+            "objective": math.inf,
+            "sync_metrics": {"mgm_objective": math.inf, "hamming": 2},
+            "outer": {"inner": {"cost": math.inf, "name": "x"}},
+        }
+        text = write_solution(part({0: 0}), metadata)
+        assert "Infinity" not in text
+        assert json.loads(text)["metadata"] == {
+            "objective": "forbidden",
+            "sync_metrics": {"mgm_objective": "forbidden", "hamming": 2},
+            "outer": {"inner": {"cost": "forbidden", "name": "x"}},
+        }
+        assert metadata["sync_metrics"]["mgm_objective"] == math.inf  # not edited
 
     @pytest.mark.parametrize(
         "clique, stored, warns",

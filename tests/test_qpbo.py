@@ -7,6 +7,7 @@ import pytest
 from mgmatch.qpbo import (
     EXACT_ENUMERATION_LIMIT,
     BinaryEnergy,
+    _quadratic_form,
     _solve_submodular,
     evaluate,
     minimize,
@@ -202,12 +203,34 @@ class TestSubmodularCut:
         for k in range(600):
             n = rng.randint(17, 60)
             e = random_energy(rng, n, rng.uniform(0.05, 0.5), submodular=True, integer=k % 2 == 0)
-            labels = _solve_submodular(e)
+            labels = _solve_submodular(*_quadratic_form(e))
             split += 0 < sum(labels) < n
             digest.update(bytes(labels))
         assert split == 293
         assert digest.hexdigest() == (
             "8b0dde5a44722b580ddf5bf6a9850b7ba4d50dac3399c46c73c028b426a6045f"
+        )
+
+
+class TestImproveSweeps:
+    def test_labels_pinned(self):
+        """minimize's labels for 600 seeded non-submodular energies above the
+        enumeration limit (n 17-60, pairwise density 0.05-0.5, integer costs
+        on even draws, random init and seed) hash to the digest recorded from
+        the sweeps that priced each flip from the energy's tables. Integer
+        costs make flips tie, which the sweeps resolve toward label 0."""
+        rng = random.Random(47)
+        digest = hashlib.sha256()
+        for k in range(600):
+            n = rng.randint(17, 60)
+            e = random_energy(rng, n, rng.uniform(0.05, 0.5), integer=k % 2 == 0)
+            assert not e.is_submodular()
+            init = tuple(rng.randint(0, 1) for _ in range(n))
+            labels = minimize(e, init, seed=rng.randrange(1000))
+            assert labels != init
+            digest.update(bytes(labels))
+        assert digest.hexdigest() == (
+            "abaf6c88d213b6a687067b2e2d86f60d786df242e06a03ed21222ca8b35dbd65"
         )
 
 
