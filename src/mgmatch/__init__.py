@@ -4,8 +4,7 @@ Feasible solutions are clique partitions, which makes cycle consistency
 structural. Solutions are built by chaining pairwise GM solves and
 improved by two local searches: object re-matching and joint clique
 swaps driven by binary energy minimization. A synchronization pipeline
-projects independently solved pairwise matchings onto cycle consistency,
-and the incomplete-to-complete reduction serves as a verification oracle.
+projects independently solved pairwise matchings onto cycle consistency.
 """
 
 from .construction import (
@@ -54,13 +53,6 @@ from .model import (
     validate,
 )
 from .qpbo import BinaryEnergy, evaluate, minimize
-from .reduction import (
-    CompleteProblem,
-    CompletenessError,
-    complete_to_incomplete,
-    incomplete_to_complete,
-    to_complete,
-)
 from .synchronization import (
     SyncMetrics,
     build_sync_problem,

@@ -2,8 +2,9 @@
 
 Modes: construct (construction only), ls (local search from a given or
 trivial solution), full (construction + local search), sync (pairwise
-solves projected to cycle consistency), reduce (print padding statistics
-of the incomplete-to-complete reduction).
+solves projected to cycle consistency), reduce (print the padding that
+a reduction to complete matching would add: every object grows to the
+total vertex count).
 
 With runs > 1 the pipeline restarts with shuffled object orders, one
 restart after the other, and keeps the best solution found; sync mode
@@ -42,7 +43,6 @@ from .local_search import (
     swap_local_search,
 )
 from .model import CliquePartition, objective
-from .reduction import size_report
 from .synchronization import synchronize
 
 MODES = ("construct", "ls", "full", "sync", "reduce")
@@ -200,7 +200,17 @@ def run(config: RunConfig) -> int:
         return 2
 
     if config.mode == "reduce":
-        report = json.dumps(size_report(problem), indent=2, sort_keys=True)
+        total = sum(problem.sizes)
+        dummies = [total - n for n in problem.sizes]
+        report = json.dumps({
+            "objects": problem.d,
+            "total_vertices": total,
+            "object_sizes": list(problem.sizes),
+            "dummies_per_object": dummies,
+            "total_dummies": sum(dummies),
+            "expected_total_dummies": (problem.d - 1) * total,
+            "complete_object_size": total,
+        }, indent=2, sort_keys=True)
         print(report)
         if config.output_path and not _write(config.output_path, report + "\n"):
             return 2

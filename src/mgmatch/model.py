@@ -70,9 +70,9 @@ class PairwiseCosts:
     the order they were given in. ``linear`` and ``quadratic`` are dict
     views of them in the same order, equal key for key and bit for bit,
     built on first access (about 200 bytes per entry) and kept.
-    linear_cost, quad_get, the reduction's lookups and perfbench's probe
-    build them; the solvers, equality and write_problem read the arrays or
-    the problem's slot index instead. Tables are immutable.
+    perfbench's probe, the test oracles and library callers build them;
+    the solvers, equality and write_problem read the arrays or the
+    problem's slot index instead. Tables are immutable.
 
     The constructor checks every entry, values finite included; _trusted
     skips the checks for arrays known to pass them: parsed ones and those
@@ -159,9 +159,6 @@ class PairwiseCosts:
             )
         return self._dicts
 
-    def quad_get(self, a: Assignment, b: Assignment) -> float:
-        return self.quadratic.get(_canonical_quad_key(a, b), 0.0)
-
     def transposed(self) -> "PairwiseCosts":
         """The same table with the left and right sets swapped."""
         (i, s), lin_v, (x, y), quad_v = self._arrays
@@ -232,8 +229,8 @@ class SlotIndex(NamedTuple):
 class MgmProblem:
     """An incomplete MGM instance: object sizes plus one table per object pair.
 
-    Tables are stored once for p < q; lookups with swapped roles are
-    transparent. The instance is immutable after construction;
+    Tables are stored once for p < q; table() and pair_table() serve
+    either role order. The instance is immutable after construction;
     slot_index() views all tables at once, built on first use. The
     absolute costs must sum to less than MAX_COST_TOTAL (ValueError).
     """
@@ -317,20 +314,6 @@ class MgmProblem:
         """The table of the pair with object p on the left."""
         table, swapped = self.table(p, q)
         return table.transposed() if swapped else table
-
-    def linear_cost(self, p: int, q: int, i: int, s: int) -> float:
-        """The stored cost, math.inf for a forbidden match."""
-        table, swapped = self.table(p, q)
-        if swapped:
-            i, s = s, i
-        return table.linear.get((i, s), math.inf)
-
-    def quad_cost(self, p: int, q: int, a: Assignment, b: Assignment) -> float:
-        table, swapped = self.table(p, q)
-        if swapped:
-            a = (a[1], a[0])
-            b = (b[1], b[0])
-        return table.quad_get(a, b)
 
     def restrict(self, objects: Sequence[int]) -> "MgmProblem":
         """Sub-problem over the given objects, renumbered to 0..len(objects)-1."""
@@ -556,9 +539,7 @@ def objective(problem: MgmProblem, solution: CliquePartition) -> float:
     pairs; quadratic costs once per unordered pair of distinct cliques over
     their shared object pairs. Any forbidden within-clique match makes the
     whole objective math.inf. The value is math.fsum over the
-    objective_terms, independent of clique order. A solution of a padded
-    reduction.CompleteProblem is priced on its base problem, as
-    objective(complete.base, complete_to_incomplete(complete, padded)).
+    objective_terms, independent of clique order.
     """
     validate(problem, solution)
     return math.fsum(objective_terms(problem, solution).tolist())

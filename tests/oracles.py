@@ -20,6 +20,40 @@ from mgmatch.model import (
     PairwiseCosts,
 )
 
+from reduction import CompleteProblem
+
+
+def quad_get(table, a, b):
+    """The table's quadratic cost of assignments a and b, in either order;
+    0.0 when it stores none."""
+    return table.quadratic.get((a, b) if a <= b else (b, a), 0.0)
+
+
+def linear_cost(problem, p, q, i, s):
+    """The cost of matching vertex i of object p to vertex s of object q,
+    math.inf for a forbidden match, read from the table's dict view. On a
+    CompleteProblem a match with a dummy costs 0.0."""
+    if isinstance(problem, CompleteProblem):
+        if problem.is_dummy(p, i) or problem.is_dummy(q, s):
+            return 0.0
+        problem = problem.base
+    table, swapped = problem.table(p, q)
+    return table.linear.get((s, i) if swapped else (i, s), math.inf)
+
+
+def quad_cost(problem, p, q, a, b):
+    """The quadratic cost of assignments a and b, each (vertex of p, vertex
+    of q), read from the table's dict view. On a CompleteProblem a pair
+    touching a dummy costs 0.0."""
+    if isinstance(problem, CompleteProblem):
+        if any(problem.is_dummy(p, x[0]) or problem.is_dummy(q, x[1]) for x in (a, b)):
+            return 0.0
+        problem = problem.base
+    table, swapped = problem.table(p, q)
+    if swapped:
+        a, b = a[::-1], b[::-1]
+    return quad_get(table, a, b)
+
 
 def none_columns(solution, sizes):
     """CliquePartition.columns as lists, with None where it has -1 (no
@@ -132,13 +166,13 @@ def reference_swap_deltas(problem, solution, first, second):
             assignment(table, partners, p, q, ap, aq),
             assignment(table, partners, p, q, bp, bq),
             False,
-            table.quad_get((ap, aq), (bp, bq)) if full else None,
+            quad_get(table, (ap, aq), (bp, bq)) if full else None,
         )
         after = contrib(
             assignment(table, partners, p, q, bp, aq),
             assignment(table, partners, p, q, ap, bq),
             True,
-            table.quad_get((bp, aq), (ap, bq)) if full else None,
+            quad_get(table, (bp, aq), (ap, bq)) if full else None,
         )
         if before == math.inf or after == math.inf:
             entries[p][q] = entries[q][p] = math.inf
@@ -176,20 +210,20 @@ def enumerate_partitions(sizes):
 def reference_objective(problem, partition):
     """Plain re-statement of the objective from pointwise lookups, summed
     with math.fsum, so it equals objective() bit for bit. It reads only
-    linear_cost and quad_cost, so it also prices a solution of a
-    reduction.CompleteProblem."""
+    linear_cost and quad_cost above, so it also prices a solution of a
+    CompleteProblem."""
     terms = []
     cliques = [dict(c) for c in partition.cliques]
     for c in cliques:
         for p, q in combinations(sorted(c), 2):
-            cost = problem.linear_cost(p, q, c[p], c[q])
+            cost = linear_cost(problem, p, q, c[p], c[q])
             if cost == math.inf:
                 return math.inf
             terms.append(cost)
     for a, b in combinations(cliques, 2):
         shared = sorted(set(a) & set(b))
         for p, q in combinations(shared, 2):
-            terms.append(problem.quad_cost(p, q, (a[p], a[q]), (b[p], b[q])))
+            terms.append(quad_cost(problem, p, q, (a[p], a[q]), (b[p], b[q])))
     return math.fsum(terms)
 
 
@@ -431,7 +465,7 @@ def reference_gm_local_search(sub, pairs, max_scans, two_swaps):
                 delta = (
                     lin[x1] + gain[x1] + lin[x2] + gain[x2]
                     - (lin[r1] + gain[r1]) - (lin[r2] + gain[r2])
-                    + sub.quad_get(x1, x2) + sub.quad_get(r1, r2)
+                    + quad_get(sub, x1, x2) + quad_get(sub, r1, r2)
                 )
                 if delta < -1e-12:
                     apply((r1, r2), (x1, x2))

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .model import (
-    Assignment,
+from mgmatch.model import (
     Clique,
     CliquePartition,
     FeasibilityError,
@@ -30,12 +29,13 @@ class CompleteProblem:
 
     Object p keeps its real vertices 0..|V^p|-1 and gains dummies
     |V^p|..|V|-1, where |V| is the total vertex count of the base problem.
-    Lookups fall through to the base for all-real indices and are zero
+    Costs fall through to the base for all-real indices and are zero
     otherwise; real-real forbidden entries stay forbidden, at math.inf.
 
-    It serves ``d`` and ``sizes``, which model.validate reads, and the
-    pointwise lookups ``linear_cost`` and ``quad_cost``. model.objective
-    takes an MgmProblem: a padded solution is priced as
+    It serves ``d`` and ``sizes``, which model.validate reads, and
+    ``is_dummy``, which the pointwise lookups oracles.linear_cost and
+    oracles.quad_cost read. model.objective takes an MgmProblem: a padded
+    solution is priced as
     objective(complete.base, complete_to_incomplete(complete, padded)).
     """
 
@@ -58,21 +58,6 @@ class CompleteProblem:
 
     def is_dummy(self, p: int, v: int) -> bool:
         return v >= self.base.sizes[p]
-
-    def linear_cost(self, p: int, q: int, i: int, s: int) -> float:
-        if self.is_dummy(p, i) or self.is_dummy(q, s):
-            return 0.0
-        return self.base.linear_cost(p, q, i, s)
-
-    def quad_cost(self, p: int, q: int, a: Assignment, b: Assignment) -> float:
-        if (
-            self.is_dummy(p, a[0])
-            or self.is_dummy(q, a[1])
-            or self.is_dummy(p, b[0])
-            or self.is_dummy(q, b[1])
-        ):
-            return 0.0
-        return self.base.quad_cost(p, q, a, b)
 
     def __repr__(self):
         return f"CompleteProblem(d={self.d}, size={self.total}, base={self.base!r})"
@@ -134,17 +119,3 @@ def complete_to_incomplete(
     ]
     return CliquePartition(stripped)
 
-
-def size_report(problem: MgmProblem) -> dict:
-    """Padding statistics for the reduction demo."""
-    complete = to_complete(problem)
-    dummies = complete.dummy_counts()
-    return {
-        "objects": problem.d,
-        "total_vertices": complete.total,
-        "object_sizes": list(problem.sizes),
-        "dummies_per_object": list(dummies),
-        "total_dummies": sum(dummies),
-        "expected_total_dummies": (problem.d - 1) * complete.total,
-        "complete_object_size": complete.total,
-    }

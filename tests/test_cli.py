@@ -7,7 +7,7 @@ import pytest
 
 from mgmatch.cli import RunConfig, build_parser, main, run
 from mgmatch.io import parse_solution, write_problem
-from mgmatch.model import objective
+from mgmatch.model import MgmProblem, PairwiseCosts, objective
 
 from conftest import part
 from oracles import random_partition, random_problem
@@ -281,13 +281,70 @@ class TestSolverTag:
         assert read_doc(out).metadata["solver"] == f"mgmatch/{tag}/gm=default:fast"
 
 
+# The --mode reduce reports of t3 and of a problem with sizes (2, 0, 3),
+# byte for byte.
+T3_REDUCE_REPORT = """\
+{
+  "complete_object_size": 5,
+  "dummies_per_object": [
+    3,
+    3,
+    4
+  ],
+  "expected_total_dummies": 10,
+  "object_sizes": [
+    2,
+    2,
+    1
+  ],
+  "objects": 3,
+  "total_dummies": 10,
+  "total_vertices": 5
+}
+"""
+
+SIZE_ZERO_REDUCE_REPORT = """\
+{
+  "complete_object_size": 5,
+  "dummies_per_object": [
+    3,
+    5,
+    2
+  ],
+  "expected_total_dummies": 10,
+  "object_sizes": [
+    2,
+    0,
+    3
+  ],
+  "objects": 3,
+  "total_dummies": 10,
+  "total_vertices": 5
+}
+"""
+
+
 class TestReduceMode:
     def test_prints_padding_stats(self, t3_file, capsys):
         code = main([str(t3_file), "--mode", "reduce"])
         assert code == 0
-        report = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out == T3_REDUCE_REPORT
+        report = json.loads(out)
         assert report["total_dummies"] == 10
         assert report["expected_total_dummies"] == 10
+
+    def test_size_zero_object(self, tmp_path, capsys):
+        table = PairwiseCosts(2, 3, {(0, 1): -1.0})
+        path = tmp_path / "empty.dd"
+        path.write_text(write_problem(MgmProblem([2, 0, 3], {(0, 2): table})))
+        assert main([str(path), "--mode", "reduce"]) == 0
+        assert capsys.readouterr().out == SIZE_ZERO_REDUCE_REPORT
+
+    def test_output_file_equals_stdout(self, t3_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main([str(t3_file), "--mode", "reduce", "--output", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
 
 class TestErrors:

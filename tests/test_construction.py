@@ -33,7 +33,14 @@ from mgmatch.model import (
 from mgmatch.synchronization import build_sync_problem, solve_all_pairwise
 
 from conftest import part
-from oracles import brute_force_mgm, dict_clique_clique_costs, random_partition, random_problem
+from oracles import (
+    brute_force_mgm,
+    dict_clique_clique_costs,
+    linear_cost,
+    quad_cost,
+    random_partition,
+    random_problem,
+)
 
 exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
 
@@ -130,7 +137,7 @@ def reference_costs(problem, a, b):
     linear = {}
     for k, ca in enumerate(a.cliques):
         for l, cb in enumerate(b.cliques):
-            costs = [problem.linear_cost(p, q, i, s) for p, i in ca for q, s in cb]
+            costs = [linear_cost(problem, p, q, i, s) for p, i in ca for q, s in cb]
             if math.inf not in costs:
                 linear[(k, l)] = sum(costs)
     quadratic = {}
@@ -138,7 +145,7 @@ def reference_costs(problem, a, b):
         c1, c2 = a.cliques[x[0]], a.cliques[y[0]]
         d1, d2 = b.cliques[x[1]], b.cliques[y[1]]
         quadratic[(x, y)] = sum(
-            problem.quad_cost(p, q, (c1.get(p), d1.get(q)), (c2.get(p), d2.get(q)))
+            quad_cost(problem, p, q, (c1.get(p), d1.get(q)), (c2.get(p), d2.get(q)))
             for p in set(c1.objects()) & set(c2.objects())
             for q in set(d1.objects()) & set(d2.objects())
         )

@@ -42,6 +42,7 @@ from mgmatch.model import (
 
 from conftest import part
 from oracles import (
+    linear_cost,
     matching_cost as oracle_matching_cost,
     random_partition,
     random_problem,
@@ -258,7 +259,7 @@ def assert_terms_match(problem, solution, terms):
     """The terms equal the oracle's over all object pairs as a multiset;
     each present assignment that is not stored adds one +inf term."""
     forbidden = sum(
-        problem.linear_cost(p, q, c.get(p), c.get(q)) == math.inf
+        linear_cost(problem, p, q, c.get(p), c.get(q)) == math.inf
         for c in solution.cliques
         for p, q in combinations(c.objects(), 2)
     )

@@ -19,7 +19,7 @@ from mgmatch.io import (
 from mgmatch.model import MgmProblem, PairwiseCosts, objective
 
 from conftest import part
-from oracles import random_partition, random_problem
+from oracles import linear_cost, quad_cost, random_partition, random_problem
 
 
 class TestParseProblem:
@@ -27,12 +27,12 @@ class TestParseProblem:
         problem = parse_problem("gm 0 1\np 1 1 1 0\na 0 0 0 -2.0\n")
         assert problem.d == 2
         assert problem.sizes == (1, 1)
-        assert problem.linear_cost(0, 1, 0, 0) == -2.0
+        assert linear_cost(problem, 0, 1, 0, 0) == -2.0
 
     def test_comments_and_blank_lines(self):
         text = "$ header\n\ngm 0 1\n# block\np 2 2 1 0\na 0 1 1 3.5e-1\n"
         problem = parse_problem(text)
-        assert problem.linear_cost(0, 1, 1, 1) == pytest.approx(0.35)
+        assert linear_cost(problem, 0, 1, 1, 1) == pytest.approx(0.35)
 
     def test_bytes_input(self):
         problem = parse_problem(b"gm 0 1\np 1 1 1 0\na 0 0 0 1.0\n")
@@ -58,7 +58,7 @@ class TestParseProblem:
             "gm 0 1\np 2 2 2 1\na 0 0 0 -1.0\na 1 1 1 -1.0\ne 0 1 -0.5\n"
         )
         problem = parse_problem(text)
-        assert problem.quad_cost(0, 1, (0, 0), (1, 1)) == -0.5
+        assert quad_cost(problem, 0, 1, (0, 0), (1, 1)) == -0.5
 
     def test_quadratic_sharing_vertex_rejected(self):
         text = "gm 0 1\np 1 2 2 1\na 0 0 0 1.0\na 1 0 1 1.0\ne 0 1 0.5\n"
@@ -125,7 +125,7 @@ class TestParseProblem:
         # objects 0..2 but only the (0,2) block present
         problem = parse_problem("gm 0 2\np 1 1 1 0\na 0 0 0 -1.0\n")
         assert problem.d == 3
-        assert problem.linear_cost(0, 1, 0, 0) == math.inf
+        assert linear_cost(problem, 0, 1, 0, 0) == math.inf
 
 
 BLOCK = "gm 0 1\np 2 2 2 1\na 0 0 0 1.0\na 1 1 1 1.0\n"

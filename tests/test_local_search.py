@@ -33,6 +33,7 @@ from mgmatch.qpbo import EXACT_ENUMERATION_LIMIT
 from conftest import part
 from oracles import (
     brute_force_mgm,
+    linear_cost,
     random_partition,
     random_problem,
     reference_swap_deltas,
@@ -232,7 +233,7 @@ def split_conflicts(problem, cliques):
     for clique in cliques:
         kept = {}
         for p, v in clique:
-            if all(problem.linear_cost(q, p, w, v) != math.inf for q, w in kept.items()):
+            if all(linear_cost(problem, q, p, w, v) != math.inf for q, w in kept.items()):
                 kept[p] = v
             else:
                 feasible.append(Clique({p: v}))

@@ -21,7 +21,14 @@ from mgmatch.model import (
 )
 
 from conftest import part
-from oracles import random_partition, random_problem, reference_objective
+from oracles import (
+    linear_cost,
+    quad_cost,
+    quad_get,
+    random_partition,
+    random_problem,
+    reference_objective,
+)
 
 
 class TestForbidden:
@@ -34,13 +41,13 @@ class TestForbidden:
 
 class TestLookupLinear:
     def test_direct_read(self, t3):
-        assert t3.linear_cost(0, 1, 0, 0) == -2.0
+        assert linear_cost(t3, 0, 1, 0, 0) == -2.0
 
     def test_symmetric_read(self, t3):
-        assert t3.linear_cost(1, 0, 0, 0) == -2.0
+        assert linear_cost(t3, 1, 0, 0, 0) == -2.0
 
     def test_absent_is_forbidden(self, t3):
-        assert t3.linear_cost(0, 1, 1, 0) == math.inf
+        assert linear_cost(t3, 0, 1, 1, 0) == math.inf
 
 
 class TestObjective:
@@ -279,7 +286,7 @@ class TestInvariants:
         sub = problem.restrict([2, 0])
         assert sub.sizes == (problem.sizes[2], problem.sizes[0])
         for (i, s), v in sub.costs[(0, 1)].linear.items():
-            assert problem.linear_cost(2, 0, i, s) == v
+            assert linear_cost(problem, 2, 0, i, s) == v
 
     def test_objective_invariant_under_object_relabeling(self):
         rng = random.Random(19)
@@ -320,14 +327,14 @@ def _cross_terms(problem, solution, set_a, set_b):
         for p in sorted(c):
             for q in sorted(c):
                 if p < q and ((p in set_a) != (q in set_a)):
-                    total += problem.linear_cost(p, q, c[p], c[q])
+                    total += linear_cost(problem, p, q, c[p], c[q])
     from itertools import combinations
 
     for x, y in combinations(cliques, 2):
         shared = sorted(set(x) & set(y))
         for p, q in combinations(shared, 2):
             if (p in set_a) != (q in set_a):
-                total += problem.quad_cost(p, q, (x[p], x[q]), (y[p], y[q]))
+                total += quad_cost(problem, p, q, (x[p], x[q]), (y[p], y[q]))
     return total
 
 
@@ -352,12 +359,12 @@ class TestPairwiseCosts:
             linear={(0, 0): 1.0, (1, 1): 1.0},
             quadratic={((1, 1), (0, 0)): 0.25},
         )
-        assert table.quad_get((0, 0), (1, 1)) == 0.25
-        assert table.quad_get((1, 1), (0, 0)) == 0.25
+        assert quad_get(table, (0, 0), (1, 1)) == 0.25
+        assert quad_get(table, (1, 1), (0, 0)) == 0.25
 
     def test_problem_symmetric_roles(self, t3):
-        assert t3.quad_cost(1, 0, (0, 0), (1, 1)) == -0.5
-        assert t3.quad_cost(0, 1, (0, 0), (1, 1)) == -0.5
+        assert quad_cost(t3, 1, 0, (0, 0), (1, 1)) == -0.5
+        assert quad_cost(t3, 0, 1, (0, 0), (1, 1)) == -0.5
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, value):

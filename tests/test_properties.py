@@ -23,10 +23,10 @@ from mgmatch.construction import (
 )
 from mgmatch.local_search import alternate, gm_local_search, swap_local_search
 from mgmatch.model import Clique, CliquePartition, objective, validate
-from mgmatch.reduction import complete_to_incomplete, incomplete_to_complete, to_complete
 from mgmatch.synchronization import synchronize
 
-from oracles import random_partition, random_problem, reference_objective
+from oracles import linear_cost, random_partition, random_problem, reference_objective
+from reduction import complete_to_incomplete, incomplete_to_complete, to_complete
 
 
 @st.composite
@@ -45,7 +45,7 @@ def allowed_start(rng, problem):
     for clique in random_partition(rng, problem):
         kept = {}
         for p, v in clique:
-            if all(problem.linear_cost(q, p, w, v) != math.inf for q, w in kept.items()):
+            if all(linear_cost(problem, q, p, w, v) != math.inf for q, w in kept.items()):
                 kept[p] = v
         cliques.append(Clique(kept))
     return CliquePartition(cliques).normalized(problem.sizes)

@@ -1,24 +1,27 @@
+import json
 import math
 import random
 
 import pytest
 
+from mgmatch.cli import main
+from mgmatch.io import write_problem
 from mgmatch.model import Clique, CliquePartition, objective, validate
-from mgmatch.reduction import (
-    CompletenessError,
-    complete_to_incomplete,
-    incomplete_to_complete,
-    size_report,
-    to_complete,
-)
 
 from conftest import part
 from oracles import (
     brute_force_mgm,
     enumerate_complete_partitions,
+    linear_cost,
     random_partition,
     random_problem,
     reference_objective,
+)
+from reduction import (
+    CompletenessError,
+    complete_to_incomplete,
+    incomplete_to_complete,
+    to_complete,
 )
 
 
@@ -42,14 +45,21 @@ class TestToComplete:
 
     def test_dummy_costs_are_zero(self, t3):
         complete = to_complete(t3)
-        assert complete.linear_cost(0, 1, 0, 4) == 0.0
-        assert complete.linear_cost(0, 1, 2, 0) == 0.0
-        assert complete.linear_cost(0, 1, 0, 0) == -2.0
-        assert complete.linear_cost(0, 1, 1, 0) == math.inf  # real-real stays forbidden
+        assert linear_cost(complete, 0, 1, 0, 4) == 0.0
+        assert linear_cost(complete, 0, 1, 2, 0) == 0.0
+        assert linear_cost(complete, 0, 1, 0, 0) == -2.0
+        assert linear_cost(complete, 0, 1, 1, 0) == math.inf  # real-real stays forbidden
 
-    def test_size_report(self, t3):
-        report = size_report(t3)
+    def test_size_report(self, t3, tmp_path, capsys):
+        path = tmp_path / "t3.dd"
+        path.write_text(write_problem(t3))
+        assert main([str(path), "--mode", "reduce"]) == 0
+        report = json.loads(capsys.readouterr().out)
         assert report["total_dummies"] == report["expected_total_dummies"] == 10
+        # the CLI's padding report describes the reduction the tests check
+        complete = to_complete(t3)
+        assert report["dummies_per_object"] == list(complete.dummy_counts())
+        assert report["complete_object_size"] == complete.total
 
 
 class TestTranslation:

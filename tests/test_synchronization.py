@@ -17,7 +17,7 @@ from mgmatch.synchronization import (
 )
 
 from conftest import part
-from oracles import random_problem
+from oracles import linear_cost, random_problem
 
 
 exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
@@ -68,8 +68,8 @@ class TestBuildSyncProblem:
         for (p, q), table in sync.costs.items():
             assert set(table.linear) == set(t3.costs[(p, q)].linear)
             assert not table.quadratic
-        assert sync.linear_cost(0, 1, 0, 0) == -1.0
-        assert sync.linear_cost(0, 1, 0, 1) == 0.0
+        assert linear_cost(sync, 0, 1, 0, 0) == -1.0
+        assert linear_cost(sync, 0, 1, 0, 1) == 0.0
 
     def test_dense_equals_sparse_without_forbidden(self):
         rng = random.Random(5)
@@ -83,8 +83,8 @@ class TestBuildSyncProblem:
         matchings = solve_all_pairwise(t3, gm=exhaustive, seed=0)
         soft = build_sync_problem(t3, matchings, mode="soft", alpha=1.0)
         # (1,0) of pair (0,1) is forbidden in t3, priced at +alpha here
-        assert soft.linear_cost(0, 1, 1, 0) == 1.0
-        assert soft.linear_cost(0, 1, 0, 0) == -1.0
+        assert linear_cost(soft, 0, 1, 1, 0) == 1.0
+        assert linear_cost(soft, 0, 1, 0, 0) == -1.0
 
     def test_soft_requires_alpha(self, t3):
         matchings = solve_all_pairwise(t3, gm=exhaustive, seed=0)
@@ -114,7 +114,7 @@ class TestSynchronize:
             assert metrics.forbidden_count == 0
             assert metrics.mgm_objective != math.inf
             for (p, i), (q, s) in solution_pairs(solution):
-                assert problem.linear_cost(p, q, i, s) != math.inf
+                assert linear_cost(problem, p, q, i, s) != math.inf
 
     def test_consistent_input_recovered_exactly(self, t3):
         # hand the synchronizer an already cycle-consistent matching set
