@@ -278,9 +278,10 @@ def run(config: RunConfig) -> int:
         print(document, end="")
     elif not _write(config.output_path, document):
         return 2
-    lines = ["elapsed_ms,phase,objective", *trace.lines()]
-    if config.trace_path and not _write(config.trace_path, "".join(f"{x}\n" for x in lines)):
-        return 2
+    if config.trace_path:
+        lines = ["elapsed_ms,phase,objective", *trace.lines()]
+        if not _write(config.trace_path, "".join(f"{x}\n" for x in lines)):
+            return 2
     return 0
 
 

@@ -91,19 +91,18 @@ def parse_problem(source: TextSource) -> MgmProblem:
     """
     text = _as_text(source)
     tables: dict[tuple[int, int], tuple | None] = {}  # None: the open block
-    current: dict | None = None
-    max_object = -1
     sizes: dict[int, int] = {}
-    linear = quad = ids = shape = None  # the current block's
+    # The open block: pair, 'gm' line, 'p' line and counts, entries, ids, shape.
+    pair = gm_line = declared = linear = quad = ids = shape = None
 
     for lineno, raw in enumerate(_lines(text), start=1):
         fields = raw.split()
         if not fields:
             continue
         tag = fields[0]
+        if pair is None and tag in ("a", "e", "p"):
+            raise ParseError(lineno, f"'{tag}' line outside a gm block")
         if tag == "a":
-            if ids is None:
-                raise ParseError(lineno, "'a' line outside a gm block")
             if len(fields) != 5:
                 raise ParseError(lineno, "expected 'a <id> <i> <s> <cost>'")
             try:
@@ -123,8 +122,6 @@ def parse_problem(source: TextSource) -> MgmProblem:
             ids[aid] = (i, s)
             linear[(i, s)] = cost
         elif tag == "e":
-            if ids is None:
-                raise ParseError(lineno, "'e' line outside a gm block")
             if len(fields) != 4:
                 raise ParseError(lineno, "expected 'e <id1> <id2> <cost>'")
             try:
@@ -153,27 +150,21 @@ def parse_problem(source: TextSource) -> MgmProblem:
                 raise ParseError(lineno, f"need 0 <= p < q, got ({p},{q})")
             if (p, q) in tables:
                 raise DuplicateEntryError(lineno, f"duplicate block for pair ({p},{q})")
-            _close(current, tables)
-            linear, quad, ids, shape = {}, {}, {}, None
-            current = {
-                "pair": (p, q), "line": lineno, "declared": None,
-                "linear": linear, "quad": quad,
-            }
-            tables[(p, q)] = None
-            max_object = max(max_object, q)
+            _close(tables, pair, gm_line, declared, linear, quad)
+            pair, gm_line, declared, shape = (p, q), lineno, None, None
+            linear, quad, ids = {}, {}, {}
+            tables[pair] = None
         elif tag == "p":
-            if current is None:
-                raise ParseError(lineno, "'p' line outside a gm block")
             if len(fields) != 5:
                 raise ParseError(lineno, "expected 'p <n1> <n2> <A> <E>'")
-            if current["declared"] is not None:
-                raise ParseError(lineno, f"second 'p' line in block {current['pair']}")
+            if declared is not None:
+                raise ParseError(lineno, f"second 'p' line in block {pair}")
             n1, n2, n_linear, n_quad = _ints(fields[1:5], lineno)
             if n1 < 0 or n2 < 0:
                 raise ParseError(lineno, f"object sizes must be non-negative, got ({n1},{n2})")
             shape = (n1, n2)
-            current["declared"] = (lineno, n_linear, n_quad)
-            for obj, n in zip(current["pair"], shape):
+            declared = (lineno, n_linear, n_quad)
+            for obj, n in zip(pair, shape):
                 if sizes.setdefault(obj, n) != n:
                     raise ParseError(
                         lineno, f"object {obj} declared with size {n}, earlier {sizes[obj]}"
@@ -181,11 +172,10 @@ def parse_problem(source: TextSource) -> MgmProblem:
         else:
             raise ParseError(lineno, f"unknown line tag {tag!r}")
 
-    _close(current, tables)
-    if max_object < 1:
+    _close(tables, pair, gm_line, declared, linear, quad)
+    if not tables:
         raise ParseError(1, "no 'gm' blocks found")
-    d = max_object + 1
-    size_list = [sizes.get(p, 0) for p in range(d)]
+    size_list = [sizes.get(p, 0) for p in range(max(q for _, q in tables) + 1)]
     # The checks above cover every check of the PairwiseCosts constructor.
     costs = {
         (p, q): PairwiseCosts._trusted(size_list[p], size_list[q], *arrays)
@@ -210,24 +200,18 @@ def _lines(text: str, chunk: int = 1 << 16):
         yield carry
 
 
-def _close(block: dict | None, tables: dict) -> None:
+def _close(tables: dict, pair, gm_line, declared, linear, quad) -> None:
     """A finished block must have a 'p' line and hold the 'a' and 'e' lines
-    it declares; its entries become arrays."""
-    if block is None:
+    it declares; its entries become arrays. No block is open if pair is None."""
+    if pair is None:
         return
-    if block["declared"] is None:
-        raise ParseError(block["line"], f"block {block['pair']} has no 'p' line")
-    lineno, n_linear, n_quad = block["declared"]
-    for kind, declared, found in (
-        ("a", n_linear, len(block["linear"])),
-        ("e", n_quad, len(block["quad"])),
-    ):
-        if declared != found:
-            raise ParseError(
-                lineno,
-                f"block {block['pair']} declares {declared} '{kind}' lines, has {found}",
-            )
-    tables[block["pair"]] = entry_arrays(block["linear"], block["quad"])
+    if declared is None:
+        raise ParseError(gm_line, f"block {pair} has no 'p' line")
+    p_line, n_linear, n_quad = declared
+    for kind, n, found in (("a", n_linear, len(linear)), ("e", n_quad, len(quad))):
+        if n != found:
+            raise ParseError(p_line, f"block {pair} declares {n} '{kind}' lines, has {found}")
+    tables[pair] = entry_arrays(linear, quad)
 
 
 def _ints(fields, lineno):

@@ -27,10 +27,9 @@ only:
   technique), which are recomputed only when the solution changes. Two rules skip work whose
   outcome is already known:
 
-  - best_multiswap returns no-swap without an energy when contraction
-    leaves one group (every other joint swap activates a forbidden swap
-    or renames the two cliques), or when no weight between groups is
-    negative (no labeling is below no-swap).
+  - best_multiswap returns no-swap without an energy when no weight
+    between groups is negative (no labeling is below no-swap); one group
+    leaves no weight between groups.
   - best_multiswap reads only the two cliques and their delta matrix, so
     a pair's outcome is kept, across passes and alternate rounds, and
     reused while the pair's freshly computed matrix is byte-equal to the
@@ -230,9 +229,10 @@ def best_multiswap(
     each table between groups is (0, w, w, 0). Returns the bit vector over
     all objects and the predicted objective change (0 for no-swap).
 
-    No-swap is returned without an energy when contraction leaves one
-    group (every other joint swap is forbidden or renames the cliques) or
-    no weight w is negative (the energy is then at least 0 everywhere).
+    No-swap is returned without an energy when no weight w between groups
+    is negative (the energy is then at least 0 everywhere), which holds
+    when contraction leaves one group (every other joint swap is forbidden
+    or renames the cliques).
     ``deltas`` is this pair's swap_deltas matrix in ``solution`` when the
     caller has it; it is read, not changed. The seed matters only above
     the enumeration limit, for energies that are not submodular.
@@ -248,8 +248,6 @@ def best_multiswap(
             keep, drop = sorted((label[i], label[j]))
             label = [keep if g == drop else g for g in label]
     variable = {g: k for k, g in enumerate(sorted(set(label)))}
-    if len(variable) == 1:
-        return no_swap
     group = np.array([variable[g] for g in label])
     i, j = np.triu_indices(len(involved), 1)
     w = weights[i, j]

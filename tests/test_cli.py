@@ -7,6 +7,7 @@ import pytest
 
 from mgmatch.cli import RunConfig, build_parser, main, run
 from mgmatch.io import parse_solution, write_problem
+from mgmatch.local_search import TraceRecorder
 from mgmatch.model import MgmProblem, PairwiseCosts, objective
 
 from conftest import part
@@ -58,6 +59,19 @@ class TestFullMode:
         main([str(t3_file), "--seed", "1", "--runs", "1", "--output", str(single)])
         main([str(t3_file), "--seed", "1", "--runs", "8", "--output", str(many)])
         assert read_doc(many).objective <= read_doc(single).objective
+
+
+    def test_trace_lines_formatted_only_with_a_trace_path(self, t3_file, tmp_path, monkeypatch):
+        calls = []
+        lines = TraceRecorder.lines
+        monkeypatch.setattr(TraceRecorder, "lines", lambda self: calls.append(1) or lines(self))
+        argv = [str(t3_file), "--mode", "full", "--output", str(tmp_path / "sol.json")]
+        trace = tmp_path / "trace.csv"
+        assert main(argv) == 0
+        assert calls == []
+        assert main([*argv, "--trace", str(trace)]) == 0
+        assert calls == [1]
+        assert trace.read_text().startswith("elapsed_ms,phase,objective\n")
 
 
 class TestConstructMode:

@@ -369,6 +369,11 @@ class TestConstructSequential:
         solution = construct_sequential(sub, [0, 1], gm=exhaustive, seed=0)
         assert objective(sub, solution) == pytest.approx(-3.5)
 
+    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 2, 3], [1, 2, 3]])
+    def test_order_must_be_a_permutation(self, t3, order):
+        with pytest.raises(ValueError, match="order must be a permutation of the objects"):
+            construct_sequential(t3, order)
+
     def test_all_forbidden_gives_singletons(self):
         from mgmatch.model import MgmProblem
 
@@ -444,6 +449,11 @@ class TestConstructParallel:
             ConstructionTree((0, (1, 1)), 3)
         with pytest.raises(ValueError):
             ConstructionTree((0, (1, 2, 3)), 4)
+
+    @pytest.mark.parametrize("objects", [[0, 1], [0, 1, 2, 3]])
+    def test_tree_must_cover_the_problem(self, t3, objects):
+        with pytest.raises(ValueError, match="tree does not cover the problem's objects"):
+            construct_parallel(t3, ConstructionTree.chain(objects))
 
     def test_deep_chain_builds_and_schedules(self):
         # tree walks are iterative: no recursion limit on long chains

@@ -6,10 +6,13 @@ without its elapsed-time column. Neither changes unless a result, or the
 way it is written, changes: a refactoring of the solve path must leave
 every digest as it is. After a deliberate change of results, the failing
 assertion shows the new digests. One more digest pins the text
-write_problem makes of a parsed model.
+write_problem makes of a parsed model, and one the outcome of
+parse_problem on every file of a seeded corpus of valid and corrupted
+dd files.
 """
 
 import hashlib
+import random
 import re
 import sys
 from pathlib import Path
@@ -18,7 +21,7 @@ import pytest
 
 from mgmatch import qpbo
 from mgmatch.cli import main
-from mgmatch.io import parse_problem, write_problem, write_solution
+from mgmatch.io import ParseError, parse_problem, write_problem, write_solution
 
 from conftest import part
 
@@ -128,6 +131,10 @@ DIGESTS = {
 WRITTEN_WORMS_DIGEST = "ed121f5188f629b297986670ee50323d31387ceb13f748fcfa65cbbe6e3c0ac9"
 
 
+# The sha256 of parse_outcome over the files of parse_corpus().
+PARSE_CORPUS_DIGEST = "09a19b270110bbb47a22822916ef6dddd3ea06d3233a69bd5f50013d411d525f"
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -195,6 +202,68 @@ def test_written_problem_digest():
     and the id pairs of its 'e' lines are read from the stored tables."""
     text = write_problem(parse_problem(generated_text("worms")))
     assert sha256(text) == WRITTEN_WORMS_DIGEST
+
+
+def parse_corpus() -> list[str]:
+    """Small worms- and hotel-like models in shuffled dd layouts, each with
+    seeded one-line corruptions: a token replaced by 'x', '1.5' or 'nan', a
+    token dropped, a line duplicated, swapped with another or deleted, or a
+    line moved above the first 'gm' line (always once the first 'p' line)."""
+    models = [
+        instances.worms_like(seed, d=4, n=5, candidates=3, quadratic=6) for seed in (1, 2)
+    ] + [instances.hotel_like(seed, d=3, n=4, quadratic=5) for seed in (1, 2)]
+    corpus = []
+    for layout, model in enumerate(models, start=1):
+        text = instances.write_dd(model, layout_seed=layout)
+        lines = text.splitlines(True)
+        corpus += [text, "".join([lines[1], lines[0], *lines[2:]])]
+        rng = random.Random(f"parse-corpus:{layout}")
+        for _ in range(80):
+            edited = list(lines)
+            k, other = rng.randrange(len(lines)), rng.randrange(len(lines))
+            tokens = edited[k].split()
+            kind = rng.choice(["replace", "drop", "duplicate", "swap", "delete", "hoist"])
+            if kind == "replace":
+                tokens[rng.randrange(len(tokens))] = rng.choice(["x", "1.5", "nan"])
+                edited[k] = " ".join(tokens) + "\n"
+            elif kind == "drop":
+                del tokens[rng.randrange(len(tokens))]
+                edited[k] = " ".join(tokens) + "\n"
+            elif kind == "duplicate":
+                edited.insert(k, edited[k])
+            elif kind == "swap":
+                edited[k], edited[other] = edited[other], edited[k]
+            elif kind == "delete":
+                del edited[k]
+            else:
+                edited.insert(0, edited.pop(k))
+            corpus.append("".join(edited))
+    return corpus
+
+
+def parse_outcome(text: str) -> str:
+    """The parsed arrays of a valid file; the error type, line and message
+    of a malformed one."""
+    try:
+        problem = parse_problem(text)
+    except ParseError as exc:
+        return f"{type(exc).__name__} {exc.line} {exc}"
+    parts = [repr(problem.sizes)]
+    for pair, table in problem.costs.items():
+        for array in table.arrays():
+            parts.append(f"{pair} {array.dtype} {array.shape} {array.tobytes().hex()}")
+    return sha256("\n".join(parts))
+
+
+def test_parse_corpus_digest():
+    """parse_problem's outcome on each file of the corpus: a refactoring of
+    the parser must keep every parsed array, error type, line and message."""
+    outcomes = [parse_outcome(text) for text in parse_corpus()]
+    errors = {outcome.split()[0] for outcome in outcomes if " " in outcome}
+    assert errors == {"ParseError", "DuplicateEntryError", "DanglingReferenceError"}
+    for tag in "aep":
+        assert any(f"'{tag}' line outside a gm block" in outcome for outcome in outcomes)
+    assert sha256("\n".join(outcomes)) == PARSE_CORPUS_DIGEST
 
 
 def test_layout_does_not_change_tables_or_results(tmp_path):

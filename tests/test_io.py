@@ -125,6 +125,7 @@ class TestParseProblem:
         # objects 0..2 but only the (0,2) block present
         problem = parse_problem("gm 0 2\np 1 1 1 0\na 0 0 0 -1.0\n")
         assert problem.d == 3
+        assert problem.sizes == (1, 0, 1)  # no block names object 1
         assert linear_cost(problem, 0, 1, 0, 0) == math.inf
 
 
@@ -157,6 +158,20 @@ CHUNK_EDGE += "$" * ((1 << 16) - 1 - len(CHUNK_EDGE)) + "\r\n"
         ("gm 0 1\na 0 0 0 1.0\n", ParseError, 2, "'a' line before the block's 'p' line"),
         ("a 0 0 0 1.0\ngm 0 1\n", ParseError, 1, "'a' line outside a gm block"),
         ("$ header\ne 0 1 1.0\n", ParseError, 2, "'e' line outside a gm block"),
+        ("$ header\np 1 1 0 0\ngm 0 1\n", ParseError, 2, "'p' line outside a gm block"),
+        # Outside a gm block, a line's tag is checked before its fields.
+        ("a 0\n", ParseError, 1, "'a' line outside a gm block"),
+        ("e\n", ParseError, 1, "'e' line outside a gm block"),
+        ("p 1 x\n", ParseError, 1, "'p' line outside a gm block"),
+        ("", ParseError, 1, "no 'gm' blocks found"),
+        ("$ header\n\n# no blocks\n", ParseError, 1, "no 'gm' blocks found"),
+        # A repeated pair is found before the open block is closed.
+        ("gm 0 1\np 1 1 0 0\ngm 0 1\n", DuplicateEntryError, 3,
+         "duplicate block for pair (0,1)"),
+        ("gm 0 1\np 1 1 0 0\ngm 1 2\np 1 1 0 0\ngm 0 1\n", DuplicateEntryError, 5,
+         "duplicate block for pair (0,1)"),
+        ("gm 0 1\np 1 1 1 0\ngm 0 1\n", DuplicateEntryError, 3,
+         "duplicate block for pair (0,1)"),
         (BLOCK + "e 5 7 1.0\n", DanglingReferenceError, 5, "assignment id 5 not declared"),
         (BLOCK + "e 0 7 1.0\n", DanglingReferenceError, 5, "assignment id 7 not declared"),
         ("gm 0 1\np 2 2 2 0\na 0 0 0 1.0\na 0 1 1 1.0\n", DuplicateEntryError, 4,
@@ -412,6 +427,15 @@ class TestSolutionDocuments:
             parse_solution("not json at all")
         with pytest.raises(ParseError):
             parse_solution('{"format": "something-else"}')
+
+    @pytest.mark.parametrize("version", [None, 0, 2, "1"])
+    def test_unsupported_version(self, version):
+        doc = {"format": "mgm-solution", "cliques": [], "metadata": {}}
+        if version is not None:
+            doc["version"] = version
+        with pytest.raises(ParseError) as err:
+            parse_solution(json.dumps(doc))
+        assert str(err.value) == f"line 1: unsupported document version {version!r}"
 
     def test_roundtrip_random_partitions(self):
         rng = random.Random(9)

@@ -288,6 +288,11 @@ class TestInvariants:
         for (i, s), v in sub.costs[(0, 1)].linear.items():
             assert linear_cost(problem, 2, 0, i, s) == v
 
+    @pytest.mark.parametrize("objects", [[0, 0], [2, 0, 2]])
+    def test_restrict_rejects_repeated_objects(self, t3, objects):
+        with pytest.raises(ValueError, match="restriction objects must be distinct"):
+            t3.restrict(objects)
+
     def test_objective_invariant_under_object_relabeling(self):
         rng = random.Random(19)
         for _ in range(15):
@@ -425,6 +430,23 @@ class TestPairwiseCosts:
     def test_problem_rejects_table_of_wrong_shape(self):
         with pytest.raises(ValueError):
             MgmProblem([2, 3], {(0, 1): PairwiseCosts(3, 2)})
+
+    @pytest.mark.parametrize(
+        "sizes, keys, message",
+        [
+            ([], [], "an MGM problem needs at least 2 objects"),
+            ([3], [], "an MGM problem needs at least 2 objects"),
+            ([2, -1], [], "object sizes must be non-negative"),
+            ([2, 2], [(1, 0)], "cost table key (1,0) is not an ordered object pair"),
+            ([2, 2], [(0, 0)], "cost table key (0,0) is not an ordered object pair"),
+            ([2, 2], [(0, 2)], "cost table key (0,2) is not an ordered object pair"),
+            ([2, 2], [(-1, 1)], "cost table key (-1,1) is not an ordered object pair"),
+        ],
+    )
+    def test_problem_rejects_bad_sizes_and_keys(self, sizes, keys, message):
+        with pytest.raises(ValueError) as err:
+            MgmProblem(sizes, {key: PairwiseCosts(2, 2) for key in keys})
+        assert str(err.value) == message
 
     def test_arrays_sort_linear_and_quadratic_entries(self):
         table = PairwiseCosts(

@@ -81,6 +81,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="labels other than 0 and 1"):
             minimize(e, labels)
 
+    @pytest.mark.parametrize(
+        "n, unary, pairwise, message",
+        [
+            (-1, None, None, "variable count must be non-negative"),
+            (2, [(0.0, 1.0)], None, "unary table length does not match variable count"),
+            (0, [(0.0, 1.0)], None, "unary table length does not match variable count"),
+            (2, None, {(1, 0): (0, 1, 1, 0)}, "pairwise key (1,0) is not an ordered variable pair"),
+            (2, None, {(0, 2): (0, 1, 1, 0)}, "pairwise key (0,2) is not an ordered variable pair"),
+            (2, None, {(0, 1): (0, 1, 1)}, "pairwise tables need exactly 4 entries"),
+            (2, None, {(0, 1): (0, 1, 1, 0, 0)}, "pairwise tables need exactly 4 entries"),
+        ],
+    )
+    def test_malformed_user_energy_raises(self, n, unary, pairwise, message):
+        with pytest.raises(ValueError) as err:
+            BinaryEnergy(n, unary, pairwise)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_user_energy_raises(self, value):
         with pytest.raises(ValueError, match="unary costs must be finite"):
