@@ -22,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .construction import (
     construct_parallel,
     construct_sequential,
     derive_seed,
+    shuffled_order,
 )
 from .gm import Effort, get_solver
 from .local_search import (
@@ -111,14 +111,8 @@ def _parse_construction(text: str) -> tuple[str, int | None]:
     return "inc", int(raw)
 
 
-def _shuffled_order(d: int, seed: int) -> list[int]:
-    order = list(range(d))
-    random.Random(seed).shuffle(order)
-    return order
-
-
 def _construct(problem, config: RunConfig, gm, seed: int, deadline, trace) -> CliquePartition:
-    order = _shuffled_order(problem.d, seed)
+    order = shuffled_order(problem.d, seed)
     if config.construction_kind == "seq":
         solution = construct_sequential(problem, order, gm=gm, seed=seed, deadline=deadline)
     elif config.construction_kind == "par":
@@ -129,7 +123,7 @@ def _construct(problem, config: RunConfig, gm, seed: int, deadline, trace) -> Cl
         def inner(sub_problem, inner_seed):
             start = construct_sequential(
                 sub_problem,
-                _shuffled_order(sub_problem.d, inner_seed),
+                shuffled_order(sub_problem.d, inner_seed),
                 gm=gm,
                 seed=inner_seed,
                 deadline=deadline,
@@ -145,7 +139,7 @@ def _construct(problem, config: RunConfig, gm, seed: int, deadline, trace) -> Cl
 
 
 def _local_search(problem, solution, config: RunConfig, gm, seed, deadline, trace):
-    order = _shuffled_order(problem.d, seed)
+    order = shuffled_order(problem.d, seed)
     if config.ls == "none":
         return solution
     if config.ls == "gm":

@@ -6,9 +6,10 @@ merge takes the solver's tuple of (left clique, right clique) index pairs
 and is the one place that checks a matching uses each clique at most once.
 rematch is the one-object step, shared with GM local search. The
 sequential variant chains it along a random object order; the tree
-variant combines partial solutions along a binary construction tree,
-bottom-up; the incremental variant warm-starts the chain with a stronger
-solver on a prefix of the objects.
+variant runs a construction tree's steps, each merging the partial
+solutions of two subtrees, lowest first; the incremental variant
+warm-starts the chain with a stronger solver on a prefix of the objects.
+Step k's GM solve is seeded with derive_seed(seed, k).
 
 Aggregated costs: matching clique I to clique S prices every cross pair of
 their members, so a single forbidden member pair forbids the whole entry.
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 import time
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +48,13 @@ def derive_seed(seed: int, k: int) -> int:
     """Stable per-step seed so tree and sequential construction agree."""
     digest = hashlib.blake2b(f"{seed}:{k}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def shuffled_order(d: int, seed: int) -> list[int]:
+    """The objects range(d) in the order random.Random(seed) shuffles them to."""
+    order = list(range(d))
+    random.Random(seed).shuffle(order)
+    return order
 
 
 def clique_clique_costs(
@@ -159,24 +167,42 @@ class ConstructionTree:
     """Leaf-labeled ordered binary tree steering tree construction.
 
     Leaves are object indices and must form a permutation of range(d).
-    Nodes are given as nested 2-tuples, e.g. ``((2, (1, 0)), 3)``.
+    Nodes are given as nested 2-tuples, e.g. ``((2, (1, 0)), 3)``. The one
+    walk of the tree lists its nodes in post-order, root last, and its
+    merges as steps (node, left, right) of positions in nodes, lowest
+    height first and left to right within a height. Step k (from 1) seeds
+    its GM solve, so a chain tree numbers its steps as sequential
+    construction does.
     """
 
     def __init__(self, root, d: int):
         self.root = root
         self.d = d
+        self.nodes: list = []
         labels: list[int] = []
-        stack = [root]
+        merges: list[tuple[int, int, int, int]] = []  # (height, node, left, right)
+        subtrees: list[tuple[int, int]] = []  # (position, height), not yet merged
+        stack = [(root, False)]
         while stack:
-            node = stack.pop()
-            if isinstance(node, int):
+            node, children_done = stack.pop()
+            if children_done:
+                (right, right_height), (left, left_height) = subtrees.pop(), subtrees.pop()
+                height = 1 + max(left_height, right_height)
+                merges.append((height, len(self.nodes), left, right))
+            elif isinstance(node, int):
                 labels.append(node)
+                height = 0
             elif isinstance(node, tuple) and len(node) == 2:
-                stack.extend(node)
+                stack += [(node, True), (node[1], False), (node[0], False)]
+                continue
             else:
                 raise ValueError(f"malformed tree node {node!r}: need leaf int or 2-tuple")
+            subtrees.append((len(self.nodes), height))
+            self.nodes.append(node)
         if sorted(labels) != list(range(d)):
             raise ValueError(f"tree leaves {sorted(labels)} are not a permutation of range({d})")
+        merges.sort(key=lambda merge: merge[0])  # stable: left to right within a height
+        self.steps = [(node, left, right) for _, node, left, right in merges]
 
     @classmethod
     def chain(cls, order: Sequence[int]) -> "ConstructionTree":
@@ -199,32 +225,6 @@ class ConstructionTree:
             return (build(part[:mid]), build(part[mid:]))
 
         return cls(build(list(order)), len(order))
-
-    def schedule(self) -> list[list[tuple[int, tuple]]]:
-        """Internal nodes grouped by height, bottom-up.
-
-        Each entry is (sequence index, node), numbered level by level and
-        in post-order within a level, so every node follows its children.
-        The sequence index seeds the node's GM solve; the levels fix only
-        that numbering. On a chain tree this numbering matches the step
-        numbering of sequential construction.
-        """
-        heights: dict[int, int] = {}  # id(internal node) -> height
-        post: list[tuple[int, tuple]] = []  # (height, node) in post-order
-        stack = [(self.root, False)]
-        while stack:
-            node, children_done = stack.pop()
-            if isinstance(node, int):
-                continue
-            if children_done:
-                height = 1 + max(0 if isinstance(c, int) else heights[id(c)] for c in node)
-                heights[id(node)] = height
-                post.append((height, node))
-            else:
-                stack += [(node, True), (node[1], False), (node[0], False)]
-        post.sort(key=lambda entry: entry[0])  # stable: post-order within a level
-        levels = groupby(enumerate(post, 1), key=lambda item: item[1][0])
-        return [[(counter, node) for counter, (_, node) in level] for _, level in levels]
 
 
 def _permutation(problem: MgmProblem, order: Sequence[int]) -> list[int]:
@@ -272,31 +272,26 @@ def construct_parallel(
     seed: int = 0,
     deadline: float = math.inf,
 ) -> CliquePartition:
-    """Tree construction: each internal node matches the partial solutions of
-    its two subtrees and merges them, lower levels first.
+    """Tree construction: step k of the tree matches the partial solutions
+    of a node's two subtrees, seeded by k, and merges them.
 
     A chain tree reproduces construct_sequential exactly, including
-    per-step seeds. Past the deadline, nodes merge their subtrees unmatched.
+    per-step seeds. Past the deadline, steps merge their parts unmatched.
     """
     if tree.d != problem.d:
         raise ValueError("tree does not cover the problem's objects")
-    solutions: dict[int, CliquePartition] = {}
-
-    def solution_of(node) -> CliquePartition:
-        if isinstance(node, int):
-            return singleton_partition(problem.sizes[node], node)
-        return solutions[id(node)]
-
-    for level in tree.schedule():
-        for seq, node in level:
-            a = solution_of(node[0])
-            b = solution_of(node[1])
-            if time.monotonic() >= deadline:
-                matching = ()
-            else:
-                matching = gm(clique_clique_costs(problem, a, b), derive_seed(seed, seq))
-            solutions[id(node)] = merge(a, b, matching)
-    return solution_of(tree.root)
+    parts = [
+        singleton_partition(problem.sizes[node], node) if isinstance(node, int) else None
+        for node in tree.nodes
+    ]
+    for k, (node, left, right) in enumerate(tree.steps, 1):
+        a, b = parts[left], parts[right]
+        if time.monotonic() >= deadline:
+            matching = ()
+        else:
+            matching = gm(clique_clique_costs(problem, a, b), derive_seed(seed, k))
+        parts[node] = merge(a, b, matching)
+    return parts[-1]
 
 
 def construct_incremental(

@@ -229,10 +229,6 @@ def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: boo
     cost, left, right, partners = ids.cost, ids.left, ids.right, ids.partners
     by_left, by_right = [-1] * ids.sub.left_size, [-1] * ids.sub.right_size
     gain = [0.0] * len(cost)
-    for x in matching:
-        by_left[left[x]] = by_right[right[x]] = x
-        for other, value in partners[x]:
-            gain[other] += value
 
     def apply(removals, additions):
         for x in removals:
@@ -244,6 +240,7 @@ def _local_search(ids: _Ids, matching: list[int], max_scans: int, two_swaps: boo
             for other, value in partners[x]:
                 gain[other] += value
 
+    apply((), matching)
     for _ in range(max_scans):
         improved = False
         for x, a, b in zip(range(len(cost)), left, right):

@@ -253,12 +253,14 @@ class MgmProblem:
             if not (0 <= p < q < d):
                 raise ValueError(f"cost table key ({p},{q}) is not an ordered object pair")
         full: dict[tuple[int, int], PairwiseCosts] = {}
+        # A missing pair gets an empty table: no entry to check.
+        no_keys, no_values = np.empty((2, 0), np.int64), np.empty(0)
         for p in range(d):
             for q in range(p + 1, d):
                 shape = (self.sizes[p], self.sizes[q])
                 table = tables.get((p, q))
                 if table is None:
-                    table = PairwiseCosts(*shape)
+                    table = PairwiseCosts._trusted(*shape, no_keys, no_values)
                 elif (table.left_size, table.right_size) != shape:
                     raise ValueError(
                         f"cost table ({p},{q}) is {table.left_size}x{table.right_size}, "

@@ -23,7 +23,6 @@ The synchronization problem's costs depend on the mode:
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import asdict, dataclass
 from itertools import combinations
@@ -31,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .construction import construct_sequential, derive_seed
+from .construction import construct_sequential, derive_seed, shuffled_order
 from .gm import GmSolver, Matching, solve_gm
 from .local_search import TraceRecorder, alternate
 from .model import (
@@ -167,8 +166,7 @@ def synchronize(
     """
     matchings = solve_all_pairwise(problem, gm=gm, seed=seed, deadline=deadline)
     sync_problem = build_sync_problem(problem, matchings, mode=mode, alpha=alpha)
-    order = list(range(problem.d))
-    random.Random(derive_seed(seed, 1)).shuffle(order)
+    order = shuffled_order(problem.d, derive_seed(seed, 1))
     solution = construct_sequential(sync_problem, order, gm=solve_gm, seed=derive_seed(seed, 2))
     if trace is not None:
         trace.record("sync-construct", objective(sync_problem, solution))

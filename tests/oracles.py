@@ -260,6 +260,23 @@ def split_rematch(problem, solution, p, gm, seed):
     return (*rematch(problem, p, split, gm, seed), incumbent)
 
 
+def reference_tree_steps(root):
+    """The internal nodes of a construction tree (nested 2-tuples over
+    int leaves) in the order tree construction merges them: by height,
+    lowest first, then by post-order position."""
+    merges = []
+
+    def height(node):
+        if isinstance(node, int):
+            return 0
+        h = 1 + max(height(node[0]), height(node[1]))
+        merges.append((h, len(merges), node))
+        return h
+
+    height(root)
+    return [node for _, _, node in sorted(merges)]
+
+
 def brute_force_mgm(problem):
     """Exhaustive optimum over all feasible partitions: (value, partition)."""
     best_value = 0.0

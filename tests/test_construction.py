@@ -5,7 +5,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mgmatch import construction, gm
@@ -16,6 +16,7 @@ from mgmatch.construction import (
     construct_incremental,
     construct_parallel,
     construct_sequential,
+    derive_seed,
     merge,
     rematch,
 )
@@ -40,6 +41,7 @@ from oracles import (
     quad_cost,
     random_partition,
     random_problem,
+    reference_tree_steps,
 )
 
 exhaustive = partial(solve_gm, effort=Effort.EXHAUSTIVE)
@@ -404,6 +406,37 @@ class TestConstructSequential:
             validate(t3, acc)
 
 
+def step_nodes(tree):
+    """Each step as the nodes (node, left child, right child)."""
+    return [tuple(tree.nodes[at] for at in step) for step in tree.steps]
+
+
+def step_heights(tree):
+    """The height of each step's node, computed along the steps in order."""
+    height = [0] * len(tree.nodes)
+    for node, left, right in tree.steps:
+        height[node] = 1 + max(height[left], height[right])
+    return [height[node] for node, _, _ in tree.steps]
+
+
+def leaves(node):
+    return {node} if isinstance(node, int) else leaves(node[0]) | leaves(node[1])
+
+
+@st.composite
+def construction_trees(draw):
+    """A random binary tree over a random order of 2 to 8 objects."""
+    order = draw(st.permutations(range(draw(st.integers(2, 8)))))
+
+    def build(part):
+        if len(part) == 1:
+            return part[0]
+        cut = draw(st.integers(1, len(part) - 1))
+        return (build(part[:cut]), build(part[cut:]))
+
+    return ConstructionTree(build(order), len(order))
+
+
 class TestConstructParallel:
     def test_chain_tree_equals_sequential(self, t3):
         order = [0, 1, 2]
@@ -424,10 +457,8 @@ class TestConstructParallel:
             assert a.cliques == b.cliques
 
     def test_balanced_tree_has_two_levels_for_four_objects(self):
-        tree = ConstructionTree.balanced([0, 1, 2, 3])
-        assert len(tree.schedule()) == 2
-        chain = ConstructionTree.chain([0, 1, 2, 3])
-        assert len(chain.schedule()) == 3
+        assert step_heights(ConstructionTree.balanced([0, 1, 2, 3])) == [1, 1, 2]
+        assert step_heights(ConstructionTree.chain([0, 1, 2, 3])) == [1, 2, 3]
 
     def test_balanced_tree_feasible(self):
         rng = random.Random(31)
@@ -458,17 +489,44 @@ class TestConstructParallel:
     def test_deep_chain_builds_and_schedules(self):
         # tree walks are iterative: no recursion limit on long chains
         tree = ConstructionTree.chain(range(3000))
-        levels = tree.schedule()
-        assert len(levels) == 2999
-        assert [seq for level in levels for seq, _ in level] == list(range(1, 3000))
+        assert step_heights(tree) == list(range(1, 3000))
+        # step k matches object k against step k - 1's node
+        nodes, lefts, rights = zip(*tree.steps)
+        assert [tree.nodes[left] for left in lefts] == list(range(1, 3000))
+        assert rights[1:] == nodes[:-1]
 
     def test_schedule_numbers_each_level_left_to_right(self):
         tree = ConstructionTree(((0, 1), ((2, 3), 4)), 5)
-        numbered = [[(seq, node) for seq, node in level] for level in tree.schedule()]
-        assert numbered == [
-            [(1, (0, 1)), (2, (2, 3))],
-            [(3, ((2, 3), 4))],
-            [(4, ((0, 1), ((2, 3), 4)))],
+        assert step_nodes(tree) == [
+            ((0, 1), 0, 1),
+            ((2, 3), 2, 3),
+            (((2, 3), 4), (2, 3), 4),
+            (((0, 1), ((2, 3), 4)), (0, 1), ((2, 3), 4)),
+        ]
+        assert step_heights(tree) == [1, 1, 2, 3]
+
+    @given(tree=construction_trees(), seed=st.integers(0, 2**32 - 1))
+    @example(tree=ConstructionTree.balanced(range(6)), seed=0)  # level order != post-order
+    def test_merges_follow_the_reference_steps(self, tree, seed):
+        want = reference_tree_steps(tree.root)
+        assert step_nodes(tree) == [(node, *node) for node in want]
+        problem = random_problem(random.Random(tree.d), tree.d, 2)
+        sides, solves = [], []
+
+        def recording_costs(problem, a, b):
+            sides.append((a.objects(), b.objects()))
+            return clique_clique_costs(problem, a, b)
+
+        def recording_gm(sub, step_seed):
+            solves.append((*sides.pop(), step_seed))
+            return solve_gm(sub, step_seed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(construction, "clique_clique_costs", recording_costs)
+            construct_parallel(problem, tree, gm=recording_gm, seed=seed)
+        assert solves == [
+            (leaves(left), leaves(right), derive_seed(seed, k))
+            for k, (left, right) in enumerate(want, 1)
         ]
 
 

@@ -404,6 +404,18 @@ class TestPairwiseCosts:
                 quadratic={((0, 0), (1, 1)): 0.5, ((1, 1), (0, 0)): 0.5},
             )
 
+    def test_missing_pairs_get_empty_tables(self):
+        # The problem builds them without the checking constructor.
+        problem = MgmProblem([2, 0, 3], {(0, 2): PairwiseCosts(2, 3, {(1, 2): 1.0})})
+        for p, q in [(0, 1), (1, 2)]:
+            table = problem.costs[(p, q)]
+            built = PairwiseCosts(problem.sizes[p], problem.sizes[q])
+            assert table == built
+            assert table.linear == table.quadratic == {}
+            for got, want in zip(table.arrays(), built.arrays(), strict=True):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert not got.flags.writeable
+
     def test_equality_compares_sizes(self):
         assert PairwiseCosts(2, 2) == PairwiseCosts(2, 2)
         assert PairwiseCosts(2, 2) != PairwiseCosts(2, 3)
