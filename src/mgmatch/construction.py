@@ -22,13 +22,17 @@ as every table stores them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import time
 from typing import Callable, Sequence
 
 import numpy as np
+
+try:  # the function hashlib.blake2b is, without hashlib's import of OpenSSL
+    from _blake2 import blake2b
+except ImportError:  # an interpreter without CPython's _blake2
+    from hashlib import blake2b
 
 from .gm import GmSolver, Matching, solve_gm
 from .model import (
@@ -46,7 +50,7 @@ class OverlapError(ValueError):
 
 def derive_seed(seed: int, k: int) -> int:
     """Stable per-step seed so tree and sequential construction agree."""
-    digest = hashlib.blake2b(f"{seed}:{k}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{seed}:{k}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

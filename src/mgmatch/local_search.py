@@ -24,16 +24,22 @@ only:
   variable. swap_deltas computes the delta matrices of many clique pairs
   at once from the same problem-wide slot index (MgmProblem.slot_index)
   and per-solution sums of realized quadratic partners (Taillard's delta
-  technique), which are recomputed only when the solution changes. Two rules skip work whose
-  outcome is already known:
+  technique), which are recomputed only when the solution changes. Three
+  rules skip work whose outcome is already known:
 
   - best_multiswap returns no-swap without an energy when no weight
     between groups is negative (no labeling is below no-swap); one group
     leaves no weight between groups.
-  - best_multiswap reads only the two cliques and their delta matrix, so
-    a pair's outcome is kept, across passes and alternate rounds, and
-    reused while the pair's freshly computed matrix is byte-equal to the
-    one it came from.
+  - Only clique pairs that a stored linear entry joins are visited: with
+    no stored assignment between the two cliques, every joint swap but
+    the empty one and the renaming of the two cliques is forbidden, and
+    best_multiswap returns no-swap for both.
+  - best_multiswap reads only the two cliques and their delta matrix, and
+    of the solution the matrix reads only the slot values
+    (_SwapView.values) of the assignments among the two cliques'
+    vertices. So a pair's outcome is kept in a SwapCache, across passes
+    and alternate rounds, until one of those values changes or a clique
+    leaves the solution.
 
 Objectives are floats, math.inf for a solution holding a forbidden match.
 Swap local search never accepts a forbidden candidate. GM local search
@@ -315,65 +321,147 @@ def gm_local_search(
     return current
 
 
+@dataclass
+class SwapCache:
+    """Swap local search's kept outcomes, handed from call to call.
+
+    ``outcomes`` maps a clique pair (first, second), first < second, to
+    best_multiswap's (bits, predicted) there. ``values`` is the
+    _SwapView.values array of the solution the cache was last re-based
+    on; every outcome holds in any solution with both cliques whose
+    values agree with it on the slots among the two cliques' vertices.
+    """
+
+    outcomes: dict[tuple[Clique, Clique], tuple[tuple[int, ...], float]] = field(
+        default_factory=dict
+    )
+    values: np.ndarray | None = None
+
+    def rebase(self, problem: MgmProblem, solution: CliquePartition, view: _SwapView) -> None:
+        """Re-base the cache on the solution's view: drop the outcomes of
+        pairs with a clique that left the solution, or whose matrix reads a
+        value that changed bitwise. A changed slot with its ends in two
+        cliques is read by that pair only, one inside a clique by every
+        pair holding it."""
+        outcomes = self.outcomes
+        if self.values is None:
+            outcomes.clear()
+        elif outcomes:
+            n = len(solution.cliques)
+            inside, read = np.zeros(n, bool), np.zeros((n, n), bool)
+            changed = np.flatnonzero(self.values.view(np.int64) != view.values.view(np.int64))
+            for cx, cy in _table_ends(problem, solution, changed):
+                held = (cx >= 0) & (cy >= 0)
+                inside[cx[held & (cx == cy)]] = True
+                between = held & (cx != cy)
+                read[cx[between], cy[between]] = read[cy[between], cx[between]] = True
+            at = view.position
+            for key in list(outcomes):
+                i, j = at.get(key[0], -1), at.get(key[1], -1)
+                if i < 0 or j < 0 or inside[i] or inside[j] or read[i, j]:
+                    del outcomes[key]
+        self.values = view.values
+
+
+def _table_ends(
+    problem: MgmProblem, solution: CliquePartition, slots: np.ndarray | None = None
+):
+    """Per table of the problem's SlotIndex, the positions in
+    solution.cliques of the cliques holding the two vertex ends of its
+    slots, or of those among the sorted ``slots``; -1 where no clique
+    holds the vertex. One table at a time, so no array spans all slots."""
+    index = problem.slot_index()
+    sizes = np.array(problem.sizes, np.int64)
+    columns = solution.columns(problem.sizes)
+    p, q = np.triu_indices(problem.d, 1)
+    bases = index.offsets[p, q]
+    bounds = np.searchsorted(index.codes, (bases, bases + sizes[p] * sizes[q]))
+    if slots is not None:
+        bounds = np.searchsorted(slots, bounds)
+    for t in np.flatnonzero(bounds[1] > bounds[0]).tolist():
+        at = slice(bounds[0, t], bounds[1, t])
+        code = index.codes[at] if slots is None else index.codes[slots[at]]
+        x, y = np.divmod(code - bases[t], sizes[q[t]])
+        yield tuple(
+            columns[obj][v] if obj in columns else np.full(len(v), -1)
+            for obj, v in ((p[t], x), (q[t], y))
+        )
+
+
+def _joined(problem: MgmProblem, solution: CliquePartition, view: _SwapView, pairs) -> list:
+    """The clique pairs of the solution that a stored linear entry joins,
+    in their given order."""
+    n = len(solution.cliques)
+    joined = np.zeros((n, n), bool)
+    for cx, cy in _table_ends(problem, solution):
+        between = (cx >= 0) & (cy >= 0) & (cx != cy)
+        joined[cx[between], cy[between]] = True
+    joined |= joined.T
+    at = view.position
+    return [pair for pair in pairs if joined[at[pair[0]], at[pair[1]]]]
+
+
 def swap_local_search(
     problem: MgmProblem,
     solution: CliquePartition,
     seed: int = 0,
     deadline: float = math.inf,
     trace: TraceRecorder | None = None,
-    cache: dict[tuple[Clique, Clique], tuple[bytes, tuple]] | None = None,
+    cache: SwapCache | None = None,
 ) -> CliquePartition:
     """Iterate joint multi-swaps over clique pairs, accepting strict profits.
 
     Clique pairs are visited in a per-pass seeded shuffle of their sorted
-    order; a pass without any accepted swap terminates the search. Pairs
-    whose cliques were changed earlier in the same pass are skipped. Delta
-    matrices come from swap_deltas in chunks of _CHUNK pairs in visit
-    order; an accepted swap drops the rest of the chunk, so the pairs after
-    it are priced against the new solution.
+    order, of which only the pairs that a stored linear entry joins are
+    kept (no other pair has an allowed swap); a pass without any accepted
+    swap terminates the search. Pairs whose cliques were changed earlier
+    in the same pass are skipped.
 
-    ``cache`` maps a clique pair (first, second) to (matrix bytes, (bits,
-    predicted)): best_multiswap's outcome and the upper triangle of the
-    matrix it came from. The outcome is reused while a fresh matrix is
-    byte-equal; best_multiswap reads nothing else of the solution. Pass
-    the same dict to later calls (as alternate does) to keep entries whose
-    cliques are both still in the solution. An outcome of the seeded
-    sweeps is kept too, so it is not redrawn with a later seed.
+    A pair's outcome comes from ``cache`` while it holds one; otherwise
+    the pair is priced by swap_deltas, in chunks of _CHUNK uncached pairs
+    in visit order, and its best_multiswap outcome is cached. An accepted
+    swap drops the rest of the chunk, so the pairs after it are priced
+    against the new solution, and re-bases the cache on the new solution:
+    outcomes whose cliques left it or whose matrix reads a changed slot
+    value are dropped. Pass the same SwapCache to later calls (as
+    alternate does); on entry it is re-based the same way. An outcome of
+    the seeded sweeps is kept too, so it is not redrawn with a later seed
+    while its inputs are unchanged.
     """
     validate(problem, solution)
-    cache = {} if cache is None else cache
+    cache = SwapCache() if cache is None else cache
     current = solution
     current_value = objective(problem, current)
     view = _swap_view(problem, current)
-    upper = np.triu_indices(problem.d, 1)
+    cache.rebase(problem, current, view)
+    outcomes = cache.outcomes
     passes = 0
     while time.monotonic() < deadline:
-        ordered = sorted(current.cliques)
-        pair_list = list(combinations(ordered, 2))
-        Random(derive_seed(seed, passes)).shuffle(pair_list)
+        pairs = list(combinations(sorted(current.cliques), 2))
+        Random(derive_seed(seed, passes)).shuffle(pairs)
+        pairs = _joined(problem, current, view, pairs)
         live = set(current.cliques)
-        for key in [key for key in cache if not live.issuperset(key)]:
-            del cache[key]
         priced: dict = {}  # pair -> its matrix, for the chunk being visited
         accepted_any = False
-        for at, key in enumerate(pair_list):
+        for at, key in enumerate(pairs):
             if not live.issuperset(key):
                 continue
             if time.monotonic() >= deadline:
                 break
-            if key not in priced:
-                pending = (pair for pair in islice(pair_list, at, None) if live.issuperset(pair))
-                chunk = list(islice(pending, _CHUNK))
-                priced = dict(zip(chunk, swap_deltas(problem, current, chunk, view)))
-            deltas = priced.pop(key)
-            row = deltas[upper].tobytes()
-            entry = cache.get(key)
-            if entry is None or entry[0] != row:
-                entry = row, best_multiswap(
-                    problem, current, *key, seed=derive_seed(seed, passes), deltas=deltas
+            outcome = outcomes.get(key)
+            if outcome is None:
+                if key not in priced:
+                    pending = (
+                        pair
+                        for pair in islice(pairs, at, None)
+                        if live.issuperset(pair) and pair not in outcomes
+                    )
+                    chunk = list(islice(pending, _CHUNK))
+                    priced = dict(zip(chunk, swap_deltas(problem, current, chunk, view)))
+                outcome = outcomes[key] = best_multiswap(
+                    problem, current, *key, seed=derive_seed(seed, passes), deltas=priced.pop(key)
                 )
-                cache[key] = entry
-            bits, predicted = entry[1]
+            bits, predicted = outcome
             if not any(bits) or not predicted < 0.0:
                 continue
             candidate = apply_multiswap(current, *key, bits)
@@ -381,6 +469,7 @@ def swap_local_search(
             if value < current_value:
                 current, current_value = candidate, value
                 view = _swap_view(problem, current)
+                cache.rebase(problem, current, view)
                 live = set(current.cliques)
                 priced = {}
                 accepted_any = True
@@ -404,11 +493,11 @@ def alternate(
     """Alternate GM local search and swap local search until neither improves.
 
     The deadline cuts the search off mid-round, keeping the best solution
-    found so far. One swap cache serves every round.
+    found so far. One SwapCache serves every round.
     """
     current = solution.normalized(problem.sizes)
     current_value = objective(problem, current)
-    cache: dict = {}
+    cache = SwapCache()
     rounds = 0
     while time.monotonic() < deadline:
         current = gm_local_search(

@@ -267,8 +267,10 @@ class MgmProblem:
                         f"objects have sizes {shape}"
                     )
                 full[(p, q)] = table
+        # A table without linear entries has no quadratic ones and adds 0.
+        stored = [t.arrays() for t in full.values() if len(t.arrays()[1])]
         with np.errstate(over="ignore"):  # an overflow to inf fails the check
-            total = sum(float(np.abs(v).sum()) for t in full.values() for v in t.arrays()[1::2])
+            total = sum(float(np.abs(v).sum()) for arrays in stored for v in arrays[1::2])
         if not total < MAX_COST_TOTAL:
             raise ValueError(
                 f"the absolute costs sum to {total:g}; they must sum to less than {MAX_COST_TOTAL:g}"

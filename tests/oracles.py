@@ -55,6 +55,21 @@ def quad_cost(problem, p, q, a, b):
     return quad_get(table, a, b)
 
 
+def joined_pairs(problem, solution):
+    """The clique pairs (first, second), first < second, that a stored
+    linear entry joins: some vertex of one may match some vertex of the
+    other."""
+    return [
+        (first, second)
+        for first, second in combinations(sorted(solution.cliques), 2)
+        if any(
+            p != q and linear_cost(problem, p, q, x, y) < math.inf
+            for p, x in first
+            for q, y in second
+        )
+    ]
+
+
 def none_columns(solution, sizes):
     """CliquePartition.columns as lists, with None where it has -1 (no
     clique holds the vertex), as the references below read them."""

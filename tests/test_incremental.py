@@ -1,8 +1,9 @@
 """Shortcuts in local search that must not change what it computes.
 
 best_multiswap returns no-swap early when no joint swap can win, and
-swap local search reuses each pair's best joint swap while its delta
-matrix is byte-equal; GM local search prices a re-match in the
+swap local search visits only the clique pairs that a stored entry joins
+and reuses each pair's best joint swap until a slot value its delta
+matrix reads changes; GM local search prices a re-match in the
 re-match's own table (model.matching_cost) instead of calling
 objective(). Each is checked against a fresh computation on small random
 problems, objective_terms against an entry-by-entry oracle, and the
@@ -23,6 +24,7 @@ from mgmatch import local_search, qpbo
 from mgmatch.construction import construct_sequential
 from mgmatch.gm import solve_gm
 from mgmatch.local_search import (
+    SwapCache,
     alternate,
     apply_multiswap,
     best_multiswap,
@@ -42,6 +44,7 @@ from mgmatch.model import (
 
 from conftest import part
 from oracles import (
+    joined_pairs,
     linear_cost,
     matching_cost as oracle_matching_cost,
     random_partition,
@@ -179,30 +182,26 @@ class TestBestMultiswapShortcuts:
             assert got == contracted_minimum(deltas, involved, problem.d, 7)
 
 
-def upper_bytes(matrix):
-    return matrix[np.triu_indices(len(matrix), 1)].tobytes()
-
-
 class TestDeltaCache:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([0.0, 0.3, 0.6]))
     def test_kept_outcomes_equal_fresh_ones(self, seed, d, forbidden):
         """When swap local search returns, its last pass visited every
-        pair, so the cache holds each pair of the result with its fresh
-        matrix and best_multiswap's outcome there. That holds from an empty
-        cache and from the cache of an earlier search after a random joint
-        swap, as when alternate hands it on, and the handed-on cache does
-        not change the result. Up to 16 contracted groups an outcome is
-        seed-free."""
+        joined pair, so the cache holds each joined pair of the result with
+        best_multiswap's fresh outcome there, and no other pair: unjoined
+        pairs are never priced. That holds from an empty cache and from
+        the cache of an earlier search after a random joint swap, as when
+        alternate hands it on, and the handed-on cache does not change the
+        result. Up to 16 contracted groups an outcome is seed-free."""
         rng = random.Random(seed)
         problem = random_problem(rng, d, 4, forbidden_frac=forbidden, quad_frac=0.5)
-        cache = {}
+        cache = SwapCache()
         solution = swap_local_search(problem, random_partition(rng, problem), cache=cache)
         for round_ in range(3):
-            pairs = list(combinations(sorted(solution.cliques), 2))
-            assert sorted(cache) == pairs
-            for key, deltas in zip(pairs, swap_deltas(problem, solution, pairs)):
-                assert cache[key] == (upper_bytes(deltas), best_multiswap(problem, solution, *key))
-            if len(pairs) == 0:
+            pairs = joined_pairs(problem, solution)
+            assert sorted(cache.outcomes) == pairs
+            for key in pairs:
+                assert cache.outcomes[key] == best_multiswap(problem, solution, *key)
+            if len(solution.cliques) < 2:
                 break
             first, second = rng.sample(sorted(solution.cliques), 2)
             bits = [rng.randint(0, 1) for _ in range(d)]
@@ -211,31 +210,53 @@ class TestDeltaCache:
             solution = swap_local_search(problem, solution, seed=round_, cache=cache)
             assert solution.cliques == fresh.cliques
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([0.0, 0.3, 0.6]))
+    def test_unjoined_pairs_have_no_swap(self, seed, d, forbidden):
+        """The rule behind visiting joined pairs only: when no stored
+        linear entry joins two cliques, every joint swap but the empty one
+        and the renaming of the two cliques is forbidden, and
+        best_multiswap returns no-swap."""
+        rng = random.Random(seed)
+        problem = random_problem(rng, d, 4, forbidden_frac=forbidden, quad_frac=0.5)
+        solution = random_partition(rng, problem)
+        joined = set(joined_pairs(problem, solution))
+        for key in combinations(sorted(solution.cliques), 2):
+            if key not in joined:
+                assert best_multiswap(problem, solution, *key) == ((0,) * d, 0.0)
+
     def test_covering_an_uncovered_vertex_recomputes(self, t3, monkeypatch):
         # The quadratic entry ((0,0),(1,1)) of t3 is realized only once
-        # vertex 1 of object 0 joins vertex 1 of object 1.
+        # vertex 1 of object 0 joins vertex 1 of object 1. That changes the
+        # partner sum of slot (0:0, 1:0), which lies inside `first`.
         first, second = Clique({0: 0, 1: 0}), Clique({2: 0})
         uncovered = part({0: 0, 1: 0}, {1: 1}, {2: 0})
         covered = part({0: 0, 1: 0}, {0: 1, 1: 1}, {2: 0})  # the optimum
-        rows = [
-            upper_bytes(swap_deltas(t3, s, [(first, second)])[0]) for s in (uncovered, covered)
-        ]
-        assert rows[0] != rows[1]
-        cache = {(first, second): (rows[0], best_multiswap(t3, uncovered, first, second))}
-        computed = []
-        real = local_search.best_multiswap
+        rows = [swap_deltas(t3, s, [(first, second)])[0] for s in (uncovered, covered)]
+        assert not np.array_equal(rows[0], rows[1])
+        cache = SwapCache(
+            {(first, second): best_multiswap(t3, uncovered, first, second)},
+            local_search._swap_view(t3, uncovered).values,
+        )
+        priced, computed = [], []
+        real_deltas, real = local_search.swap_deltas, local_search.best_multiswap
+
+        def deltas_spy(problem, solution, pairs, *args):
+            priced.extend(pairs)
+            return real_deltas(problem, solution, pairs, *args)
 
         def spy(problem, solution, *pair, **kwargs):
             computed.append(pair)
             return real(problem, solution, *pair, **kwargs)
 
+        monkeypatch.setattr(local_search, "swap_deltas", deltas_spy)
         monkeypatch.setattr(local_search, "best_multiswap", spy)
         assert swap_local_search(t3, covered, cache=cache) == covered
-        assert computed.count((first, second)) == 1
-        assert cache[(first, second)] == (rows[1], real(t3, covered, first, second))
+        assert priced.count((first, second)) == computed.count((first, second)) == 1
+        assert cache.outcomes[(first, second)] == real(t3, covered, first, second)
+        priced.clear()
         computed.clear()
         swap_local_search(t3, covered, cache=cache)
-        assert computed == []  # every matrix is unchanged
+        assert priced == computed == []  # no slot value changed
 
 
 def with_zero_entries(problem, rng):
